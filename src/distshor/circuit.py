@@ -19,16 +19,15 @@ by ``add_controls``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
 from .gates import MEASURE, MOVE, RESET, GateKind, is_unitary
 from .qstate import Control, QuantumState, RandomSource
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     kind: GateKind
     targets: tuple[int, ...]
     controls: tuple[Control, ...] = ()
@@ -62,7 +61,10 @@ class Circuit:
     # -- append API ------------------------------------------------------
 
     def append(self, inst: Instruction) -> "Circuit":
-        for q in inst.qubits():
+        for q in inst.targets:
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"qubit {q} out of range")
+        for q, _pol in inst.controls:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
         self.instructions.append(inst)
@@ -74,9 +76,8 @@ class Circuit:
              condition: Iterable[int] = (), label: str = "",
              block: str | None = None) -> "Circuit":
         return self.append(Instruction(
-            kind, tuple(targets), tuple(controls),
-            classical_constant=classical_constant,
-            condition=tuple(condition), label=label, block=block))
+            kind, tuple(targets), tuple(controls), classical_constant,
+            tuple(condition), None, label, block))
 
     def x(self, t, **kw):
         return self.gate(gates.X, [t], **kw)
@@ -128,21 +129,23 @@ class Circuit:
             raise ValueError("sub-circuit uses more qubits than the target")
         self.num_classical_bits = max(self.num_classical_bits,
                                       other.num_classical_bits)
+        if label_prefix is None and block is None:
+            self.instructions.extend(other.instructions)
+            return self
         for inst in other.instructions:
+            label = inst.label
             if label_prefix is not None:
-                inst = replace(inst, label=f"{label_prefix}/{inst.label}"
-                               if inst.label else label_prefix)
-            if block is not None:
-                inst = replace(inst, block=block)
-            self.instructions.append(inst)
+                label = f"{label_prefix}/{label}" if label else label_prefix
+            self.instructions.append(Instruction(
+                *inst[:6], label, inst.block if block is None else block))
         return self
 
     # -- queries ---------------------------------------------------------
 
     def used_qubits(self) -> set[int]:
-        used: set[int] = set()
-        for inst in self.instructions:
-            used.update(inst.qubits())
+        insts = self.instructions
+        used = {q for inst in insts for q in inst.targets}
+        used.update(q for inst in insts for q, _ in inst.controls)
         return used
 
     def __len__(self) -> int:
@@ -182,15 +185,15 @@ def reverse(circ: Circuit) -> Circuit:
     out = Circuit(circ.num_qubits, circ.num_classical_bits,
                   label=circ.label)
     for inst in reversed(circ.instructions):
-        if inst.kind.name in ("MEASURE", "RESET") or inst.condition:
+        name = inst.kind.name
+        if name in ("MEASURE", "RESET") or inst.condition:
             raise ValueError(
-                f"cannot reverse non-unitary instruction {inst.kind.name}")
-        if inst.kind is MOVE or inst.kind.name == "MOVE":
-            out.instructions.append(replace(
-                inst, targets=(inst.targets[1], inst.targets[0])))
+                f"cannot reverse non-unitary instruction {name}")
+        if name == "MOVE":
+            inst = Instruction(MOVE, inst.targets[::-1], *inst[2:])
         else:
-            out.instructions.append(replace(
-                inst, kind=gates.inverse(inst.kind)))
+            inst = Instruction(gates.inverse(inst.kind), *inst[1:])
+        out.instructions.append(inst)
     return out
 
 
@@ -214,18 +217,19 @@ def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
     builtin = {"CNOT": 1, "TOFFOLI": 2}
     out = Circuit(circ.num_qubits, circ.num_classical_bits, label=circ.label)
     for inst in circ.instructions:
-        if inst.kind.name == "MOVE":
+        name = inst.kind.name
+        if name == "MOVE":
             out.instructions.append(inst)
             continue
-        if inst.kind.name in ("MEASURE", "RESET") or inst.condition:
+        if name in ("MEASURE", "RESET") or inst.condition:
             raise ValueError("cannot add controls to a measuring circuit")
         n_controls = (len(inst.controls) + len(extra)
-                      + builtin.get(inst.kind.name, 0))
+                      + builtin.get(name, 0))
         if n_controls > 5:
             raise ValueError(
                 f"gate would carry {n_controls} controls (max 5)")
-        out.instructions.append(replace(
-            inst, controls=inst.controls + extra))
+        out.instructions.append(Instruction(
+            inst.kind, inst.targets, inst.controls + extra, *inst[3:]))
     return out
 
 

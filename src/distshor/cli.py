@@ -110,15 +110,16 @@ def _counts_section(config: RunConfig) -> dict:
     program = partition.build_distributed_order_program(a, config.N, plan)
     census = partition.census_from_program(program, plan)
     nlt = partition.count_nl_t(census, n, m)
+    slices = len(plan.adder_nodes)
     return {
         "G_measured": measured,
         "G_closed_form": predicted,
         "G_delta": deltas,
         "NL_T": nlt.as_dict(),
         "predictions": {
-            "NL(AN)": 8,
-            "NL(c_m(M))": 44 * m * n,
-            "T(SHOR)": 12 * m * n,
+            "NL(AN)": 2 * slices,
+            "NL(c_m(M))": 11 * slices * m * n,
+            "T(SHOR)": 4 * (slices - 1) * m * n,
             "G(c_m(M))": gate_count_formula("c_m(M)", n, m),
             "qubits_monolithic": 5 * n + m + 1,
             "qubits_distributed": 7 * n + 1 if m == 2 * n else 5 * n + m + 1,
@@ -126,14 +127,6 @@ def _counts_section(config: RunConfig) -> dict:
             "node_capacity": plan.capacity,
         },
     }
-
-
-def report_counts(config: RunConfig) -> tuple[int, dict]:
-    """Static count report only, no quantum execution."""
-    counts_config = RunConfig(
-        N=config.N, a=config.a, m=config.m, mode=config.mode,
-        seed=config.seed, counts_only=True)
-    return run(counts_config)
 
 
 def _default_base(N: int) -> int:

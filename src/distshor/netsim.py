@@ -193,7 +193,6 @@ class Network:
         self.sessions: list[SessionRecord] = []
         self.teleport_log: list[TeleportRecord] = []
         self.max_live: dict[str, int] = {n: 0 for n in self.nodes}
-        self.max_support = 0
 
     # -- allocation ------------------------------------------------------
 
@@ -231,12 +230,9 @@ class Network:
                     f"gate spans nodes: qubit {q} is on {self.node_of(q)}, "
                     f"not {node_id}")
         self.state.apply_gate(kind, targets, controls)
-        self.max_support = max(self.max_support, self.state.support_size())
 
     def measure_local(self, qubit: int) -> int:
-        outcome = self.state.measure(qubit, self.rng)
-        self.max_support = max(self.max_support, self.state.support_size())
-        return outcome
+        return self.state.measure(qubit, self.rng)
 
     # -- pair establishment and the channel pool -------------------------
 

@@ -21,16 +21,17 @@ teleports qubits back and forth for its swap network.
 
 ``count_nl_t`` reports the census two ways: raw event totals from the
 ledger, and the per-level rollup of the reference recursion anchored at
-the leaf counts actually measured per block (8 remotely controlled
-slices and 6 carry teleports per modular addition, 4 slices each for
-copy and swap).
+the leaf counts actually measured per block.  With s adder nodes holding
+a slice (s = 4 when every node gets one), a modular addition costs 2s
+remotely controlled slices and 2(s - 1) carry teleports, and copy and
+swap s slices each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .circuit import Circuit
 from .netsim import (Network, NodeSpec, SessionRecord, TeleportRecord,
@@ -89,6 +90,8 @@ def plan_placement(n: int, m: int | None = None) -> PlacementPlan:
         raise PlanError("modulus width must be positive")
     if m is None:
         m = 2 * n
+    if m < 1:
+        raise PlanError(f"estimation width m must be at least 1, got {m}")
     width = math.ceil(n / 4)
     capacity = 4 * width + 5
     half = (m + 1) // 2
@@ -244,27 +247,32 @@ class DistributedRun:
     def first_register_distribution(self) -> dict[int, float]:
         return self.network.state.exact_distribution(self.plan.layout.k)
 
-    def measure_first_register(self) -> int:
-        j = 0
-        for i, q in enumerate(self.plan.layout.k):
-            j |= self.network.measure_local(q) << i
-        return j
+
+def order_program(a: int, N: int, m: int | None
+                  ) -> Callable[[RandomSource], DistributedRun]:
+    """Plan and build the distributed order-finding circuit once; the
+    returned function executes it on a fresh network at every call."""
+    plan = plan_placement(N.bit_length(), m)
+    modexp = build_distributed_modexp_program(a, N, plan)
+    transform = build_distributed_transform_program(plan)
+    program = Circuit(modexp.num_qubits, label=modexp.label).extend(
+        modexp).extend(transform)
+
+    def run(rng: RandomSource) -> DistributedRun:
+        network = build_network(plan, rng)
+        distribute_circuit(modexp, plan, network)
+        modexp_peak = network.state.peak_support
+        distribute_circuit(transform, plan, network)
+        return DistributedRun(plan=plan, network=network, program=program,
+                              a=a, N=N, modexp_peak=modexp_peak)
+
+    return run
 
 
 def run_order_program(a: int, N: int, m: int | None,
                       rng: RandomSource) -> DistributedRun:
     """Plan, build, and execute the distributed order-finding circuit."""
-    n = N.bit_length()
-    plan = plan_placement(n, m)
-    network = build_network(plan, rng)
-    modexp = build_distributed_modexp_program(a, N, plan)
-    transform = build_distributed_transform_program(plan)
-    distribute_circuit(modexp, plan, network)
-    modexp_peak = network.state.peak_support
-    distribute_circuit(transform, plan, network)
-    program = build_distributed_order_program(a, N, plan)
-    return DistributedRun(plan=plan, network=network, program=program,
-                          a=a, N=N, modexp_peak=modexp_peak)
+    return order_program(a, N, m)(rng)
 
 
 # -- communication census ---------------------------------------------------
@@ -403,14 +411,6 @@ class NlTReport:
     raw_blocks: int
     raw_teleports: int
     qft_rotations: int
-
-    @property
-    def nl_total(self) -> int:
-        return self.per_level["SHOR"][0]
-
-    @property
-    def t_total(self) -> int:
-        return self.per_level["SHOR"][1]
 
     def as_dict(self) -> dict:
         return {

@@ -86,9 +86,6 @@ class QuantumState:
 
     # -- queries ---------------------------------------------------------
 
-    def support_size(self) -> int:
-        return len(self.amplitudes)
-
     def norm_squared(self) -> float:
         return sum((a.real * a.real + a.imag * a.imag)
                    for a in self.amplitudes.values())

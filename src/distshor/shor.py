@@ -125,13 +125,6 @@ def order_circuit_parts(a: int, N: int,
     return modexp, transform, layout
 
 
-def order_circuit(a: int, N: int, m: int) -> tuple[Circuit, RegisterLayout]:
-    """Single-machine order-finding program (measurement left out)."""
-    modexp, transform, layout = order_circuit_parts(a, N, m)
-    modexp.extend(transform)
-    return modexp, layout
-
-
 @dataclass
 class OrderRun:
     """One pre-measurement order-finding execution, either mode."""
@@ -145,6 +138,13 @@ class OrderRun:
     distributed: "partition.DistributedRun | None" = None
     max_support: int | None = None
 
+    def __post_init__(self):
+        # The sparse support never exceeds 4 * 2^m: the estimation register
+        # contributes 2^m branches and the shared-control protocol at most a
+        # transient doubling on each side of a measurement.
+        if self.max_support is not None and self.max_support > 4 << self.m:
+            raise RuntimeError("sparse support exceeded its bound")
+
     def first_register_distribution(self) -> dict[int, float]:
         return self.state.exact_distribution(self.k_qubits)
 
@@ -155,36 +155,38 @@ class OrderRun:
         return j
 
 
-def run_order_circuit(a: int, N: int, m: int | None, rng: RandomSource,
-                      mode: str = MONOLITHIC) -> OrderRun:
-    """Execute the order-finding circuit up to measurement.
-
-    The sparse support never exceeds 4 * 2^m: the estimation register
-    contributes 2^m branches and the shared-control protocol at most a
-    transient doubling on each side of a measurement.
-    """
-    if m is None:
-        m = 2 * N.bit_length()
-    support_limit = 4 << m
+def order_round(a: int, N: int, m: int,
+                mode: str = MONOLITHIC) -> Callable[[RandomSource], OrderRun]:
+    """Build the order-finding circuits once; the returned function
+    executes them up to measurement on a fresh state at every call."""
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)
-        state = QuantumState(layout.num_data_qubits)
-        execute(modexp, state, rng)
-        modexp_peak = state.peak_support
-        execute(transform, state, rng)
-        run = OrderRun(a=a, N=N, m=m, mode=mode, k_qubits=layout.k,
-                       state=state, max_support=modexp_peak)
+
+        def run(rng: RandomSource) -> OrderRun:
+            state = QuantumState(layout.num_data_qubits)
+            execute(modexp, state, rng)
+            modexp_peak = state.peak_support
+            execute(transform, state, rng)
+            return OrderRun(a, N, m, mode, layout.k, state,
+                            max_support=modexp_peak)
     elif mode == DISTRIBUTED:
-        dist = partition.run_order_program(a, N, m, rng)
-        run = OrderRun(a=a, N=N, m=m, mode=mode,
-                       k_qubits=dist.plan.layout.k,
-                       state=dist.network.state, distributed=dist,
-                       max_support=dist.modexp_peak)
+        run_program = partition.order_program(a, N, m)
+
+        def run(rng: RandomSource) -> OrderRun:
+            dist = run_program(rng)
+            return OrderRun(a, N, m, mode, dist.plan.layout.k,
+                            dist.network.state, dist, dist.modexp_peak)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if run.max_support is not None and run.max_support > support_limit:
-        raise RuntimeError("sparse support exceeded its bound")
     return run
+
+
+def run_order_circuit(a: int, N: int, m: int | None, rng: RandomSource,
+                      mode: str = MONOLITHIC) -> OrderRun:
+    """Build and execute the order-finding circuit up to measurement."""
+    if m is None:
+        m = 2 * N.bit_length()
+    return order_round(a, N, m, mode)(rng)
 
 
 def continued_fraction(j: int, two_to_m: int, N: int) -> list[int]:
@@ -241,6 +243,7 @@ def find_order(a: int, N: int, m: int | None = None,
                max_rounds: int | None = None) -> OrderResult:
     """Quantum order finding with classical verification.
 
+    The circuits are built once per call and run again in every round.
     Each round measures an estimate j, derives candidate orders from the
     continued-fraction convergents of j/2^m, and accepts the smallest
     candidate e with a^e = 1 mod N (minimized over divisors, so the
@@ -254,6 +257,8 @@ def find_order(a: int, N: int, m: int | None = None,
     n = N.bit_length()
     if m is None:
         m = 2 * n
+    if m < 1:
+        raise ValueError(f"estimation width m must be at least 1, got {m}")
     if rng is None:
         rng = RandomSource(0)
     if max_rounds is None:
@@ -262,8 +267,9 @@ def find_order(a: int, N: int, m: int | None = None,
     result = OrderResult(a=a, N=N, r=None, rounds_used=0)
     if mode == DISTRIBUTED:
         result.ledger = ResourceLedger()
+    run_round = order_round(a, N, m, mode)
     for _ in range(max_rounds):
-        run = run_order_circuit(a, N, m, rng, mode)
+        run = run_round(rng)
         j = run.measure_first_register(rng)
         if run.distributed is not None:
             result.ledger.merge(run.distributed.network.ledger)
@@ -301,12 +307,15 @@ def is_prime(N: int) -> bool:
 
 
 def prime_power_root(N: int) -> int | None:
-    """The prime p with N = p^k (k >= 2), if one exists."""
-    for k in range(2, N.bit_length() + 1):
-        root = round(N ** (1.0 / k))
-        for p in (root - 1, root, root + 1):
-            if p >= 2 and p**k == N:
-                return p
+    """The smallest p with N = p^k (k >= 2), if one exists: the prime
+    when N is a prime power.  Exact integer arithmetic at any size."""
+    for k in range(N.bit_length(), 1, -1):
+        p = 0  # floor of the k-th root, set one bit at a time from the top
+        for bit in range(N.bit_length() // k, -1, -1):
+            if (p | 1 << bit) ** k <= N:
+                p |= 1 << bit
+        if p >= 2 and p**k == N:
+            return p
     return None
 
 

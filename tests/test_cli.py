@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from distshor import cli
 
 
@@ -71,6 +73,17 @@ class TestCountsOnly:
         assert counts["G_closed_form"]["c_m(M)"] == 8768
         assert counts["G_measured"]["c_m(M)"] == 8736
         assert counts["G_delta"]["c_m(M)"] == -32
+
+    @pytest.mark.parametrize("N", [15, 21, 51, 77, 187])  # n = 4..8
+    def test_predictions_match_measured_rollup(self, N):
+        # n = 5 and 6 leave one adder node without a register slice
+        status, report = cli.run(cli.RunConfig(N=N, counts_only=True))
+        assert status == cli.EXIT_OK
+        levels = report["counts"]["NL_T"]["per_level"]
+        predictions = report["counts"]["predictions"]
+        assert predictions["NL(AN)"] == levels["AN"]["NL"]
+        assert predictions["NL(c_m(M))"] == levels["c_m(M)"]["NL"]
+        assert predictions["T(SHOR)"] == levels["SHOR"]["T"]
 
     def test_no_quantum_sections(self, tmp_path):
         _, report = run_cli(tmp_path, "--N", "15", "--counts-only")

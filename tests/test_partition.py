@@ -5,11 +5,12 @@ import pytest
 
 from conftest import read_register
 from distshor import gates
-from distshor.circuit import Circuit, add_controls, execute
+from distshor.circuit import Circuit, add_controls, dump, execute
 from distshor.partition import (PlanError, build_distributed_order_program,
                                 build_network, census_from_program,
                                 census_from_records, count_nl_t,
-                                distribute_circuit, plan_placement)
+                                distribute_circuit, plan_placement,
+                                run_order_program)
 from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (build_adder, build_an, build_fa, build_xan)
 
@@ -39,6 +40,11 @@ class TestPlan:
         plan = plan_placement(8, 16)
         assert plan.layout.num_data_qubits == 57  # 7n + 1
         assert plan.capacity == 13  # n + 5
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_width_rejected(self, m):
+        with pytest.raises(PlanError, match=f"m must be at least 1, got {m}"):
+            plan_placement(4, m)
 
     def test_ceil_split_for_awkward_width(self):
         plan = plan_placement(3, 6)
@@ -231,6 +237,11 @@ class TestFullRunEquivalence:
             assert live <= plan_capacity(plan, node)
         # adder nodes genuinely reach the ceiling during 3-control blocks
         assert net.max_live["A0"] == plan.capacity
+
+    def test_run_keeps_the_program_it_executed(self):
+        run = run_order_program(7, 15, 2, RandomSource(0))
+        fresh = build_distributed_order_program(7, 15, plan_placement(4, 2))
+        assert dump(run.program) == dump(fresh)
 
     def test_counts_only_program_census(self):
         plan = plan_placement(4, 8)

@@ -4,13 +4,16 @@ statistics, verified orders, end-to-end factorizations."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from distshor import gates
+from distshor import gates, partition, shor
 from distshor.circuit import Circuit
 from distshor.qstate import RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
-                           find_order, order_candidates, phase_estimate,
-                           prepare_phase_state, run_order_circuit)
+                           find_order, is_prime, order_candidates,
+                           phase_estimate, prepare_phase_state,
+                           prime_power_root, run_order_circuit)
 
 
 class TestContinuedFraction:
@@ -132,6 +135,16 @@ class TestFindOrder:
         with pytest.raises(ValueError):
             find_order(1, 15, 8, RandomSource(0))
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_width_rejected_before_building(self, monkeypatch,
+                                                        m):
+        def no_build(*args):
+            raise AssertionError("circuits built for an invalid width")
+
+        monkeypatch.setattr(shor, "order_round", no_build)
+        with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
+            find_order(7, 15, m, RandomSource(0))
+
     def test_success_rate_over_many_rounds(self, mono_run_15):
         """Round-level success statistics for the 15/7 instance.
 
@@ -159,6 +172,54 @@ class TestFindOrder:
             if found is not None:
                 successes += 1
         assert successes / rounds >= 0.5
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestBuildOnce:
+    """find_order builds a round's circuits once per call and runs them
+    again in every round; the rounds must read as if rebuilt each time."""
+
+    @pytest.mark.parametrize("mode,rounds", [("monolithic", 3),
+                                             ("distributed", 5)])
+    def test_rounds_match_rebuilding_every_round(self, mode, rounds):
+        res = find_order(7, 15, 1, RandomSource(0), mode=mode)
+        assert res.rounds_used == rounds and res.r == 4
+        rng = RandomSource(0)
+        js = []
+        for _ in range(rounds):
+            run = run_order_circuit(7, 15, 1, rng, mode)
+            js.append(run.measure_first_register(rng))
+        assert [rnd.j for rnd in res.transcript] == js
+
+    def test_monolithic_builds_once(self, monkeypatch):
+        parts = count_calls(monkeypatch, shor, "order_circuit_parts")
+        ladders = count_calls(monkeypatch, shor, "build_cm_m")
+        res = find_order(7, 15, 1, RandomSource(0))
+        assert res.rounds_used == 3
+        assert (len(parts), len(ladders)) == (1, 1)
+
+    def test_distributed_builds_once(self, monkeypatch):
+        names = ("plan_placement", "build_cm_m",
+                 "build_distributed_modexp_program",
+                 "build_distributed_transform_program",
+                 "build_distributed_order_program")
+        calls = {name: count_calls(monkeypatch, partition, name)
+                 for name in names}
+        res = find_order(7, 15, 1, RandomSource(0), mode="distributed")
+        assert res.rounds_used == 5
+        assert [len(calls[name]) for name in names] == [1, 1, 1, 1, 0]
 
 
 class TestModeEquivalence:
@@ -209,3 +270,32 @@ class TestFactor:
         out = factor(15, RandomSource(8), m=8, max_attempts=6)
         if out.factors is not None:
             assert math.prod(out.factors) == 15
+
+
+def smallest_power_base(N: int) -> int | None:
+    """Brute-force reference: the least b >= 2 with N = b^k, k >= 2."""
+    for b in range(2, math.isqrt(N) + 1):
+        power = b * b
+        while power < N:
+            power *= b
+        if power == N:
+            return b
+    return None
+
+
+class TestPrimePowerRoot:
+    def test_beyond_float_range(self):
+        # N ** (1/k) overflows a float above ~2^1024
+        p = 2**521 - 1
+        assert prime_power_root(p**2) == p
+        assert prime_power_root(p**3) == p
+        assert prime_power_root(p**2 + 2) is None
+
+    @given(st.sampled_from([p for p in range(2, 200) if is_prime(p)]),
+           st.integers(min_value=2, max_value=12))
+    def test_prime_powers(self, p, k):
+        assert prime_power_root(p**k) == p
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_brute_force(self, N):
+        assert prime_power_root(N) == smallest_power_base(N)
