@@ -77,26 +77,18 @@ def _counts_section(config: RunConfig) -> dict:
     the closed-form predictions, plus the communication rollup."""
     n, m = config.n, config.m_effective
     a = config.a if config.a is not None else _default_base(config.N)
-    layout = RegisterLayout.packed(n, m)
+    plan = partition.plan_placement(n, m)
+    program = partition.build_distributed_order_program(a, config.N, plan)
 
-    measured: dict[str, int] = {}
-    from .revarith import (build_adder, build_an, build_fa, build_ha,
-                           build_m, build_mf, build_xan)
-    plain = list(range(n))
-    chain = list(range(n, 2 * n))
-    measured["FA"] = count_gates(
-        build_fa(0, plain, chain, 2 * n)).total
-    measured["HA"] = count_gates(build_ha(0, plain, chain)).total
-    measured["AN"] = count_gates(build_an(a % config.N, config.N,
-                                          layout)).total
-    measured["XAN"] = count_gates(build_xan(a % config.N, config.N,
-                                            layout)).total
-    measured["A"] = count_gates(build_adder(a % config.N, config.N,
-                                            layout)).total
-    measured["MF"] = count_gates(build_mf(a, config.N, layout)).total
-    measured["M"] = count_gates(build_m(a, config.N, layout)).total
-    measured["c_m(M)"] = count_gates(build_cm_m(a, config.N, m,
-                                                layout)).total
+    # each level is read off its first instance in the one built program;
+    # the transform is built packed, as the program's cross-node swaps are
+    # MOVEs and do not count as gates
+    counted = count_gates(program)
+    adder = "cm/M[0]/MF0/A[0]"
+    measured = {lvl: counted.count_under(path) for lvl, path in (
+        ("FA", f"{adder}/XAN0/AN/FA"), ("HA", f"{adder}/XAN0/AN/HA"),
+        ("AN", f"{adder}/XAN0/AN"), ("XAN", f"{adder}/XAN0"), ("A", adder),
+        ("MF", "cm/M[0]/MF0"), ("M", "cm/M[0]"), ("c_m(M)", "cm"))}
     measured["QFT_inv"] = count_gates(
         build_inverse_qft(FourierSpec(m), list(range(m)))).total
 
@@ -106,8 +98,6 @@ def _counts_section(config: RunConfig) -> dict:
     # the transform prediction excludes its swap network
     deltas = {lvl: measured[lvl] - predicted[lvl] for lvl in predicted}
 
-    plan = partition.plan_placement(n, m)
-    program = partition.build_distributed_order_program(a, config.N, plan)
     census = partition.census_from_program(program, plan)
     nlt = partition.count_nl_t(census, n, m)
     slices = len(plan.adder_nodes)

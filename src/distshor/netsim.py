@@ -25,7 +25,7 @@ pair and two classical bits per shared control qubit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
 from .circuit import Circuit, Instruction
@@ -89,11 +89,6 @@ class ResourceLedger:
 
     def total_cbits(self) -> int:
         return sum(self.cbits_sent.values())
-
-    def copy(self) -> "ResourceLedger":
-        return ResourceLedger(self.ebits_consumed, dict(self.cbits_sent),
-                              self.teleports, self.qubit_transmissions,
-                              self.pairs_established)
 
     def merge(self, other: "ResourceLedger"):
         self.ebits_consumed += other.ebits_consumed
@@ -470,73 +465,77 @@ class Network:
             self.max_live[node_id] = live
 
 
-def execute_distributed(network: Network, circ: Circuit
-                        ) -> tuple[list[int], dict[int, int]]:
-    """Run a circuit on the network, turning remote controls into shared
-    controls and MOVE directives into teleports.
+def session_groups(instructions: Sequence[Instruction],
+                   node_of: Callable[[int], str]
+                   ) -> Iterator[tuple[str | None, list[Instruction]]]:
+    """Split a program into the units the network runs, in order.
 
-    Gate operands must be co-located on one node (spanning operands are a
-    hard error); instructions tagged with the same ``block`` run as one
-    session so the shared controls are established once per block.
-    Returns the measurement transcript and the classical-bit store.
+    A MOVE, MEASURE or RESET comes alone, with node ``None``.  Gates come
+    in runs with the node they run on: one session, so every remote
+    control is shared once for the whole run.  A run is the gates tagged
+    with one ``block``; an untagged run is the gates on one node with one
+    set of remote controls.  Gate operands spanning two nodes and
+    classically conditioned gates raise ``NetworkError``.
     """
-    bits: dict[int, int] = {}
-    transcript: list[int] = []
-    insts = circ.instructions
-    i = 0
-    while i < len(insts):
-        inst = insts[i]
-        name = inst.kind.name
-        if name == "MOVE":
-            network.move(inst.targets[0], inst.targets[1], label=inst.label)
-            i += 1
-            continue
-        if name == "MEASURE":
-            outcome = network.measure_local(inst.targets[0])
-            bits[inst.classical_out] = outcome
-            transcript.append(outcome)
-            i += 1
-            continue
-        if name == "RESET":
-            outcome = network.measure_local(inst.targets[0])
-            if outcome:
-                node = network.node_of(inst.targets[0])
-                network.apply_local(node, gates.X, inst.targets)
-            i += 1
+    group: list[Instruction] = []
+    node = key = None
+    for inst in instructions:
+        if inst.kind.name in ("MOVE", "MEASURE", "RESET"):
+            if group:
+                yield node, group
+                group = []
+            yield None, [inst]
             continue
         if inst.condition:
             raise NetworkError(
                 "classically conditioned gates are protocol-internal and "
                 "cannot appear in a distributed program")
-        node = _operand_node(network, inst)
-        group = [inst]
-        key = _group_key(network, inst, node)
-        j = i + 1
-        while j < len(insts):
-            nxt = insts[j]
-            if nxt.kind.name in ("MOVE", "MEASURE", "RESET") or nxt.condition:
-                break
-            nxt_node = _operand_node(network, nxt)
-            if _group_key(network, nxt, nxt_node) != key:
-                break
-            group.append(nxt)
-            j += 1
-        network.run_session(node, group, block=inst.block)
-        i = j
+        nodes = {node_of(q) for q in inst.targets}
+        if len(nodes) != 1:
+            raise NetworkError(
+                f"gate {inst.kind} operands span nodes {sorted(nodes)}")
+        inst_node = nodes.pop()
+        if inst.block is not None:
+            inst_key = ("block", inst.block)
+        else:
+            inst_key = ("adhoc", inst_node,
+                        frozenset(q for q, _ in inst.controls
+                                  if node_of(q) != inst_node))
+        if group and inst_key != key:
+            yield node, group
+            group = []
+        if not group:
+            node, key = inst_node, inst_key
+        group.append(inst)
+    if group:
+        yield node, group
+
+
+def execute_distributed(network: Network, circ: Circuit
+                        ) -> tuple[list[int], dict[int, int]]:
+    """Run a circuit on the network, turning remote controls into shared
+    controls and MOVE directives into teleports.
+
+    Each run of gates from ``session_groups`` executes as one session, so
+    its shared controls are established once.  Returns the measurement
+    transcript and the classical-bit store.
+    """
+    bits: dict[int, int] = {}
+    transcript: list[int] = []
+    for node, group in session_groups(circ.instructions, network.node_of):
+        if node is not None:
+            network.run_session(node, group, block=group[0].block)
+            continue
+        inst = group[0]
+        name = inst.kind.name
+        if name == "MOVE":
+            network.move(inst.targets[0], inst.targets[1], label=inst.label)
+        elif name == "MEASURE":
+            outcome = network.measure_local(inst.targets[0])
+            bits[inst.classical_out] = outcome
+            transcript.append(outcome)
+        elif name == "RESET":
+            qubit = inst.targets[0]
+            if network.measure_local(qubit):
+                network.apply_local(network.node_of(qubit), gates.X, [qubit])
     return transcript, bits
-
-
-def _operand_node(network: Network, inst: Instruction) -> str:
-    nodes = {network.node_of(q) for q in inst.targets}
-    if len(nodes) != 1:
-        raise NetworkError(
-            f"gate {inst.kind} operands span nodes {sorted(nodes)}")
-    return nodes.pop()
-
-
-def _group_key(network: Network, inst: Instruction, node: str):
-    if inst.block is not None:
-        return ("block", inst.block)
-    remote = frozenset(q for q, _ in inst.controls
-                       if network.node_of(q) != node)
-    return ("adhoc", node, remote)

@@ -31,14 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .circuit import Circuit
 from .netsim import (Network, NodeSpec, SessionRecord, TeleportRecord,
-                     Topology, execute_distributed)
+                     Topology, execute_distributed, session_groups)
 from .qft import FourierSpec, build_inverse_qft
 from .qstate import RandomSource
 from .revarith import AdderSlicing, RegisterLayout, build_cm_m
+
+if TYPE_CHECKING:
+    from . import shor
 
 K_NODES = ("K0", "K1")
 X_NODE = "X"
@@ -233,46 +236,13 @@ def distribute_circuit(circ: Circuit, plan: PlacementPlan,
     return execute_distributed(network, circ)
 
 
-@dataclass
-class DistributedRun:
-    """A finished (pre-measurement) distributed order-finding execution."""
-
-    plan: PlacementPlan
-    network: Network
-    program: Circuit
-    a: int
-    N: int
-    modexp_peak: int | None = None
-
-    def first_register_distribution(self) -> dict[int, float]:
-        return self.network.state.exact_distribution(self.plan.layout.k)
-
-
-def order_program(a: int, N: int, m: int | None
-                  ) -> Callable[[RandomSource], DistributedRun]:
-    """Plan and build the distributed order-finding circuit once; the
-    returned function executes it on a fresh network at every call."""
-    plan = plan_placement(N.bit_length(), m)
-    modexp = build_distributed_modexp_program(a, N, plan)
-    transform = build_distributed_transform_program(plan)
-    program = Circuit(modexp.num_qubits, label=modexp.label).extend(
-        modexp).extend(transform)
-
-    def run(rng: RandomSource) -> DistributedRun:
-        network = build_network(plan, rng)
-        distribute_circuit(modexp, plan, network)
-        modexp_peak = network.state.peak_support
-        distribute_circuit(transform, plan, network)
-        return DistributedRun(plan=plan, network=network, program=program,
-                              a=a, N=N, modexp_peak=modexp_peak)
-
-    return run
-
-
 def run_order_program(a: int, N: int, m: int | None,
-                      rng: RandomSource) -> DistributedRun:
-    """Plan, build, and execute the distributed order-finding circuit."""
-    return order_program(a, N, m)(rng)
+                      rng: RandomSource) -> shor.OrderRun:
+    """Plan, build, and execute the distributed order-finding circuit up
+    to measurement: ``shor.run_order_circuit`` in distributed mode."""
+    from . import shor  # shor imports this module
+
+    return shor.run_order_circuit(a, N, m, rng, shor.DISTRIBUTED)
 
 
 # -- communication census ---------------------------------------------------
@@ -336,29 +306,20 @@ def census_from_records(sessions: Sequence[SessionRecord],
 
 
 def census_from_program(circ: Circuit, plan: PlacementPlan) -> BlockCensus:
-    """Static census: walk the program the way the executor groups it."""
+    """Static census: a dry run over the sessions the executor would
+    run, tallying each one with a remote control and each MOVE that
+    crosses nodes."""
     census = BlockCensus()
-    node_of = plan.node_of_qubit
-    prev_key = None
-    for inst in circ.instructions:
-        if inst.kind.name == "MOVE":
-            src, dst = inst.targets
-            if node_of[src] != node_of[dst]:
-                _tally_teleport(census, inst.label)
-            prev_key = None
-            continue
-        if not inst.is_gate():
-            prev_key = None
-            continue
-        node = node_of[inst.targets[0]]
-        remote = frozenset(q for q, _ in inst.controls
-                           if node_of[q] != node)
-        key = (inst.block if inst.block is not None
-               else ("adhoc", node, remote))
-        if key != prev_key:
-            if remote:
-                _tally_block(census, inst.block)
-            prev_key = key
+    node_of = plan.node_of_qubit.__getitem__
+    for node, group in session_groups(circ.instructions, node_of):
+        if node is not None:
+            if any(node_of(q) != node
+                   for inst in group for q, _ in inst.controls):
+                _tally_block(census, group[0].block)
+        elif group[0].kind.name == "MOVE":
+            src, dst = group[0].targets
+            if node_of(src) != node_of(dst):
+                _tally_teleport(census, group[0].label)
     return census
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import partition
 from .circuit import Circuit, execute
-from .netsim import ResourceLedger
+from .netsim import Network, ResourceLedger
 from .qft import FourierSpec, build_inverse_qft
 from .qstate import QuantumState, RandomSource
 from .revarith import RegisterLayout, build_cm_m
@@ -135,7 +135,7 @@ class OrderRun:
     mode: str
     k_qubits: tuple[int, ...]
     state: QuantumState
-    distributed: "partition.DistributedRun | None" = None
+    network: Network | None = None  # distributed mode: the run's network
     max_support: int | None = None
 
     def __post_init__(self):
@@ -170,12 +170,17 @@ def order_round(a: int, N: int, m: int,
             return OrderRun(a, N, m, mode, layout.k, state,
                             max_support=modexp_peak)
     elif mode == DISTRIBUTED:
-        run_program = partition.order_program(a, N, m)
+        plan = partition.plan_placement(N.bit_length(), m)
+        modexp = partition.build_distributed_modexp_program(a, N, plan)
+        transform = partition.build_distributed_transform_program(plan)
 
         def run(rng: RandomSource) -> OrderRun:
-            dist = run_program(rng)
-            return OrderRun(a, N, m, mode, dist.plan.layout.k,
-                            dist.network.state, dist, dist.modexp_peak)
+            network = partition.build_network(plan, rng)
+            partition.distribute_circuit(modexp, plan, network)
+            modexp_peak = network.state.peak_support
+            partition.distribute_circuit(transform, plan, network)
+            return OrderRun(a, N, m, mode, plan.layout.k, network.state,
+                            network, modexp_peak)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return run
@@ -271,8 +276,8 @@ def find_order(a: int, N: int, m: int | None = None,
     for _ in range(max_rounds):
         run = run_round(rng)
         j = run.measure_first_register(rng)
-        if run.distributed is not None:
-            result.ledger.merge(run.distributed.network.ledger)
+        if run.network is not None:
+            result.ledger.merge(run.network.ledger)
         result.rounds_used += 1
         cands = order_candidates(j, m, N)
         found = None
@@ -327,7 +332,8 @@ def classical_rejection(N: int) -> str | None:
         return "N must be odd"
     if is_prime(N):
         return "N is prime"
-    if prime_power_root(N) is not None:
+    root = prime_power_root(N)
+    if root is not None and is_prime(root):
         return "N is a prime power"
     return None
 

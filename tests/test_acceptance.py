@@ -12,7 +12,7 @@ from conftest import amp_distance, random_amplitudes
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
 from distshor.netsim import Network, NodeSpec, Topology
-from distshor.partition import census_from_records, count_nl_t
+from distshor.partition import census_from_records, count_nl_t, plan_placement
 from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (RegisterLayout, build_adder, build_an,
                                build_cm_m, build_fa, build_ha, build_m,
@@ -70,7 +70,7 @@ class TestCriterion2DistributedEquivalence:
 
 class TestCriterion3CommunicationFormulas:
     def test_census_and_rollup(self, dist_run_15):
-        net = dist_run_15.distributed.network
+        net = dist_run_15.network
         census = census_from_records(net.sessions, net.teleport_log)
         report = count_nl_t(census, 4, 8)
         n, m = 4, 8
@@ -248,8 +248,8 @@ class TestCriterion8SpaceBounds:
         assert max(circ.used_qubits()) == 28
 
     def test_distributed_fits_seven_nodes(self, dist_run_15):
-        plan = dist_run_15.distributed.plan
-        net = dist_run_15.distributed.network
+        plan = plan_placement(4, 8)
+        net = dist_run_15.network
         n = 4
         assert plan.layout.num_data_qubits == 7 * n + 1 == 29
         assert len(plan.topology.nodes) == 7

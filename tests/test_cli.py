@@ -5,6 +5,11 @@ import json
 import pytest
 
 from distshor import cli
+from distshor.circuit import count_gates
+from distshor.qft import FourierSpec, build_inverse_qft
+from distshor.revarith import (RegisterLayout, build_adder, build_an,
+                               build_cm_m, build_fa, build_ha, build_m,
+                               build_mf, build_xan)
 
 
 def run_cli(tmp_path, *args):
@@ -84,6 +89,32 @@ class TestCountsOnly:
         assert predictions["NL(AN)"] == levels["AN"]["NL"]
         assert predictions["NL(c_m(M))"] == levels["c_m(M)"]["NL"]
         assert predictions["T(SHOR)"] == levels["SHOR"]["T"]
+
+    @pytest.mark.parametrize("N,m", [
+        (N, m) for N in (15, 21, 33, 77, 187)  # n = 4..8
+        for n in [N.bit_length()] for m in (1, 2 * n - 2, 2 * n)])
+    def test_level_counts_match_standalone_builds(self, N, m):
+        # the report reads every level off the one distributed program;
+        # the standalone packed builders are the reference
+        n, a = N.bit_length(), 2
+        layout = RegisterLayout.packed(n, m)
+        plain, chain = list(range(n)), list(range(n, 2 * n))
+        reference = {
+            "FA": build_fa(0, plain, chain, 2 * n),
+            "HA": build_ha(0, plain, chain),
+            "AN": build_an(a, N, layout),
+            "XAN": build_xan(a, N, layout),
+            "A": build_adder(a, N, layout),
+            "MF": build_mf(a, N, layout),
+            "M": build_m(a, N, layout),
+            "c_m(M)": build_cm_m(a, N, m, layout),
+            "QFT_inv": build_inverse_qft(FourierSpec(m), list(range(m))),
+        }
+        status, report = cli.run(cli.RunConfig(N=N, m=m, counts_only=True))
+        assert status == cli.EXIT_OK
+        measured = report["counts"]["G_measured"]
+        assert list(measured.items()) == [
+            (lvl, count_gates(circ).total) for lvl, circ in reference.items()]
 
     def test_no_quantum_sections(self, tmp_path):
         _, report = run_cli(tmp_path, "--N", "15", "--counts-only")

@@ -9,7 +9,7 @@ from conftest import amp_distance, random_amplitudes
 from distshor import gates
 from distshor.circuit import Circuit, add_controls, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
-                             execute_distributed)
+                             execute_distributed, session_groups)
 from distshor.qstate import QuantumState, RandomSource
 
 
@@ -383,3 +383,31 @@ class TestDistributedExecutor:
         circ.swap(qa, qb)
         with pytest.raises(NetworkError, match="span"):
             execute_distributed(net, circ)
+
+    def test_conditioned_gate_rejected(self):
+        net = two_nodes()
+        qa = net.allocate_data("A", 1)[0]
+        circ = Circuit(net.state.num_qubits)
+        cbit = circ.measure(qa)
+        circ.x(qa, condition=[cbit])
+        with pytest.raises(NetworkError, match="conditioned"):
+            execute_distributed(net, circ)
+
+
+class TestSessionGroups:
+    def test_runs_split_on_block_node_and_remote_controls(self):
+        node_of = {0: "A", 1: "A", 2: "B", 3: "B"}.__getitem__
+        circ = Circuit(4)
+        circ.x(2, controls=[(0, True)], block="t@fa0")
+        circ.x(3, controls=[(1, True)], block="t@fa0")  # same block
+        circ.x(2, controls=[(0, True)])
+        circ.x(3, controls=[(0, True)])  # same node and remote controls
+        circ.x(3, controls=[(1, True)])  # new remote control set
+        circ.x(0)
+        circ.move(0, 2)
+        circ.x(1)
+        groups = [(node, [circ.instructions.index(i) for i in group])
+                  for node, group in session_groups(circ.instructions,
+                                                    node_of)]
+        assert groups == [("B", [0, 1]), ("B", [2, 3]), ("B", [4]),
+                          ("A", [5]), (None, [6]), ("A", [7])]

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import read_register
 from distshor import gates
-from distshor.circuit import Circuit, add_controls, dump, execute
+from distshor.circuit import Circuit, add_controls, execute
 from distshor.partition import (PlanError, build_distributed_order_program,
                                 build_network, census_from_program,
                                 census_from_records, count_nl_t,
@@ -13,6 +13,7 @@ from distshor.partition import (PlanError, build_distributed_order_program,
                                 run_order_program)
 from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (build_adder, build_an, build_fa, build_xan)
+from distshor.shor import run_order_circuit
 
 
 def fresh_network(plan, seed=0):
@@ -211,7 +212,7 @@ class TestFullRunEquivalence:
             assert abs(mono.get(key, 0) - dist.get(key, 0)) < 1e-9
 
     def test_rollup_hits_reference_totals(self, dist_run_15):
-        net = dist_run_15.distributed.network
+        net = dist_run_15.network
         census = census_from_records(net.sessions, net.teleport_log)
         report = count_nl_t(census, 4, 8)
         assert report.leaf_nl_an == 8
@@ -219,29 +220,31 @@ class TestFullRunEquivalence:
         assert report.per_level["c_m(M)"] == (1408, 384)
         assert report.per_level["QFT_inv"] == (16, 0)  # (m/2)^2 cross gates
 
-    def test_static_census_matches_dynamic(self, dist_run_15):
-        run = dist_run_15.distributed
-        static = census_from_program(run.program, run.plan)
+    # N=21 (n=5) leaves one adder node without a slice: three slices
+    @pytest.mark.parametrize("a,N,m", [(7, 15, 8), (2, 21, 2), (2, 33, 1)])
+    def test_static_census_matches_dynamic(self, request, a, N, m):
+        run = (request.getfixturevalue("dist_run_15") if N == 15
+               else run_order_circuit(a, N, m, RandomSource(0),
+                                      "distributed"))
+        plan = plan_placement(N.bit_length(), m)
+        program = build_distributed_order_program(a, N, plan)
+        static = census_from_program(program, plan)
         net = run.network
-        dynamic = census_from_records(net.sessions, net.teleport_log)
-        assert static.nl_per_an == dynamic.nl_per_an
-        assert static.nl_per_copy == dynamic.nl_per_copy
-        assert static.nl_per_swap == dynamic.nl_per_swap
-        assert static.teleports_per_an == dynamic.teleports_per_an
-        assert static.qft_rotations == dynamic.qft_rotations
+        assert static == census_from_records(net.sessions, net.teleport_log)
 
     def test_live_counts_stay_within_capacity(self, dist_run_15):
-        net = dist_run_15.distributed.network
-        plan = dist_run_15.distributed.plan
+        net = dist_run_15.network
+        plan = plan_placement(4, 8)
         for node, live in net.max_live.items():
             assert live <= plan_capacity(plan, node)
         # adder nodes genuinely reach the ceiling during 3-control blocks
         assert net.max_live["A0"] == plan.capacity
 
-    def test_run_keeps_the_program_it_executed(self):
+    def test_one_shot_run_matches_run_order_circuit(self):
         run = run_order_program(7, 15, 2, RandomSource(0))
-        fresh = build_distributed_order_program(7, 15, plan_placement(4, 2))
-        assert dump(run.program) == dump(fresh)
+        ref = run_order_circuit(7, 15, 2, RandomSource(0), "distributed")
+        assert run.network.ledger == ref.network.ledger
+        assert run.state.amplitudes == ref.state.amplitudes
 
     def test_counts_only_program_census(self):
         plan = plan_placement(4, 8)

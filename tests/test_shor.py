@@ -232,6 +232,9 @@ class TestModeEquivalence:
             assert abs(dm.get(key, 0) - dd.get(key, 0)) < 1e-9
 
 
+SMALL_ODD_PRIMES = [p for p in range(3, 60) if is_prime(p)]
+
+
 class TestFactor:
     def test_fifteen_with_fixed_base(self):
         out = factor(15, RandomSource(1), a=7, m=8)
@@ -263,6 +266,20 @@ class TestFactor:
         assert classical_rejection(13) == "N is prime"
         assert classical_rejection(9) == "N is a prime power"
         assert classical_rejection(15) is None
+
+    def test_powers_of_composites_pass_the_classical_check(self):
+        for N in (225, 441, 1089, 3025):  # 15^2, 21^2, 33^2, 55^2
+            assert classical_rejection(N) is None
+        for N in (81, 3**5, 7**3, 11**2):
+            assert classical_rejection(N) == "N is a prime power"
+
+    @given(st.lists(st.sampled_from(SMALL_ODD_PRIMES), min_size=2,
+                    max_size=2, unique=True),
+           st.integers(min_value=2, max_value=4))
+    def test_prime_powers_rejected_composite_powers_not(self, primes, k):
+        p, q = primes
+        assert classical_rejection(p**k) == "N is a prime power"
+        assert classical_rejection((p * q)**k) is None
 
     def test_odd_base_failure_retries(self):
         # base 14 has order 2 with 14 = -1 mod 15: the reduction fails and
