@@ -20,6 +20,7 @@ by ``add_controls``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
@@ -233,11 +234,34 @@ def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
     return out
 
 
+_PERMUTATIONS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "SWAP"})
+
+
+def _in_run(inst: Instruction) -> bool:
+    """Whether ``execute`` hands the instruction to the permutation run
+    kernel: MOVE, or a permutation gate without a classical condition."""
+    name = inst.kind.name
+    return name == "MOVE" or (name in _PERMUTATIONS and not inst.condition)
+
+
+def _run_gates(insts: Iterable[Instruction]):
+    """The gates of a run for ``QuantumState.apply_permutation``: MOVE as
+    SWAP, gates disabled by a 0 constant left out."""
+    for inst in insts:
+        if inst.kind.name == "MOVE":
+            yield gates.SWAP, inst.targets, ()
+        elif inst.classical_constant != 0:
+            yield inst.kind, inst.targets, inst.controls
+
+
 def execute(circ: Circuit, state: QuantumState,
             rng: RandomSource) -> tuple[QuantumState, list[int]]:
     """Run a circuit on a state; returns the state and the measurement
     transcript (MEASURE outcomes in program order).
 
+    Each maximal run of unconditioned permutation instructions goes to
+    ``QuantumState.apply_permutation`` in one call; that gives the same
+    state, entry order included, as applying its gates one by one.
     RESET measures the qubit and applies a classically controlled X, so the
     qubit ends in |0> without being counted as a gate.  A classical
     condition fires its gate iff the XOR of the referenced bits is 1.
@@ -246,36 +270,38 @@ def execute(circ: Circuit, state: QuantumState,
         raise ValueError("state is smaller than the circuit's qubit pool")
     bits: dict[int, int] = {}
     transcript: list[int] = []
-    for inst in circ.instructions:
-        name = inst.kind.name
-        if name == "MEASURE":
-            outcome = state.measure(inst.targets[0], rng)
-            bits[inst.classical_out] = outcome
-            transcript.append(outcome)
+    for in_run, insts in groupby(circ.instructions, key=_in_run):
+        if in_run:
+            state.apply_permutation(_run_gates(insts))
             continue
-        if name == "RESET":
-            outcome = state.measure(inst.targets[0], rng)
-            if outcome:
-                state.apply_gate(gates.X, inst.targets)
-            if inst.classical_out is not None:
+        for inst in insts:
+            name = inst.kind.name
+            if name == "MEASURE":
+                outcome = state.measure(inst.targets[0], rng)
                 bits[inst.classical_out] = outcome
-            continue
-        if name == "MOVE":
-            state.apply_gate(gates.SWAP, inst.targets)
-            continue
-        if inst.classical_constant == 0:
-            continue
-        if inst.condition:
-            try:
-                parity = 0
-                for b in inst.condition:
-                    parity ^= bits[b]
-            except KeyError as exc:
-                raise ValueError(
-                    f"condition reads unwritten classical bit {exc}") from exc
-            if not parity:
+                transcript.append(outcome)
                 continue
-        state.apply_gate(inst.kind, inst.targets, inst.controls)
+            if name == "RESET":
+                outcome = state.measure(inst.targets[0], rng)
+                if outcome:
+                    state.apply_gate(gates.X, inst.targets)
+                if inst.classical_out is not None:
+                    bits[inst.classical_out] = outcome
+                continue
+            if inst.classical_constant == 0:
+                continue
+            if inst.condition:
+                try:
+                    parity = 0
+                    for b in inst.condition:
+                        parity ^= bits[b]
+                except KeyError as exc:
+                    raise ValueError(
+                        f"condition reads unwritten classical bit {exc}"
+                    ) from exc
+                if not parity:
+                    continue
+            state.apply_gate(inst.kind, inst.targets, inst.controls)
     return state, transcript
 
 

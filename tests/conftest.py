@@ -39,6 +39,42 @@ def run_on_basis(circ: Circuit, preset: dict, seed: int = 0) -> QuantumState:
     return state
 
 
+def reference_execute(circ: Circuit, state: QuantumState,
+                      rng: RandomSource) -> list[int]:
+    """``circuit.execute`` with every instruction applied one at a time
+    through ``apply_gate``: the reference for the permutation run kernel.
+    Returns the measurement transcript."""
+    bits: dict[int, int] = {}
+    transcript: list[int] = []
+    for inst in circ.instructions:
+        name = inst.kind.name
+        if name == "MEASURE":
+            outcome = state.measure(inst.targets[0], rng)
+            bits[inst.classical_out] = outcome
+            transcript.append(outcome)
+            continue
+        if name == "RESET":
+            outcome = state.measure(inst.targets[0], rng)
+            if outcome:
+                state.apply_gate(gates.X, inst.targets)
+            if inst.classical_out is not None:
+                bits[inst.classical_out] = outcome
+            continue
+        if name == "MOVE":
+            state.apply_gate(gates.SWAP, inst.targets)
+            continue
+        if inst.classical_constant == 0:
+            continue
+        parity = 1
+        if inst.condition:
+            parity = 0
+            for b in inst.condition:
+                parity ^= bits[b]
+        if parity:
+            state.apply_gate(inst.kind, inst.targets, inst.controls)
+    return transcript
+
+
 def amp_distance(a: QuantumState, b: QuantumState) -> float:
     keys = set(a.amplitudes) | set(b.amplitudes)
     return max(abs(a.amplitude(k) - b.amplitude(k)) for k in keys)

@@ -1,7 +1,11 @@
-"""The benchmark's tracer patches program functions by name: installing
-it fails here when one of them is renamed or deleted."""
+"""The benchmark's own files, read from the tests: its tracer patches
+program functions by name, and its recorded digests pin the reports of
+the jobs it runs."""
 
+import json
 from pathlib import Path
+
+import pytest
 
 from distshor import cli, partition, shor
 
@@ -18,3 +22,27 @@ def test_tracer_installs_and_restores(monkeypatch):
         assert shor.execute is not originals[0]
     assert (shor.execute, partition.execute_distributed,
             cli.count_gates) == originals
+
+
+# Two recorded (a, seed) jobs for each mono-factor stratum (N, m).
+MONO_FACTOR_JOBS = [
+    (15, 6, 2, 3), (15, 6, 13, 0),
+    (15, 7, 4, 1), (15, 7, 11, 2),
+    (15, 8, 7, 1), (15, 8, 8, 3),
+    (21, 8, 2, 0), (21, 8, 19, 2),
+    (21, 9, 10, 3), (21, 9, 13, 1),
+    (21, 10, 8, 2), (21, 10, 11, 0),
+]
+
+
+@pytest.mark.parametrize("N,m,a,seed", MONO_FACTOR_JOBS)
+def test_mono_factor_reports_reproduce_recorded_digests(monkeypatch, N, m,
+                                                        a, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())
+    status, report = cli.run(cli.RunConfig(N=N, a=a, m=m, seed=seed))
+    assert status == cli.EXIT_OK
+    key = f"monolithic/N={N}/a={a}/m={m}/seed={seed}"
+    assert checks.digest(report) == recorded[key]

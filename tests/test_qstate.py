@@ -4,9 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from distshor import gates
+from distshor.circuit import Circuit, Instruction, execute
+from distshor.gates import ARITY
 from distshor.qstate import QuantumState, RandomSource, SimulationError
+
+from conftest import reference_execute
 
 SQH = 0.5**0.5
 
@@ -239,3 +245,115 @@ class TestDeterminism:
             st.apply_gate(gates.H, [0])
             outs.add(st.measure(0, RandomSource(seed)))
         assert outs == {0, 1}
+
+
+PERMUTATION_KINDS = (gates.X, gates.CNOT, gates.TOFFOLI, gates.MCX,
+                     gates.SWAP, gates.MOVE)
+
+
+@hst.composite
+def permutation_instructions(draw, num_qubits: int) -> Instruction:
+    """One permutation gate or MOVE on distinct qubits: extra controls of
+    mixed polarity up to five controls in all, constant None, 0 or 1."""
+    kind = draw(hst.sampled_from(PERMUTATION_KINDS))
+    if kind == gates.MOVE:
+        arity, max_extra = 2, 0
+    else:
+        arity = ARITY[kind.name]
+        max_extra = 5 - {"CNOT": 1, "TOFFOLI": 2}.get(kind.name, 0)
+    n_extra = draw(hst.integers(0, min(max_extra, num_qubits - arity)))
+    qubits = draw(hst.permutations(range(num_qubits)))
+    extra = tuple((q, draw(hst.booleans()))
+                  for q in qubits[arity:arity + n_extra])
+    constant = draw(hst.sampled_from((None, 0, 1)))
+    return Instruction(kind, tuple(qubits[:arity]), extra, constant)
+
+
+@hst.composite
+def sparse_states_and_runs(draw):
+    num_qubits = draw(hst.integers(3, 12))
+    keys = draw(hst.lists(hst.integers(0, (1 << num_qubits) - 1),
+                          min_size=1, max_size=64, unique=True))
+    amps = {k: complex(i + 1, -i) for i, k in enumerate(keys)}
+    circ = Circuit(num_qubits)
+    circ.instructions = draw(hst.lists(permutation_instructions(num_qubits),
+                                       max_size=30))
+    return amps, circ
+
+
+def per_gate(state, run):
+    for gate, targets, controls in run:
+        state.apply_gate(gate, targets, controls)
+    return state
+
+
+class TestPermutationRun:
+    """The run kernel against ``apply_gate`` one gate at a time: same
+    keys, same values, same entry order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_states_and_runs())
+    def test_matches_per_gate_application(self, case):
+        amps, circ = case
+        ref = QuantumState.from_amplitudes(circ.num_qubits, amps)
+        reference_execute(circ, ref, RandomSource(0))
+        st = QuantumState.from_amplitudes(circ.num_qubits, amps)
+        execute(circ, st, RandomSource(0))
+        assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+        assert st.peak_support == ref.peak_support
+
+    def test_runs_split_at_other_instructions(self):
+        circ = Circuit(4)
+        for q in range(3):
+            circ.h(q)
+        circ.cnot(0, 3)
+        circ.toffoli(1, 2, 3, classical_constant=0)
+        bit = circ.measure(1)
+        circ.x(3, condition=[bit])
+        circ.gate(gates.MCX, [2], [(0, False), (3, True)])
+        circ.r(2, 0, controls=[(2, True)])
+        circ.swap(1, 3, controls=[(0, True)])
+        circ.move(2, 3)
+        for seed in range(4):
+            ref = QuantumState(4)
+            ref_bits = reference_execute(circ, ref, RandomSource(seed))
+            st = QuantumState(4)
+            _, bits = execute(circ, st, RandomSource(seed))
+            assert bits == ref_bits
+            assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+
+    def test_non_permutation_gate_rejected(self):
+        with pytest.raises(SimulationError):
+            QuantumState(2).apply_permutation([(gates.H, [0], ())])
+
+    @pytest.mark.parametrize("bad", [
+        (gates.X, [5], ()),                          # qubit out of range
+        (gates.MCX, [1], [(5, True)]),               # control out of range
+        (gates.SWAP, [2, 2], ()),                    # duplicate target
+        (gates.TOFFOLI, [0, 1, 1], ()),              # target is a control
+        (gates.X, [3], [(0, True), (3, False)]),     # target is a control
+    ])
+    def test_errors_match_per_gate(self, bad):
+        amps = {0b0011: 1.0, 0b0110: 1.0j, 0b1101: -1.0}
+        good = [(gates.CNOT, [0, 2], ()), (gates.SWAP, [1, 3], ())]
+        ref = QuantumState.from_amplitudes(4, amps)
+        with pytest.raises(SimulationError) as ref_err:
+            per_gate(ref, good + [bad])
+        st = QuantumState.from_amplitudes(4, amps)
+        with pytest.raises(SimulationError) as run_err:
+            st.apply_permutation(iter(good + [bad, good[0]]))
+        assert str(run_err.value) == str(ref_err.value)
+        assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+
+
+class TestPeakSupport:
+    def test_copy_keeps_peak(self):
+        st = QuantumState(3)
+        for q in range(3):
+            st.apply_gate(gates.H, [q])
+        st.measure(0, RandomSource(0))
+        assert st.copy().peak_support == st.peak_support == 8
+
+    def test_from_amplitudes_starts_at_support(self):
+        st = QuantumState.from_amplitudes(3, {0: 1.0, 5: 1.0, 6: 1.0})
+        assert st.peak_support == 3

@@ -2,14 +2,16 @@
 statistics, verified orders, end-to-end factorizations."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_execute
 from distshor import gates, partition, shor
 from distshor.circuit import Circuit
-from distshor.qstate import RandomSource
+from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
                            find_order, is_prime, order_candidates,
                            phase_estimate, prepare_phase_state,
@@ -222,6 +224,24 @@ class TestBuildOnce:
         assert [len(calls[name]) for name in names] == [1, 1, 1, 1, 0]
 
 
+class TestRunKernel:
+    """The monolithic order-finding state, executed with the permutation
+    run kernel, equals the one every gate applied one at a time gives:
+    same keys, same values, same entry order."""
+
+    @pytest.mark.parametrize("N,a,m", [(15, 7, 6), (15, 7, 8), (21, 2, 8),
+                                       (21, 2, 10)])
+    def test_pre_measurement_state_matches_reference(self, N, a, m):
+        modexp, transform, layout = shor.order_circuit_parts(a, N, m)
+        ref = QuantumState(layout.num_data_qubits)
+        for circ in (modexp, transform):
+            reference_execute(circ, ref, RandomSource(1))
+        run = run_order_circuit(a, N, m, RandomSource(1))
+        assert list(run.state.amplitudes.items()) == \
+            list(ref.amplitudes.items())
+        assert run.state.peak_support == ref.peak_support
+
+
 class TestModeEquivalence:
     def test_first_register_distribution_small_instance(self):
         mono = run_order_circuit(7, 15, 4, RandomSource(4), "monolithic")
@@ -287,6 +307,30 @@ class TestFactor:
         out = factor(15, RandomSource(8), m=8, max_attempts=6)
         if out.factors is not None:
             assert math.prod(out.factors) == 15
+
+
+def trial_division_is_prime(N: int) -> bool:
+    return N >= 2 and all(N % f for f in range(2, math.isqrt(N) + 1))
+
+
+class TestIsPrime:
+    @given(st.integers(min_value=-2, max_value=10**6))
+    def test_matches_trial_division(self, N):
+        assert is_prime(N) == trial_division_is_prime(N)
+
+    @pytest.mark.parametrize("N", [2047, 1373653, 25326001, 3215031751,
+                                   561, 41041])
+    def test_pseudoprimes_and_carmichael_numbers_are_composite(self, N):
+        # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7;
+        # then the Carmichael numbers 561 and 41041
+        assert not is_prime(N)
+
+    def test_large_inputs_answer_at_once(self):
+        started = time.perf_counter()
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**31 - 1)**2)
+        assert classical_rejection((2**31 - 1)**2) == "N is a prime power"
+        assert time.perf_counter() - started < 0.5
 
 
 def smallest_power_base(N: int) -> int | None:
