@@ -38,9 +38,6 @@ class Instruction(NamedTuple):
     label: str = ""
     block: str | None = None
 
-    def qubits(self) -> tuple[int, ...]:
-        return self.targets + tuple(q for q, _ in self.controls)
-
     def is_gate(self) -> bool:
         return is_unitary(self.kind)
 
@@ -52,11 +49,9 @@ class Circuit:
     downstream only reads, so sharing across execution contexts is safe.
     """
 
-    def __init__(self, num_qubits: int, num_classical_bits: int = 0,
-                 label: str = ""):
+    def __init__(self, num_qubits: int, num_classical_bits: int = 0):
         self.num_qubits = num_qubits
         self.num_classical_bits = num_classical_bits
-        self.label = label
         self.instructions: list[Instruction] = []
 
     # -- append API ------------------------------------------------------
@@ -101,8 +96,8 @@ class Circuit:
     def swap(self, a, b, **kw):
         return self.gate(gates.SWAP, [a, b], **kw)
 
-    def measure(self, q: int, cbit: int | None = None, *, label: str = "",
-                block: str | None = None) -> int:
+    def measure(self, q: int, cbit: int | None = None, *,
+                label: str = "") -> int:
         """Append a measurement; returns the classical bit id written."""
         if cbit is None:
             cbit = self.num_classical_bits
@@ -110,35 +105,24 @@ class Circuit:
         elif cbit >= self.num_classical_bits:
             self.num_classical_bits = cbit + 1
         self.append(Instruction(MEASURE, (q,), classical_out=cbit,
-                                label=label, block=block))
+                                label=label))
         return cbit
 
-    def reset(self, q: int, *, label: str = "", block: str | None = None):
-        return self.append(Instruction(RESET, (q,), label=label, block=block))
+    def reset(self, q: int, *, label: str = ""):
+        return self.append(Instruction(RESET, (q,), label=label))
 
-    def move(self, src: int, dst: int, *, label: str = "",
-             block: str | None = None):
+    def move(self, src: int, dst: int, *, label: str = ""):
         if src == dst:
             raise ValueError("MOVE needs distinct qubits")
-        return self.append(Instruction(MOVE, (src, dst), label=label,
-                                       block=block))
+        return self.append(Instruction(MOVE, (src, dst), label=label))
 
-    def extend(self, other: "Circuit", *, label_prefix: str | None = None,
-               block: str | None = None) -> "Circuit":
-        """Append another circuit's instructions, optionally re-labelled."""
+    def extend(self, other: "Circuit") -> "Circuit":
+        """Append another circuit's instructions as they are."""
         if other.num_qubits > self.num_qubits:
             raise ValueError("sub-circuit uses more qubits than the target")
         self.num_classical_bits = max(self.num_classical_bits,
                                       other.num_classical_bits)
-        if label_prefix is None and block is None:
-            self.instructions.extend(other.instructions)
-            return self
-        for inst in other.instructions:
-            label = inst.label
-            if label_prefix is not None:
-                label = f"{label_prefix}/{label}" if label else label_prefix
-            self.instructions.append(Instruction(
-                *inst[:6], label, inst.block if block is None else block))
+        self.instructions.extend(other.instructions)
         return self
 
     # -- queries ---------------------------------------------------------
@@ -183,8 +167,7 @@ def reverse(circ: Circuit) -> Circuit:
     Requires a measurement-free circuit (no MEASURE/RESET, no classical
     conditions).  MOVE directives reverse their direction.
     """
-    out = Circuit(circ.num_qubits, circ.num_classical_bits,
-                  label=circ.label)
+    out = Circuit(circ.num_qubits, circ.num_classical_bits)
     for inst in reversed(circ.instructions):
         name = inst.kind.name
         if name in ("MEASURE", "RESET") or inst.condition:
@@ -216,7 +199,7 @@ def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
         raise ValueError("duplicate control qubits")
 
     builtin = {"CNOT": 1, "TOFFOLI": 2}
-    out = Circuit(circ.num_qubits, circ.num_classical_bits, label=circ.label)
+    out = Circuit(circ.num_qubits, circ.num_classical_bits)
     for inst in circ.instructions:
         name = inst.kind.name
         if name == "MOVE":

@@ -34,8 +34,6 @@ class RunConfig:
     mode: str = shor.MONOLITHIC
     seed: int = 0
     max_rounds: int | None = None
-    report_path: str | None = None
-    dump_path: str | None = None
     counts_only: bool = False
 
     def validate(self) -> str | None:
@@ -50,6 +48,8 @@ class RunConfig:
             return f"unknown mode {self.mode!r}"
         if self.m is not None and self.m < 1:
             return "m must be positive"
+        if self.max_rounds is not None and self.max_rounds < 1:
+            return "max_rounds must be at least 1"
         return None
 
     @property
@@ -166,11 +166,11 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return status, report
 
 
-def _write_dump(config: RunConfig):
+def _write_dump(config: RunConfig, path: str):
     a = config.a if config.a is not None else _default_base(config.N)
     layout = RegisterLayout.packed(config.n, config.m_effective)
     circ = build_cm_m(a, config.N, config.m_effective, layout)
-    with open(config.dump_path, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(dump(circ))
 
 
@@ -202,20 +202,18 @@ def main(argv: list[str] | None = None) -> int:
 
     config = RunConfig(N=args.N, a=args.a, m=args.m, mode=args.mode,
                        seed=args.seed, max_rounds=args.max_rounds,
-                       report_path=args.report,
-                       dump_path=args.dump_circuit,
                        counts_only=args.counts_only)
     status, report = run(config)
     text = json.dumps(report, indent=2)
-    if config.report_path:
-        with open(config.report_path, "w") as fh:
+    if args.report:
+        with open(args.report, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
     if status == EXIT_BAD_CONFIG:
         print(f"error: {report['error']}", file=sys.stderr)
-    if config.dump_path and status == EXIT_OK:
-        _write_dump(config)
+    if args.dump_circuit and status == EXIT_OK:
+        _write_dump(config, args.dump_circuit)
     return status
 
 

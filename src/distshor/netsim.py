@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
-from .circuit import Circuit, Instruction
+from .circuit import Circuit, Instruction, add_controls
 from .qstate import Control, QuantumState, RandomSource
 
 _PURE_TOL = 1e-9
@@ -56,21 +56,26 @@ class NodeSpec:
 
 @dataclass
 class Topology:
-    """Node roster plus quantum/classical link sets (complete by default)."""
+    """Node roster; every pair of nodes shares a quantum and a classical
+    link."""
 
     nodes: list[NodeSpec]
-    quantum_links: set[frozenset[str]] | None = None
-    classical_links: set[frozenset[str]] | None = None
 
     def __post_init__(self):
         ids = [n.node_id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
 
-    def linked(self, kind: str, a: str, b: str) -> bool:
-        links = (self.quantum_links if kind == "quantum"
-                 else self.classical_links)
-        return links is None or frozenset((a, b)) in links
+    def slot_ids(self) -> Iterator[tuple[NodeSpec, range, range]]:
+        """The global qubit ids of each node as (spec, data slots, channel
+        slots): node by node in roster order, data slots before channel
+        slots."""
+        first = 0
+        for spec in self.nodes:
+            end = first + spec.register_capacity
+            channels = end - spec.channel_qubits
+            yield spec, range(first, channels), range(channels, end)
+            first = end
 
 
 @dataclass
@@ -149,12 +154,11 @@ class TeleportRecord:
 
 
 class _NodeRuntime:
-    def __init__(self, spec: NodeSpec, first_id: int):
+    def __init__(self, spec: NodeSpec, data_slots: range,
+                 channel_slots: range):
         self.spec = spec
-        data = spec.register_capacity - spec.channel_qubits
-        self.data_slots = list(range(first_id, first_id + data))
-        self.channel_slots = list(range(first_id + data,
-                                        first_id + spec.register_capacity))
+        self.data_slots = data_slots
+        self.channel_slots = channel_slots
         self.allocated: set[int] = set()
         self.busy_channels: set[int] = set()
 
@@ -170,21 +174,17 @@ class Network:
     measurements draw from the one seeded source, so runs replay exactly.
     """
 
-    def __init__(self, topology: Topology, rng: RandomSource,
-                 prune_epsilon: float = 1e-12):
+    def __init__(self, topology: Topology, rng: RandomSource):
         self.topology = topology
         self.rng = rng
         self.ledger = ResourceLedger()
         self.nodes: dict[str, _NodeRuntime] = {}
         self.owner: dict[int, str] = {}
-        next_id = 0
-        for spec in topology.nodes:
-            runtime = _NodeRuntime(spec, next_id)
-            self.nodes[spec.node_id] = runtime
-            for q in runtime.data_slots + runtime.channel_slots:
+        for spec, data, channels in topology.slot_ids():
+            self.nodes[spec.node_id] = _NodeRuntime(spec, data, channels)
+            for q in (*data, *channels):
                 self.owner[q] = spec.node_id
-            next_id += spec.register_capacity
-        self.state = QuantumState(max(1, next_id), prune_epsilon)
+        self.state = QuantumState(max(1, len(self.owner)))
         self.sessions: list[SessionRecord] = []
         self.teleport_log: list[TeleportRecord] = []
         self.max_live: dict[str, int] = {n: 0 for n in self.nodes}
@@ -239,8 +239,6 @@ class Network:
         """
         if node_a == node_b:
             raise NetworkError("a pair needs two distinct nodes")
-        if not self.topology.linked("quantum", node_a, node_b):
-            raise NetworkError(f"no quantum link {node_a}<->{node_b}")
         qa = self._free_channel(node_a)
         qb = self._free_channel(node_b)
         # local H then an exchange-mediated CNOT; this is the one place a
@@ -284,7 +282,6 @@ class Network:
         node_c = self.node_of(control)
         if node_c != pair.node_a:
             raise NetworkError("control is not on the pair's first node")
-        self._check_classical(pair.node_a, pair.node_b)
         self.apply_local(node_c, gates.X, [pair.qubit_a],
                          [(control, True)])
         m = self.measure_local(pair.qubit_a)
@@ -306,13 +303,8 @@ class Network:
         """
         if not cat.live:
             raise NetworkError("shared control already released")
-        self.apply_local(cat.node_mirror, gates.H, [cat.mirror])
-        m = self.measure_local(cat.mirror)
-        self._check_classical(cat.node_mirror, cat.node_control)
-        self.ledger.send_cbit(cat.node_mirror, cat.node_control)
-        if m:
-            self.apply_local(cat.node_control, gates.Z, [cat.control])
-            self.apply_local(cat.node_mirror, gates.X, [cat.mirror])
+        self._end_in_x_basis(cat.mirror, cat.node_mirror, cat.control,
+                             cat.node_control)
         cat.live = False
         self.nodes[cat.node_mirror].busy_channels.discard(cat.mirror)
 
@@ -325,11 +317,7 @@ class Network:
         pair and two classical bits no matter how many gates use it.
         At most 3 remote controls are ever distributed at once.
         """
-        remote: list[int] = []
-        for inst in instructions:
-            for q, _pol in inst.controls:
-                if self.node_of(q) != node_id and q not in remote:
-                    remote.append(q)
+        remote = remote_controls(instructions, node_id, self.node_of)
         if len(remote) > 3:
             raise NetworkError(
                 f"session needs {len(remote)} remote controls (max 3)")
@@ -370,22 +358,22 @@ class Network:
                                     block: str | None = None):
         """Run ``control``-conditioned ``body`` on the body's node.
 
-        The body must be measurement-free and local to one node; the
-        shared control is reused across all its gates, so the cost is one
-        pair and two classical bits regardless of body size.
+        The body must be gates only, local to one node and free of
+        ``control``; the shared control is reused across all its gates, so
+        the cost is one pair and two classical bits regardless of body
+        size.
         """
         nodes = {self.node_of(q) for q in body.used_qubits()}
         if len(nodes) != 1:
             raise NetworkError(f"body spans nodes {sorted(nodes)}")
-        node_id = nodes.pop()
-        insts = []
-        for inst in body.instructions:
-            if not inst.is_gate() or inst.condition:
-                raise NetworkError("controlled body must be measurement-free")
-            insts.append(Instruction(
-                inst.kind, inst.targets, inst.controls + ((control, True),),
-                classical_constant=inst.classical_constant))
-        self.run_session(node_id, insts, block=block or "nonlocal-block")
+        if not all(inst.is_gate() for inst in body.instructions):
+            raise NetworkError("controlled body must be measurement-free")
+        try:
+            body = add_controls(body, [(control, True)])
+        except ValueError as exc:
+            raise NetworkError(str(exc)) from exc
+        self.run_session(nodes.pop(), body.instructions,
+                         block=block or "nonlocal-block")
 
     def teleport(self, qubit: int, dest_node: str,
                  dest_slot: int | None = None, *, label: str = "") -> int:
@@ -412,12 +400,7 @@ class Network:
         pair = self.establish_epr(src_node, dest_node)
         cat = self.cat_entangle(qubit, pair)
         # transfer instead of restore: measure the source in the X basis
-        self.apply_local(src_node, gates.H, [qubit])
-        m = self.measure_local(qubit)
-        self.ledger.send_cbit(src_node, dest_node)
-        if m:
-            self.apply_local(dest_node, gates.Z, [cat.mirror])
-            self.apply_local(src_node, gates.X, [qubit])
+        self._end_in_x_basis(qubit, src_node, cat.mirror, dest_node)
         cat.live = False
         # park the state in the register and free the channel qubit
         self.apply_local(dest_node, gates.SWAP, [cat.mirror, dest_slot])
@@ -451,9 +434,17 @@ class Network:
                 return q
         raise NetworkError(f"no free channel qubit on {node_id}")
 
-    def _check_classical(self, a: str, b: str):
-        if not self.topology.linked("classical", a, b):
-            raise NetworkError(f"no classical link {a}<->{b}")
+    def _end_in_x_basis(self, qubit: int, node_id: str, partner: int,
+                        partner_node: str):
+        """End one side of a shared pair in the X basis: H and measure
+        ``qubit``, send the bit to the partner's node, Z the partner and
+        reset ``qubit`` when it read 1."""
+        self.apply_local(node_id, gates.H, [qubit])
+        m = self.measure_local(qubit)
+        self.ledger.send_cbit(node_id, partner_node)
+        if m:
+            self.apply_local(partner_node, gates.Z, [partner])
+            self.apply_local(node_id, gates.X, [qubit])
 
     def _track(self, node_id: str):
         rt = self._node(node_id)
@@ -463,6 +454,19 @@ class Network:
                 f"node {node_id} over capacity: {live} live qubits")
         if live > self.max_live[node_id]:
             self.max_live[node_id] = live
+
+
+def remote_controls(instructions: Iterable[Instruction], node: str,
+                    node_of: Callable[[int], str]) -> list[int]:
+    """The control qubits of ``instructions`` that live off ``node``, each
+    once, in first-use order: what a session on ``node`` shares, one pair
+    and two classical bits each."""
+    remote: list[int] = []
+    for inst in instructions:
+        for q, _pol in inst.controls:
+            if node_of(q) != node and q not in remote:
+                remote.append(q)
+    return remote
 
 
 def session_groups(instructions: Sequence[Instruction],
@@ -499,8 +503,8 @@ def session_groups(instructions: Sequence[Instruction],
             inst_key = ("block", inst.block)
         else:
             inst_key = ("adhoc", inst_node,
-                        frozenset(q for q, _ in inst.controls
-                                  if node_of(q) != inst_node))
+                        frozenset(remote_controls((inst,), inst_node,
+                                                  node_of)))
         if group and inst_key != key:
             yield node, group
             group = []

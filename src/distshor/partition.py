@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .circuit import Circuit
 from .netsim import (Network, NodeSpec, SessionRecord, TeleportRecord,
-                     Topology, execute_distributed, session_groups)
+                     Topology, execute_distributed, remote_controls,
+                     session_groups)
 from .qft import FourierSpec, build_inverse_qft
 from .qstate import RandomSource
 from .revarith import AdderSlicing, RegisterLayout, build_cm_m
@@ -108,15 +109,8 @@ def plan_placement(n: int, m: int | None = None) -> PlacementPlan:
     specs = [NodeSpec(name, capacity, CHANNELS_PER_NODE)
              for name in node_order]
     topology = Topology(specs)
-
-    # Mirror the network's deterministic id assignment: data slots first,
-    # then channel slots, node by node in roster order.
-    data_slots: dict[str, list[int]] = {}
-    base = 0
-    for spec in specs:
-        data_slots[spec.node_id] = list(
-            range(base, base + capacity - CHANNELS_PER_NODE))
-        base += capacity
+    data_slots = {spec.node_id: data
+                  for spec, data, _channels in topology.slot_ids()}
 
     roles: dict[str, int] = {}
     node_of_qubit: dict[int, str] = {}
@@ -170,10 +164,9 @@ def plan_placement(n: int, m: int | None = None) -> PlacementPlan:
                          adder_nodes=tuple(ADDER_NODES[:len(slices)]))
 
 
-def build_network(plan: PlacementPlan, rng: RandomSource,
-                  prune_epsilon: float = 1e-12) -> Network:
+def build_network(plan: PlacementPlan, rng: RandomSource) -> Network:
     """Instantiate the network and claim every planned slot."""
-    network = Network(plan.topology, rng, prune_epsilon)
+    network = Network(plan.topology, rng)
     per_node: dict[str, int] = {}
     for qid, node in plan.node_of_qubit.items():
         per_node[node] = per_node.get(node, 0) + 1
@@ -192,7 +185,7 @@ def build_distributed_modexp_program(a: int, N: int,
     layout."""
     lay = plan.layout
     pool = sum(spec.register_capacity for spec in plan.topology.nodes)
-    circ = Circuit(pool, label="order/modexp")
+    circ = Circuit(pool)
     circ.x(lay.x[0], label="prep/one")
     for i, kq in enumerate(lay.k):
         circ.h(kq, label=f"prep/H[{i}]")
@@ -313,8 +306,7 @@ def census_from_program(circ: Circuit, plan: PlacementPlan) -> BlockCensus:
     node_of = plan.node_of_qubit.__getitem__
     for node, group in session_groups(circ.instructions, node_of):
         if node is not None:
-            if any(node_of(q) != node
-                   for inst in group for q, _ in inst.controls):
+            if remote_controls(group, node, node_of):
                 _tally_block(census, group[0].block)
         elif group[0].kind.name == "MOVE":
             src, dst = group[0].targets

@@ -1,11 +1,11 @@
-"""Fourier-transform circuits: local, inverse, and node-split variants.
+"""Fourier-transform circuits, forward and inverse, local or node-split.
 
 Registers are little-endian (qubit i is bit i of the value).  The forward
 transform sends |j> to ``2^(-n/2) * sum_k exp(2*pi*i*j*k / 2^n) |k>``; the
 circuit is the usual Hadamard/controlled-rotation ladder followed by an
-explicit swap network undoing the bit reversal.  The split variant keeps
-the same gate list and realizes cross-node rotations as remotely
-controlled gates and cross-node swaps as teleport round trips.
+explicit swap network undoing the bit reversal.  Given a placement
+(``node_of``), the same gate list realizes cross-node rotations as
+remotely controlled gates and cross-node swaps as teleport round trips.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .circuit import Circuit, reverse
 @dataclass(frozen=True)
 class FourierSpec:
     num_qubits: int
-    inverse: bool = False
-    with_swaps: bool = True
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -35,19 +33,23 @@ def build_qft(spec: FourierSpec, qubits: Sequence[int] | None = None, *,
     """Build the transform over ``qubits`` (default 0..n-1).
 
     Gate count is n(n+1)/2 plus ``floor(n/2)`` terminal swaps.  When
-    ``node_of`` is given, gates are tagged with per-gate session blocks and
-    each cross-node swap becomes a teleport round trip through the remote
-    node's ``spare_of`` slot.
+    ``node_of`` is given, it must place every listed qubit; gates are
+    tagged with per-gate session blocks and each cross-node swap becomes a
+    teleport round trip through the remote node's ``spare_of`` slot.
     """
     n = spec.num_qubits
     qubits = list(qubits) if qubits is not None else list(range(n))
     if len(qubits) != n:
         raise ValueError("qubit list does not match the spec width")
+    if node_of is not None:
+        for q in qubits:
+            if q not in node_of:
+                raise ValueError(f"qubit {q} missing from the placement")
     if num_qubits is None:
         num_qubits = max(qubits) + 1
         if spare_of:
             num_qubits = max(num_qubits, max(spare_of.values()) + 1)
-    circ = Circuit(num_qubits, label=path)
+    circ = Circuit(num_qubits)
 
     for h in range(n - 1, -1, -1):
         block = f"{path}@h{h}" if node_of else None
@@ -57,18 +59,17 @@ def build_qft(spec: FourierSpec, qubits: Sequence[int] | None = None, *,
             circ.gate(gates.R(h - low + 1), [qubits[h]],
                       [(qubits[low], True)],
                       label=f"{path}/CR[{low}->{h}]", block=block)
-    if spec.with_swaps:
-        for h in range(n // 2):
-            a, b = qubits[h], qubits[n - 1 - h]
-            if node_of and node_of[a] != node_of[b]:
-                spare = spare_of[node_of[b]]
-                circ.move(a, spare, label=f"{path}/SWAP[{h}]/out")
-                circ.move(b, a, label=f"{path}/SWAP[{h}]/back")
-                circ.move(spare, b, label=f"{path}/SWAP[{h}]/place")
-            else:
-                block = f"{path}@sw{h}" if node_of else None
-                circ.swap(a, b, label=f"{path}/SWAP[{h}]", block=block)
-    return reverse(circ) if spec.inverse else circ
+    for h in range(n // 2):
+        a, b = qubits[h], qubits[n - 1 - h]
+        if node_of and node_of[a] != node_of[b]:
+            spare = spare_of[node_of[b]]
+            circ.move(a, spare, label=f"{path}/SWAP[{h}]/out")
+            circ.move(b, a, label=f"{path}/SWAP[{h}]/back")
+            circ.move(spare, b, label=f"{path}/SWAP[{h}]/place")
+        else:
+            block = f"{path}@sw{h}" if node_of else None
+            circ.swap(a, b, label=f"{path}/SWAP[{h}]", block=block)
+    return circ
 
 
 def build_inverse_qft(spec: FourierSpec,
@@ -77,27 +78,8 @@ def build_inverse_qft(spec: FourierSpec,
                       node_of: Mapping[int, str] | None = None,
                       spare_of: Mapping[str, int] | None = None) -> Circuit:
     """Reverse computation of the forward transform."""
-    fwd = FourierSpec(spec.num_qubits, inverse=False,
-                      with_swaps=spec.with_swaps)
-    return reverse(build_qft(fwd, qubits, num_qubits=num_qubits, path=path,
+    return reverse(build_qft(spec, qubits, num_qubits=num_qubits, path=path,
                              node_of=node_of, spare_of=spare_of))
-
-
-def build_distributed_qft(spec: FourierSpec, qubits: Sequence[int],
-                          node_of: Mapping[int, str],
-                          spare_of: Mapping[str, int],
-                          *, path: str = "QFT") -> Circuit:
-    """Node-aware transform program for ``distribute_circuit``.
-
-    Every listed qubit must appear in ``node_of``; ``spare_of`` names one
-    free register slot per node for the swap-network teleports.
-    """
-    for q in qubits:
-        if q not in node_of:
-            raise ValueError(f"qubit {q} missing from the placement")
-    builder = build_inverse_qft if spec.inverse else build_qft
-    return builder(FourierSpec(spec.num_qubits, with_swaps=spec.with_swaps),
-                   qubits, path=path, node_of=node_of, spare_of=spare_of)
 
 
 def cross_rotation_count(spec: FourierSpec, qubits: Sequence[int],

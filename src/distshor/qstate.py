@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from .gates import ARITY, GateKind, X, is_unitary, phase_factor
 
 _SQRT_HALF = 0.5**0.5
+PRUNE_EPSILON = 1e-12  # H drops amplitudes at or below this magnitude
 
 Control = tuple[int, bool]
 
@@ -64,20 +65,18 @@ class QuantumState:
     concurrently as long as nothing is writing.
     """
 
-    def __init__(self, num_qubits: int, prune_epsilon: float = 1e-12):
+    def __init__(self, num_qubits: int):
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
         self.num_qubits = num_qubits
-        self.prune_epsilon = prune_epsilon
         self.amplitudes: dict[int, complex] = {0: 1.0 + 0.0j}
         self.peak_support = 1  # largest support seen, for sparsity checks
 
     @classmethod
     def from_amplitudes(cls, num_qubits: int,
-                        amplitudes: Mapping[int, complex],
-                        prune_epsilon: float = 1e-12) -> "QuantumState":
+                        amplitudes: Mapping[int, complex]) -> "QuantumState":
         """Build a state from explicit amplitudes (normalized on entry)."""
-        state = cls(num_qubits, prune_epsilon)
+        state = cls(num_qubits)
         norm = sum(abs(a) ** 2 for a in amplitudes.values()) ** 0.5
         if norm < 1e-12:
             raise ValueError("cannot normalize an all-zero amplitude map")
@@ -94,7 +93,7 @@ class QuantumState:
         return state
 
     def copy(self) -> "QuantumState":
-        dup = QuantumState(self.num_qubits, self.prune_epsilon)
+        dup = QuantumState(self.num_qubits)
         dup.amplitudes = dict(self.amplitudes)
         dup.peak_support = self.peak_support
         return dup
@@ -195,8 +194,8 @@ class QuantumState:
                 hi = idx | tmask
                 new[lo] = get(lo, 0.0) + a
                 new[hi] = get(hi, 0.0) + (-a if idx & tmask else a)
-            eps = self.prune_epsilon
-            self.amplitudes = {i: a for i, a in new.items() if abs(a) > eps}
+            self.amplitudes = {i: a for i, a in new.items()
+                               if abs(a) > PRUNE_EPSILON}
         else:  # pragma: no cover - _normalize rejects everything else
             raise SimulationError(f"unknown gate kind {name}")
         if len(self.amplitudes) > self.peak_support:

@@ -242,7 +242,7 @@ def build_bfa(a_bit: int, carry_q: int, b_q: int, fresh_q: int,
     """|c>|b>|0> -> |a^b^c>|b>|maj(a,b,c)>; 4 gates."""
     if len({carry_q, b_q, fresh_q}) != 3:
         raise ValueError("bit-adder qubits must be distinct")
-    circ = Circuit(num_qubits or max(carry_q, b_q, fresh_q) + 1, label="BFA")
+    circ = Circuit(num_qubits or max(carry_q, b_q, fresh_q) + 1)
     _emit_bfa(circ, a_bit & 1, carry_q, b_q, fresh_q, None, "BFA", None)
     return circ
 
@@ -252,7 +252,7 @@ def build_bha(a_bit: int, carry_q: int, b_q: int,
     """|c>|b> -> |a^b^c>|b>; 2 gates."""
     if carry_q == b_q:
         raise ValueError("bit-adder qubits must be distinct")
-    circ = Circuit(num_qubits or max(carry_q, b_q) + 1, label="BHA")
+    circ = Circuit(num_qubits or max(carry_q, b_q) + 1)
     _emit_bha(circ, a_bit & 1, carry_q, b_q, None, "BHA", None)
     return circ
 
@@ -271,29 +271,22 @@ def build_fa(a, b_qubits: Sequence[int], sum_qubits: Sequence[int],
     n = len(b_qubits)
     a = _constant(a, n)
     pool = num_qubits or max(*b_qubits, *sum_qubits, carry_out) + 1
-    circ = Circuit(pool, label=path)
+    circ = Circuit(pool)
     segs = list(segments) if segments else _single_segment(sum_qubits)
     _ripple_chain(circ, a, b_qubits, segs, carry_out, branch=None, path=path)
     return circ
 
 
 def build_ha(a, b_qubits: Sequence[int], sum_qubits: Sequence[int], *,
-             num_qubits: int | None = None,
-             segments: Sequence[ChainSegment] | None = None,
-             branch: Control | None = None, path: str = "HA") -> Circuit:
+             num_qubits: int | None = None, path: str = "HA") -> Circuit:
     """n-bit half adder: as the full adder but no overflow qubit; 4n - 2
-    gates using n - 1 fresh ancillas.
-
-    ``branch`` optionally gates the constant-injection gates on a qubit, in
-    which case a clear branch qubit turns the chain into a plain copy of
-    the addend into the sum slots.
-    """
+    gates using n - 1 fresh ancillas."""
     n = len(b_qubits)
     a = _constant(a, n)
     pool = num_qubits or max(*b_qubits, *sum_qubits) + 1
-    circ = Circuit(pool, label=path)
-    segs = list(segments) if segments else _single_segment(sum_qubits)
-    _ripple_chain(circ, a, b_qubits, segs, None, branch=branch, path=path)
+    circ = Circuit(pool)
+    _ripple_chain(circ, a, b_qubits, _single_segment(sum_qubits), None,
+                  branch=None, path=path)
     return circ
 
 
@@ -323,7 +316,7 @@ def build_an(a: int, N: int, layout: RegisterLayout, *,
     shifted = (a + (1 << n) - N) % (1 << n)
     neg = N % (1 << n)  # two's-complement encoding of -(2^n - N)
 
-    circ = Circuit(_pool(layout, slicing), label=path)
+    circ = Circuit(_pool(layout, slicing))
     fa_segs = (slicing.segments(layout.s, 0, path, "fa")
                if slicing else _single_segment(layout.s))
     ha_segs = (slicing.segments(layout.inter, 1, path, "ha")
@@ -348,7 +341,7 @@ def build_xan(a: int, N: int, layout: RegisterLayout, *,
     The sum lands in ``layout.out``; the 2n + 1 ancillas (s, carry, inter)
     are returned to |0>.  17n - 2 gates.
     """
-    circ = Circuit(_pool(layout, slicing), label=path)
+    circ = Circuit(_pool(layout, slicing))
     circ.extend(build_an(a, N, layout, slicing=slicing, path=f"{path}/AN"))
     for i, (src, dst) in enumerate(zip(layout.inter, layout.out)):
         block = (f"{path}@cp{slicing.slice_of(i)}" if slicing else None)
@@ -367,7 +360,7 @@ def build_adder(a: int, N: int, layout: RegisterLayout, *,
     Swap-and-uncompute: run the copying adder, swap input and output, then
     reverse the copying adder for the negated constant.
     """
-    circ = Circuit(_pool(layout, slicing), label=path)
+    circ = Circuit(_pool(layout, slicing))
     circ.extend(build_xan(a % N, N, layout, slicing=slicing,
                           path=f"{path}/XAN0"))
     for i, (p, q) in enumerate(zip(layout.b, layout.out)):
@@ -388,7 +381,7 @@ def build_mf(a: int, N: int, layout: RegisterLayout, *,
     """
     if math.gcd(a, N) != 1:
         raise ValueError(f"{a} is not invertible mod {N}")
-    circ = Circuit(_pool(layout, slicing), label=path)
+    circ = Circuit(_pool(layout, slicing))
     for i, ctrl in enumerate(layout.x):
         block = build_adder((a << i) % N, N, layout, slicing=slicing,
                             path=f"{path}/A[{i}]")
@@ -409,7 +402,7 @@ def build_m(a: int, N: int, layout: RegisterLayout, *,
         raise ValueError(f"{a} is not invertible mod {N}")
     a = a % N
     a_inv = pow(a, -1, N)
-    circ = Circuit(_pool(layout, slicing), label=path)
+    circ = Circuit(_pool(layout, slicing))
     circ.extend(build_mf(a, N, layout, slicing=slicing, path=f"{path}/MF0"))
     for i, (xq, bq) in enumerate(zip(layout.x, layout.b)):
         label = f"{path}/MSWAP[{i}]"
@@ -442,7 +435,7 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
         raise ValueError(f"{a} is not invertible mod {N}")
     if m > layout.m:
         raise ValueError("layout control register too narrow")
-    circ = Circuit(_pool(layout, slicing), label=path)
+    circ = Circuit(_pool(layout, slicing))
     for i in range(m):
         const = pow(a, 1 << i, N)
         block = build_m(const, N, layout, slicing=slicing,

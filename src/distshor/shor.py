@@ -93,12 +93,12 @@ def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
         raise ValueError("need at least one estimation qubit")
     k_qubits = list(range(n_target, n_target + m))
     pool = n_target + m
-    circ = Circuit(pool, label="phase-estimation")
+    circ = Circuit(pool)
     circ.extend(prepare)
     for q in k_qubits:
         circ.h(q, label="prep/H")
     for i, kq in enumerate(k_qubits):
-        circ.extend(controlled_power(i, kq), label_prefix=f"cpow[{i}]")
+        circ.extend(controlled_power(i, kq))
     circ.extend(build_inverse_qft(FourierSpec(m), k_qubits,
                                   num_qubits=pool))
     state = QuantumState(pool)
@@ -115,7 +115,7 @@ def order_circuit_parts(a: int, N: int,
     transform)."""
     n = N.bit_length()
     layout = RegisterLayout.packed(n, m)
-    modexp = Circuit(layout.num_data_qubits, label="order/modexp")
+    modexp = Circuit(layout.num_data_qubits)
     modexp.x(layout.x[0], label="prep/one")
     for i, kq in enumerate(layout.k):
         modexp.h(kq, label=f"prep/H[{i}]")
@@ -268,6 +268,8 @@ def find_order(a: int, N: int, m: int | None = None,
         rng = RandomSource(0)
     if max_rounds is None:
         max_rounds = default_max_rounds(N)
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
 
     result = OrderResult(a=a, N=N, r=None, rounds_used=0)
     if mode == DISTRIBUTED:

@@ -50,6 +50,14 @@ class TestRun:
         status, report = run_cli(tmp_path, "--N", "15", "--a", "5")
         assert status == cli.EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_nonpositive_round_budget_rejected(self, tmp_path, rounds):
+        status, report = run_cli(tmp_path, "--N", "15", "--a", "7",
+                                 "--m", "8", "--max-rounds", rounds)
+        assert status == cli.EXIT_BAD_CONFIG
+        assert "max_rounds" in report["error"]
+        assert "outcome" not in report
+
     def test_exhaustion_exit_code(self, tmp_path):
         # base 14 squares to 1 with 14 = -1 mod 15: the fixed-base run
         # cannot produce factors

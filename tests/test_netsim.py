@@ -227,6 +227,35 @@ class TestControlledCircuit:
         with pytest.raises(NetworkError, match="spans"):
             net.nonlocal_controlled_circuit(qa[0], body)
 
+    def test_control_inside_body_rejected_untouched(self):
+        net = two_nodes(seed=4)
+        tq = net.allocate_data("B", 2)
+        net.apply_local("B", gates.H, [tq[0]])
+        before = dict(net.state.amplitudes)
+        body = Circuit(net.state.num_qubits)
+        body.cnot(tq[0], tq[1])
+        with pytest.raises(NetworkError, match="collides"):
+            net.nonlocal_controlled_circuit(tq[1], body)
+        assert net.state.amplitudes == before
+        assert net.ledger.pairs_established == 0
+
+    @pytest.mark.parametrize("step", ["measure", "reset", "conditioned"])
+    def test_measuring_body_rejected(self, step):
+        net = two_nodes()
+        ctrl = net.allocate_data("A", 1)[0]
+        tq = net.allocate_data("B", 2)
+        body = Circuit(net.state.num_qubits)
+        body.h(tq[0])
+        if step == "measure":
+            body.measure(tq[0])
+        elif step == "reset":
+            body.reset(tq[0])
+        else:
+            body.x(tq[0], condition=[0])
+        with pytest.raises(NetworkError):
+            net.nonlocal_controlled_circuit(ctrl, body)
+        assert net.ledger.pairs_established == 0
+
 
 class TestTeleport:
     def test_amplitudes_preserved(self):

@@ -46,3 +46,34 @@ def test_mono_factor_reports_reproduce_recorded_digests(monkeypatch, N, m,
     assert status == cli.EXIT_OK
     key = f"monolithic/N={N}/a={a}/m={m}/seed={seed}"
     assert checks.digest(report) == recorded[key]
+
+
+def _reproduces_recorded_digest(monkeypatch, config, key):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())
+    status, report = cli.run(config)
+    assert status == cli.EXIT_OK
+    assert checks.digest(report) == recorded[key]
+
+
+# One recorded (a, seed) job for each dist-factor stratum (N, m).
+DIST_FACTOR_JOBS = [(15, 4, 11, 0), (15, 5, 2, 1), (15, 6, 7, 3)]
+
+
+@pytest.mark.parametrize("N,m,a,seed", DIST_FACTOR_JOBS)
+def test_dist_factor_reports_reproduce_recorded_digests(monkeypatch, N, m,
+                                                        a, seed):
+    config = cli.RunConfig(N=N, a=a, m=m, mode=shor.DISTRIBUTED, seed=seed)
+    _reproduces_recorded_digest(
+        monkeypatch, config, f"distributed/N={N}/a={a}/m={m}/seed={seed}")
+
+
+# One modulus for each census register width n = 4..8.
+@pytest.mark.parametrize("N", [15, 21, 33, 77, 187])
+def test_census_reports_reproduce_recorded_digests(monkeypatch, N):
+    n = N.bit_length()
+    config = cli.RunConfig(N=N, a=2, m=2 * n, counts_only=True)
+    _reproduces_recorded_digest(monkeypatch, config,
+                                f"census/n={n}/m={2 * n}")

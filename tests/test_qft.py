@@ -10,8 +10,7 @@ import pytest
 from distshor import gates
 from distshor.circuit import count_gates, execute
 from distshor.netsim import Network, NodeSpec, Topology, execute_distributed
-from distshor.qft import (FourierSpec, build_distributed_qft,
-                          build_inverse_qft, build_qft,
+from distshor.qft import (FourierSpec, build_inverse_qft, build_qft,
                           cross_rotation_count)
 from distshor.qstate import QuantumState, RandomSource
 
@@ -113,8 +112,8 @@ class TestDistributed:
     @pytest.mark.parametrize("basis", range(16))
     def test_two_node_split_matches_monolithic(self, basis):
         net, qubits, node_of, spare_of = two_node_setup(4, seed=basis)
-        program = build_distributed_qft(FourierSpec(4), qubits, node_of,
-                                        spare_of)
+        program = build_qft(FourierSpec(4), qubits, node_of=node_of,
+                            spare_of=spare_of)
         for i, q in enumerate(qubits):
             if (basis >> i) & 1:
                 net.apply_local(node_of[q], gates.X, [q])
@@ -139,7 +138,8 @@ class TestDistributed:
         net = Network(topo, RandomSource(0))
         qubits = net.allocate_data("solo", 4)
         node_of = {q: "solo" for q in qubits}
-        program = build_distributed_qft(FourierSpec(4), qubits, node_of, {})
+        program = build_qft(FourierSpec(4), qubits, node_of=node_of,
+                            spare_of={})
         execute_distributed(net, program)
         assert net.ledger.ebits_consumed == 0
         assert net.ledger.teleports == 0
@@ -154,8 +154,8 @@ class TestDistributed:
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_nonlocal_rotations_quarter_square(self, m):
         net, qubits, node_of, spare_of = two_node_setup(m)
-        program = build_distributed_qft(FourierSpec(m), qubits, node_of,
-                                        spare_of)
+        program = build_qft(FourierSpec(m), qubits, node_of=node_of,
+                            spare_of=spare_of)
         execute_distributed(net, program)
         rotation_sessions = [s for s in net.sessions
                              if s.block and "@r" in s.block]
@@ -165,4 +165,4 @@ class TestDistributed:
 
     def test_missing_qubit_in_placement(self):
         with pytest.raises(ValueError):
-            build_distributed_qft(FourierSpec(2), [0, 1], {0: "L"}, {})
+            build_qft(FourierSpec(2), [0, 1], node_of={0: "L"}, spare_of={})

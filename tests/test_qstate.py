@@ -125,7 +125,7 @@ class TestGates:
         assert abs(st.norm_squared() - 1.0) < 1e-10
 
     def test_prune_drops_dust(self):
-        st = QuantumState(1, prune_epsilon=1e-12)
+        st = QuantumState(1)
         st.apply_gate(gates.H, [0])
         st.apply_gate(gates.H, [0])
         assert set(st.amplitudes) == {0}

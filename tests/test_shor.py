@@ -147,6 +147,18 @@ class TestFindOrder:
         with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
             find_order(7, 15, m, RandomSource(0))
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_nonpositive_round_budget_rejected_before_building(
+            self, monkeypatch, rounds):
+        def no_build(*args):
+            raise AssertionError("circuits built for an empty budget")
+
+        monkeypatch.setattr(shor, "order_round", no_build)
+        with pytest.raises(ValueError,
+                           match=f"max_rounds must be at least 1, "
+                                 f"got {rounds}"):
+            find_order(7, 15, 8, RandomSource(0), max_rounds=rounds)
+
     def test_success_rate_over_many_rounds(self, mono_run_15):
         """Round-level success statistics for the 15/7 instance.
 
