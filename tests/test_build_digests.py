@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from distshor import shor
 from distshor.circuit import add_controls, dump, reverse
 from distshor.partition import build_distributed_order_program, plan_placement
 from distshor.qft import FourierSpec, build_inverse_qft
@@ -28,6 +29,28 @@ CM_M = {
         "33532556738135f7180b7cc436fb9967360318419f79372067ddef6e768efd45",
     (33, 12):
         "f8fa3b7bb99ad75c1f1f234b209f08dfad51410bb1c4540bcfe3af28ef8d1f41",
+}
+
+# (modexp, transform) of the single-machine order-finding program
+MONOLITHIC = {
+    (15, 2): (
+        "1cd343745f706cccaa18b5414c3d64fb3df59490eabd3ec62ffcded382141905",
+        "99a42654763535b94f8c541fb7fe1ce8756cf9eb8fd5bfeb5752d09191b93d39"),
+    (15, 8): (
+        "457dffef94d964f7f10938ede3ece3d9cb73df48d34d2c442283174c6166ba15",
+        "2742cf5a7262e21d40ccf842aaccdfd0f2b2227fbec806843cf6a142d3d7c00e"),
+    (21, 2): (
+        "8947f1b6979614291c139c689369047a4b14d2791b18ac18548499b4c4e806b2",
+        "99a42654763535b94f8c541fb7fe1ce8756cf9eb8fd5bfeb5752d09191b93d39"),
+    (21, 10): (
+        "9e3a5600fc1e7cc718cb2a7af40232ac39a16b95803054eef555f90aae5dac2a",
+        "0831e4598084fac1a99c6d637cf8fe8c99154464b1dc6b4e12a72e7a9fb0197e"),
+    (33, 2): (
+        "8f941db352d1160d13acba9a9a7f5c39f1bb4aca2f630bbdbf34292c0d26dd90",
+        "99a42654763535b94f8c541fb7fe1ce8756cf9eb8fd5bfeb5752d09191b93d39"),
+    (33, 12): (
+        "2e5a64066843adfef906c5d683b57eea5f67079dd87412178773a3cf2f5faf1e",
+        "d1008377b7e2c92936b17f19dd31a37a8529892fa73ad7aeb67855928b2a0899"),
 }
 
 DISTRIBUTED = {
@@ -61,6 +84,12 @@ def sha(circ) -> str:
 def test_packed_power_ladder_dump(N, m):
     layout = RegisterLayout.packed(N.bit_length(), m)
     assert sha(build_cm_m(BASES[N], N, m, layout)) == CM_M[N, m]
+
+
+@pytest.mark.parametrize("N,m", sorted(MONOLITHIC))
+def test_monolithic_order_program_dump(N, m):
+    modexp, transform, _layout = shor.order_circuit_parts(BASES[N], N, m)
+    assert (sha(modexp), sha(transform)) == MONOLITHIC[N, m]
 
 
 @pytest.mark.parametrize("N,m", sorted(DISTRIBUTED))

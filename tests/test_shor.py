@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import reference_execute
 from distshor import gates, partition, shor
 from distshor.circuit import Circuit
+from distshor.qft import FourierSpec, build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
                            find_order, is_prime, order_candidates,
@@ -102,6 +103,66 @@ class TestPhaseEstimation:
         best = max(range(16), key=predicted)
         assert best == 5  # 5/16 is the closest 4-bit fraction to 1/3
         assert dist[best] >= 4 / math.pi**2
+
+    def test_superposed_preparation_runs_unbounded(self):
+        """A preparation wider than order finding's |1>: H on three target
+        qubits gives support 8 times the estimation register's, which the
+        order-finding support bound would refuse."""
+        def power(i, ctrl):
+            return Circuit(4)  # the identity
+
+        prep = Circuit(3)
+        for q in range(3):
+            prep.h(q)
+        skeleton = Circuit(4)
+        skeleton.extend(prep)
+        skeleton.h(3)
+        skeleton.extend(build_inverse_qft(FourierSpec(1), [3],
+                                          num_qubits=4))
+        ref = QuantumState(4)
+        reference_execute(skeleton, ref, RandomSource(0))
+
+        state = prepare_phase_state(power, prep, 1, 3, RandomSource(0))
+        assert list(state.amplitudes.items()) == \
+            list(ref.amplitudes.items())
+        assert len(state.amplitudes) == 8
+        est = phase_estimate(power, prep, 1, 3, RandomSource(0))
+        assert est.j == 0
+
+
+def fejer_order_distribution(r: int, m: int) -> dict[int, float]:
+    """P(j) for order finding on |1>: the mean over s of the estimation
+    kernel |2^-m sum_k e^{2 pi i k (s/r - j/2^m)}|^2, in closed form with
+    the numerator of 2^m (s/r - j/2^m) kept an exact integer."""
+    size = 1 << m
+    dist = {}
+    for j in range(size):
+        total = 0.0
+        for s in range(r):
+            num = s * size - j * r  # 2^m (s/r - j/2^m) = num / r
+            if num == 0:
+                total += 1.0
+            else:
+                total += (math.sin(math.pi * num / r)
+                          / math.sin(math.pi * num / (r * size)) / size) ** 2
+        dist[j] = total / r
+    return dist
+
+
+class TestOrderFindingStatistics:
+    """The order-finding program's first-register distribution when r does
+    not divide 2^m, so every s/r other than 0 falls between grid points."""
+
+    @pytest.mark.parametrize("a,N,m,r", [(2, 21, 6, 6), (2, 21, 8, 6),
+                                         (2, 33, 8, 10)])
+    def test_distribution_matches_estimation_kernel(self, a, N, m, r):
+        assert pow(a, r, N) == 1 and (1 << m) % r != 0
+        dist = run_order_circuit(a, N, m,
+                                 RandomSource(1)).first_register_distribution()
+        predicted = fejer_order_distribution(r, m)
+        assert set(dist) <= set(predicted)
+        for j, p in predicted.items():
+            assert abs(dist.get(j, 0.0) - p) < 1e-12
 
 
 class TestFindOrder:
