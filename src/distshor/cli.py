@@ -112,7 +112,7 @@ def _counts_section(config: RunConfig) -> dict:
             "T(SHOR)": 4 * (slices - 1) * m * n,
             "G(c_m(M))": gate_count_formula("c_m(M)", n, m),
             "qubits_monolithic": 5 * n + m + 1,
-            "qubits_distributed": 7 * n + 1 if m == 2 * n else 5 * n + m + 1,
+            "qubits_distributed": 5 * n + m + 1,
             "nodes": 7,
             "node_capacity": plan.capacity,
         },

@@ -83,7 +83,7 @@ class PlacementPlan:
         return "\n".join(lines) + "\n"
 
 
-def plan_placement(n: int, m: int | None = None) -> PlacementPlan:
+def plan_placement(n: int, m: int) -> PlacementPlan:
     """Lay out the 5n + m + 1 logical qubits over the seven nodes.
 
     Slice width is ``ceil(n/4)``; when 4 does not divide n the trailing
@@ -92,8 +92,6 @@ def plan_placement(n: int, m: int | None = None) -> PlacementPlan:
     """
     if n < 1:
         raise PlanError("modulus width must be positive")
-    if m is None:
-        m = 2 * n
     if m < 1:
         raise PlanError(f"estimation width m must be at least 1, got {m}")
     width = math.ceil(n / 4)
@@ -183,14 +181,12 @@ def build_distributed_modexp_program(a: int, N: int,
                                      plan: PlacementPlan) -> Circuit:
     """Preparation plus the controlled power ladder, in the sliced
     layout."""
+    from . import shor  # shor imports this module
+
     lay = plan.layout
     pool = sum(spec.register_capacity for spec in plan.topology.nodes)
-    circ = Circuit(pool)
-    circ.x(lay.x[0], label="prep/one")
-    for i, kq in enumerate(lay.k):
-        circ.h(kq, label=f"prep/H[{i}]")
-    circ.extend(build_cm_m(a, N, plan.m, lay, slicing=plan.slicing))
-    return circ
+    return shor.order_prefix(
+        lay, pool, build_cm_m(a, N, plan.m, lay, slicing=plan.slicing))
 
 
 def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
@@ -229,7 +225,7 @@ def distribute_circuit(circ: Circuit, plan: PlacementPlan,
     return execute_distributed(network, circ)
 
 
-def run_order_program(a: int, N: int, m: int | None,
+def run_order_program(a: int, N: int, m: int,
                       rng: RandomSource) -> shor.OrderRun:
     """Plan, build, and execute the distributed order-finding circuit up
     to measurement: ``shor.run_order_circuit`` in distributed mode."""

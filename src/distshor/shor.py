@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from . import partition
 from .circuit import Circuit, execute
@@ -62,7 +63,7 @@ class FactoringOutcome:
     order_results: list[OrderResult] = field(default_factory=list)
 
 
-# -- generic phase estimation ----------------------------------------------
+# -- phase estimation -------------------------------------------------------
 
 def phase_estimate(controlled_power: Callable[[int, int], Circuit],
                    prepare: Circuit, m: int, n_target: int,
@@ -78,11 +79,8 @@ def phase_estimate(controlled_power: Callable[[int, int], Circuit],
     least 4/pi^2.
     """
     state = prepare_phase_state(controlled_power, prepare, m, n_target, rng)
-    k_qubits = list(range(n_target, n_target + m))
-    j = 0
-    for i, q in enumerate(k_qubits):
-        j |= state.measure(q, rng) << i
-    return PhaseEstimate(j=j, m=m)
+    run = OrderRun(tuple(range(n_target, n_target + m)), state)
+    return PhaseEstimate(j=run.measure_first_register(rng), m=m)
 
 
 def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
@@ -91,59 +89,41 @@ def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
     """Run the estimation circuit up to (not including) measurement."""
     if m < 1:
         raise ValueError("need at least one estimation qubit")
-    k_qubits = list(range(n_target, n_target + m))
+    k_qubits = tuple(range(n_target, n_target + m))
     pool = n_target + m
-    circ = Circuit(pool)
-    circ.extend(prepare)
-    for q in k_qubits:
-        circ.h(q, label="prep/H")
+    prefix = estimation_prefix(
+        Circuit(pool).extend(prepare), k_qubits,
+        (controlled_power(i, kq) for i, kq in enumerate(k_qubits)))
+    transform = build_inverse_qft(FourierSpec(m), k_qubits, num_qubits=pool)
+    return run_estimation(prefix, transform, k_qubits, rng).state
+
+
+def estimation_prefix(circ: Circuit, k_qubits: Sequence[int],
+                      powers: Iterable[Circuit]) -> Circuit:
+    """Phase estimation up to its inverse transform: append to the
+    preparation ``circ`` an H on each estimation qubit, then the
+    controlled powers."""
     for i, kq in enumerate(k_qubits):
-        circ.extend(controlled_power(i, kq))
-    circ.extend(build_inverse_qft(FourierSpec(m), k_qubits,
-                                  num_qubits=pool))
-    state = QuantumState(pool)
-    execute(circ, state, rng)
-    return state
+        circ.h(kq, label=f"prep/H[{i}]")
+    for power in powers:
+        circ.extend(power)
+    return circ
 
 
-# -- order finding -----------------------------------------------------------
-
-def order_circuit_parts(a: int, N: int,
-                        m: int) -> tuple[Circuit, Circuit, RegisterLayout]:
-    """Single-machine order-finding program, split at the point where the
-    sparse-support bound applies: (preparation + power ladder, inverse
-    transform)."""
-    n = N.bit_length()
-    layout = RegisterLayout.packed(n, m)
-    modexp = Circuit(layout.num_data_qubits)
-    modexp.x(layout.x[0], label="prep/one")
-    for i, kq in enumerate(layout.k):
-        modexp.h(kq, label=f"prep/H[{i}]")
-    modexp.extend(build_cm_m(a, N, m, layout))
-    transform = build_inverse_qft(FourierSpec(m), layout.k,
-                                  num_qubits=layout.num_data_qubits)
-    return modexp, transform, layout
+def order_prefix(layout: RegisterLayout, num_qubits: int,
+                 ladder: Circuit) -> Circuit:
+    """Order finding's estimation prefix: |1> in the multiplier register."""
+    one = Circuit(num_qubits).x(layout.x[0], label="prep/one")
+    return estimation_prefix(one, layout.k, [ladder])
 
 
 @dataclass
 class OrderRun:
-    """One pre-measurement order-finding execution, either mode."""
+    """One pre-measurement phase-estimation execution, either mode."""
 
-    a: int
-    N: int
-    m: int
-    mode: str
     k_qubits: tuple[int, ...]
     state: QuantumState
     network: Network | None = None  # distributed mode: the run's network
-    max_support: int | None = None
-
-    def __post_init__(self):
-        # The sparse support never exceeds 4 * 2^m: the estimation register
-        # contributes 2^m branches and the shared-control protocol at most a
-        # transient doubling on each side of a measurement.
-        if self.max_support is not None and self.max_support > 4 << self.m:
-            raise RuntimeError("sparse support exceeded its bound")
 
     def first_register_distribution(self) -> dict[int, float]:
         return self.state.exact_distribution(self.k_qubits)
@@ -155,42 +135,65 @@ class OrderRun:
         return j
 
 
+def run_estimation(prefix: Circuit, transform: Circuit,
+                   k_qubits: tuple[int, ...], rng: RandomSource,
+                   max_support: int | None = None) -> OrderRun:
+    """Execute a phase-estimation program up to measurement on a fresh
+    state, refusing a prefix whose support outgrows ``max_support``."""
+    state = QuantumState(prefix.num_qubits)
+    execute(prefix, state, rng)
+    if max_support is not None and state.peak_support > max_support:
+        raise RuntimeError("sparse support exceeded its bound")
+    execute(transform, state, rng)
+    return OrderRun(k_qubits, state)
+
+
+# -- order finding -----------------------------------------------------------
+
+def order_circuit_parts(a: int, N: int,
+                        m: int) -> tuple[Circuit, Circuit, RegisterLayout]:
+    """Single-machine order-finding program, split at the point where the
+    sparse-support bound applies: (preparation + power ladder, inverse
+    transform)."""
+    layout = RegisterLayout.packed(N.bit_length(), m)
+    modexp = order_prefix(layout, layout.num_data_qubits,
+                          build_cm_m(a, N, m, layout))
+    transform = build_inverse_qft(FourierSpec(m), layout.k,
+                                  num_qubits=layout.num_data_qubits)
+    return modexp, transform, layout
+
+
 def order_round(a: int, N: int, m: int,
                 mode: str = MONOLITHIC) -> Callable[[RandomSource], OrderRun]:
     """Build the order-finding circuits once; the returned function
     executes them up to measurement on a fresh state at every call."""
+    # The sparse support never exceeds 4 * 2^m: the estimation register
+    # contributes 2^m branches and the shared-control protocol at most a
+    # transient doubling on each side of a measurement.
+    max_support = 4 << m
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)
-
-        def run(rng: RandomSource) -> OrderRun:
-            state = QuantumState(layout.num_data_qubits)
-            execute(modexp, state, rng)
-            modexp_peak = state.peak_support
-            execute(transform, state, rng)
-            return OrderRun(a, N, m, mode, layout.k, state,
-                            max_support=modexp_peak)
-    elif mode == DISTRIBUTED:
-        plan = partition.plan_placement(N.bit_length(), m)
-        modexp = partition.build_distributed_modexp_program(a, N, plan)
-        transform = partition.build_distributed_transform_program(plan)
-
-        def run(rng: RandomSource) -> OrderRun:
-            network = partition.build_network(plan, rng)
-            partition.distribute_circuit(modexp, plan, network)
-            modexp_peak = network.state.peak_support
-            partition.distribute_circuit(transform, plan, network)
-            return OrderRun(a, N, m, mode, plan.layout.k, network.state,
-                            network, modexp_peak)
-    else:
+        return partial(run_estimation, modexp, transform, layout.k,
+                       max_support=max_support)
+    if mode != DISTRIBUTED:
         raise ValueError(f"unknown mode {mode!r}")
+    plan = partition.plan_placement(N.bit_length(), m)
+    modexp = partition.build_distributed_modexp_program(a, N, plan)
+    transform = partition.build_distributed_transform_program(plan)
+
+    def run(rng: RandomSource) -> OrderRun:
+        network = partition.build_network(plan, rng)
+        partition.distribute_circuit(modexp, plan, network)
+        if network.state.peak_support > max_support:
+            raise RuntimeError("sparse support exceeded its bound")
+        partition.distribute_circuit(transform, plan, network)
+        return OrderRun(plan.layout.k, network.state, network)
     return run
 
 
-def run_order_circuit(a: int, N: int, m: int | None, rng: RandomSource,
+def run_order_circuit(a: int, N: int, m: int, rng: RandomSource,
                       mode: str = MONOLITHIC) -> OrderRun:
     """Build and execute the order-finding circuit up to measurement."""
-    if m is None:
-        m = 2 * N.bit_length()
     return order_round(a, N, m, mode)(rng)
 
 
@@ -259,9 +262,8 @@ def find_order(a: int, N: int, m: int | None = None,
         raise ValueError("base must lie strictly between 1 and N")
     if math.gcd(a, N) != 1:
         raise ValueError(f"{a} shares a factor with {N}")
-    n = N.bit_length()
     if m is None:
-        m = 2 * n
+        m = 2 * N.bit_length()
     if m < 1:
         raise ValueError(f"estimation width m must be at least 1, got {m}")
     if rng is None:
