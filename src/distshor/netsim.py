@@ -8,7 +8,8 @@ is a hard error.  The only cross-node state changes are
   modeling one physical qubit exchange, and
 * classical messages: measurement bits accounted per direction.
 
-On top of the pair the two half-protocols work:
+On top of the pair the two half-protocols work (Eisert et al., "Optimal
+local implementation of non-local quantum gates", PRA 62, 052317, 2000):
 
 * entangle: CNOT from the control onto the local pair half, measure it,
   send the bit, conditionally X the remote half.  The control and the
@@ -20,6 +21,23 @@ On top of the pair the two half-protocols work:
 Everything else (remote CNOT, remotely controlled circuit blocks,
 teleportation) is a composition of these two and is billed exactly one
 pair and two classical bits per shared control qubit.
+
+``establish_epr``, ``cat_entangle``, ``cat_disentangle`` and ``teleport``
+carry out these steps on the state, gate by gate: they are the reference.
+A session (``run_session``) and a relocation (``move``) use the gadgets'
+closed form instead.  Every protocol measurement is a fair coin whose
+outcome the fix-ups undo, and the mirror equals its control on every
+support entry, so
+
+* a session runs its body on the original controls: a body of
+  permutation gates is one ``QuantumState.apply_permutation`` call;
+* a teleport into a |0> slot is a SWAP of the two slots.
+
+The closed form draws one ``rng.uniform()`` per protocol measurement in
+the physical order and posts the same channel claims, capacity checks,
+ledger and classical-bit entries and records as the reference, through
+the same bookkeeping helpers; the state agrees with the reference up to
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -219,11 +237,7 @@ class Network:
     def apply_local(self, node_id: str, kind, targets: Sequence[int],
                     controls: Iterable[Control] = ()):
         """Apply a gate whose every qubit lives on ``node_id``."""
-        for q in (*targets, *(q for q, _ in controls)):
-            if self.node_of(q) != node_id:
-                raise NetworkError(
-                    f"gate spans nodes: qubit {q} is on {self.node_of(q)}, "
-                    f"not {node_id}")
+        self._check_local(node_id, (*targets, *(q for q, _ in controls)))
         self.state.apply_gate(kind, targets, controls)
 
     def measure_local(self, qubit: int) -> int:
@@ -237,21 +251,13 @@ class Network:
         Costs one physical qubit transmission; both channel qubits stay
         busy until the pair is consumed.
         """
-        if node_a == node_b:
-            raise NetworkError("a pair needs two distinct nodes")
-        qa = self._free_channel(node_a)
-        qb = self._free_channel(node_b)
+        pair = self._claim_pair(node_a, node_b)
         # local H then an exchange-mediated CNOT; this is the one place a
-        # cross-node interaction is allowed, and it is billed below
-        self.state.apply_gate(gates.H, [qa])
-        self.state.apply_gate(gates.X, [qb], [(qa, True)])
-        self.nodes[node_a].busy_channels.add(qa)
-        self.nodes[node_b].busy_channels.add(qb)
-        self._track(node_a)
-        self._track(node_b)
-        self.ledger.qubit_transmissions += 1
-        self.ledger.pairs_established += 1
-        return EprPair(qa, qb, node_a, node_b)
+        # cross-node interaction is allowed, and _claim_pair bills it
+        self.state.apply_gate(gates.H, [pair.qubit_a])
+        self.state.apply_gate(gates.X, [pair.qubit_b],
+                              [(pair.qubit_a, True)])
+        return pair
 
     def reset_channels(self, node_id: str):
         """Return every channel qubit to |0>.
@@ -284,16 +290,11 @@ class Network:
             raise NetworkError("control is not on the pair's first node")
         self.apply_local(node_c, gates.X, [pair.qubit_a],
                          [(control, True)])
-        m = self.measure_local(pair.qubit_a)
-        self.ledger.send_cbit(pair.node_a, pair.node_b)
-        if m:
+        if self.measure_local(pair.qubit_a):
             self.apply_local(pair.node_b, gates.X, [pair.qubit_b])
             # reset the measured channel qubit with the same bit
             self.apply_local(pair.node_a, gates.X, [pair.qubit_a])
-        pair.consumed = True
-        self.ledger.ebits_consumed += 1
-        self.nodes[pair.node_a].busy_channels.discard(pair.qubit_a)
-        return CatState(control, pair.qubit_b, pair.node_a, pair.node_b)
+        return self._spend_pair(control, pair)
 
     def cat_disentangle(self, cat: CatState):
         """Collapse the mirror and restore the control qubit exactly.
@@ -305,8 +306,7 @@ class Network:
             raise NetworkError("shared control already released")
         self._end_in_x_basis(cat.mirror, cat.node_mirror, cat.control,
                              cat.node_control)
-        cat.live = False
-        self.nodes[cat.node_mirror].busy_channels.discard(cat.mirror)
+        self._release_mirror(cat, cat.node_mirror, cat.node_control)
 
     def run_session(self, node_id: str, instructions: Sequence[Instruction],
                     *, block: str | None = None) -> SessionRecord | None:
@@ -316,31 +316,32 @@ class Network:
         Controls are deduplicated: each remote control qubit costs one
         pair and two classical bits no matter how many gates use it.
         At most 3 remote controls are ever distributed at once.
+
+        Closed form of entangle, body on the mirrors, disentangle: the
+        body runs on the original controls, in one permutation run when
+        every gate it applies is a permutation gate.
         """
         remote = remote_controls(instructions, node_id, self.node_of)
         if len(remote) > 3:
             raise NetworkError(
                 f"session needs {len(remote)} remote controls (max 3)")
-        cats: list[CatState] = []
-        mirror: dict[int, int] = {}
-        for ctrl in remote:
-            pair = self.establish_epr(self.node_of(ctrl), node_id)
-            cat = self.cat_entangle(ctrl, pair)
-            cats.append(cat)
-            mirror[ctrl] = cat.mirror
-        gate_count = 0
-        for inst in instructions:
-            if inst.classical_constant == 0:
-                continue
-            controls = tuple((mirror.get(q, q), pol)
-                             for q, pol in inst.controls)
-            self.apply_local(node_id, inst.kind, inst.targets, controls)
-            gate_count += 1
+        cats = [self._share(ctrl, node_id) for ctrl in remote]
+        body = [inst for inst in instructions
+                if inst.classical_constant != 0]
+        for inst in body:
+            self._check_local(node_id, inst.targets)
+        if all(gates.is_permutation(inst.kind) for inst in body):
+            self.state.apply_permutation(
+                (inst.kind, inst.targets, inst.controls) for inst in body)
+        else:
+            for inst in body:
+                self.state.apply_gate(inst.kind, inst.targets, inst.controls)
         for cat in reversed(cats):
-            self.cat_disentangle(cat)
+            self.rng.uniform()  # the disentangle measurement: a fair coin
+            self._release_mirror(cat, cat.node_mirror, cat.node_control)
         if not remote:
             return None
-        record = SessionRecord(block, node_id, tuple(remote), gate_count)
+        record = SessionRecord(block, node_id, tuple(remote), len(body))
         self.sessions.append(record)
         return record
 
@@ -382,42 +383,105 @@ class Network:
         Entangle the qubit with a fresh pair, measure it out in the X
         basis, fix up the remote half (two classical bits forward), then
         swap the state from the channel into the destination register
-        slot.  The source slot ends in |0>.
+        slot, a newly allocated one when ``dest_slot`` is None.  The
+        source slot ends in |0>.
         """
         src_node = self.node_of(qubit)
         if src_node == dest_node:
             raise NetworkError("teleport needs two distinct nodes")
-        rt = self.nodes[dest_node]
-        if dest_slot is None:
+        claimed = dest_slot is None
+        if claimed:
             dest_slot = self.allocate_data(dest_node, 1)[0]
             self.release_data(src_node, qubit)
-        else:
-            if dest_slot not in rt.allocated:
-                raise NetworkError(f"destination slot {dest_slot} not held "
-                                   f"by {dest_node}")
-        if self.state.prob_one(dest_slot) > _PURE_TOL:
-            raise NetworkError(f"destination slot {dest_slot} is not |0>")
-        pair = self.establish_epr(src_node, dest_node)
+        try:
+            self._check_landing(dest_node, dest_slot)
+            pair = self.establish_epr(src_node, dest_node)
+        except NetworkError:
+            if claimed:  # nothing has moved: hand both slots back
+                self.release_data(dest_node, dest_slot)
+                self.nodes[src_node].allocated.add(qubit)
+            raise
         cat = self.cat_entangle(qubit, pair)
         # transfer instead of restore: measure the source in the X basis
         self._end_in_x_basis(qubit, src_node, cat.mirror, dest_node)
-        cat.live = False
-        # park the state in the register and free the channel qubit
+        self._release_mirror(cat, src_node, dest_node)
+        # park the state in the register
         self.apply_local(dest_node, gates.SWAP, [cat.mirror, dest_slot])
-        rt.busy_channels.discard(cat.mirror)
-        self.ledger.teleports += 1
-        self.teleport_log.append(TeleportRecord(src_node, dest_node, label))
-        self._track(dest_node)
+        self._log_teleport(src_node, dest_node, label)
         return dest_slot
 
     def move(self, src: int, dst: int, *, label: str = ""):
         """Relocate a state into a |0> slot: a local swap on one node, a
-        teleport across nodes."""
+        teleport across nodes.
+
+        Closed form of the teleport: the two slots swap, billed as
+        ``teleport`` bills them, with one fair coin for each of its two
+        measurements.
+        """
         src_node, dst_node = self.node_of(src), self.node_of(dst)
-        if src_node == dst_node:
-            self.apply_local(src_node, gates.SWAP, [src, dst])
-        else:
-            self.teleport(src, dst_node, dst, label=label)
+        if src_node != dst_node:
+            self._check_landing(dst_node, dst)
+            cat = self._share(src, dst_node)
+            self.rng.uniform()  # the source's X-basis measurement
+            self._release_mirror(cat, src_node, dst_node)
+            self._log_teleport(src_node, dst_node, label)
+        self.state.apply_gate(gates.SWAP, [src, dst])
+
+    def _share(self, control: int, node_id: str) -> CatState:
+        """Closed form of ``establish_epr`` then ``cat_entangle``: the
+        mirror on ``node_id`` would equal ``control``, so only the
+        bookkeeping and the measurement's fair coin remain."""
+        pair = self._claim_pair(self.node_of(control), node_id)
+        self.rng.uniform()  # the entangle measurement
+        return self._spend_pair(control, pair)
+
+    # -- protocol bookkeeping: the reference steps and the closed form ---
+
+    def _claim_pair(self, node_a: str, node_b: str) -> EprPair:
+        """Claim a free channel qubit on each node for a new pair, check
+        both nodes' capacity and bill one qubit transmission."""
+        if node_a == node_b:
+            raise NetworkError("a pair needs two distinct nodes")
+        qa = self._free_channel(node_a)
+        qb = self._free_channel(node_b)
+        self.nodes[node_a].busy_channels.add(qa)
+        self.nodes[node_b].busy_channels.add(qb)
+        self._track(node_a)
+        self._track(node_b)
+        self.ledger.qubit_transmissions += 1
+        self.ledger.pairs_established += 1
+        return EprPair(qa, qb, node_a, node_b)
+
+    def _spend_pair(self, control: int, pair: EprPair) -> CatState:
+        """Bill an entangle: its bit toward the mirror and one ebit; the
+        local pair half goes back to the channel pool."""
+        self.ledger.send_cbit(pair.node_a, pair.node_b)
+        self.ledger.ebits_consumed += 1
+        pair.consumed = True
+        self.nodes[pair.node_a].busy_channels.discard(pair.qubit_a)
+        return CatState(control, pair.qubit_b, pair.node_a, pair.node_b)
+
+    def _release_mirror(self, cat: CatState, src_node: str, dst_node: str):
+        """Bill the end of a shared control: the X-basis bit from
+        ``src_node`` to ``dst_node``; the mirror goes back to the channel
+        pool."""
+        self.ledger.send_cbit(src_node, dst_node)
+        cat.live = False
+        self.nodes[cat.node_mirror].busy_channels.discard(cat.mirror)
+
+    def _log_teleport(self, src_node: str, dest_node: str, label: str):
+        self.ledger.teleports += 1
+        self.teleport_log.append(TeleportRecord(src_node, dest_node, label))
+        self._track(dest_node)
+
+    def _check_landing(self, node_id: str, slot: int):
+        """A relocation lands in a register slot that ``node_id`` holds
+        and that is |0>."""
+        if slot not in self._node(node_id).allocated:
+            raise NetworkError(f"destination slot {slot} not held "
+                               f"by {node_id}")
+        if self.state.prob_one(slot) > _PURE_TOL:
+            raise NetworkError(f"destination slot {slot} is not |0>")
 
     # -- helpers ----------------------------------------------------------
 
@@ -426,6 +490,13 @@ class Network:
             return self.nodes[node_id]
         except KeyError:
             raise NetworkError(f"unknown node {node_id}") from None
+
+    def _check_local(self, node_id: str, qubits: Iterable[int]):
+        for q in qubits:
+            if self.node_of(q) != node_id:
+                raise NetworkError(
+                    f"gate spans nodes: qubit {q} is on {self.node_of(q)}, "
+                    f"not {node_id}")
 
     def _free_channel(self, node_id: str) -> int:
         rt = self._node(node_id)
@@ -437,12 +508,10 @@ class Network:
     def _end_in_x_basis(self, qubit: int, node_id: str, partner: int,
                         partner_node: str):
         """End one side of a shared pair in the X basis: H and measure
-        ``qubit``, send the bit to the partner's node, Z the partner and
-        reset ``qubit`` when it read 1."""
+        ``qubit``, Z the partner and reset ``qubit`` when it read 1.  The
+        caller bills the bit sent to the partner's node."""
         self.apply_local(node_id, gates.H, [qubit])
-        m = self.measure_local(qubit)
-        self.ledger.send_cbit(node_id, partner_node)
-        if m:
+        if self.measure_local(qubit):
             self.apply_local(partner_node, gates.Z, [partner])
             self.apply_local(node_id, gates.X, [qubit])
 

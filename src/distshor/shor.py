@@ -168,8 +168,10 @@ def order_round(a: int, N: int, m: int,
     """Build the order-finding circuits once; the returned function
     executes them up to measurement on a fresh state at every call."""
     # The sparse support never exceeds 4 * 2^m: the estimation register
-    # contributes 2^m branches and the shared-control protocol at most a
-    # transient doubling on each side of a measurement.
+    # contributes 2^m branches.  The gate-by-gate shared-control protocol
+    # (netsim's reference primitives) adds at most a transient doubling on
+    # each side of a measurement; the closed form the network runs adds
+    # none, so the bound keeps that slack.
     max_support = 4 << m
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from distshor import gates
-from distshor.circuit import Circuit, execute
+from distshor.circuit import Circuit, Instruction, execute
+from distshor.netsim import (Network, NetworkError, SessionRecord,
+                             remote_controls, session_groups)
 from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import run_order_circuit
 
@@ -73,6 +75,73 @@ def reference_execute(circ: Circuit, state: QuantumState,
         if parity:
             state.apply_gate(inst.kind, inst.targets, inst.controls)
     return transcript
+
+
+def reference_session(network: Network, node_id: str,
+                      instructions: list[Instruction], block: str | None):
+    """``Network.run_session`` as the protocol runs it, gate by gate on
+    the state: each remote control is entangled with a mirror through a
+    fresh pair, the body runs on the mirrors, and the mirrors are
+    disentangled in reverse order."""
+    remote = remote_controls(instructions, node_id, network.node_of)
+    if len(remote) > 3:
+        raise NetworkError(
+            f"session needs {len(remote)} remote controls (max 3)")
+    cats = []
+    mirror: dict[int, int] = {}
+    for ctrl in remote:
+        pair = network.establish_epr(network.node_of(ctrl), node_id)
+        cat = network.cat_entangle(ctrl, pair)
+        cats.append(cat)
+        mirror[ctrl] = cat.mirror
+    gate_count = 0
+    for inst in instructions:
+        if inst.classical_constant == 0:
+            continue
+        controls = tuple((mirror.get(q, q), pol) for q, pol in inst.controls)
+        network.apply_local(node_id, inst.kind, inst.targets, controls)
+        gate_count += 1
+    for cat in reversed(cats):
+        network.cat_disentangle(cat)
+    if remote:
+        network.sessions.append(
+            SessionRecord(block, node_id, tuple(remote), gate_count))
+
+
+def reference_move(network: Network, src: int, dst: int, label: str):
+    """``Network.move`` with a cross-node relocation run as the physical
+    teleport."""
+    src_node, dst_node = network.node_of(src), network.node_of(dst)
+    if src_node == dst_node:
+        network.apply_local(src_node, gates.SWAP, [src, dst])
+    else:
+        network.teleport(src, dst_node, dst, label=label)
+
+
+def reference_execute_distributed(network: Network, circ: Circuit
+                                  ) -> tuple[list[int], dict[int, int]]:
+    """``netsim.execute_distributed`` with every session and relocation
+    run gate by gate through the physical protocol primitives: the
+    reference for the closed-form gadgets."""
+    bits: dict[int, int] = {}
+    transcript: list[int] = []
+    for node, group in session_groups(circ.instructions, network.node_of):
+        if node is not None:
+            reference_session(network, node, group, group[0].block)
+            continue
+        inst = group[0]
+        name = inst.kind.name
+        if name == "MOVE":
+            reference_move(network, *inst.targets, inst.label)
+        elif name == "MEASURE":
+            outcome = network.measure_local(inst.targets[0])
+            bits[inst.classical_out] = outcome
+            transcript.append(outcome)
+        elif name == "RESET":
+            qubit = inst.targets[0]
+            if network.measure_local(qubit):
+                network.apply_local(network.node_of(qubit), gates.X, [qubit])
+    return transcript, bits
 
 
 def amp_distance(a: QuantumState, b: QuantumState) -> float:

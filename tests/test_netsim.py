@@ -297,6 +297,17 @@ class TestTeleport:
         with pytest.raises(NetworkError, match="no free register slot"):
             net.teleport(qa, "B")
 
+    def test_failed_teleport_keeps_both_slots(self):
+        net = two_nodes(channels=1)
+        qa = net.allocate_data("A", 1)[0]
+        net.apply_local("A", gates.X, [qa])
+        net.establish_epr("A", "B")  # holds the only channel on each node
+        held = {n: set(rt.allocated) for n, rt in net.nodes.items()}
+        with pytest.raises(NetworkError, match="no free channel"):
+            net.teleport(qa, "B")
+        assert {n: rt.allocated for n, rt in net.nodes.items()} == held
+        assert net.allocate_data("A", 1) != [qa]
+
     def test_random_states_against_relabeling(self):
         py_rng = random.Random(31)
         for trial in range(75):
