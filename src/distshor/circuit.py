@@ -24,8 +24,7 @@ from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
-from .gates import (MEASURE, MOVE, RESET, GateKind, is_permutation,
-                    is_unitary)
+from .gates import MEASURE, MOVE, RESET, GateKind, is_unitary
 from .qstate import Control, QuantumState, RandomSource
 
 
@@ -218,11 +217,14 @@ def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
     return out
 
 
+_PERMUTATIONS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "SWAP"})
+
+
 def _in_run(inst: Instruction) -> bool:
     """Whether ``execute`` hands the instruction to the permutation run
     kernel: MOVE, or a permutation gate without a classical condition."""
-    return inst.kind.name == "MOVE" or (is_permutation(inst.kind)
-                                        and not inst.condition)
+    name = inst.kind.name
+    return name == "MOVE" or (name in _PERMUTATIONS and not inst.condition)
 
 
 def _run_gates(insts: Iterable[Instruction]):

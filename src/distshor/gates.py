@@ -43,7 +43,6 @@ MOVE = GateKind("MOVE")
 _UNITARY_NAMES = frozenset(
     {"X", "Z", "H", "SWAP", "CNOT", "TOFFOLI", "MCX", "R", "R_INV", "PHASE"}
 )
-_PERMUTATION_NAMES = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "SWAP"})
 
 #: Number of target qubits each unitary kind expects.
 ARITY = {
@@ -74,12 +73,6 @@ def phase_gate(p: int, q: int) -> GateKind:
 
 def is_unitary(kind: GateKind) -> bool:
     return kind.name in _UNITARY_NAMES
-
-
-def is_permutation(kind: GateKind) -> bool:
-    """Whether the kind only relabels basis states: what
-    ``QuantumState.apply_permutation`` runs."""
-    return kind.name in _PERMUTATION_NAMES
 
 
 def inverse(kind: GateKind) -> GateKind:

@@ -29,8 +29,7 @@ closed form instead.  Every protocol measurement is a fair coin whose
 outcome the fix-ups undo, and the mirror equals its control on every
 support entry, so
 
-* a session runs its body on the original controls: a body of
-  permutation gates is one ``QuantumState.apply_permutation`` call;
+* a session runs its body gate by gate on the original controls;
 * a teleport into a |0> slot is a SWAP of the two slots.
 
 The closed form draws one ``rng.uniform()`` per protocol measurement in
@@ -318,8 +317,7 @@ class Network:
         At most 3 remote controls are ever distributed at once.
 
         Closed form of entangle, body on the mirrors, disentangle: the
-        body runs on the original controls, in one permutation run when
-        every gate it applies is a permutation gate.
+        body runs gate by gate on the original controls.
         """
         remote = remote_controls(instructions, node_id, self.node_of)
         if len(remote) > 3:
@@ -330,12 +328,7 @@ class Network:
                 if inst.classical_constant != 0]
         for inst in body:
             self._check_local(node_id, inst.targets)
-        if all(gates.is_permutation(inst.kind) for inst in body):
-            self.state.apply_permutation(
-                (inst.kind, inst.targets, inst.controls) for inst in body)
-        else:
-            for inst in body:
-                self.state.apply_gate(inst.kind, inst.targets, inst.controls)
+            self.state.apply_gate(inst.kind, inst.targets, inst.controls)
         for cat in reversed(cats):
             self.rng.uniform()  # the disentangle measurement: a fair coin
             self._release_mirror(cat, cat.node_mirror, cat.node_control)
