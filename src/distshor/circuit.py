@@ -1,15 +1,14 @@
 """Reversible gate IR: instructions, builders, inversion, execution, counting.
 
-An ``Instruction`` is a gate plus quantum controls, with three optional
-classical attachments:
+Circuits are unitary: every instruction is a gate or a relocation, and
+measurement is left to the caller, which reads the state
+(``QuantumState.measure``) once the circuit has run.
 
-* ``classical_constant``: a precomputed 0/1 constant gating the gate.  The
-  instruction is part of the circuit (and is counted) either way; a 0 simply
-  disables it at execution time.  This models gates conditioned on bits of a
-  classically known addend.
-* ``condition``: ids of classical bits whose XOR must be 1 for the gate to
-  fire (written earlier by measurements).
-* ``classical_out``: destination bit for MEASURE results.
+An ``Instruction`` is a gate plus quantum controls, with an optional
+``classical_constant``: a precomputed 0/1 constant gating the gate.  The
+instruction is part of the circuit (and is counted) either way; a 0 simply
+disables it at execution time.  This models gates conditioned on bits of a
+classically known addend.
 
 ``MOVE src dst`` relocates a qubit state into a |0> slot.  Executed locally
 it is a SWAP; a distributed executor realizes it as a teleport.  MOVE is a
@@ -24,8 +23,8 @@ from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
-from .gates import MEASURE, MOVE, RESET, GateKind, is_unitary
-from .qstate import Control, QuantumState, RandomSource
+from .gates import MOVE, GateKind, is_unitary
+from .qstate import Control, QuantumState
 
 
 class Instruction(NamedTuple):
@@ -33,8 +32,6 @@ class Instruction(NamedTuple):
     targets: tuple[int, ...]
     controls: tuple[Control, ...] = ()
     classical_constant: int | None = None
-    condition: tuple[int, ...] = ()
-    classical_out: int | None = None
     label: str = ""
     block: str | None = None
 
@@ -43,15 +40,14 @@ class Instruction(NamedTuple):
 
 
 class Circuit:
-    """Ordered instruction list over a fixed qubit/classical-bit pool.
+    """Ordered instruction list over a fixed qubit pool.
 
     Treat circuits as immutable once built: builders append, everything
     downstream only reads, so sharing across execution contexts is safe.
     """
 
-    def __init__(self, num_qubits: int, num_classical_bits: int = 0):
+    def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
-        self.num_classical_bits = num_classical_bits
         self.instructions: list[Instruction] = []
 
     # -- append API ------------------------------------------------------
@@ -68,12 +64,11 @@ class Circuit:
 
     def gate(self, kind: GateKind, targets: Sequence[int],
              controls: Iterable[Control] = (), *,
-             classical_constant: int | None = None,
-             condition: Iterable[int] = (), label: str = "",
+             classical_constant: int | None = None, label: str = "",
              block: str | None = None) -> "Circuit":
         return self.append(Instruction(
             kind, tuple(targets), tuple(controls), classical_constant,
-            tuple(condition), None, label, block))
+            label, block))
 
     def x(self, t, **kw):
         return self.gate(gates.X, [t], **kw)
@@ -96,21 +91,6 @@ class Circuit:
     def swap(self, a, b, **kw):
         return self.gate(gates.SWAP, [a, b], **kw)
 
-    def measure(self, q: int, cbit: int | None = None, *,
-                label: str = "") -> int:
-        """Append a measurement; returns the classical bit id written."""
-        if cbit is None:
-            cbit = self.num_classical_bits
-            self.num_classical_bits += 1
-        elif cbit >= self.num_classical_bits:
-            self.num_classical_bits = cbit + 1
-        self.append(Instruction(MEASURE, (q,), classical_out=cbit,
-                                label=label))
-        return cbit
-
-    def reset(self, q: int, *, label: str = ""):
-        return self.append(Instruction(RESET, (q,), label=label))
-
     def move(self, src: int, dst: int, *, label: str = ""):
         if src == dst:
             raise ValueError("MOVE needs distinct qubits")
@@ -120,8 +100,6 @@ class Circuit:
         """Append another circuit's instructions as they are."""
         if other.num_qubits > self.num_qubits:
             raise ValueError("sub-circuit uses more qubits than the target")
-        self.num_classical_bits = max(self.num_classical_bits,
-                                      other.num_classical_bits)
         self.instructions.extend(other.instructions)
         return self
 
@@ -151,7 +129,7 @@ class GateCountReport:
 
 
 def count_gates(circ: Circuit) -> GateCountReport:
-    """Count gate instructions; MEASURE/RESET/MOVE are not gates."""
+    """Count gate instructions; a MOVE is not a gate."""
     report = GateCountReport()
     for inst in circ.instructions:
         if not inst.is_gate():
@@ -162,18 +140,11 @@ def count_gates(circ: Circuit) -> GateCountReport:
 
 
 def reverse(circ: Circuit) -> Circuit:
-    """Reverse computation: inverted gates in reverse order.
-
-    Requires a measurement-free circuit (no MEASURE/RESET, no classical
-    conditions).  MOVE directives reverse their direction.
-    """
-    out = Circuit(circ.num_qubits, circ.num_classical_bits)
+    """Reverse computation: inverted gates in reverse order; MOVE
+    directives reverse their direction."""
+    out = Circuit(circ.num_qubits)
     for inst in reversed(circ.instructions):
-        name = inst.kind.name
-        if name in ("MEASURE", "RESET") or inst.condition:
-            raise ValueError(
-                f"cannot reverse non-unitary instruction {name}")
-        if name == "MOVE":
+        if inst.kind.name == "MOVE":
             inst = Instruction(MOVE, inst.targets[::-1], *inst[2:])
         else:
             inst = Instruction(gates.inverse(inst.kind), *inst[1:])
@@ -199,16 +170,13 @@ def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
         raise ValueError("duplicate control qubits")
 
     builtin = {"CNOT": 1, "TOFFOLI": 2}
-    out = Circuit(circ.num_qubits, circ.num_classical_bits)
+    out = Circuit(circ.num_qubits)
     for inst in circ.instructions:
-        name = inst.kind.name
-        if name == "MOVE":
+        if inst.kind.name == "MOVE":
             out.instructions.append(inst)
             continue
-        if name in ("MEASURE", "RESET") or inst.condition:
-            raise ValueError("cannot add controls to a measuring circuit")
         n_controls = (len(inst.controls) + len(extra)
-                      + builtin.get(name, 0))
+                      + builtin.get(inst.kind.name, 0))
         if n_controls > 5:
             raise ValueError(
                 f"gate would carry {n_controls} controls (max 5)")
@@ -217,14 +185,13 @@ def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
     return out
 
 
-_PERMUTATIONS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "SWAP"})
+_RUN_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "SWAP", "MOVE"})
 
 
 def _in_run(inst: Instruction) -> bool:
     """Whether ``execute`` hands the instruction to the permutation run
-    kernel: MOVE, or a permutation gate without a classical condition."""
-    name = inst.kind.name
-    return name == "MOVE" or (name in _PERMUTATIONS and not inst.condition)
+    kernel: a permutation gate or a MOVE."""
+    return inst.kind.name in _RUN_KINDS
 
 
 def _run_gates(insts: Iterable[Instruction]):
@@ -237,79 +204,41 @@ def _run_gates(insts: Iterable[Instruction]):
             yield inst.kind, inst.targets, inst.controls
 
 
-def execute(circ: Circuit, state: QuantumState,
-            rng: RandomSource) -> tuple[QuantumState, list[int]]:
-    """Run a circuit on a state; returns the state and the measurement
-    transcript (MEASURE outcomes in program order).
+def execute(circ: Circuit, state: QuantumState):
+    """Run a circuit on a state, in place.
 
-    Each maximal run of unconditioned permutation instructions goes to
+    Each maximal run of permutation instructions goes to
     ``QuantumState.apply_permutation`` in one call; that gives the same
-    state, entry order included, as applying its gates one by one.
-    RESET measures the qubit and applies a classically controlled X, so the
-    qubit ends in |0> without being counted as a gate.  A classical
-    condition fires its gate iff the XOR of the referenced bits is 1.
+    state, entry order included, as applying its gates one by one.  Every
+    other gate goes through ``apply_gate``, unless a 0 constant disables
+    it.
     """
     if state.num_qubits < circ.num_qubits:
         raise ValueError("state is smaller than the circuit's qubit pool")
-    bits: dict[int, int] = {}
-    transcript: list[int] = []
     for in_run, insts in groupby(circ.instructions, key=_in_run):
         if in_run:
             state.apply_permutation(_run_gates(insts))
             continue
         for inst in insts:
-            name = inst.kind.name
-            if name == "MEASURE":
-                outcome = state.measure(inst.targets[0], rng)
-                bits[inst.classical_out] = outcome
-                transcript.append(outcome)
-                continue
-            if name == "RESET":
-                outcome = state.measure(inst.targets[0], rng)
-                if outcome:
-                    state.apply_gate(gates.X, inst.targets)
-                if inst.classical_out is not None:
-                    bits[inst.classical_out] = outcome
-                continue
-            if inst.classical_constant == 0:
-                continue
-            if inst.condition:
-                try:
-                    parity = 0
-                    for b in inst.condition:
-                        parity ^= bits[b]
-                except KeyError as exc:
-                    raise ValueError(
-                        f"condition reads unwritten classical bit {exc}"
-                    ) from exc
-                if not parity:
-                    continue
-            state.apply_gate(inst.kind, inst.targets, inst.controls)
-    return state, transcript
+            if inst.classical_constant != 0:
+                state.apply_gate(inst.kind, inst.targets, inst.controls)
 
 
 def dump(circ: Circuit) -> str:
     """Line-oriented text dump, one instruction per line, bit-exact.
 
-    Format: ``LABEL | GATE | targets | controls(+/-) | classical``.
+    Format: ``LABEL | GATE | targets | controls(+/-) | constant``.
     """
     lines = []
     for inst in circ.instructions:
         ctrls = ",".join(f"{'+' if pol else '-'}{q}"
                          for q, pol in inst.controls)
-        classical = []
-        if inst.classical_constant is not None:
-            classical.append(f"const={inst.classical_constant}")
-        if inst.condition:
-            classical.append(
-                "if=" + "^".join(str(b) for b in inst.condition))
-        if inst.classical_out is not None:
-            classical.append(f"out={inst.classical_out}")
+        const = inst.classical_constant
         lines.append(" | ".join([
             inst.label or "-",
             str(inst.kind),
             ",".join(str(t) for t in inst.targets),
             ctrls or "-",
-            ";".join(classical) or "-",
+            "-" if const is None else f"const={const}",
         ]))
     return "\n".join(lines) + ("\n" if lines else "")

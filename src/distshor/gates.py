@@ -35,9 +35,7 @@ CNOT = GateKind("CNOT")
 TOFFOLI = GateKind("TOFFOLI")
 MCX = GateKind("MCX")
 
-# Non-unitary / directive kinds used by the circuit IR.
-MEASURE = GateKind("MEASURE")
-RESET = GateKind("RESET")
+# The circuit IR's relocation directive; not a unitary gate kind.
 MOVE = GateKind("MOVE")
 
 _UNITARY_NAMES = frozenset(

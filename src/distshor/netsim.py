@@ -102,8 +102,12 @@ class ResourceLedger:
     ebits_consumed: int = 0
     cbits_sent: dict[tuple[str, str], int] = field(default_factory=dict)
     teleports: int = 0
-    qubit_transmissions: int = 0
     pairs_established: int = 0
+
+    @property
+    def qubit_transmissions(self) -> int:
+        """Physical qubits sent: one per pair established."""
+        return self.pairs_established
 
     def send_cbit(self, src: str, dst: str):
         key = (src, dst)
@@ -117,7 +121,6 @@ class ResourceLedger:
         for key, count in other.cbits_sent.items():
             self.cbits_sent[key] = self.cbits_sent.get(key, 0) + count
         self.teleports += other.teleports
-        self.qubit_transmissions += other.qubit_transmissions
         self.pairs_established += other.pairs_established
 
     def as_dict(self) -> dict:
@@ -361,7 +364,7 @@ class Network:
         if len(nodes) != 1:
             raise NetworkError(f"body spans nodes {sorted(nodes)}")
         if not all(inst.is_gate() for inst in body.instructions):
-            raise NetworkError("controlled body must be measurement-free")
+            raise NetworkError("controlled body must be gates only")
         try:
             body = add_controls(body, [(control, True)])
         except ValueError as exc:
@@ -441,7 +444,6 @@ class Network:
         self.nodes[node_b].busy_channels.add(qb)
         self._track(node_a)
         self._track(node_b)
-        self.ledger.qubit_transmissions += 1
         self.ledger.pairs_established += 1
         return EprPair(qa, qb, node_a, node_b)
 
@@ -536,26 +538,21 @@ def session_groups(instructions: Sequence[Instruction],
                    ) -> Iterator[tuple[str | None, list[Instruction]]]:
     """Split a program into the units the network runs, in order.
 
-    A MOVE, MEASURE or RESET comes alone, with node ``None``.  Gates come
-    in runs with the node they run on: one session, so every remote
-    control is shared once for the whole run.  A run is the gates tagged
-    with one ``block``; an untagged run is the gates on one node with one
-    set of remote controls.  Gate operands spanning two nodes and
-    classically conditioned gates raise ``NetworkError``.
+    A MOVE comes alone, with node ``None``.  Gates come in runs with the
+    node they run on: one session, so every remote control is shared once
+    for the whole run.  A run is the gates tagged with one ``block``; an
+    untagged run is the gates on one node with one set of remote
+    controls.  Gate operands spanning two nodes raise ``NetworkError``.
     """
     group: list[Instruction] = []
     node = key = None
     for inst in instructions:
-        if inst.kind.name in ("MOVE", "MEASURE", "RESET"):
+        if inst.kind.name == "MOVE":
             if group:
                 yield node, group
                 group = []
             yield None, [inst]
             continue
-        if inst.condition:
-            raise NetworkError(
-                "classically conditioned gates are protocol-internal and "
-                "cannot appear in a distributed program")
         nodes = {node_of(q) for q in inst.targets}
         if len(nodes) != 1:
             raise NetworkError(
@@ -577,31 +574,13 @@ def session_groups(instructions: Sequence[Instruction],
         yield node, group
 
 
-def execute_distributed(network: Network, circ: Circuit
-                        ) -> tuple[list[int], dict[int, int]]:
-    """Run a circuit on the network, turning remote controls into shared
-    controls and MOVE directives into teleports.
-
-    Each run of gates from ``session_groups`` executes as one session, so
-    its shared controls are established once.  Returns the measurement
-    transcript and the classical-bit store.
-    """
-    bits: dict[int, int] = {}
-    transcript: list[int] = []
+def execute_distributed(network: Network, circ: Circuit):
+    """Run a circuit on the network: each run of gates from
+    ``session_groups`` as one session, its remote controls shared once,
+    and each MOVE as a relocation, a teleport across nodes."""
     for node, group in session_groups(circ.instructions, network.node_of):
-        if node is not None:
+        if node is None:
+            src, dst = group[0].targets
+            network.move(src, dst, label=group[0].label)
+        else:
             network.run_session(node, group, block=group[0].block)
-            continue
-        inst = group[0]
-        name = inst.kind.name
-        if name == "MOVE":
-            network.move(inst.targets[0], inst.targets[1], label=inst.label)
-        elif name == "MEASURE":
-            outcome = network.measure_local(inst.targets[0])
-            bits[inst.classical_out] = outcome
-            transcript.append(outcome)
-        elif name == "RESET":
-            qubit = inst.targets[0]
-            if network.measure_local(qubit):
-                network.apply_local(network.node_of(qubit), gates.X, [qubit])
-    return transcript, bits

@@ -213,7 +213,7 @@ def build_distributed_order_program(a: int, N: int,
 
 
 def distribute_circuit(circ: Circuit, plan: PlacementPlan,
-                       network: Network) -> tuple[list[int], dict[int, int]]:
+                       network: Network):
     """Run a program on the planned network.
 
     Every data qubit the circuit touches must be covered by the plan;
@@ -222,7 +222,7 @@ def distribute_circuit(circ: Circuit, plan: PlacementPlan,
     for q in circ.used_qubits():
         if q not in plan.node_of_qubit:
             raise PlanError(f"qubit {q} is not in the placement plan")
-    return execute_distributed(network, circ)
+    execute_distributed(network, circ)
 
 
 def run_order_program(a: int, N: int, m: int,
@@ -237,7 +237,7 @@ def run_order_program(a: int, N: int, m: int,
 # -- communication census ---------------------------------------------------
 
 _STAGE_KINDS = {"fa": "AN", "ha": "AN", "cp": "COPY", "sw": "SWAP",
-                "msw": "MSWAP", "r": "QFT", "h": "QFT-local"}
+                "r": "QFT"}
 
 
 def _split_block(block: str) -> tuple[str, str] | None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import partition
@@ -78,14 +77,14 @@ def phase_estimate(controlled_power: Callable[[int, int], Circuit],
     certainty, otherwise the best estimate appears with probability at
     least 4/pi^2.
     """
-    state = prepare_phase_state(controlled_power, prepare, m, n_target, rng)
+    state = prepare_phase_state(controlled_power, prepare, m, n_target)
     run = OrderRun(tuple(range(n_target, n_target + m)), state)
     return PhaseEstimate(j=run.measure_first_register(rng), m=m)
 
 
 def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
-                        prepare: Circuit, m: int, n_target: int,
-                        rng: RandomSource) -> QuantumState:
+                        prepare: Circuit, m: int,
+                        n_target: int) -> QuantumState:
     """Run the estimation circuit up to (not including) measurement."""
     if m < 1:
         raise ValueError("need at least one estimation qubit")
@@ -95,7 +94,7 @@ def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
         Circuit(pool).extend(prepare), k_qubits,
         (controlled_power(i, kq) for i, kq in enumerate(k_qubits)))
     transform = build_inverse_qft(FourierSpec(m), k_qubits, num_qubits=pool)
-    return run_estimation(prefix, transform, k_qubits, rng).state
+    return run_estimation(prefix, transform, k_qubits).state
 
 
 def estimation_prefix(circ: Circuit, k_qubits: Sequence[int],
@@ -136,15 +135,15 @@ class OrderRun:
 
 
 def run_estimation(prefix: Circuit, transform: Circuit,
-                   k_qubits: tuple[int, ...], rng: RandomSource,
+                   k_qubits: tuple[int, ...],
                    max_support: int | None = None) -> OrderRun:
     """Execute a phase-estimation program up to measurement on a fresh
     state, refusing a prefix whose support outgrows ``max_support``."""
     state = QuantumState(prefix.num_qubits)
-    execute(prefix, state, rng)
+    execute(prefix, state)
     if max_support is not None and state.peak_support > max_support:
         raise RuntimeError("sparse support exceeded its bound")
-    execute(transform, state, rng)
+    execute(transform, state)
     return OrderRun(k_qubits, state)
 
 
@@ -166,7 +165,9 @@ def order_circuit_parts(a: int, N: int,
 def order_round(a: int, N: int, m: int,
                 mode: str = MONOLITHIC) -> Callable[[RandomSource], OrderRun]:
     """Build the order-finding circuits once; the returned function
-    executes them up to measurement on a fresh state at every call."""
+    executes them up to measurement on a fresh state at every call.  Its
+    random source feeds the network's protocol measurements; a
+    monolithic round draws nothing before measurement."""
     # The sparse support never exceeds 4 * 2^m: the estimation register
     # contributes 2^m branches.  The gate-by-gate shared-control protocol
     # (netsim's reference primitives) adds at most a transient doubling on
@@ -175,8 +176,8 @@ def order_round(a: int, N: int, m: int,
     max_support = 4 << m
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)
-        return partial(run_estimation, modexp, transform, layout.k,
-                       max_support=max_support)
+        return lambda _rng: run_estimation(modexp, transform, layout.k,
+                                           max_support)
     if mode != DISTRIBUTED:
         raise ValueError(f"unknown mode {mode!r}")
     plan = partition.plan_placement(N.bit_length(), m)

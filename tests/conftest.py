@@ -31,50 +31,24 @@ def read_register(state: QuantumState, qubits) -> int:
     return value
 
 
-def run_on_basis(circ: Circuit, preset: dict, seed: int = 0) -> QuantumState:
+def run_on_basis(circ: Circuit, preset: dict) -> QuantumState:
     """Execute a circuit on a basis state given as {qubit: bit}."""
     state = QuantumState(circ.num_qubits)
     for q, bit in preset.items():
         if bit:
             state.apply_gate(gates.X, [q])
-    execute(circ, state, RandomSource(seed))
+    execute(circ, state)
     return state
 
 
-def reference_execute(circ: Circuit, state: QuantumState,
-                      rng: RandomSource) -> list[int]:
+def reference_execute(circ: Circuit, state: QuantumState):
     """``circuit.execute`` with every instruction applied one at a time
-    through ``apply_gate``: the reference for the permutation run kernel.
-    Returns the measurement transcript."""
-    bits: dict[int, int] = {}
-    transcript: list[int] = []
+    through ``apply_gate``: the reference for the permutation run kernel."""
     for inst in circ.instructions:
-        name = inst.kind.name
-        if name == "MEASURE":
-            outcome = state.measure(inst.targets[0], rng)
-            bits[inst.classical_out] = outcome
-            transcript.append(outcome)
-            continue
-        if name == "RESET":
-            outcome = state.measure(inst.targets[0], rng)
-            if outcome:
-                state.apply_gate(gates.X, inst.targets)
-            if inst.classical_out is not None:
-                bits[inst.classical_out] = outcome
-            continue
-        if name == "MOVE":
+        if inst.kind.name == "MOVE":
             state.apply_gate(gates.SWAP, inst.targets)
-            continue
-        if inst.classical_constant == 0:
-            continue
-        parity = 1
-        if inst.condition:
-            parity = 0
-            for b in inst.condition:
-                parity ^= bits[b]
-        if parity:
+        elif inst.classical_constant != 0:
             state.apply_gate(inst.kind, inst.targets, inst.controls)
-    return transcript
 
 
 def reference_session(network: Network, node_id: str,
@@ -118,30 +92,15 @@ def reference_move(network: Network, src: int, dst: int, label: str):
         network.teleport(src, dst_node, dst, label=label)
 
 
-def reference_execute_distributed(network: Network, circ: Circuit
-                                  ) -> tuple[list[int], dict[int, int]]:
+def reference_execute_distributed(network: Network, circ: Circuit):
     """``netsim.execute_distributed`` with every session and relocation
     run gate by gate through the physical protocol primitives: the
     reference for the closed-form gadgets."""
-    bits: dict[int, int] = {}
-    transcript: list[int] = []
     for node, group in session_groups(circ.instructions, network.node_of):
-        if node is not None:
+        if node is None:
+            reference_move(network, *group[0].targets, group[0].label)
+        else:
             reference_session(network, node, group, group[0].block)
-            continue
-        inst = group[0]
-        name = inst.kind.name
-        if name == "MOVE":
-            reference_move(network, *inst.targets, inst.label)
-        elif name == "MEASURE":
-            outcome = network.measure_local(inst.targets[0])
-            bits[inst.classical_out] = outcome
-            transcript.append(outcome)
-        elif name == "RESET":
-            qubit = inst.targets[0]
-            if network.measure_local(qubit):
-                network.apply_local(network.node_of(qubit), gates.X, [qubit])
-    return transcript, bits
 
 
 def amp_distance(a: QuantumState, b: QuantumState) -> float:

@@ -158,7 +158,7 @@ class TestCriterion6OracleSweeps:
                 for q, bit in preset.items():
                     if bit:
                         state.apply_gate(gates.X, [q])
-                execute(circ, state, RandomSource(0))
+                execute(circ, state)
                 return state
 
             def reg(state, qubits):
@@ -230,7 +230,7 @@ class TestCriterion7EstimationBound:
 
         prep = Circuit(1)
         prep.x(0)
-        state = prepare_phase_state(power, prep, 4, 1, RandomSource(0))
+        state = prepare_phase_state(power, prep, 4, 1)
         dist = state.exact_distribution([1, 2, 3, 4])
         bound = 4 / math.pi**2
         assert dist[5] >= bound
@@ -295,7 +295,7 @@ class TestCriterion9Properties:
                 for i in range(num_qubits):
                     if (basis >> i) & 1:
                         st.apply_gate(gates.X, [i])
-                execute(round_trip, st, RandomSource(0))
+                execute(round_trip, st)
                 assert abs(st.amplitude(basis) - 1.0) < 1e-9
 
     def test_cat_round_trip_and_channel_hygiene(self):

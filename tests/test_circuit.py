@@ -8,7 +8,7 @@ from conftest import read_register, run_on_basis
 from distshor import gates
 from distshor.circuit import (Circuit, add_controls, count_gates, dump,
                               execute, reverse)
-from distshor.qstate import QuantumState, RandomSource
+from distshor.qstate import QuantumState
 from distshor.revarith import RegisterLayout, build_fa, build_m
 
 
@@ -66,7 +66,7 @@ class TestReverse:
                 for i in range(num_qubits):
                     if (basis >> i) & 1:
                         st.apply_gate(gates.X, [i])
-                execute(both, st, RandomSource(0))
+                execute(both, st)
                 assert abs(st.amplitude(basis) - 1.0) < 1e-9, (num_qubits,
                                                                basis)
 
@@ -75,12 +75,6 @@ class TestReverse:
         circ.move(0, 1)
         rev = reverse(circ)
         assert rev.instructions[0].targets == (1, 0)
-
-    def test_measure_not_reversible(self):
-        circ = Circuit(1)
-        circ.measure(0)
-        with pytest.raises(ValueError):
-            reverse(circ)
 
 
 class TestAddControls:
@@ -123,49 +117,14 @@ class TestAddControls:
 class TestExecute:
     def test_empty_circuit(self):
         st = QuantumState(1)
-        _, transcript = execute(Circuit(1), st, RandomSource(0))
-        assert transcript == []
+        execute(Circuit(1), st)
         assert st.amplitudes == {0: 1.0 + 0.0j}
-
-    def test_measure_feeds_classical_control(self):
-        circ = Circuit(2)
-        bit = circ.measure(0)
-        circ.gate(gates.X, [1], condition=[bit])
-        st = QuantumState(2)
-        st.apply_gate(gates.X, [0])  # |01> -> measure 1 -> X on q1
-        _, transcript = execute(circ, st, RandomSource(0))
-        assert transcript == [1]
-        assert set(st.amplitudes) == {3}
-
-    def test_xor_condition(self):
-        circ = Circuit(3)
-        b0 = circ.measure(0)
-        b1 = circ.measure(1)
-        circ.gate(gates.X, [2], condition=[b0, b1])
-        st = QuantumState(3)
-        st.apply_gate(gates.X, [0])  # bits 1, 0 -> xor 1 -> fires
-        execute(circ, st, RandomSource(0))
-        assert set(st.amplitudes) == {5}
-
-    def test_condition_on_unwritten_bit_rejected(self):
-        circ = Circuit(1, num_classical_bits=1)
-        circ.gate(gates.X, [0], condition=[0])
-        with pytest.raises(ValueError):
-            execute(circ, QuantumState(1), RandomSource(0))
-
-    def test_reset_returns_qubit_to_zero(self):
-        circ = Circuit(1)
-        circ.reset(0)
-        st = QuantumState(1)
-        st.apply_gate(gates.H, [0])
-        execute(circ, st, RandomSource(3))
-        assert set(st.amplitudes) == {0}
 
     def test_disabled_constant_gate_skipped(self):
         circ = Circuit(1)
         circ.gate(gates.X, [0], classical_constant=0)
         st = QuantumState(1)
-        execute(circ, st, RandomSource(0))
+        execute(circ, st)
         assert set(st.amplitudes) == {0}
 
     def test_move_relocates_state(self):
@@ -193,12 +152,10 @@ class TestCountGates:
         circ = build_fa(0, list(range(n)), list(range(n, 2 * n)), 2 * n)
         assert count_gates(circ).total == 4 * n
 
-    def test_measure_and_move_not_counted(self):
+    def test_move_not_counted(self):
         circ = Circuit(2)
         circ.x(0)
-        circ.measure(0)
         circ.move(0, 1)
-        circ.reset(1)
         assert count_gates(circ).total == 1
 
     def test_additivity(self):
@@ -222,12 +179,14 @@ class TestDump:
         circ = Circuit(3)
         circ.h(0, label="prep")
         circ.gate(gates.X, [1], [(0, True), (2, False)], label="body")
-        circ.measure(1, label="readout")
+        circ.x(2, classical_constant=0, label="off")
+        circ.move(1, 2, label="park")
         text = dump(circ)
         assert text.splitlines() == [
             "prep | H | 0 | - | -",
             "body | X | 1 | +0,-2 | -",
-            "readout | MEASURE | 1 | - | out=0",
+            "off | X | 2 | - | const=0",
+            "park | MOVE | 1,2 | - | -",
         ]
 
     def test_round_trip_stability(self):

@@ -183,8 +183,9 @@ def three_nodes(seed: int) -> tuple[Network, dict[str, list[int]]]:
 def programs(draw):
     """A program over three nodes of three data slots each: sessions with
     0-3 remote controls of either polarity, bodies of X, CNOT, TOFFOLI,
-    SWAP, H and R gates carrying the constants None, 0 or 1, MOVEs within
-    and across nodes into a |0> slot, and a final MEASURE."""
+    SWAP, H and R gates carrying the constants None, 0 or 1, and MOVEs
+    within and across nodes into a |0> slot; plus 1-3 qubits to read out
+    after the run."""
     _, held = three_nodes(0)
     parked = {held[n][-1] for n in NODES}  # known |0>: where MOVEs land
     node_of = {q: n for n in NODES for q in held[n]}
@@ -215,19 +216,20 @@ def programs(draw):
             circ.gate(gate, operands, controls,
                       classical_constant=draw(st.sampled_from([None, 0, 1])),
                       block=block)
-    for q in draw(st.lists(st.sampled_from(sorted(node_of)), unique=True,
-                           min_size=1, max_size=3)):
-        circ.measure(q)
-    return circ
+    readout = draw(st.lists(st.sampled_from(sorted(node_of)), unique=True,
+                            min_size=1, max_size=3))
+    return circ, readout
 
 
 @settings(max_examples=100, deadline=None)
 @given(programs(), st.integers(0, 2**16))
-def test_random_programs_match_physical_protocol(circ, seed):
+def test_random_programs_match_physical_protocol(program, seed):
+    circ, readout = program
     closed, _ = three_nodes(seed)
     reference, _ = three_nodes(seed)
-    got = execute_distributed(closed, circ)
-    want = reference_execute_distributed(reference, circ)
-    assert got == want
+    execute_distributed(closed, circ)
+    reference_execute_distributed(reference, circ)
     assert amp_distance(closed.state, reference.state) < 1e-12
+    assert ([closed.measure_local(q) for q in readout]
+            == [reference.measure_local(q) for q in readout])
     assert observed(closed) == observed(reference)

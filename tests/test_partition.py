@@ -118,7 +118,7 @@ class TestDistributedBlocks:
             ref = QuantumState(plain.num_qubits)
             for q in bits_of(b, self.lay.b) + [self.lay.k[0], self.lay.x[0]]:
                 ref.apply_gate(gates.X, [q])
-            execute(plain, ref, RandomSource(0))
+            execute(plain, ref)
             for q in set(range(self.lay.pool_size)):
                 got = net.state.prob_one(q) if q < net.state.num_qubits else 0
                 want = ref.prob_one(q)

@@ -24,7 +24,7 @@ def circuit_matrix(circ, n):
         for i in range(n):
             if (col >> i) & 1:
                 st.apply_gate(gates.X, [i])
-        execute(circ, st, RandomSource(0))
+        execute(circ, st)
         for row, amp in st.amplitudes.items():
             mat[row, col] = amp
     return mat
@@ -41,13 +41,13 @@ class TestForward:
         circ = build_qft(FourierSpec(1))
         assert [i.kind.name for i in circ.instructions] == ["H"]
         st = QuantumState(1)
-        execute(circ, st, RandomSource(0))
+        execute(circ, st)
         assert abs(st.amplitude(0) - 0.5**0.5) < 1e-15
 
     def test_zero_input_gives_uniform(self):
         n = 5
         st = QuantumState(n)
-        execute(build_qft(FourierSpec(n)), st, RandomSource(0))
+        execute(build_qft(FourierSpec(n)), st)
         for idx in range(1 << n):
             assert abs(st.amplitude(idx) - (1 << n) ** -0.5) < 1e-12
 
@@ -72,8 +72,8 @@ class TestInverse:
             for i in range(n):
                 if (j >> i) & 1:
                     st.apply_gate(gates.X, [i])
-            execute(fwd, st, RandomSource(0))
-            execute(inv, st, RandomSource(0))
+            execute(fwd, st)
+            execute(inv, st)
             assert abs(st.amplitude(j) - 1.0) < 1e-10
 
     def test_recovers_exact_phase_state(self):
@@ -82,7 +82,7 @@ class TestInverse:
         amps = {k: cmath.exp(2j * math.pi * k * j / dim) / math.sqrt(dim)
                 for k in range(dim)}
         st = QuantumState.from_amplitudes(m, amps)
-        execute(build_inverse_qft(FourierSpec(m)), st, RandomSource(0))
+        execute(build_inverse_qft(FourierSpec(m)), st)
         assert abs(st.amplitude(j) - 1.0) < 1e-10
 
     def test_gate_count_splits_into_ladder_and_swaps(self):
@@ -124,7 +124,7 @@ class TestDistributed:
             if (basis >> i) & 1:
                 ref.apply_gate(gates.X, [q])
         execute(build_qft(FourierSpec(4), qubits,
-                          num_qubits=max(qubits) + 1), ref, RandomSource(0))
+                          num_qubits=max(qubits) + 1), ref)
         got = net.state.exact_distribution(qubits)
         want = ref.exact_distribution(qubits)
         for key in set(got) | set(want):

@@ -86,7 +86,7 @@ class TestPhaseEstimation:
 
         prep = Circuit(1)
         prep.x(0)
-        state = prepare_phase_state(power, prep, 4, 1, RandomSource(0))
+        state = prepare_phase_state(power, prep, 4, 1)
         dist = state.exact_distribution([1, 2, 3, 4])
 
         # independent oracle: |sum_k e^{2 pi i k (theta - j/16)}|^2 / 16^2
@@ -120,9 +120,9 @@ class TestPhaseEstimation:
         skeleton.extend(build_inverse_qft(FourierSpec(1), [3],
                                           num_qubits=4))
         ref = QuantumState(4)
-        reference_execute(skeleton, ref, RandomSource(0))
+        reference_execute(skeleton, ref)
 
-        state = prepare_phase_state(power, prep, 1, 3, RandomSource(0))
+        state = prepare_phase_state(power, prep, 1, 3)
         assert list(state.amplitudes.items()) == \
             list(ref.amplitudes.items())
         assert len(state.amplitudes) == 8
@@ -308,7 +308,7 @@ class TestRunKernel:
         modexp, transform, layout = shor.order_circuit_parts(a, N, m)
         ref = QuantumState(layout.num_data_qubits)
         for circ in (modexp, transform):
-            reference_execute(circ, ref, RandomSource(1))
+            reference_execute(circ, ref)
         run = run_order_circuit(a, N, m, RandomSource(1))
         assert list(run.state.amplitudes.items()) == \
             list(ref.amplitudes.items())
