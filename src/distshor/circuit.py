@@ -185,7 +185,7 @@ def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
     return out
 
 
-_RUN_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "SWAP", "MOVE"})
+_RUN_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "SWAP", "MOVE"})
 
 
 def _in_run(inst: Instruction) -> bool:

@@ -99,13 +99,12 @@ def _counts_section(config: RunConfig) -> dict:
     deltas = {lvl: measured[lvl] - predicted[lvl] for lvl in predicted}
 
     census = partition.census_from_program(program, plan)
-    nlt = partition.count_nl_t(census, n, m)
     slices = len(plan.adder_nodes)
     return {
         "G_measured": measured,
         "G_closed_form": predicted,
         "G_delta": deltas,
-        "NL_T": nlt.as_dict(),
+        "NL_T": partition.count_nl_t(census, n, m),
         "predictions": {
             "NL(AN)": 2 * slices,
             "NL(c_m(M))": 11 * slices * m * n,

@@ -33,18 +33,17 @@ H = GateKind("H")
 SWAP = GateKind("SWAP")
 CNOT = GateKind("CNOT")
 TOFFOLI = GateKind("TOFFOLI")
-MCX = GateKind("MCX")
 
 # The circuit IR's relocation directive; not a unitary gate kind.
 MOVE = GateKind("MOVE")
 
 _UNITARY_NAMES = frozenset(
-    {"X", "Z", "H", "SWAP", "CNOT", "TOFFOLI", "MCX", "R", "R_INV", "PHASE"}
+    {"X", "Z", "H", "SWAP", "CNOT", "TOFFOLI", "R", "R_INV", "PHASE"}
 )
 
 #: Number of target qubits each unitary kind expects.
 ARITY = {
-    "X": 1, "Z": 1, "H": 1, "R": 1, "R_INV": 1, "PHASE": 1, "MCX": 1,
+    "X": 1, "Z": 1, "H": 1, "R": 1, "R_INV": 1, "PHASE": 1,
     "SWAP": 2, "CNOT": 2, "TOFFOLI": 3,
 }
 
@@ -74,7 +73,7 @@ def is_unitary(kind: GateKind) -> bool:
 
 
 def inverse(kind: GateKind) -> GateKind:
-    """Inverse gate; X/Z/H/CNOT/TOFFOLI/SWAP/MCX are self-inverse."""
+    """Inverse gate; X/Z/H/CNOT/TOFFOLI/SWAP are self-inverse."""
     if kind.name == "R":
         return GateKind("R_INV", k=kind.k)
     if kind.name == "R_INV":

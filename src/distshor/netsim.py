@@ -62,7 +62,7 @@ class NodeSpec:
 
     node_id: str
     register_capacity: int
-    channel_qubits: int = 2
+    channel_qubits: int
 
     def __post_init__(self):
         if self.register_capacity < 1:

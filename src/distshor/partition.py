@@ -19,10 +19,12 @@ next node through a MOVE (teleport), remotely controlled slices are
 tagged into session blocks, and the estimation register's transform
 teleports qubits back and forth for its swap network.
 
-``count_nl_t`` reports the census two ways: raw event totals from the
-ledger, and the per-level rollup of the reference recursion anchored at
-the leaf counts actually measured per block.  With s adder nodes holding
-a slice (s = 4 when every node gets one), a modular addition costs 2s
+The census keeps one table per event kind, remotely controlled blocks
+and teleports, each keyed by stage and then by instance path.
+``count_nl_t`` reads it two ways: raw event totals, and the per-level
+rollup of the reference recursion anchored at the leaf count of each
+stage, which must be the same for every instance.  With s adder nodes
+holding a slice (s = 4 when every node gets one), a modular addition costs 2s
 remotely controlled slices and 2(s - 1) carry teleports, and copy and
 swap s slices each.
 """
@@ -30,8 +32,9 @@ swap s slices each.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .circuit import Circuit
 from .netsim import (Network, NodeSpec, SessionRecord, TeleportRecord,
@@ -240,172 +243,108 @@ _STAGE_KINDS = {"fa": "AN", "ha": "AN", "cp": "COPY", "sw": "SWAP",
                 "r": "QFT"}
 
 
-def _split_block(block: str) -> tuple[str, str] | None:
-    if "@" not in block:
-        return None
-    path, tag = block.rsplit("@", 1)
-    kind = tag.rstrip("0123456789.")
-    return path, kind
-
-
-def _an_instance(label: str) -> str | None:
-    parts = label.split("/")
-    for i, part in enumerate(parts):
-        if part in ("AN", "ANr"):
-            return "/".join(parts[:i + 1])
-    return None
-
-
 @dataclass
 class BlockCensus:
-    """Per-instance counts of remotely controlled blocks and teleports."""
+    """Remotely controlled blocks and teleports, one table per event kind:
+    stage (AN, COPY, SWAP, QFT or other) -> instance path -> events."""
 
-    nl_per_an: dict[str, int] = field(default_factory=dict)
-    nl_per_copy: dict[str, int] = field(default_factory=dict)
-    nl_per_swap: dict[str, int] = field(default_factory=dict)
-    qft_rotations: int = 0
-    other_blocks: int = 0
-    teleports_per_an: dict[str, int] = field(default_factory=dict)
-    other_teleports: int = 0
+    blocks: dict[str, Counter] = field(
+        default_factory=lambda: defaultdict(Counter))
+    teleports: dict[str, Counter] = field(
+        default_factory=lambda: defaultdict(Counter))
 
     def total_blocks(self) -> int:
-        return (sum(self.nl_per_an.values())
-                + sum(self.nl_per_copy.values())
-                + sum(self.nl_per_swap.values())
-                + self.qft_rotations + self.other_blocks)
+        return sum(table.total() for table in self.blocks.values())
 
-    def total_teleports(self) -> int:
-        return sum(self.teleports_per_an.values()) + self.other_teleports
 
-    def uniform(self, table: dict[str, int], what: str) -> int:
-        values = set(table.values())
-        if len(values) != 1:
-            raise PlanError(f"non-uniform {what} census: {sorted(values)}")
-        return values.pop()
+def _census(blocks: Iterable[str | None],
+            labels: Iterable[str]) -> BlockCensus:
+    """Tally blocks by the kind of their ``path@tag`` tag, and teleports by
+    the first ``AN``/``ANr`` component of their label."""
+    census = BlockCensus()
+    for block in blocks:
+        path, at, tag = (block or "").rpartition("@")
+        kind = tag.rstrip("0123456789.") if at else None
+        census.blocks[_STAGE_KINDS.get(kind, "other")][path] += 1
+    for label in labels:
+        parts = label.split("/")
+        for i, part in enumerate(parts):
+            if part in ("AN", "ANr"):
+                census.teleports["AN"]["/".join(parts[:i + 1])] += 1
+                break
+        else:
+            census.teleports["other"][label] += 1
+    return census
 
 
 def census_from_records(sessions: Sequence[SessionRecord],
                         teleports: Sequence[TeleportRecord]) -> BlockCensus:
-    census = BlockCensus()
-    for rec in sessions:
-        _tally_block(census, rec.block)
-    for rec in teleports:
-        _tally_teleport(census, rec.label)
-    return census
+    return _census((rec.block for rec in sessions),
+                   (rec.label for rec in teleports))
 
 
 def census_from_program(circ: Circuit, plan: PlacementPlan) -> BlockCensus:
     """Static census: a dry run over the sessions the executor would
     run, tallying each one with a remote control and each MOVE that
     crosses nodes."""
-    census = BlockCensus()
     node_of = plan.node_of_qubit.__getitem__
+    blocks, labels = [], []
     for node, group in session_groups(circ.instructions, node_of):
         if node is not None:
             if remote_controls(group, node, node_of):
-                _tally_block(census, group[0].block)
-        elif group[0].kind.name == "MOVE":
+                blocks.append(group[0].block)
+        else:
             src, dst = group[0].targets
             if node_of(src) != node_of(dst):
-                _tally_teleport(census, group[0].label)
-    return census
+                labels.append(group[0].label)
+    return _census(blocks, labels)
 
 
-def _tally_block(census: BlockCensus, block: str | None):
-    parsed = _split_block(block) if block else None
-    if parsed is None:
-        census.other_blocks += 1
-        return
-    path, kind = parsed
-    stage = _STAGE_KINDS.get(kind)
-    if stage == "AN":
-        census.nl_per_an[path] = census.nl_per_an.get(path, 0) + 1
-    elif stage == "COPY":
-        census.nl_per_copy[path] = census.nl_per_copy.get(path, 0) + 1
-    elif stage == "SWAP":
-        census.nl_per_swap[path] = census.nl_per_swap.get(path, 0) + 1
-    elif stage == "QFT":
-        census.qft_rotations += 1
-    else:
-        census.other_blocks += 1
-
-
-def _tally_teleport(census: BlockCensus, label: str):
-    instance = _an_instance(label)
-    if instance is None:
-        census.other_teleports += 1
-    else:
-        census.teleports_per_an[instance] = (
-            census.teleports_per_an.get(instance, 0) + 1)
-
-
-@dataclass
-class NlTReport:
-    """Per-level non-local-block and teleport counts.
-
-    The level table follows the reference recursion (one multiply pass
-    per multiplier level, copy/swap/estimation stages teleport-free),
-    anchored at the per-block leaf counts actually measured.  Raw event
-    totals from the full execution are carried alongside; the structural
-    doubling of the uncompute passes makes them larger by design.
-    """
-
-    n: int
-    m: int
-    per_level: dict[str, tuple[int, int]]
-    leaf_nl_an: int
-    leaf_t_an: int
-    leaf_nl_copy: int
-    leaf_nl_swap: int
-    raw_blocks: int
-    raw_teleports: int
-    qft_rotations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "per_level": {lvl: {"NL": nl, "T": t}
-                          for lvl, (nl, t) in self.per_level.items()},
-            "leaves_measured": {
-                "AN": {"NL": self.leaf_nl_an, "T": self.leaf_t_an},
-                "COPY": {"NL": self.leaf_nl_copy, "T": 0},
-                "SWAP": {"NL": self.leaf_nl_swap, "T": 0},
-            },
-            "raw_events": {"blocks": self.raw_blocks,
-                           "teleports": self.raw_teleports},
-        }
-
-
-def count_nl_t(census: BlockCensus, n: int, m: int) -> NlTReport:
-    """Roll the measured leaf counts up the reference recursion.
+def count_nl_t(census: BlockCensus, n: int, m: int) -> dict:
+    """The report's ``NL_T``: the measured leaf counts rolled up the
+    reference recursion, next to the raw event totals.
 
     NL(XAN) = 2 NL(AN) + NL(COPY); NL(A) = 2 NL(XAN) + NL(SWAP);
     NL(M) = n NL(A); NL(c_m) = m NL(M).  Teleports: T(XAN) = 2 T(AN)
     with the swap stages and the estimation transform teleport-free, and
-    one multiply pass per level, giving m * n * 2 * T(AN) in total.
+    one multiply pass per level, giving m * n * 2 * T(AN) in total.  The
+    raw totals are larger by design: every uncompute pass re-runs its
+    blocks.
     """
-    nl_an = census.uniform(census.nl_per_an, "addition-block")
-    t_an = census.uniform(census.teleports_per_an, "addition-teleport")
-    nl_copy = census.uniform(census.nl_per_copy, "copy-block")
-    nl_swap = census.uniform(census.nl_per_swap, "swap-block")
+    def leaf(table: dict[str, Counter], stage: str, what: str) -> int:
+        values = set(table.get(stage, {}).values())
+        if len(values) != 1:
+            raise PlanError(
+                f"non-uniform {stage} {what} census: {sorted(values)}")
+        return values.pop()
+
+    nl_an = leaf(census.blocks, "AN", "block")
+    t_an = leaf(census.teleports, "AN", "teleport")
+    nl_copy = leaf(census.blocks, "COPY", "block")
+    nl_swap = leaf(census.blocks, "SWAP", "block")
+    qft = sum(census.blocks.get("QFT", {}).values())
 
     nl_xan = 2 * nl_an + nl_copy
     nl_a = 2 * nl_xan + nl_swap
-    t_xan = 2 * t_an
-    t_a = t_xan
+    t_a = 2 * t_an
     per_level = {
         "AN": (nl_an, t_an),
         "COPY": (nl_copy, 0),
         "SWAP": (nl_swap, 0),
-        "XAN": (nl_xan, t_xan),
+        "XAN": (nl_xan, t_a),
         "A": (nl_a, t_a),
         "M": (n * nl_a, n * t_a),
         "c_m(M)": (m * n * nl_a, m * n * t_a),
-        "QFT_inv": (census.qft_rotations, 0),
-        "SHOR": (m * n * nl_a + census.qft_rotations, m * n * t_a),
+        "QFT_inv": (qft, 0),
+        "SHOR": (m * n * nl_a + qft, m * n * t_a),
     }
-    return NlTReport(
-        n=n, m=m, per_level=per_level, leaf_nl_an=nl_an, leaf_t_an=t_an,
-        leaf_nl_copy=nl_copy, leaf_nl_swap=nl_swap,
-        raw_blocks=census.total_blocks(),
-        raw_teleports=census.total_teleports(),
-        qft_rotations=census.qft_rotations)
+    levels = {lvl: {"NL": nl, "T": t} for lvl, (nl, t) in per_level.items()}
+    return {
+        "per_level": levels,
+        "leaves_measured": {lvl: dict(levels[lvl])
+                            for lvl in ("AN", "COPY", "SWAP")},
+        "raw_events": {
+            "blocks": census.total_blocks(),
+            "teleports": sum(table.total()
+                             for table in census.teleports.values())},
+    }

@@ -10,7 +10,7 @@ Controls are lists of ``(qubit, polarity)`` pairs; a negative polarity
 (``False``) fires when the control qubit is 0, so anticontrolled branches
 need no X sandwiches.
 
-Runs of permutation gates (X, CNOT, TOFFOLI, MCX and SWAP, with any
+Runs of permutation gates (X, CNOT, TOFFOLI and SWAP, with any
 controls) go through ``apply_permutation``, a bit-sliced kernel: each
 qubit the run touches is held as one Python int with one bit per support
 entry, so a controlled X is ``col[t] ^= AND(control columns)`` and a
@@ -141,7 +141,7 @@ class QuantumState:
         """Apply a (multi-)controlled gate in place and return self.
 
         Negative-polarity controls fire when the control qubit is 0.
-        CNOT/TOFFOLI/MCX are normalized to a controlled X internally.
+        CNOT/TOFFOLI are normalized to a controlled X internally.
         """
         base, targets, controls = self._normalize(gate, targets, controls)
         cmask = 0
@@ -205,7 +205,7 @@ class QuantumState:
     def apply_permutation(self, run: Iterable[tuple[GateKind, Sequence[int],
                                                     Iterable[Control]]]
                           ) -> "QuantumState":
-        """Apply a run of X/CNOT/TOFFOLI/MCX/SWAP gates in place and
+        """Apply a run of X/CNOT/TOFFOLI/SWAP gates in place and
         return self.
 
         The run is consumed one gate at a time; each gate goes through the
@@ -298,7 +298,7 @@ class QuantumState:
 
     def _normalize(self, gate: GateKind, targets: Sequence[int],
                    controls: Iterable[Control]):
-        """Fold CNOT/TOFFOLI/MCX into controlled X; validate ids."""
+        """Fold CNOT/TOFFOLI into controlled X; validate ids."""
         if not is_unitary(gate):
             raise SimulationError(f"cannot apply non-unitary kind {gate.name}")
         targets = list(targets)
@@ -313,8 +313,6 @@ class QuantumState:
         elif gate.name == "TOFFOLI":
             controls = [(targets[0], True), (targets[1], True)] + controls
             gate, targets = X, targets[2:]
-        elif gate.name == "MCX":
-            gate = X
         for q in targets:
             self._check_qubit(q)
         seen = set(targets)

@@ -74,11 +74,11 @@ class TestCriterion3CommunicationFormulas:
         census = census_from_records(net.sessions, net.teleport_log)
         report = count_nl_t(census, 4, 8)
         n, m = 4, 8
-        assert report.leaf_nl_an == 8
-        assert all(v == 8 for v in census.nl_per_an.values())
-        assert all(v == 6 for v in census.teleports_per_an.values())
-        assert report.per_level["c_m(M)"][0] == 44 * m * n == 1408
-        assert report.per_level["c_m(M)"][1] == 12 * m * n == 384
+        assert report["leaves_measured"]["AN"]["NL"] == 8
+        assert all(v == 8 for v in census.blocks["AN"].values())
+        assert all(v == 6 for v in census.teleports["AN"].values())
+        assert report["per_level"]["c_m(M)"]["NL"] == 44 * m * n == 1408
+        assert report["per_level"]["c_m(M)"]["T"] == 12 * m * n == 384
         announce(3, "measured NL(AN)=8 per block, T(AN)=6; rollup "
                     "NL(c_m)=1408=44mn and T=384=12mn exactly")
 

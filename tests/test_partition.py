@@ -132,8 +132,8 @@ class TestDistributedBlocks:
             self.controls)
         net = self.run_block(an, 9)
         census = census_from_records(net.sessions, net.teleport_log)
-        assert census.nl_per_an == {"AN": 8}
-        assert census.teleports_per_an == {"AN": 6}
+        assert census.blocks["AN"] == {"AN": 8}
+        assert census.teleports["AN"] == {"AN": 6}
 
     def test_xan_census_adds_four_copies(self):
         xan = add_controls(
@@ -141,9 +141,9 @@ class TestDistributedBlocks:
                       path="XAN0"), self.controls)
         net = self.run_block(xan, 9)
         census = census_from_records(net.sessions, net.teleport_log)
-        assert census.nl_per_an == {"XAN0/AN": 8, "XAN0/ANr": 8}
-        assert census.nl_per_copy == {"XAN0": 4}
-        assert census.teleports_per_an == {"XAN0/AN": 6, "XAN0/ANr": 6}
+        assert census.blocks["AN"] == {"XAN0/AN": 8, "XAN0/ANr": 8}
+        assert census.blocks["COPY"] == {"XAN0": 4}
+        assert census.teleports["AN"] == {"XAN0/AN": 6, "XAN0/ANr": 6}
 
     def test_adder_census_adds_four_swaps(self):
         adder = add_controls(
@@ -151,11 +151,11 @@ class TestDistributedBlocks:
                         path="A"), self.controls)
         net = self.run_block(adder, 9)
         census = census_from_records(net.sessions, net.teleport_log)
-        assert census.nl_per_swap == {"A": 4}
-        assert all(v == 8 for v in census.nl_per_an.values())
-        report = count_nl_t(census, 4, 8)
-        assert report.per_level["AN"] == (8, 6)
-        assert report.per_level["c_m(M)"] == (44 * 8 * 4, 12 * 8 * 4)
+        assert census.blocks["SWAP"] == {"A": 4}
+        assert all(v == 8 for v in census.blocks["AN"].values())
+        levels = count_nl_t(census, 4, 8)["per_level"]
+        assert levels["AN"] == {"NL": 8, "T": 6}
+        assert levels["c_m(M)"] == {"NL": 44 * 8 * 4, "T": 12 * 8 * 4}
 
     def test_remote_fanin_never_exceeds_three(self):
         adder = add_controls(
@@ -215,10 +215,11 @@ class TestFullRunEquivalence:
         net = dist_run_15.network
         census = census_from_records(net.sessions, net.teleport_log)
         report = count_nl_t(census, 4, 8)
-        assert report.leaf_nl_an == 8
-        assert report.leaf_t_an == 6
-        assert report.per_level["c_m(M)"] == (1408, 384)
-        assert report.per_level["QFT_inv"] == (16, 0)  # (m/2)^2 cross gates
+        assert report["leaves_measured"]["AN"]["NL"] == 8
+        assert report["leaves_measured"]["AN"]["T"] == 6
+        levels = report["per_level"]
+        assert levels["c_m(M)"] == {"NL": 1408, "T": 384}
+        assert levels["QFT_inv"] == {"NL": 16, "T": 0}  # (m/2)^2 cross gates
 
     # N=21 (n=5) leaves one adder node without a slice: three slices
     @pytest.mark.parametrize("a,N,m", [(7, 15, 8), (2, 21, 2), (2, 33, 1)])
@@ -250,6 +251,20 @@ class TestFullRunEquivalence:
         plan = plan_placement(4, 8)
         program = build_distributed_order_program(7, 15, plan)
         census = census_from_program(program, plan)
-        report = count_nl_t(census, 4, 8)
-        assert report.per_level["c_m(M)"] == (1408, 384)
-        assert report.per_level["SHOR"][1] == 384
+        levels = count_nl_t(census, 4, 8)["per_level"]
+        assert levels["c_m(M)"] == {"NL": 1408, "T": 384}
+        assert levels["SHOR"]["T"] == 384
+
+    @pytest.mark.parametrize("table,what,values", [
+        ("blocks", "block", "[7, 8]"), ("teleports", "teleport", "[5, 6]")],
+        ids=["blocks", "teleports"])
+    def test_disagreeing_an_instances_rejected(self, table, what, values):
+        plan = plan_placement(4, 1)
+        census = census_from_program(
+            build_distributed_order_program(7, 15, plan), plan)
+        count_nl_t(census, 4, 1)
+        instances = getattr(census, table)["AN"]
+        instances[next(iter(instances))] -= 1
+        with pytest.raises(PlanError) as err:
+            count_nl_t(census, 4, 1)
+        assert str(err.value) == f"non-uniform AN {what} census: {values}"

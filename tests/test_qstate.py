@@ -79,7 +79,7 @@ class TestGates:
         # fires when q0 = 1 and q1 = 0
         st = QuantumState(3)
         st.apply_gate(gates.X, [0])
-        st.apply_gate(gates.MCX, [2], [(0, True), (1, False)])
+        st.apply_gate(gates.X, [2], [(0, True), (1, False)])
         assert set(st.amplitudes) == {5}
 
     def test_unitary_inverse_round_trip(self):
@@ -247,8 +247,8 @@ class TestDeterminism:
         assert outs == {0, 1}
 
 
-PERMUTATION_KINDS = (gates.X, gates.CNOT, gates.TOFFOLI, gates.MCX,
-                     gates.SWAP, gates.MOVE)
+PERMUTATION_KINDS = (gates.X, gates.CNOT, gates.TOFFOLI, gates.SWAP,
+                     gates.MOVE)
 
 
 @hst.composite
@@ -310,7 +310,7 @@ class TestPermutationRun:
         circ.toffoli(1, 2, 3, classical_constant=0)
         circ.h(1)
         circ.x(3, controls=[(1, True)])
-        circ.gate(gates.MCX, [2], [(0, False), (3, True)])
+        circ.gate(gates.X, [2], [(0, False), (3, True)])
         circ.r(2, 0, controls=[(2, True)])
         circ.swap(1, 3, controls=[(0, True)])
         circ.move(2, 3)
@@ -326,7 +326,7 @@ class TestPermutationRun:
 
     @pytest.mark.parametrize("bad", [
         (gates.X, [5], ()),                          # qubit out of range
-        (gates.MCX, [1], [(5, True)]),               # control out of range
+        (gates.X, [1], [(5, True)]),                 # control out of range
         (gates.SWAP, [2, 2], ()),                    # duplicate target
         (gates.TOFFOLI, [0, 1, 1], ()),              # target is a control
         (gates.X, [3], [(0, True), (3, False)]),     # target is a control
