@@ -2,7 +2,15 @@
 
 Reports are JSON documents with a fixed key order; the wall time lives in
 a single ``wall_time_s`` key so golden comparisons can mask it.  Exit
-codes: 0 success, 2 invalid configuration, 3 resource exhaustion.
+codes: 0 success, 2 invalid configuration, 3 resource exhaustion (the
+retry budget ran out, or a factoring run's support bound is over
+``shor.SUPPORT_BUDGET``, checked before anything is built).
+
+The counts section builds the power ladder's first controlled multiplier
+and the distributed inverse transform, never the whole order-finding
+program: the ladder's m multipliers have one shape, so every count is the
+instance's times m, plus the transform's.  That keeps a count report
+quadratic in n, so ``--counts-only`` has no support budget.
 """
 
 from __future__ import annotations
@@ -74,21 +82,28 @@ def _config_dict(config: RunConfig) -> dict:
 
 def _counts_section(config: RunConfig) -> dict:
     """Static analysis: measured gate counts of the built circuits next to
-    the closed-form predictions, plus the communication rollup."""
+    the closed-form predictions, plus the communication rollup.
+
+    The ladder's m controlled multipliers differ only in their constants,
+    and a constant never changes a circuit's shape, so the report builds
+    the first one alone and counts the ladder as m copies of it."""
     n, m = config.n, config.m_effective
     a = config.a if config.a is not None else _default_base(config.N)
     plan = partition.plan_placement(n, m)
-    program = partition.build_distributed_order_program(a, config.N, plan)
+    # labelled cm/M[0]/... exactly as in the full distributed program
+    instance = build_cm_m(a, config.N, 1, plan.layout, slicing=plan.slicing)
+    transform = partition.build_distributed_transform_program(plan)
 
-    # each level is read off its first instance in the one built program;
-    # the transform is built packed, as the program's cross-node swaps are
-    # MOVEs and do not count as gates
-    counted = count_gates(program)
+    # each level is read off its first instance; the transform is counted
+    # packed, as the distributed one's cross-node swaps are MOVEs and do
+    # not count as gates
+    counted = count_gates(instance)
     adder = "cm/M[0]/MF0/A[0]"
     measured = {lvl: counted.count_under(path) for lvl, path in (
         ("FA", f"{adder}/XAN0/AN/FA"), ("HA", f"{adder}/XAN0/AN/HA"),
         ("AN", f"{adder}/XAN0/AN"), ("XAN", f"{adder}/XAN0"), ("A", adder),
-        ("MF", "cm/M[0]/MF0"), ("M", "cm/M[0]"), ("c_m(M)", "cm"))}
+        ("MF", "cm/M[0]/MF0"), ("M", "cm/M[0]"))}
+    measured["c_m(M)"] = m * counted.count_under("cm")
     measured["QFT_inv"] = count_gates(
         build_inverse_qft(FourierSpec(m), list(range(m)))).total
 
@@ -98,13 +113,15 @@ def _counts_section(config: RunConfig) -> dict:
     # the transform prediction excludes its swap network
     deltas = {lvl: measured[lvl] - predicted[lvl] for lvl in predicted}
 
-    census = partition.census_from_program(program, plan)
+    nl_t = partition.count_nl_t(
+        partition.census_from_program(instance, plan), n, m, copies=m,
+        transform=partition.census_from_program(transform, plan))
     slices = len(plan.adder_nodes)
     return {
         "G_measured": measured,
         "G_closed_form": predicted,
         "G_delta": deltas,
-        "NL_T": partition.count_nl_t(census, n, m),
+        "NL_T": nl_t,
         "predictions": {
             "NL(AN)": 2 * slices,
             "NL(c_m(M))": 11 * slices * m * n,
@@ -128,12 +145,15 @@ def _default_base(N: int) -> int:
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one factoring job and build its report."""
     started = time.perf_counter()
-    error = config.validate()
+    status, error = EXIT_BAD_CONFIG, config.validate()
     if error is None and not config.counts_only:
         error = shor.classical_rejection(config.N)
+        if error is None:
+            # a static count report scales; a factoring run must fit
+            status = EXIT_EXHAUSTED
+            error = shor.admission_error(config.m_effective)
     if error is not None:
-        report = {"config": _config_dict(config), "error": error}
-        return EXIT_BAD_CONFIG, report
+        return status, {"config": _config_dict(config), "error": error}
 
     report: dict = {"config": _config_dict(config)}
     status = EXIT_OK
@@ -209,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if status == EXIT_BAD_CONFIG:
+    if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
     if args.dump_circuit and status == EXIT_OK:
         _write_dump(config, args.dump_circuit)

@@ -27,6 +27,10 @@ stage, which must be the same for every instance.  With s adder nodes
 holding a slice (s = 4 when every node gets one), a modular addition costs 2s
 remotely controlled slices and 2(s - 1) carry teleports, and copy and
 swap s slices each.
+
+A census need not cover a whole program.  The count report takes one of
+the ladder's first controlled multiplier, whose events the ladder repeats
+m times, and one of the transform, and never builds the whole program.
 """
 
 from __future__ import annotations
@@ -209,7 +213,8 @@ def build_distributed_order_program(a: int, N: int,
                                     plan: PlacementPlan) -> Circuit:
     """The full order-finding program: preparation, power ladder, inverse
     transform.  Measurement is left to the driver so the pre-measurement
-    distribution stays inspectable."""
+    distribution stays inspectable.  It has ~70 m n^2 gates; the count
+    report builds one controlled multiplier instead."""
     circ = build_distributed_modexp_program(a, N, plan)
     circ.extend(build_distributed_transform_program(plan))
     return circ
@@ -256,6 +261,9 @@ class BlockCensus:
     def total_blocks(self) -> int:
         return sum(table.total() for table in self.blocks.values())
 
+    def total_teleports(self) -> int:
+        return sum(table.total() for table in self.teleports.values())
+
 
 def _census(blocks: Iterable[str | None],
             labels: Iterable[str]) -> BlockCensus:
@@ -300,9 +308,12 @@ def census_from_program(circ: Circuit, plan: PlacementPlan) -> BlockCensus:
     return _census(blocks, labels)
 
 
-def count_nl_t(census: BlockCensus, n: int, m: int) -> dict:
-    """The report's ``NL_T``: the measured leaf counts rolled up the
-    reference recursion, next to the raw event totals.
+def count_nl_t(census: BlockCensus, n: int, m: int, *, copies: int = 1,
+               transform: BlockCensus | None = None) -> dict:
+    """The report's ``NL_T`` for a program that runs the events of
+    ``census`` ``copies`` times and then those of ``transform``: the
+    measured leaf counts rolled up the reference recursion, next to the
+    raw event totals.
 
     NL(XAN) = 2 NL(AN) + NL(COPY); NL(A) = 2 NL(XAN) + NL(SWAP);
     NL(M) = n NL(A); NL(c_m) = m NL(M).  Teleports: T(XAN) = 2 T(AN)
@@ -311,6 +322,8 @@ def count_nl_t(census: BlockCensus, n: int, m: int) -> dict:
     raw totals are larger by design: every uncompute pass re-runs its
     blocks.
     """
+    transform = transform if transform is not None else BlockCensus()
+
     def leaf(table: dict[str, Counter], stage: str, what: str) -> int:
         values = set(table.get(stage, {}).values())
         if len(values) != 1:
@@ -322,7 +335,8 @@ def count_nl_t(census: BlockCensus, n: int, m: int) -> dict:
     t_an = leaf(census.teleports, "AN", "teleport")
     nl_copy = leaf(census.blocks, "COPY", "block")
     nl_swap = leaf(census.blocks, "SWAP", "block")
-    qft = sum(census.blocks.get("QFT", {}).values())
+    qft = (copies * census.blocks.get("QFT", Counter()).total()
+           + transform.blocks.get("QFT", Counter()).total())
 
     nl_xan = 2 * nl_an + nl_copy
     nl_a = 2 * nl_xan + nl_swap
@@ -344,7 +358,8 @@ def count_nl_t(census: BlockCensus, n: int, m: int) -> dict:
         "leaves_measured": {lvl: dict(levels[lvl])
                             for lvl in ("AN", "COPY", "SWAP")},
         "raw_events": {
-            "blocks": census.total_blocks(),
-            "teleports": sum(table.total()
-                             for table in census.teleports.values())},
+            "blocks": copies * census.total_blocks()
+            + transform.total_blocks(),
+            "teleports": copies * census.total_teleports()
+            + transform.total_teleports()},
     }

@@ -135,25 +135,43 @@ class OrderRun:
 
 
 def run_estimation(prefix: Circuit, transform: Circuit,
-                   k_qubits: tuple[int, ...],
-                   max_support: int | None = None) -> OrderRun:
+                   k_qubits: tuple[int, ...]) -> OrderRun:
     """Execute a phase-estimation program up to measurement on a fresh
-    state, refusing a prefix whose support outgrows ``max_support``."""
+    state."""
     state = QuantumState(prefix.num_qubits)
     execute(prefix, state)
-    if max_support is not None and state.peak_support > max_support:
-        raise RuntimeError("sparse support exceeded its bound")
     execute(transform, state)
     return OrderRun(k_qubits, state)
 
 
 # -- order finding -----------------------------------------------------------
 
+# The most sparse-support entries an order-finding run may need: 4 * 2^m
+# must fit, so the estimation register is at most 16 qubits wide.
+SUPPORT_BUDGET = 1 << 18
+
+
+def admission_error(m: int) -> str | None:
+    """Why order finding with an m-bit estimation register is refused
+    before anything is built, or None.
+
+    The sparse support never exceeds 4 * 2^m: the estimation register
+    contributes 2^m branches.  The gate-by-gate shared-control protocol
+    (netsim's reference primitives) adds at most a transient doubling on
+    each side of a measurement; the closed form the network runs adds
+    none, so the bound keeps that slack.
+    """
+    if 4 << m > SUPPORT_BUDGET:
+        return (f"m = {m} needs up to 4 * 2^{m} = {4 << m} support "
+                f"entries, over the budget of {SUPPORT_BUDGET} "
+                f"(m <= {SUPPORT_BUDGET.bit_length() - 3})")
+    return None
+
+
 def order_circuit_parts(a: int, N: int,
                         m: int) -> tuple[Circuit, Circuit, RegisterLayout]:
-    """Single-machine order-finding program, split at the point where the
-    sparse-support bound applies: (preparation + power ladder, inverse
-    transform)."""
+    """Single-machine order-finding program, split before its inverse
+    transform: (preparation + power ladder, inverse transform)."""
     layout = RegisterLayout.packed(N.bit_length(), m)
     modexp = order_prefix(layout, layout.num_data_qubits,
                           build_cm_m(a, N, m, layout))
@@ -168,16 +186,9 @@ def order_round(a: int, N: int, m: int,
     executes them up to measurement on a fresh state at every call.  Its
     random source feeds the network's protocol measurements; a
     monolithic round draws nothing before measurement."""
-    # The sparse support never exceeds 4 * 2^m: the estimation register
-    # contributes 2^m branches.  The gate-by-gate shared-control protocol
-    # (netsim's reference primitives) adds at most a transient doubling on
-    # each side of a measurement; the closed form the network runs adds
-    # none, so the bound keeps that slack.
-    max_support = 4 << m
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)
-        return lambda _rng: run_estimation(modexp, transform, layout.k,
-                                           max_support)
+        return lambda _rng: run_estimation(modexp, transform, layout.k)
     if mode != DISTRIBUTED:
         raise ValueError(f"unknown mode {mode!r}")
     plan = partition.plan_placement(N.bit_length(), m)
@@ -187,8 +198,6 @@ def order_round(a: int, N: int, m: int,
     def run(rng: RandomSource) -> OrderRun:
         network = partition.build_network(plan, rng)
         partition.distribute_circuit(modexp, plan, network)
-        if network.state.peak_support > max_support:
-            raise RuntimeError("sparse support exceeded its bound")
         partition.distribute_circuit(transform, plan, network)
         return OrderRun(plan.layout.k, network.state, network)
     return run
@@ -269,6 +278,9 @@ def find_order(a: int, N: int, m: int | None = None,
         m = 2 * N.bit_length()
     if m < 1:
         raise ValueError(f"estimation width m must be at least 1, got {m}")
+    error = admission_error(m)
+    if error is not None:
+        raise ValueError(error)
     if rng is None:
         rng = RandomSource(0)
     if max_rounds is None:

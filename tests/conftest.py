@@ -6,11 +6,13 @@ import random
 
 import pytest
 
-from distshor import gates
-from distshor.circuit import Circuit, Instruction, execute
+from distshor import cli, gates, partition
+from distshor.circuit import Circuit, Instruction, count_gates, execute
 from distshor.netsim import (Network, NetworkError, SessionRecord,
                              remote_controls, session_groups)
+from distshor.qft import FourierSpec, build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource
+from distshor.revarith import gate_count_formula
 from distshor.shor import run_order_circuit
 
 
@@ -101,6 +103,49 @@ def reference_execute_distributed(network: Network, circ: Circuit):
             reference_move(network, *group[0].targets, group[0].label)
         else:
             reference_session(network, node, group, group[0].block)
+
+
+def reference_counts_section(config: cli.RunConfig) -> dict:
+    """``cli._counts_section`` read off the whole distributed order
+    program, every multiplier of the ladder built and censused: the
+    reference for the report's first-instance counts."""
+    n, m = config.n, config.m_effective
+    a = config.a if config.a is not None else cli._default_base(config.N)
+    plan = partition.plan_placement(n, m)
+    program = partition.build_distributed_order_program(a, config.N, plan)
+
+    counted = count_gates(program)
+    adder = "cm/M[0]/MF0/A[0]"
+    measured = {lvl: counted.count_under(path) for lvl, path in (
+        ("FA", f"{adder}/XAN0/AN/FA"), ("HA", f"{adder}/XAN0/AN/HA"),
+        ("AN", f"{adder}/XAN0/AN"), ("XAN", f"{adder}/XAN0"), ("A", adder),
+        ("MF", "cm/M[0]/MF0"), ("M", "cm/M[0]"), ("c_m(M)", "cm"))}
+    measured["QFT_inv"] = count_gates(
+        build_inverse_qft(FourierSpec(m), list(range(m)))).total
+
+    predicted = {lvl: gate_count_formula(lvl, n, m)
+                 for lvl in ("FA", "HA", "AN", "XAN", "A", "MF", "M",
+                             "c_m(M)", "QFT_inv")}
+    deltas = {lvl: measured[lvl] - predicted[lvl] for lvl in predicted}
+
+    census = partition.census_from_program(program, plan)
+    slices = len(plan.adder_nodes)
+    return {
+        "G_measured": measured,
+        "G_closed_form": predicted,
+        "G_delta": deltas,
+        "NL_T": partition.count_nl_t(census, n, m),
+        "predictions": {
+            "NL(AN)": 2 * slices,
+            "NL(c_m(M))": 11 * slices * m * n,
+            "T(SHOR)": 4 * (slices - 1) * m * n,
+            "G(c_m(M))": gate_count_formula("c_m(M)", n, m),
+            "qubits_monolithic": 5 * n + m + 1,
+            "qubits_distributed": 5 * n + m + 1,
+            "nodes": 7,
+            "node_capacity": plan.capacity,
+        },
+    }
 
 
 def amp_distance(a: QuantumState, b: QuantumState) -> float:

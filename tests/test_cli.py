@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from distshor import cli
+from conftest import reference_counts_section
+from distshor import cli, shor
 from distshor.circuit import count_gates
 from distshor.qft import FourierSpec, build_inverse_qft
 from distshor.revarith import (RegisterLayout, build_adder, build_an,
@@ -128,6 +129,72 @@ class TestCountsOnly:
         _, report = run_cli(tmp_path, "--N", "15", "--counts-only")
         assert "outcome" not in report
         assert "rounds" not in report
+
+    @pytest.mark.parametrize("n,m", [
+        *((n, m) for n in range(4, 13) for m in (1, 2)),
+        *((n, 2 * n) for n in range(4, 11))])
+    def test_first_instance_counts_match_full_program(self, n, m):
+        # the report counts one controlled multiplier and the transform;
+        # the reference censuses every multiplier of the whole program,
+        # so this also checks that the m multipliers bill alike
+        config = cli.RunConfig(N=(1 << n) - 1, m=m, counts_only=True)
+        status, report = cli.run(config)
+        assert status == cli.EXIT_OK
+        assert json.dumps(report["counts"]) == \
+            json.dumps(reference_counts_section(config))
+
+
+class TestCountsScale:
+    """The O((log N)^2) communication claim at widths the full program
+    (~70 m n^2 gates) is too large to build for a report."""
+
+    @pytest.mark.parametrize("N", [65535, 4294967295])  # n = 16, 32
+    def test_communication_matches_closed_forms(self, tmp_path, N):
+        status, report = run_cli(tmp_path, "--N", str(N), "--counts-only")
+        assert status == cli.EXIT_OK
+        n = N.bit_length()
+        m, s = 2 * n, 4
+        counts = report["counts"]
+        levels = counts["NL_T"]["per_level"]
+        assert report["config"]["m"] == m
+        assert levels["c_m(M)"]["NL"] == 11 * s * m * n
+        assert levels["SHOR"]["T"] == 4 * (s - 1) * m * n
+        assert counts["NL_T"]["raw_events"]["blocks"] == 179 * n * n
+        assert counts["G_measured"]["c_m(M)"] == \
+            m * counts["G_measured"]["M"]
+
+
+class TestAdmission:
+    """Factoring runs over the support budget are refused before anything
+    is built.  The budget is shrunk here, so a broken check still runs
+    only a small instance."""
+
+    def test_oversized_factoring_run_exits_three(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 3)
+        monkeypatch.setattr(shor, "factor", None)  # never reached
+        status, report = run_cli(tmp_path, "--N", "15", "--a", "7",
+                                 "--m", "4")
+        assert status == cli.EXIT_EXHAUSTED
+        assert "budget of 32" in report["error"]
+        assert "outcome" not in report and "counts" not in report
+
+    def test_default_width_is_checked(self, monkeypatch):
+        monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 7)
+        status, report = cli.run(cli.RunConfig(N=15))  # m = 2n = 8
+        assert status == cli.EXIT_EXHAUSTED
+        assert report["error"].startswith("m = 8 ")
+
+    def test_bad_configuration_still_exits_two(self, monkeypatch):
+        monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 3)
+        status, _ = cli.run(cli.RunConfig(N=16, m=4))
+        assert status == cli.EXIT_BAD_CONFIG
+
+    def test_counts_only_is_exempt(self, monkeypatch):
+        monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 3)
+        status, report = cli.run(cli.RunConfig(N=15, m=8, counts_only=True))
+        assert status == cli.EXIT_OK
+        assert "counts" in report
 
 
 class TestDeterminism:

@@ -3,13 +3,14 @@ statistics, verified orders, end-to-end factorizations."""
 
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import reference_execute
-from distshor import gates, partition, shor
+from distshor import cli, gates, partition, shor
 from distshor.circuit import Circuit
 from distshor.qft import FourierSpec, build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource
@@ -295,6 +296,49 @@ class TestBuildOnce:
         res = find_order(7, 15, 1, RandomSource(0), mode="distributed")
         assert res.rounds_used == 5
         assert [len(calls[name]) for name in names] == [1, 1, 1, 1, 0]
+
+
+class TestReportBuilds:
+    """A factoring report never builds the whole distributed program: its
+    counts section builds the ladder's first controlled multiplier."""
+
+    @pytest.mark.parametrize("mode", ["monolithic", "distributed"])
+    def test_counts_section_builds_one_multiplier(self, monkeypatch, mode):
+        programs = count_calls(monkeypatch, partition,
+                               "build_distributed_order_program")
+        ladders = count_calls(monkeypatch, cli, "build_cm_m")
+        status, report = cli.run(cli.RunConfig(N=15, a=7, m=2, mode=mode,
+                                               seed=1))
+        assert status == cli.EXIT_OK and "counts" in report
+        assert len(programs) == 0
+        assert [args[2] for args in ladders] == [1]
+
+
+class TestAdmission:
+    """One check of the support bound 4 * 2^m before anything is built;
+    only called directly, never by running an oversized case."""
+
+    def test_budget_admits_up_to_sixteen_qubits(self):
+        assert shor.admission_error(16) is None
+        error = shor.admission_error(17)
+        assert error is not None
+        assert str(shor.SUPPORT_BUDGET) in error and "m <= 16" in error
+
+    def test_budget_admits_every_benchmark_job(self, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import WORKLOADS
+
+        widths = [m for w in WORKLOADS.values() if not w.counts_only
+                  for _N, m in w.strata]
+        assert all(shor.admission_error(m) is None for m in widths)
+
+    def test_find_order_refuses_before_building(self, monkeypatch):
+        monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 3)
+        rounds = count_calls(monkeypatch, shor, "order_round")
+        with pytest.raises(ValueError, match="budget of 32"):
+            find_order(7, 15, 4, RandomSource(0))
+        assert rounds == []
 
 
 class TestRunKernel:
