@@ -10,10 +10,11 @@ instruction is part of the circuit (and is counted) either way; a 0 simply
 disables it at execution time.  This models gates conditioned on bits of a
 classically known addend.
 
-``MOVE src dst`` relocates a qubit state into a |0> slot.  Executed locally
-it is a SWAP; a distributed executor realizes it as a teleport.  MOVE is a
-relocation directive, so it is ignored by gate counting and is not wrapped
-by ``add_controls``.
+``MOVE src dst`` relocates a qubit state into a |0> slot.  ``execute``
+runs it as a SWAP and refuses it when the destination is not |0>; across
+nodes the network bills it as a teleport.  MOVE is a relocation
+directive, so it is ignored by gate counting and is not wrapped by
+``add_controls``.
 """
 
 from __future__ import annotations
@@ -195,23 +196,23 @@ def _in_run(inst: Instruction) -> bool:
 
 
 def _run_gates(insts: Iterable[Instruction]):
-    """The gates of a run for ``QuantumState.apply_permutation``: MOVE as
-    SWAP, gates disabled by a 0 constant left out."""
+    """The gates of a run for ``QuantumState.apply_permutation``, which
+    checks that each MOVE lands in a |0> slot; gates disabled by a 0
+    constant are left out."""
     for inst in insts:
-        if inst.kind.name == "MOVE":
-            yield gates.SWAP, inst.targets, ()
-        elif inst.classical_constant != 0:
+        if inst.kind.name == "MOVE" or inst.classical_constant != 0:
             yield inst.kind, inst.targets, inst.controls
 
 
 def execute(circ: Circuit, state: QuantumState):
     """Run a circuit on a state, in place.
 
-    Each maximal run of permutation instructions goes to
+    Each maximal run of permutation instructions and MOVEs goes to
     ``QuantumState.apply_permutation`` in one call; that gives the same
-    state, entry order included, as applying its gates one by one.  Every
-    other gate goes through ``apply_gate``, unless a 0 constant disables
-    it.
+    state, entry order included, as applying its gates one by one, and
+    raises ``SimulationError`` on a MOVE into a slot that is not |0>.
+    Every other gate goes through ``apply_gate``, unless a 0 constant
+    disables it.
     """
     if state.num_qubits < circ.num_qubits:
         raise ValueError("state is smaller than the circuit's qubit pool")

@@ -24,19 +24,19 @@ pair and two classical bits per shared control qubit.
 
 ``establish_epr``, ``cat_entangle``, ``cat_disentangle`` and ``teleport``
 carry out these steps on the state, gate by gate: they are the reference.
-A session (``run_session``) and a relocation (``move``) use the gadgets'
+A program run on the network (``execute_distributed``) uses the gadgets'
 closed form instead.  Every protocol measurement is a fair coin whose
 outcome the fix-ups undo, and the mirror equals its control on every
-support entry, so
-
-* a session runs its body gate by gate on the original controls;
-* a teleport into a |0> slot is a SWAP of the two slots.
-
-The closed form draws one ``rng.uniform()`` per protocol measurement in
-the physical order and posts the same channel claims, capacity checks,
-ledger and classical-bit entries and records as the reference, through
-the same bookkeeping helpers; the state agrees with the reference up to
-floating-point rounding.
+support entry, so a session applies its body on the original controls
+and a teleport into a |0> slot is a SWAP: the program changes the state
+as ``circuit.execute`` does.  The run posts the program's bill first, a
+session (``run_session``) or relocation (``move``) per unit of
+``session_groups`` that draws one ``rng.uniform()`` per protocol
+measurement in the physical order and posts the reference's channel
+claims, capacity checks, ledger and classical-bit entries and records
+through the same bookkeeping helpers.  Then one ``circuit.execute`` runs
+the state; its kernel refuses a MOVE into a slot that is not |0>.  The
+state agrees with the reference up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
-from .circuit import Circuit, Instruction, add_controls
+from .circuit import Circuit, Instruction, add_controls, execute
 from .qstate import Control, QuantumState, RandomSource
 
 _PURE_TOL = 1e-9
@@ -312,15 +312,16 @@ class Network:
 
     def run_session(self, node_id: str, instructions: Sequence[Instruction],
                     *, block: str | None = None) -> SessionRecord | None:
-        """Execute a block of gates on one node, sharing every remote
-        control for the whole block.
+        """Bill a block of gates on one node, sharing every remote control
+        for the whole block.
 
         Controls are deduplicated: each remote control qubit costs one
         pair and two classical bits no matter how many gates use it.
         At most 3 remote controls are ever distributed at once.
 
         Closed form of entangle, body on the mirrors, disentangle: the
-        body runs gate by gate on the original controls.
+        gates it enables must run on ``node_id``; their state changes are
+        left to ``circuit.execute``.
         """
         remote = remote_controls(instructions, node_id, self.node_of)
         if len(remote) > 3:
@@ -331,7 +332,6 @@ class Network:
                 if inst.classical_constant != 0]
         for inst in body:
             self._check_local(node_id, inst.targets)
-            self.state.apply_gate(inst.kind, inst.targets, inst.controls)
         for cat in reversed(cats):
             self.rng.uniform()  # the disentangle measurement: a fair coin
             self._release_mirror(cat, cat.node_mirror, cat.node_control)
@@ -344,12 +344,12 @@ class Network:
     def nonlocal_cnot(self, control: int, target: int):
         """CNOT with control and target on different nodes: exactly one
         pair and one classical bit each way."""
-        node_t = self.node_of(target)
-        if self.node_of(control) == node_t:
+        if self.node_of(control) == self.node_of(target):
             raise NetworkError("control and target share a node; use a "
                                "local gate")
-        inst = Instruction(gates.X, (target,), ((control, True),))
-        self.run_session(node_t, [inst], block="nonlocal-cnot")
+        self.nonlocal_controlled_circuit(
+            control, Circuit(self.state.num_qubits).x(target),
+            block="nonlocal-cnot")
 
     def nonlocal_controlled_circuit(self, control: int, body: Circuit, *,
                                     block: str | None = None):
@@ -371,6 +371,7 @@ class Network:
             raise NetworkError(str(exc)) from exc
         self.run_session(nodes.pop(), body.instructions,
                          block=block or "nonlocal-block")
+        execute(body, self.state)
 
     def teleport(self, qubit: int, dest_node: str,
                  dest_slot: int | None = None, *, label: str = "") -> int:
@@ -390,7 +391,10 @@ class Network:
             dest_slot = self.allocate_data(dest_node, 1)[0]
             self.release_data(src_node, qubit)
         try:
-            self._check_landing(dest_node, dest_slot)
+            self._check_held(dest_node, dest_slot)
+            if self.state.prob_one(dest_slot) > _PURE_TOL:
+                raise NetworkError(f"destination slot {dest_slot} is not "
+                                   f"|0>")
             pair = self.establish_epr(src_node, dest_node)
         except NetworkError:
             if claimed:  # nothing has moved: hand both slots back
@@ -407,21 +411,20 @@ class Network:
         return dest_slot
 
     def move(self, src: int, dst: int, *, label: str = ""):
-        """Relocate a state into a |0> slot: a local swap on one node, a
-        teleport across nodes.
+        """Bill a relocation into a |0> slot: nothing for a local swap on
+        one node, a teleport across nodes.
 
-        Closed form of the teleport: the two slots swap, billed as
-        ``teleport`` bills them, with one fair coin for each of its two
-        measurements.
+        Closed form of the teleport, billed as ``teleport`` bills it, with
+        one fair coin for each of its two measurements; the swap and its
+        |0> check are left to ``circuit.execute``.
         """
         src_node, dst_node = self.node_of(src), self.node_of(dst)
         if src_node != dst_node:
-            self._check_landing(dst_node, dst)
+            self._check_held(dst_node, dst)
             cat = self._share(src, dst_node)
             self.rng.uniform()  # the source's X-basis measurement
             self._release_mirror(cat, src_node, dst_node)
             self._log_teleport(src_node, dst_node, label)
-        self.state.apply_gate(gates.SWAP, [src, dst])
 
     def _share(self, control: int, node_id: str) -> CatState:
         """Closed form of ``establish_epr`` then ``cat_entangle``: the
@@ -469,14 +472,11 @@ class Network:
         self.teleport_log.append(TeleportRecord(src_node, dest_node, label))
         self._track(dest_node)
 
-    def _check_landing(self, node_id: str, slot: int):
-        """A relocation lands in a register slot that ``node_id`` holds
-        and that is |0>."""
+    def _check_held(self, node_id: str, slot: int):
+        """A relocation lands in a register slot that ``node_id`` holds."""
         if slot not in self._node(node_id).allocated:
             raise NetworkError(f"destination slot {slot} not held "
                                f"by {node_id}")
-        if self.state.prob_one(slot) > _PURE_TOL:
-            raise NetworkError(f"destination slot {slot} is not |0>")
 
     # -- helpers ----------------------------------------------------------
 
@@ -575,12 +575,14 @@ def session_groups(instructions: Sequence[Instruction],
 
 
 def execute_distributed(network: Network, circ: Circuit):
-    """Run a circuit on the network: each run of gates from
+    """Run a circuit on the network: bill each run of gates from
     ``session_groups`` as one session, its remote controls shared once,
-    and each MOVE as a relocation, a teleport across nodes."""
+    and each MOVE as a relocation, a teleport across nodes; then run the
+    state through ``circuit.execute``."""
     for node, group in session_groups(circ.instructions, network.node_of):
         if node is None:
             src, dst = group[0].targets
             network.move(src, dst, label=group[0].label)
         else:
             network.run_session(node, group, block=group[0].block)
+    execute(circ, network.state)

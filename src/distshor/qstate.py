@@ -11,7 +11,8 @@ Controls are lists of ``(qubit, polarity)`` pairs; a negative polarity
 need no X sandwiches.
 
 Runs of permutation gates (X, CNOT, TOFFOLI and SWAP, with any
-controls) go through ``apply_permutation``, a bit-sliced kernel: each
+controls, and the circuit IR's MOVE, a SWAP into a slot it checks is
+|0>) go through ``apply_permutation``, a bit-sliced kernel: each
 qubit the run touches is held as one Python int with one bit per support
 entry, so a controlled X is ``col[t] ^= AND(control columns)`` and a
 controlled SWAP a masked exchange, one big-int operation per gate at any
@@ -30,7 +31,7 @@ import random
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .gates import ARITY, GateKind, X, is_unitary, phase_factor
+from .gates import ARITY, SWAP, GateKind, X, is_unitary, phase_factor
 
 _SQRT_HALF = 0.5**0.5
 PRUNE_EPSILON = 1e-12  # H drops amplitudes at or below this magnitude
@@ -205,16 +206,17 @@ class QuantumState:
     def apply_permutation(self, run: Iterable[tuple[GateKind, Sequence[int],
                                                     Iterable[Control]]]
                           ) -> "QuantumState":
-        """Apply a run of X/CNOT/TOFFOLI/SWAP gates in place and
-        return self.
+        """Apply a run of X/CNOT/TOFFOLI/SWAP gates and MOVEs in place
+        and return self.
 
         The run is consumed one gate at a time; each gate goes through the
-        same validation as ``apply_gate``.  Every qubit the run touches is
-        held as one bitset over the support entries (bit k belongs to the
-        k-th entry in dict order), so a gate is a few big-int operations
-        whatever the support size.  When the run ends, also on an error,
-        the entries get their new keys in their original order; the
-        amplitude values are not touched.
+        same validation as ``apply_gate``, and a MOVE, a SWAP, also checks
+        that its destination (second target) is |0>.  Every qubit the run
+        touches is held as one bitset over the support entries (bit k
+        belongs to the k-th entry in dict order), so a gate is a few
+        big-int operations whatever the support size.  When the run ends,
+        also on an error, the entries get their new keys in their original
+        order; the amplitude values are not touched.
         """
         amps = self.amplitudes
         width = self.num_qubits
@@ -232,14 +234,18 @@ class QuantumState:
 
         try:
             for gate, targets, controls in run:
-                base, targets, controls = self._normalize(gate, targets,
-                                                          controls)
+                move = gate.name == "MOVE"
+                base, targets, controls = self._normalize(
+                    SWAP if move else gate, targets, controls)
                 if base.name not in ("X", "SWAP"):
                     raise SimulationError(
                         f"{gate} is not a permutation gate")
                 if rows is None:
                     rows = " ".join(map(format, amps,
                                         repeat(f"0{width}b"))).encode()
+                if move and column(targets[1]):
+                    raise SimulationError(
+                        f"destination slot {targets[1]} is not |0>")
                 mask = full
                 for q, pol in controls:
                     mask &= column(q) if pol else ~column(q)

@@ -156,10 +156,10 @@ def admission_error(m: int) -> str | None:
     before anything is built, or None.
 
     The sparse support never exceeds 4 * 2^m: the estimation register
-    contributes 2^m branches.  The gate-by-gate shared-control protocol
-    (netsim's reference primitives) adds at most a transient doubling on
-    each side of a measurement; the closed form the network runs adds
-    none, so the bound keeps that slack.
+    contributes 2^m branches.  Both modes run the state through the same
+    ``circuit.execute``; only the gate-by-gate shared-control protocol
+    (netsim's reference primitives) adds a transient doubling on each
+    side of a measurement, and the bound keeps that slack.
     """
     if 4 << m > SUPPORT_BUDGET:
         return (f"m = {m} needs up to 4 * 2^{m} = {4 << m} support "

@@ -11,7 +11,7 @@ from distshor.circuit import Circuit, Instruction, count_gates, execute
 from distshor.netsim import (Network, NetworkError, SessionRecord,
                              remote_controls, session_groups)
 from distshor.qft import FourierSpec, build_inverse_qft
-from distshor.qstate import QuantumState, RandomSource
+from distshor.qstate import QuantumState, RandomSource, SimulationError
 from distshor.revarith import gate_count_formula
 from distshor.shor import run_order_circuit
 
@@ -45,9 +45,13 @@ def run_on_basis(circ: Circuit, preset: dict) -> QuantumState:
 
 def reference_execute(circ: Circuit, state: QuantumState):
     """``circuit.execute`` with every instruction applied one at a time
-    through ``apply_gate``: the reference for the permutation run kernel."""
+    through ``apply_gate``: the reference for the permutation run kernel.
+    A MOVE is a SWAP, refused when its destination is not |0>."""
     for inst in circ.instructions:
         if inst.kind.name == "MOVE":
+            dst = inst.targets[1]
+            if any(idx >> dst & 1 for idx in state.amplitudes):
+                raise SimulationError(f"destination slot {dst} is not |0>")
             state.apply_gate(gates.SWAP, inst.targets)
         elif inst.classical_constant != 0:
             state.apply_gate(inst.kind, inst.targets, inst.controls)

@@ -8,6 +8,8 @@ import math
 import random
 import time
 
+import pytest
+
 from conftest import amp_distance, random_amplitudes
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
@@ -17,7 +19,7 @@ from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (RegisterLayout, build_adder, build_an,
                                build_cm_m, build_fa, build_ha, build_m,
                                build_mf, build_xan, gate_count_formula)
-from distshor.shor import factor, prepare_phase_state
+from distshor.shor import factor, prepare_phase_state, run_order_circuit
 
 
 def announce(number, text):
@@ -59,6 +61,19 @@ class TestCriterion2DistributedEquivalence:
         assert worst < 1e-9
         announce(2, f"distributed and single-machine first-register "
                     f"distributions agree to {worst:.2e}")
+
+    # the paper's sizes: N=21 and N=33, each with its register width m
+    @pytest.mark.parametrize("a,N,m", [(2, 21, 10), (2, 33, 12)])
+    def test_pre_measurement_distribution_equal_at_paper_sizes(self, a, N,
+                                                                m):
+        mono = run_order_circuit(a, N, m, RandomSource(0), "monolithic")
+        dist = run_order_circuit(a, N, m, RandomSource(0), "distributed")
+        mono = mono.first_register_distribution()
+        dist = dist.first_register_distribution()
+        worst = max(abs(mono.get(k, 0.0) - dist.get(k, 0.0))
+                    for k in set(mono) | set(dist))
+        assert worst < 1e-9
+        announce(2, f"N={N}, m={m}: distributions agree to {worst:.2e}")
 
     def test_shared_seed_same_factors(self):
         mono = factor(15, RandomSource(1), a=7, m=8, mode="monolithic")

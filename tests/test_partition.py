@@ -7,12 +7,14 @@ from conftest import read_register
 from distshor import gates
 from distshor.circuit import Circuit, add_controls, execute
 from distshor.partition import (PlanError, build_distributed_order_program,
+                                build_distributed_transform_program,
                                 build_network, census_from_program,
                                 census_from_records, count_nl_t,
                                 distribute_circuit, plan_placement,
                                 run_order_program)
 from distshor.qstate import QuantumState, RandomSource
-from distshor.revarith import (build_adder, build_an, build_fa, build_xan)
+from distshor.revarith import (build_adder, build_an, build_cm_m, build_fa,
+                               build_xan)
 from distshor.shor import run_order_circuit
 
 
@@ -95,8 +97,10 @@ class TestDistributedBlocks:
 
     def test_fa_slice_with_open_controls_untouched(self):
         segments = self.plan.slicing.segments(self.lay.s, 0, "FA", "fa")
+        pool = sum(spec.register_capacity
+                   for spec in self.plan.topology.nodes)
         fa = build_fa(11, self.lay.b, self.lay.s, self.lay.carry,
-                      num_qubits=64, path="FA", segments=segments)
+                      num_qubits=pool, path="FA", segments=segments)
         circ = add_controls(fa, self.controls)
         net = self.run_block(circ, 9, enable=False)
         assert read_register(net.state, self.lay.s) == 0
@@ -268,3 +272,31 @@ class TestFullRunEquivalence:
         with pytest.raises(PlanError) as err:
             count_nl_t(census, 4, 1)
         assert str(err.value) == f"non-uniform AN {what} census: {values}"
+
+
+class TestRoundBill:
+    """A distributed round's bill is m copies of its first controlled
+    multiplier's plus the transform's: the bill depends on neither the
+    coins nor the state."""
+
+    @staticmethod
+    def bill(plan, circ):
+        net = fresh_network(plan)
+        distribute_circuit(circ, plan, net)
+        ledger = net.ledger
+        return (ledger.ebits_consumed, ledger.pairs_established,
+                ledger.teleports, ledger.total_cbits())
+
+    @pytest.mark.parametrize("a,N,m", [(7, 15, 4), (7, 15, 8), (2, 21, 10),
+                                       (2, 33, 12)])
+    def test_round_is_m_multipliers_plus_transform(self, a, N, m):
+        plan = plan_placement(N.bit_length(), m)
+        ledger = run_order_circuit(a, N, m, RandomSource(0),
+                                   "distributed").network.ledger
+        first = self.bill(plan, build_cm_m(a, N, 1, plan.layout,
+                                           slicing=plan.slicing))
+        transform = self.bill(plan,
+                              build_distributed_transform_program(plan))
+        assert (ledger.ebits_consumed, ledger.pairs_established,
+                ledger.teleports, ledger.total_cbits()) == tuple(
+                    m * f + t for f, t in zip(first, transform))

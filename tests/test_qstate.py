@@ -295,12 +295,29 @@ class TestPermutationRun:
     @given(sparse_states_and_runs())
     def test_matches_per_gate_application(self, case):
         amps, circ = case
-        ref = QuantumState.from_amplitudes(circ.num_qubits, amps)
-        reference_execute(circ, ref)
-        st = QuantumState.from_amplitudes(circ.num_qubits, amps)
-        execute(circ, st)
+        errors = []
+        states = []
+        for run in (reference_execute, execute):
+            st = QuantumState.from_amplitudes(circ.num_qubits, amps)
+            try:
+                run(circ, st)
+                errors.append(None)
+            except SimulationError as exc:  # a MOVE into a set slot
+                errors.append(str(exc))
+            states.append(st)
+        ref, st = states
+        assert errors[1] == errors[0]
         assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
         assert st.peak_support == ref.peak_support
+
+    def test_move_into_set_slot_rejected(self):
+        circ = Circuit(3)
+        circ.h(2)
+        circ.x(0)
+        circ.move(0, 2)
+        with pytest.raises(SimulationError,
+                           match=r"^destination slot 2 is not \|0>$"):
+            execute(circ, QuantumState(3))
 
     def test_runs_split_at_other_instructions(self):
         circ = Circuit(4)
