@@ -578,7 +578,13 @@ def execute_distributed(network: Network, circ: Circuit):
     """Run a circuit on the network: bill each run of gates from
     ``session_groups`` as one session, its remote controls shared once,
     and each MOVE as a relocation, a teleport across nodes; then run the
-    state through ``circuit.execute``."""
+    state through ``circuit.execute``.
+
+    The whole bill is posted before the state runs.  A program the state
+    then refuses is raised after that: ``ValueError`` when it needs more
+    qubits than the network's state holds, ``SimulationError`` when a MOVE
+    lands in a slot that is not |0>.  The ledger, records and random
+    stream then cover work that did not run, or ran only in part."""
     for node, group in session_groups(circ.instructions, network.node_of):
         if node is None:
             src, dst = group[0].targets

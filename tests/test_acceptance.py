@@ -52,28 +52,28 @@ class TestCriterion1EndToEnd:
 
 
 class TestCriterion2DistributedEquivalence:
-    def test_pre_measurement_distribution_equal(self, mono_run_15,
-                                                dist_run_15):
-        mono = mono_run_15.first_register_distribution()
-        dist = dist_run_15.first_register_distribution()
+    @staticmethod
+    def assert_same_distribution(mono_run, dist_run, what):
+        mono = mono_run.first_register_distribution()
+        dist = dist_run.first_register_distribution()
         worst = max(abs(mono.get(k, 0.0) - dist.get(k, 0.0))
                     for k in set(mono) | set(dist))
         assert worst < 1e-9
-        announce(2, f"distributed and single-machine first-register "
+        announce(2, f"{what}distributed and single-machine first-register "
                     f"distributions agree to {worst:.2e}")
+
+    def test_pre_measurement_distribution_equal(self, mono_run_15,
+                                                dist_run_15):
+        self.assert_same_distribution(mono_run_15, dist_run_15, "")
 
     # the paper's sizes: N=21 and N=33, each with its register width m
     @pytest.mark.parametrize("a,N,m", [(2, 21, 10), (2, 33, 12)])
     def test_pre_measurement_distribution_equal_at_paper_sizes(self, a, N,
                                                                 m):
-        mono = run_order_circuit(a, N, m, RandomSource(0), "monolithic")
-        dist = run_order_circuit(a, N, m, RandomSource(0), "distributed")
-        mono = mono.first_register_distribution()
-        dist = dist.first_register_distribution()
-        worst = max(abs(mono.get(k, 0.0) - dist.get(k, 0.0))
-                    for k in set(mono) | set(dist))
-        assert worst < 1e-9
-        announce(2, f"N={N}, m={m}: distributions agree to {worst:.2e}")
+        self.assert_same_distribution(
+            run_order_circuit(a, N, m, RandomSource(0), "monolithic"),
+            run_order_circuit(a, N, m, RandomSource(0), "distributed"),
+            f"N={N}, m={m}: ")
 
     def test_shared_seed_same_factors(self):
         mono = factor(15, RandomSource(1), a=7, m=8, mode="monolithic")
