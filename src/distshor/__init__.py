@@ -13,8 +13,8 @@ from .netsim import (CatState, EprPair, Network, NetworkError, NodeSpec,
 from .partition import (PlacementPlan, count_nl_t, distribute_circuit,
                         plan_placement)
 from .qstate import QuantumState, RandomSource, SimulationError
-from .revarith import (AdderSlicing, ChainSegment, ClassicalConstant,
-                       RegisterLayout, gate_count_formula)
+from .revarith import (AdderSlicing, ChainSegment, RegisterLayout,
+                       gate_count_formula)
 from .shor import (FactoringOutcome, OrderResult, PhaseEstimate,
                    continued_fraction, factor, find_order, phase_estimate)
 

@@ -3,14 +3,16 @@
 Reports are JSON documents with a fixed key order; the wall time lives in
 a single ``wall_time_s`` key so golden comparisons can mask it.  Exit
 codes: 0 success, 2 invalid configuration, 3 resource exhaustion (the
-retry budget ran out, or a factoring run's support bound is over
-``shor.SUPPORT_BUDGET``, checked before anything is built).
+retry budget ran out, or, checked before anything is built, a factoring
+run's support bound is over ``shor.SUPPORT_BUDGET`` or a report's gates
+are over ``GATE_BUDGET``).
 
 The counts section builds the power ladder's first controlled multiplier
 and the distributed inverse transform, never the whole order-finding
 program: the ladder's m multipliers have one shape, so every count is the
 instance's times m, plus the transform's.  That keeps a count report
-quadratic in n, so ``--counts-only`` has no support budget.
+quadratic in n, so ``--counts-only`` has no support budget, but its
+inverse transforms are quadratic in m.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ from .circuit import count_gates, dump
 from .netsim import ResourceLedger
 from .qstate import RandomSource
 from .revarith import RegisterLayout, build_cm_m, gate_count_formula
-from .qft import FourierSpec, build_inverse_qft
+from .qft import build_inverse_qft
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_EXHAUSTED = 3
+
+# The most gates a report may build: the ladder's first controlled
+# multiplier and two inverse transforms, one packed and one distributed.
+GATE_BUDGET = 1 << 21
 
 
 @dataclass
@@ -104,8 +110,7 @@ def _counts_section(config: RunConfig) -> dict:
         ("AN", f"{adder}/XAN0/AN"), ("XAN", f"{adder}/XAN0"), ("A", adder),
         ("MF", "cm/M[0]/MF0"), ("M", "cm/M[0]"))}
     measured["c_m(M)"] = m * counted.count_under("cm")
-    measured["QFT_inv"] = count_gates(
-        build_inverse_qft(FourierSpec(m), list(range(m)))).total
+    measured["QFT_inv"] = count_gates(build_inverse_qft(range(m))).total
 
     predicted = {lvl: gate_count_formula(lvl, n, m)
                  for lvl in ("FA", "HA", "AN", "XAN", "A", "MF", "M",
@@ -142,6 +147,17 @@ def _default_base(N: int) -> int:
     raise ValueError("no coprime base exists")
 
 
+def gate_budget_error(n: int, m: int) -> str | None:
+    """Why a report for an n-bit modulus and an m-bit estimation register
+    is refused before anything is built, or None."""
+    built = (gate_count_formula("M", n)
+             + 2 * gate_count_formula("QFT_inv", n, m))
+    if built > GATE_BUDGET:
+        return (f"n = {n}, m = {m} builds {built} gates for its report, "
+                f"over the budget of {GATE_BUDGET}")
+    return None
+
+
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one factoring job and build its report."""
     started = time.perf_counter()
@@ -149,9 +165,12 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if error is None and not config.counts_only:
         error = shor.classical_rejection(config.N)
         if error is None:
-            # a static count report scales; a factoring run must fit
+            # a factoring run's support must fit
             status = EXIT_EXHAUSTED
             error = shor.admission_error(config.m_effective)
+    if error is None:
+        status = EXIT_EXHAUSTED
+        error = gate_budget_error(config.n, config.m_effective)
     if error is not None:
         return status, {"config": _config_dict(config), "error": error}
 

@@ -18,9 +18,11 @@ local implementation of non-local quantum gates", PRA 62, 052317, 2000):
 * disentangle: H and measure the remote half, send the bit back,
   conditionally Z the control.  The control is restored exactly.
 
-Everything else (remote CNOT, remotely controlled circuit blocks,
-teleportation) is a composition of these two and is billed exactly one
-pair and two classical bits per shared control qubit.
+Everything else (remote CNOT, remotely controlled blocks, teleportation)
+is a composition of these two and is billed exactly one pair and two
+classical bits per shared control qubit.  A remote CNOT is the one-gate
+program ``x(t, controls=[(c, True)])`` and a remotely controlled block is
+``add_controls(body, [(c, True)])``; ``execute_distributed`` runs both.
 
 ``establish_epr``, ``cat_entangle``, ``cat_disentangle`` and ``teleport``
 carry out these steps on the state, gate by gate: they are the reference.
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
-from .circuit import Circuit, Instruction, add_controls, execute
+from .circuit import Circuit, Instruction, execute
 from .qstate import Control, QuantumState, RandomSource
 
 _PURE_TOL = 1e-9
@@ -340,38 +342,6 @@ class Network:
         record = SessionRecord(block, node_id, tuple(remote), len(body))
         self.sessions.append(record)
         return record
-
-    def nonlocal_cnot(self, control: int, target: int):
-        """CNOT with control and target on different nodes: exactly one
-        pair and one classical bit each way."""
-        if self.node_of(control) == self.node_of(target):
-            raise NetworkError("control and target share a node; use a "
-                               "local gate")
-        self.nonlocal_controlled_circuit(
-            control, Circuit(self.state.num_qubits).x(target),
-            block="nonlocal-cnot")
-
-    def nonlocal_controlled_circuit(self, control: int, body: Circuit, *,
-                                    block: str | None = None):
-        """Run ``control``-conditioned ``body`` on the body's node.
-
-        The body must be gates only, local to one node and free of
-        ``control``; the shared control is reused across all its gates, so
-        the cost is one pair and two classical bits regardless of body
-        size.
-        """
-        nodes = {self.node_of(q) for q in body.used_qubits()}
-        if len(nodes) != 1:
-            raise NetworkError(f"body spans nodes {sorted(nodes)}")
-        if not all(inst.is_gate() for inst in body.instructions):
-            raise NetworkError("controlled body must be gates only")
-        try:
-            body = add_controls(body, [(control, True)])
-        except ValueError as exc:
-            raise NetworkError(str(exc)) from exc
-        self.run_session(nodes.pop(), body.instructions,
-                         block=block or "nonlocal-block")
-        execute(body, self.state)
 
     def teleport(self, qubit: int, dest_node: str,
                  dest_slot: int | None = None, *, label: str = "") -> int:

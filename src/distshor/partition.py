@@ -44,7 +44,7 @@ from .circuit import Circuit
 from .netsim import (Network, NodeSpec, SessionRecord, TeleportRecord,
                      Topology, execute_distributed, remote_controls,
                      session_groups)
-from .qft import FourierSpec, build_inverse_qft
+from .qft import build_inverse_qft
 from .qstate import RandomSource
 from .revarith import AdderSlicing, RegisterLayout, build_cm_m
 
@@ -204,9 +204,8 @@ def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
     node_of = {q: plan.node_of_qubit[q] for q in lay.k}
     for node, spare in plan.k_spares.items():
         node_of[spare] = node
-    return build_inverse_qft(
-        FourierSpec(plan.m), lay.k, num_qubits=pool, path="QFTinv",
-        node_of=node_of, spare_of=dict(plan.k_spares))
+    return build_inverse_qft(lay.k, num_qubits=pool, path="QFTinv",
+                             node_of=node_of, spare_of=dict(plan.k_spares))
 
 
 def build_distributed_order_program(a: int, N: int,

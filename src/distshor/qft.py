@@ -3,44 +3,34 @@
 Registers are little-endian (qubit i is bit i of the value).  The forward
 transform sends |j> to ``2^(-n/2) * sum_k exp(2*pi*i*j*k / 2^n) |k>``; the
 circuit is the usual Hadamard/controlled-rotation ladder followed by an
-explicit swap network undoing the bit reversal.  Given a placement
+explicit swap network undoing the bit reversal.  A transform is its
+qubit list: the width is the list's length.  Given a placement
 (``node_of``), the same gate list realizes cross-node rotations as
 remotely controlled gates and cross-node swaps as teleport round trips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import gates
 from .circuit import Circuit, reverse
 
 
-@dataclass(frozen=True)
-class FourierSpec:
-    num_qubits: int
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("need at least one qubit")
-
-
-def build_qft(spec: FourierSpec, qubits: Sequence[int] | None = None, *,
-              num_qubits: int | None = None, path: str = "QFT",
-              node_of: Mapping[int, str] | None = None,
+def build_qft(qubits: Sequence[int], *, num_qubits: int | None = None,
+              path: str = "QFT", node_of: Mapping[int, str] | None = None,
               spare_of: Mapping[str, int] | None = None) -> Circuit:
-    """Build the transform over ``qubits`` (default 0..n-1).
+    """Build the transform over ``qubits``, n = ``len(qubits)`` of them.
 
     Gate count is n(n+1)/2 plus ``floor(n/2)`` terminal swaps.  When
     ``node_of`` is given, it must place every listed qubit; gates are
     tagged with per-gate session blocks and each cross-node swap becomes a
     teleport round trip through the remote node's ``spare_of`` slot.
     """
-    n = spec.num_qubits
-    qubits = list(qubits) if qubits is not None else list(range(n))
-    if len(qubits) != n:
-        raise ValueError("qubit list does not match the spec width")
+    qubits = list(qubits)
+    n = len(qubits)
+    if n < 1:
+        raise ValueError("need at least one qubit")
     if node_of is not None:
         for q in qubits:
             if q not in node_of:
@@ -72,20 +62,18 @@ def build_qft(spec: FourierSpec, qubits: Sequence[int] | None = None, *,
     return circ
 
 
-def build_inverse_qft(spec: FourierSpec,
-                      qubits: Sequence[int] | None = None, *,
+def build_inverse_qft(qubits: Sequence[int], *,
                       num_qubits: int | None = None, path: str = "QFTinv",
                       node_of: Mapping[int, str] | None = None,
                       spare_of: Mapping[str, int] | None = None) -> Circuit:
     """Reverse computation of the forward transform."""
-    return reverse(build_qft(spec, qubits, num_qubits=num_qubits, path=path,
+    return reverse(build_qft(qubits, num_qubits=num_qubits, path=path,
                              node_of=node_of, spare_of=spare_of))
 
 
-def cross_rotation_count(spec: FourierSpec, qubits: Sequence[int],
+def cross_rotation_count(qubits: Sequence[int],
                          node_of: Mapping[int, str]) -> int:
     """Controlled rotations whose control and target sit on different
     nodes; for an even two-node split this is (n/2)^2."""
-    n = spec.num_qubits
-    return sum(1 for h in range(n) for low in range(h)
+    return sum(1 for h in range(len(qubits)) for low in range(h)
                if node_of[qubits[h]] != node_of[qubits[low]])

@@ -8,7 +8,8 @@ Construction chain, bottom up:
   so the circuit shape does not depend on the constant.
 * ``FA_a`` / ``HA_a``: n-bit ripple adders built by chaining bit adders.
   Chain slot i holds carry i on entry and sum bit i on exit, so the first
-  sum slot doubles as the carry-in.
+  sum slot doubles as the carry-in.  The addend is a plain int in
+  [0, 2^n); bit adder i reads its bit i.
 * ``AN_a``: addition mod N: add ``a + 2^n - N`` mod ``2^n``, flip the
   carry into a "no overflow" flag, then run a half-adder chain into the
   output register whose constant (``-(2^n - N)`` two's complement, i.e. N)
@@ -37,24 +38,6 @@ from typing import Sequence
 from . import gates
 from .circuit import Circuit, add_controls, reverse
 from .qstate import Control
-
-
-@dataclass(frozen=True)
-class ClassicalConstant:
-    """A precomputed non-negative integer addend of fixed bit width."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be positive")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(
-                f"{self.value} does not fit in {self.width} bits")
-
-    def bit(self, i: int) -> int:
-        return (self.value >> i) & 1
 
 
 @dataclass(frozen=True)
@@ -166,14 +149,6 @@ class AdderSlicing:
         return segs
 
 
-def _constant(a, width: int) -> ClassicalConstant:
-    if isinstance(a, ClassicalConstant):
-        if a.width != width:
-            raise ValueError("constant width mismatch")
-        return a
-    return ClassicalConstant(a, width)
-
-
 def _emit_bfa(circ: Circuit, a_bit: int, carry_q: int, b_q: int,
               fresh_q: int, branch: Control | None, label: str,
               block: str | None):
@@ -198,12 +173,11 @@ def _emit_bha(circ: Circuit, a_bit: int, carry_q: int, b_q: int,
     circ.gate(gates.CNOT, [b_q, carry_q], label=label, block=block)
 
 
-def _ripple_chain(circ: Circuit, a: ClassicalConstant,
-                  addend: Sequence[int], segments: Sequence[ChainSegment],
-                  carry_out: int | None, *, branch: Control | None,
-                  path: str):
-    """Chain bit adders over the segments; ``carry_out=None`` makes the
-    final unit a half adder."""
+def _ripple_chain(circ: Circuit, a: int, addend: Sequence[int],
+                  segments: Sequence[ChainSegment], carry_out: int | None,
+                  *, branch: Control | None, path: str):
+    """Chain bit adders over the segments, bit i of the constant ``a``
+    feeding unit i; ``carry_out=None`` makes the final unit a half adder."""
     flat = [q for seg in segments for q in seg.qubits]
     n = len(addend)
     if len(flat) != n:
@@ -214,7 +188,7 @@ def _ripple_chain(circ: Circuit, a: ClassicalConstant,
             last_global = i == n - 1
             last_in_seg = j == len(seg.qubits) - 1
             if last_global and carry_out is None:
-                _emit_bha(circ, a.bit(i), chain_q, addend[i], branch,
+                _emit_bha(circ, a >> i & 1, chain_q, addend[i], branch,
                           f"{path}/BHA[{i}]", seg.block)
             else:
                 if last_global:
@@ -223,7 +197,7 @@ def _ripple_chain(circ: Circuit, a: ClassicalConstant,
                     fresh = seg.spare
                 else:
                     fresh = flat[i + 1]
-                _emit_bfa(circ, a.bit(i), chain_q, addend[i], fresh, branch,
+                _emit_bfa(circ, a >> i & 1, chain_q, addend[i], fresh, branch,
                           f"{path}/BFA[{i}]", seg.block)
                 if last_in_seg and not last_global:
                     circ.move(seg.spare, flat[i + 1],
@@ -259,7 +233,7 @@ def build_bha(a_bit: int, carry_q: int, b_q: int,
 
 # -- n-bit adders ----------------------------------------------------------
 
-def build_fa(a, b_qubits: Sequence[int], sum_qubits: Sequence[int],
+def build_fa(a: int, b_qubits: Sequence[int], sum_qubits: Sequence[int],
              carry_out: int, *, num_qubits: int | None = None,
              segments: Sequence[ChainSegment] | None = None,
              path: str = "FA") -> Circuit:
@@ -268,8 +242,8 @@ def build_fa(a, b_qubits: Sequence[int], sum_qubits: Sequence[int],
     ``sum_qubits[0]`` is the carry-in slot; the remaining sum slots and
     ``carry_out`` must start in |0>.  4n gates.
     """
-    n = len(b_qubits)
-    a = _constant(a, n)
+    if not 0 <= a < 1 << len(b_qubits):
+        raise ValueError(f"{a} does not fit in {len(b_qubits)} bits")
     pool = num_qubits or max(*b_qubits, *sum_qubits, carry_out) + 1
     circ = Circuit(pool)
     segs = list(segments) if segments else _single_segment(sum_qubits)
@@ -277,12 +251,12 @@ def build_fa(a, b_qubits: Sequence[int], sum_qubits: Sequence[int],
     return circ
 
 
-def build_ha(a, b_qubits: Sequence[int], sum_qubits: Sequence[int], *,
+def build_ha(a: int, b_qubits: Sequence[int], sum_qubits: Sequence[int], *,
              num_qubits: int | None = None, path: str = "HA") -> Circuit:
     """n-bit half adder: as the full adder but no overflow qubit; 4n - 2
     gates using n - 1 fresh ancillas."""
-    n = len(b_qubits)
-    a = _constant(a, n)
+    if not 0 <= a < 1 << len(b_qubits):
+        raise ValueError(f"{a} does not fit in {len(b_qubits)} bits")
     pool = num_qubits or max(*b_qubits, *sum_qubits) + 1
     circ = Circuit(pool)
     _ripple_chain(circ, a, b_qubits, _single_segment(sum_qubits), None,
@@ -322,13 +296,13 @@ def build_an(a: int, N: int, layout: RegisterLayout, *,
     ha_segs = (slicing.segments(layout.inter, 1, path, "ha")
                if slicing else _single_segment(layout.inter))
 
-    _ripple_chain(circ, _constant(shifted, n), layout.b, fa_segs,
-                  layout.carry, branch=None, path=f"{path}/FA")
+    _ripple_chain(circ, shifted, layout.b, fa_segs, layout.carry,
+                  branch=None, path=f"{path}/FA")
     # carry set means a+b >= N (no subtraction); flip it into a
     # "subtraction needed" flag so the half-adder constants fire on 1
     circ.x(layout.carry, label=f"{path}/carry-flip",
            block=fa_segs[-1].block)
-    _ripple_chain(circ, _constant(neg, n), layout.s, ha_segs, None,
+    _ripple_chain(circ, neg, layout.s, ha_segs, None,
                   branch=(layout.carry, True), path=f"{path}/HA")
     return circ
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 from . import partition
 from .circuit import Circuit, execute
 from .netsim import Network, ResourceLedger
-from .qft import FourierSpec, build_inverse_qft
+from .qft import build_inverse_qft
 from .qstate import QuantumState, RandomSource
 from .revarith import RegisterLayout, build_cm_m
 
@@ -93,7 +93,7 @@ def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
     prefix = estimation_prefix(
         Circuit(pool).extend(prepare), k_qubits,
         (controlled_power(i, kq) for i, kq in enumerate(k_qubits)))
-    transform = build_inverse_qft(FourierSpec(m), k_qubits, num_qubits=pool)
+    transform = build_inverse_qft(k_qubits, num_qubits=pool)
     return run_estimation(prefix, transform, k_qubits).state
 
 
@@ -175,8 +175,7 @@ def order_circuit_parts(a: int, N: int,
     layout = RegisterLayout.packed(N.bit_length(), m)
     modexp = order_prefix(layout, layout.num_data_qubits,
                           build_cm_m(a, N, m, layout))
-    transform = build_inverse_qft(FourierSpec(m), layout.k,
-                                  num_qubits=layout.num_data_qubits)
+    transform = build_inverse_qft(layout.k, num_qubits=layout.num_data_qubits)
     return modexp, transform, layout
 
 
@@ -258,8 +257,8 @@ def _minimal_order(a: int, N: int, exponent: int) -> int:
     return e
 
 
-def find_order(a: int, N: int, m: int | None = None,
-               rng: RandomSource | None = None, *, mode: str = MONOLITHIC,
+def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
+               mode: str = MONOLITHIC,
                max_rounds: int | None = None) -> OrderResult:
     """Quantum order finding with classical verification.
 
@@ -281,8 +280,6 @@ def find_order(a: int, N: int, m: int | None = None,
     error = admission_error(m)
     if error is not None:
         raise ValueError(error)
-    if rng is None:
-        rng = RandomSource(0)
     if max_rounds is None:
         max_rounds = default_max_rounds(N)
     if max_rounds < 1:

@@ -7,10 +7,12 @@ import random
 import pytest
 
 from distshor import cli, gates, partition
-from distshor.circuit import Circuit, Instruction, count_gates, execute
+from distshor.circuit import (Circuit, Instruction, add_controls,
+                              count_gates, execute)
 from distshor.netsim import (Network, NetworkError, SessionRecord,
-                             remote_controls, session_groups)
-from distshor.qft import FourierSpec, build_inverse_qft
+                             execute_distributed, remote_controls,
+                             session_groups)
+from distshor.qft import build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource, SimulationError
 from distshor.revarith import gate_count_formula
 from distshor.shor import run_order_circuit
@@ -55,6 +57,19 @@ def reference_execute(circ: Circuit, state: QuantumState):
             state.apply_gate(gates.SWAP, inst.targets)
         elif inst.classical_constant != 0:
             state.apply_gate(inst.kind, inst.targets, inst.controls)
+
+
+def remote_cnot(network: Network, control: int, target: int):
+    """A CNOT whose control sits on another node than its target: the
+    one-gate program, run on the network as one session."""
+    execute_distributed(network, Circuit(network.state.num_qubits).x(
+        target, controls=[(control, True)]))
+
+
+def remote_block(network: Network, control: int, body: Circuit):
+    """``body``, local to one node, under a control on another node: run
+    on the network as one session sharing the control once."""
+    execute_distributed(network, add_controls(body, [(control, True)]))
 
 
 def reference_session(network: Network, node_id: str,
@@ -124,8 +139,7 @@ def reference_counts_section(config: cli.RunConfig) -> dict:
         ("FA", f"{adder}/XAN0/AN/FA"), ("HA", f"{adder}/XAN0/AN/HA"),
         ("AN", f"{adder}/XAN0/AN"), ("XAN", f"{adder}/XAN0"), ("A", adder),
         ("MF", "cm/M[0]/MF0"), ("M", "cm/M[0]"), ("c_m(M)", "cm"))}
-    measured["QFT_inv"] = count_gates(
-        build_inverse_qft(FourierSpec(m), list(range(m)))).total
+    measured["QFT_inv"] = count_gates(build_inverse_qft(range(m))).total
 
     predicted = {lvl: gate_count_formula(lvl, n, m)
                  for lvl in ("FA", "HA", "AN", "XAN", "A", "MF", "M",

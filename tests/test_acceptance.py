@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from conftest import amp_distance, random_amplitudes
+from conftest import (amp_distance, random_amplitudes, remote_block,
+                      remote_cnot)
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
 from distshor.netsim import Network, NodeSpec, Topology
@@ -106,7 +107,7 @@ class TestCriterion4PrimitiveCosts:
             qa = net.allocate_data("A", 1)[0]
             qb = net.allocate_data("B", 1)[0]
             net.apply_local("A", gates.H, [qa])
-            net.nonlocal_cnot(qa, qb)
+            remote_cnot(net, qa, qb)
             assert net.ledger.ebits_consumed == 1
             assert net.ledger.total_cbits() == 2
             assert net.ledger.cbits_sent == {("A", "B"): 1, ("B", "A"): 1}
@@ -123,7 +124,7 @@ class TestCriterion4PrimitiveCosts:
             for i in range(body_len):
                 body.h(tq[i % 4]) if i % 3 else body.cnot(tq[i % 4],
                                                           tq[(i + 1) % 4])
-            net.nonlocal_controlled_circuit(ctrl, body)
+            remote_block(net, ctrl, body)
             assert net.ledger.ebits_consumed == 1
             assert net.ledger.total_cbits() == 2
             sizes.append(body_len)

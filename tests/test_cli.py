@@ -7,10 +7,10 @@ import pytest
 from conftest import reference_counts_section
 from distshor import cli, shor
 from distshor.circuit import count_gates
-from distshor.qft import FourierSpec, build_inverse_qft
+from distshor.qft import build_inverse_qft
 from distshor.revarith import (RegisterLayout, build_adder, build_an,
                                build_cm_m, build_fa, build_ha, build_m,
-                               build_mf, build_xan)
+                               build_mf, build_xan, gate_count_formula)
 
 
 def run_cli(tmp_path, *args):
@@ -117,7 +117,7 @@ class TestCountsOnly:
             "MF": build_mf(a, N, layout),
             "M": build_m(a, N, layout),
             "c_m(M)": build_cm_m(a, N, m, layout),
-            "QFT_inv": build_inverse_qft(FourierSpec(m), list(range(m))),
+            "QFT_inv": build_inverse_qft(range(m)),
         }
         status, report = cli.run(cli.RunConfig(N=N, m=m, counts_only=True))
         assert status == cli.EXIT_OK
@@ -195,6 +195,47 @@ class TestAdmission:
         status, report = cli.run(cli.RunConfig(N=15, m=8, counts_only=True))
         assert status == cli.EXIT_OK
         assert "counts" in report
+
+
+class TestGateBudget:
+    """A report needing more than ``cli.GATE_BUDGET`` gates (the first
+    controlled multiplier and two inverse transforms) is refused before
+    anything is built, in either kind of run."""
+
+    @pytest.mark.parametrize("n,m", [(128, 256), (4, 1000), (32, 64)])
+    def test_admitted(self, n, m):
+        assert cli.gate_budget_error(n, m) is None
+
+    def test_refusal_names_the_limit(self):
+        error = cli.gate_budget_error(4, 2000)  # 4,003,096 gates
+        assert error.endswith(f"over the budget of {1 << 21}")
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        built = gate_count_formula("M", 4) + 2 * gate_count_formula(
+            "QFT_inv", 4, 4)
+        monkeypatch.setattr(cli, "GATE_BUDGET", built)
+        assert cli.gate_budget_error(4, 4) is None
+        monkeypatch.setattr(cli, "GATE_BUDGET", built - 1)
+        assert cli.gate_budget_error(4, 4) is not None
+
+    @pytest.mark.parametrize("counts_only", [True, False])
+    def test_run_refuses_before_building(self, monkeypatch, counts_only):
+        monkeypatch.setattr(cli, "GATE_BUDGET", 1000)
+        for name in ("_counts_section", "build_cm_m"):
+            monkeypatch.setattr(cli, name, None)  # never reached
+        monkeypatch.setattr(shor, "factor", None)
+        status, report = cli.run(cli.RunConfig(N=15, a=7, m=4,
+                                               counts_only=counts_only))
+        assert status == cli.EXIT_EXHAUSTED
+        assert report["error"].startswith("n = 4, m = 4 builds 1116 gates")
+        assert "counts" not in report
+
+    def test_large_m_count_report_exits_three(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_counts_section", None)  # never reached
+        status, report = run_cli(tmp_path, "--N", "15", "--m", "5000",
+                                 "--counts-only")
+        assert status == cli.EXIT_EXHAUSTED
+        assert "budget of 2097152" in report["error"]
 
 
 class TestDeterminism:

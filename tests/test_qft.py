@@ -10,8 +10,7 @@ import pytest
 from distshor import gates
 from distshor.circuit import count_gates, execute
 from distshor.netsim import Network, NodeSpec, Topology, execute_distributed
-from distshor.qft import (FourierSpec, build_inverse_qft, build_qft,
-                          cross_rotation_count)
+from distshor.qft import build_inverse_qft, build_qft, cross_rotation_count
 from distshor.qstate import QuantumState, RandomSource
 
 
@@ -38,7 +37,7 @@ def dft_matrix(n):
 
 class TestForward:
     def test_single_qubit_is_hadamard(self):
-        circ = build_qft(FourierSpec(1))
+        circ = build_qft(range(1))
         assert [i.kind.name for i in circ.instructions] == ["H"]
         st = QuantumState(1)
         execute(circ, st)
@@ -47,26 +46,30 @@ class TestForward:
     def test_zero_input_gives_uniform(self):
         n = 5
         st = QuantumState(n)
-        execute(build_qft(FourierSpec(n)), st)
+        execute(build_qft(range(n)), st)
         for idx in range(1 << n):
             assert abs(st.amplitude(idx) - (1 << n) ** -0.5) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matrix_matches_dft(self, n):
-        mat = circuit_matrix(build_qft(FourierSpec(n)), n)
+        mat = circuit_matrix(build_qft(range(n)), n)
         np.testing.assert_allclose(mat, dft_matrix(n), atol=1e-12)
+
+    def test_empty_register_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            build_qft([])
 
     def test_gate_count(self):
         for m in (3, 4, 8):
-            report = count_gates(build_qft(FourierSpec(m)))
+            report = count_gates(build_qft(range(m)))
             assert report.total == m * (m + 1) // 2 + m // 2
 
 
 class TestInverse:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_inverse_of_forward_is_identity(self, n):
-        fwd = build_qft(FourierSpec(n))
-        inv = build_inverse_qft(FourierSpec(n))
+        fwd = build_qft(range(n))
+        inv = build_inverse_qft(range(n))
         for j in range(1 << n) if n <= 6 else range(0, 1 << n, 7):
             st = QuantumState(n)
             for i in range(n):
@@ -82,13 +85,13 @@ class TestInverse:
         amps = {k: cmath.exp(2j * math.pi * k * j / dim) / math.sqrt(dim)
                 for k in range(dim)}
         st = QuantumState.from_amplitudes(m, amps)
-        execute(build_inverse_qft(FourierSpec(m)), st)
+        execute(build_inverse_qft(range(m)), st)
         assert abs(st.amplitude(j) - 1.0) < 1e-10
 
     def test_gate_count_splits_into_ladder_and_swaps(self):
         m = 8
-        report = count_gates(build_inverse_qft(FourierSpec(m)))
-        swaps = sum(1 for i in build_inverse_qft(FourierSpec(m)).instructions
+        report = count_gates(build_inverse_qft(range(m)))
+        swaps = sum(1 for i in build_inverse_qft(range(m)).instructions
                     if i.kind.name == "SWAP")
         assert report.total - swaps == m * (m + 1) // 2
         assert swaps == m // 2
@@ -112,8 +115,7 @@ class TestDistributed:
     @pytest.mark.parametrize("basis", range(16))
     def test_two_node_split_matches_monolithic(self, basis):
         net, qubits, node_of, spare_of = two_node_setup(4, seed=basis)
-        program = build_qft(FourierSpec(4), qubits, node_of=node_of,
-                            spare_of=spare_of)
+        program = build_qft(qubits, node_of=node_of, spare_of=spare_of)
         for i, q in enumerate(qubits):
             if (basis >> i) & 1:
                 net.apply_local(node_of[q], gates.X, [q])
@@ -123,8 +125,7 @@ class TestDistributed:
         for i, q in enumerate(qubits):
             if (basis >> i) & 1:
                 ref.apply_gate(gates.X, [q])
-        execute(build_qft(FourierSpec(4), qubits,
-                          num_qubits=max(qubits) + 1), ref)
+        execute(build_qft(qubits, num_qubits=max(qubits) + 1), ref)
         got = net.state.exact_distribution(qubits)
         want = ref.exact_distribution(qubits)
         for key in set(got) | set(want):
@@ -138,31 +139,27 @@ class TestDistributed:
         net = Network(topo, RandomSource(0))
         qubits = net.allocate_data("solo", 4)
         node_of = {q: "solo" for q in qubits}
-        program = build_qft(FourierSpec(4), qubits, node_of=node_of,
-                            spare_of={})
+        program = build_qft(qubits, node_of=node_of, spare_of={})
         execute_distributed(net, program)
         assert net.ledger.ebits_consumed == 0
         assert net.ledger.teleports == 0
         assert net.ledger.total_cbits() == 0
 
     def test_cross_rotation_count_even_split(self):
-        spec = FourierSpec(4)
         qubits = list(range(4))
         node_of = {0: "L", 1: "L", 2: "R", 3: "R"}
-        assert cross_rotation_count(spec, qubits, node_of) == 4
+        assert cross_rotation_count(qubits, node_of) == 4
 
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_nonlocal_rotations_quarter_square(self, m):
         net, qubits, node_of, spare_of = two_node_setup(m)
-        program = build_qft(FourierSpec(m), qubits, node_of=node_of,
-                            spare_of=spare_of)
+        program = build_qft(qubits, node_of=node_of, spare_of=spare_of)
         execute_distributed(net, program)
         rotation_sessions = [s for s in net.sessions
                              if s.block and "@r" in s.block]
         assert len(rotation_sessions) == m * m // 4
-        assert cross_rotation_count(FourierSpec(m), qubits,
-                                    node_of) == m * m // 4
+        assert cross_rotation_count(qubits, node_of) == m * m // 4
 
     def test_missing_qubit_in_placement(self):
         with pytest.raises(ValueError):
-            build_qft(FourierSpec(2), [0, 1], node_of={0: "L"}, spare_of={})
+            build_qft([0, 1], node_of={0: "L"}, spare_of={})

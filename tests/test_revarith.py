@@ -8,13 +8,16 @@ registers verified clean.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_ancillas_zero, read_register, run_on_basis
 from distshor.circuit import Circuit, count_gates, reverse
-from distshor.revarith import (ClassicalConstant, RegisterLayout, build_adder,
-                               build_an, build_bfa, build_bha, build_cm_m,
-                               build_fa, build_ha, build_m, build_mf,
-                               build_xan, gate_count_formula)
+from distshor.partition import plan_placement
+from distshor.revarith import (RegisterLayout, build_adder, build_an,
+                               build_bfa, build_bha, build_cm_m, build_fa,
+                               build_ha, build_m, build_mf, build_xan,
+                               gate_count_formula)
 
 LAYOUTS = {3: RegisterLayout.packed(3, 6), 4: RegisterLayout.packed(4, 8)}
 
@@ -106,10 +109,8 @@ class TestWordAdders:
         assert count_gates(build_ha(0, b_q, s_q)).total == 4 * n - 2
 
     def test_constant_width_checked(self):
-        with pytest.raises(ValueError):
-            build_fa(ClassicalConstant(5, 4), [0, 1], [2, 3], 4)
-        with pytest.raises(ValueError):
-            ClassicalConstant(8, 3)
+        with pytest.raises(ValueError, match="does not fit in 3 bits"):
+            build_fa(8, [0, 1, 2], [3, 4, 5], 6)
 
 
 class TestModularAdd:
@@ -355,3 +356,58 @@ class TestCountFormulas:
         sliced = count_gates(build_adder(7, 15, plan.layout,
                                          slicing=plan.slicing)).total
         assert mono == sliced
+
+
+# Odd composites with 3 <= n <= 6 bits (none has 3): n = 4, 5 and 6.
+ODD_COMPOSITES = [N for N in range(9, 64, 2)
+                  if any(N % d == 0 for d in range(3, N, 2))]
+
+
+@st.composite
+def modular_inputs(draw):
+    """(N, a, x): an odd composite, a base coprime to it, an input < N."""
+    N = draw(st.sampled_from(ODD_COMPOSITES))
+    a = draw(st.integers(2, N - 1).filter(lambda a: math.gcd(a, N) == 1))
+    return N, a, draw(st.integers(0, N - 1))
+
+
+@st.composite
+def adder_inputs(draw):
+    """(n, a, b): a width and two n-bit values."""
+    n = draw(st.integers(1, 8))
+    return n, draw(st.integers(0, (1 << n) - 1)), draw(
+        st.integers(0, (1 << n) - 1))
+
+
+class TestOracleSweep:
+    """Random moduli beyond the exhaustive sweeps' N in {5, 7, 15}."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(modular_inputs())
+    def test_m_packed_and_sliced(self, inputs):
+        N, a, x = inputs
+        n = N.bit_length()
+        plan = plan_placement(n, 1)
+        for layout, slicing in ((RegisterLayout.packed(n, 1), None),
+                                (plan.layout, plan.slicing)):
+            state = run_on_basis(build_m(a, N, layout, slicing=slicing),
+                                 preset_register(layout.x, x))
+            # |ax mod N> in the multiplier register, every other qubit
+            # (ancillas and the slicing's parking slots) back to |0>
+            want = sum(bit << q for q, bit in
+                       preset_register(layout.x, a * x % N).items())
+            assert list(state.amplitudes) == [want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(adder_inputs())
+    def test_fa_sum_and_constant_range(self, inputs):
+        n, a, b = inputs
+        b_q, s_q, carry = list(range(n)), list(range(n, 2 * n)), 2 * n
+        state = run_on_basis(build_fa(a, b_q, s_q, carry),
+                             preset_register(b_q, b))
+        assert read_register(state, s_q) == (a + b) % (1 << n)
+        assert read_register(state, [carry]) == (a + b) >> n
+        build_fa((1 << n) - 1, b_q, s_q, carry)
+        for bad in (1 << n, -1):
+            with pytest.raises(ValueError, match="does not fit"):
+                build_fa(bad, b_q, s_q, carry)

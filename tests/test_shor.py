@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import reference_execute
 from distshor import cli, gates, partition, shor
 from distshor.circuit import Circuit
-from distshor.qft import FourierSpec, build_inverse_qft
+from distshor.qft import build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
                            find_order, is_prime, order_candidates,
@@ -118,8 +118,7 @@ class TestPhaseEstimation:
         skeleton = Circuit(4)
         skeleton.extend(prep)
         skeleton.h(3)
-        skeleton.extend(build_inverse_qft(FourierSpec(1), [3],
-                                          num_qubits=4))
+        skeleton.extend(build_inverse_qft([3], num_qubits=4))
         ref = QuantumState(4)
         reference_execute(skeleton, ref)
 
