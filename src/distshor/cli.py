@@ -4,8 +4,9 @@ Reports are JSON documents with a fixed key order; the wall time lives in
 a single ``wall_time_s`` key so golden comparisons can mask it.  Exit
 codes: 0 success, 2 invalid configuration, 3 resource exhaustion (the
 retry budget ran out, or, checked before anything is built, a factoring
-run's support bound is over ``shor.SUPPORT_BUDGET`` or a report's gates
-are over ``GATE_BUDGET``).
+run's support bound is over ``shor.SUPPORT_BUDGET`` or the gates a run
+builds, its report's plus a factoring run's order-finding program and a
+circuit dump's ladder, are over ``GATE_BUDGET``).
 
 The counts section builds the power ladder's first controlled multiplier
 and the distributed inverse transform, never the whole order-finding
@@ -35,8 +36,10 @@ EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_EXHAUSTED = 3
 
-# The most gates a report may build: the ladder's first controlled
-# multiplier and two inverse transforms, one packed and one distributed.
+# The most gates a run may build: a report's share (the ladder's first
+# controlled multiplier and two inverse transforms, one packed and one
+# distributed), plus a factoring run's whole order-finding program and a
+# circuit dump's whole ladder.
 GATE_BUDGET = 1 << 21
 
 
@@ -147,19 +150,35 @@ def _default_base(N: int) -> int:
     raise ValueError("no coprime base exists")
 
 
-def gate_budget_error(n: int, m: int) -> str | None:
-    """Why a report for an n-bit modulus and an m-bit estimation register
-    is refused before anything is built, or None."""
-    built = (gate_count_formula("M", n)
-             + 2 * gate_count_formula("QFT_inv", n, m))
-    if built > GATE_BUDGET:
-        return (f"n = {n}, m = {m} builds {built} gates for its report, "
-                f"over the budget of {GATE_BUDGET}")
-    return None
+def gate_budget_error(n: int, m: int, *, factoring: bool = False,
+                      dump: bool = False) -> str | None:
+    """Why a run for an n-bit modulus and an m-bit estimation register is
+    refused before anything is built, or None.  Every report builds the
+    ladder's first controlled multiplier and two inverse transforms; a
+    factoring run also builds its whole order-finding program (the
+    ``SHOR`` count), and a circuit dump the whole ladder."""
+    report = (gate_count_formula("M", n)
+              + 2 * gate_count_formula("QFT_inv", n, m))
+    shares = [f"{report} gates for its report"]
+    built = report
+    for wanted, what, level in ((factoring, "order-finding program", "SHOR"),
+                                (dump, "circuit dump", "c_m(M)")):
+        if wanted:
+            count = gate_count_formula(level, n, m)
+            shares.append(f"{count} for its {what}")
+            built += count
+    if built <= GATE_BUDGET:
+        return None
+    what = shares[0]
+    if len(shares) > 1:
+        what = (f"{', '.join(shares[:-1])} and {shares[-1]}, {built} in "
+                f"all")
+    return f"n = {n}, m = {m} builds {what}, over the budget of {GATE_BUDGET}"
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one factoring job and build its report."""
+def run(config: RunConfig, *, dump: bool = False) -> tuple[int, dict]:
+    """Execute one factoring job and build its report; ``dump`` admits the
+    whole ladder that ``--dump-circuit`` builds afterwards."""
     started = time.perf_counter()
     status, error = EXIT_BAD_CONFIG, config.validate()
     if error is None and not config.counts_only:
@@ -170,7 +189,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
             error = shor.admission_error(config.m_effective)
     if error is None:
         status = EXIT_EXHAUSTED
-        error = gate_budget_error(config.n, config.m_effective)
+        error = gate_budget_error(config.n, config.m_effective,
+                                  factoring=not config.counts_only,
+                                  dump=dump)
     if error is not None:
         return status, {"config": _config_dict(config), "error": error}
 
@@ -241,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(N=args.N, a=args.a, m=args.m, mode=args.mode,
                        seed=args.seed, max_rounds=args.max_rounds,
                        counts_only=args.counts_only)
-    status, report = run(config)
+    status, report = run(config, dump=args.dump_circuit is not None)
     text = json.dumps(report, indent=2)
     if args.report:
         with open(args.report, "w") as fh:

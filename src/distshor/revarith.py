@@ -26,6 +26,14 @@ Construction chain, bottom up:
 Builders take explicit qubit ids (via ``RegisterLayout``), so the same
 code emits the single-machine circuit and, given an ``AdderSlicing``, the
 node-sliced variant with MOVE hand-offs for the ripple carries.
+
+From AN up, every gate is appended to the circuit once: a private
+emitter per level takes the extra controls and the direction of the block
+it emits, a block passes its own control (x_i in MF, k_i in the ladder)
+down to its children, and a reversed block runs its children last first.
+Composing ``circuit.add_controls`` and ``circuit.reverse`` over blocks
+built forward and uncontrolled gives the same circuits; that composition
+is the reference the builders are checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import gates
-from .circuit import Circuit, add_controls, reverse
+from .circuit import Circuit, Instruction
+from .gates import MOVE, GateKind
 from .qstate import Control
 
 
@@ -149,47 +158,59 @@ class AdderSlicing:
         return segs
 
 
-def _emit_bfa(circ: Circuit, a_bit: int, carry_q: int, b_q: int,
-              fresh_q: int, branch: Control | None, label: str,
-              block: str | None):
+def _emit_bfa(out: list, a_bit: int, carry_q: int, b_q: int, fresh_q: int,
+              branch: Control | None, label: str, block: str | None,
+              controls: tuple[Control, ...]):
     """Four gates: fold the constant into (carry, fresh), then the qubit."""
-    ctrl = (branch,) if branch else ()
-    circ.gate(gates.CNOT, [carry_q, fresh_q], ctrl,
-              classical_constant=a_bit, label=label, block=block)
-    circ.gate(gates.X, [carry_q], ctrl, classical_constant=a_bit,
-              label=label, block=block)
-    circ.gate(gates.TOFFOLI, [carry_q, b_q, fresh_q], label=label,
-              block=block)
-    circ.gate(gates.CNOT, [b_q, carry_q], label=label, block=block)
+    own = (branch, *controls) if branch else controls
+    out += (
+        Instruction(gates.CNOT, (carry_q, fresh_q), own, a_bit, label, block),
+        Instruction(gates.X, (carry_q,), own, a_bit, label, block),
+        Instruction(gates.TOFFOLI, (carry_q, b_q, fresh_q), controls, None,
+                    label, block),
+        Instruction(gates.CNOT, (b_q, carry_q), controls, None, label, block))
 
 
-def _emit_bha(circ: Circuit, a_bit: int, carry_q: int, b_q: int,
-              branch: Control | None, label: str, block: str | None):
+def _emit_bha(out: list, a_bit: int, carry_q: int, b_q: int,
+              branch: Control | None, label: str, block: str | None,
+              controls: tuple[Control, ...]):
     """The bit adder without carry output: drop the first gate and the
     Toffoli."""
-    ctrl = (branch,) if branch else ()
-    circ.gate(gates.X, [carry_q], ctrl, classical_constant=a_bit,
-              label=label, block=block)
-    circ.gate(gates.CNOT, [b_q, carry_q], label=label, block=block)
+    own = (branch, *controls) if branch else controls
+    out += (
+        Instruction(gates.X, (carry_q,), own, a_bit, label, block),
+        Instruction(gates.CNOT, (b_q, carry_q), controls, None, label, block))
 
 
-def _ripple_chain(circ: Circuit, a: int, addend: Sequence[int],
+def _move(src: int, dst: int, label: str, reverse: bool) -> Instruction:
+    """A MOVE, or the MOVE that undoes it when ``reverse``."""
+    if src == dst:
+        raise ValueError("MOVE needs distinct qubits")
+    return Instruction(MOVE, (dst, src) if reverse else (src, dst),
+                       label=label)
+
+
+def _ripple_chain(out: list, controls: tuple[Control, ...], reverse: bool,
+                  a: int, addend: Sequence[int],
                   segments: Sequence[ChainSegment], carry_out: int | None,
-                  *, branch: Control | None, path: str):
+                  branch: Control | None, path: str):
     """Chain bit adders over the segments, bit i of the constant ``a``
-    feeding unit i; ``carry_out=None`` makes the final unit a half adder."""
+    feeding unit i; ``carry_out=None`` makes the final unit a half adder.
+    Every gate is a self-inverse permutation, so the reversed chain is the
+    same instructions last first, with each carry MOVE turned around."""
     flat = [q for seg in segments for q in seg.qubits]
     n = len(addend)
     if len(flat) != n:
         raise ValueError("chain does not cover the addend width")
+    chain: list[Instruction] = []
     i = 0
     for si, seg in enumerate(segments):
         for j, chain_q in enumerate(seg.qubits):
             last_global = i == n - 1
             last_in_seg = j == len(seg.qubits) - 1
             if last_global and carry_out is None:
-                _emit_bha(circ, a >> i & 1, chain_q, addend[i], branch,
-                          f"{path}/BHA[{i}]", seg.block)
+                _emit_bha(chain, a >> i & 1, chain_q, addend[i], branch,
+                          f"{path}/BHA[{i}]", seg.block, controls)
             else:
                 if last_global:
                     fresh = carry_out
@@ -197,16 +218,25 @@ def _ripple_chain(circ: Circuit, a: int, addend: Sequence[int],
                     fresh = seg.spare
                 else:
                     fresh = flat[i + 1]
-                _emit_bfa(circ, a >> i & 1, chain_q, addend[i], fresh, branch,
-                          f"{path}/BFA[{i}]", seg.block)
+                _emit_bfa(chain, a >> i & 1, chain_q, addend[i], fresh,
+                          branch, f"{path}/BFA[{i}]", seg.block, controls)
                 if last_in_seg and not last_global:
-                    circ.move(seg.spare, flat[i + 1],
-                              label=f"{path}/carry-move[{si}]")
+                    chain.append(_move(seg.spare, flat[i + 1],
+                                       f"{path}/carry-move[{si}]", reverse))
             i += 1
+    out += reversed(chain) if reverse else chain
 
 
 def _single_segment(qubits: Sequence[int]) -> list[ChainSegment]:
     return [ChainSegment(tuple(qubits))]
+
+
+def _checked(circ: Circuit, insts: list[Instruction]) -> Circuit:
+    """Append through ``Circuit.append``'s range check: the standalone
+    adders take any qubit ids and pool size."""
+    for inst in insts:
+        circ.append(inst)
+    return circ
 
 
 # -- bit adders (standalone, mostly for tests) ----------------------------
@@ -216,9 +246,10 @@ def build_bfa(a_bit: int, carry_q: int, b_q: int, fresh_q: int,
     """|c>|b>|0> -> |a^b^c>|b>|maj(a,b,c)>; 4 gates."""
     if len({carry_q, b_q, fresh_q}) != 3:
         raise ValueError("bit-adder qubits must be distinct")
-    circ = Circuit(num_qubits or max(carry_q, b_q, fresh_q) + 1)
-    _emit_bfa(circ, a_bit & 1, carry_q, b_q, fresh_q, None, "BFA", None)
-    return circ
+    insts: list[Instruction] = []
+    _emit_bfa(insts, a_bit & 1, carry_q, b_q, fresh_q, None, "BFA", None, ())
+    return _checked(Circuit(num_qubits or max(carry_q, b_q, fresh_q) + 1),
+                    insts)
 
 
 def build_bha(a_bit: int, carry_q: int, b_q: int,
@@ -226,9 +257,9 @@ def build_bha(a_bit: int, carry_q: int, b_q: int,
     """|c>|b> -> |a^b^c>|b>; 2 gates."""
     if carry_q == b_q:
         raise ValueError("bit-adder qubits must be distinct")
-    circ = Circuit(num_qubits or max(carry_q, b_q) + 1)
-    _emit_bha(circ, a_bit & 1, carry_q, b_q, None, "BHA", None)
-    return circ
+    insts: list[Instruction] = []
+    _emit_bha(insts, a_bit & 1, carry_q, b_q, None, "BHA", None, ())
+    return _checked(Circuit(num_qubits or max(carry_q, b_q) + 1), insts)
 
 
 # -- n-bit adders ----------------------------------------------------------
@@ -245,10 +276,10 @@ def build_fa(a: int, b_qubits: Sequence[int], sum_qubits: Sequence[int],
     if not 0 <= a < 1 << len(b_qubits):
         raise ValueError(f"{a} does not fit in {len(b_qubits)} bits")
     pool = num_qubits or max(*b_qubits, *sum_qubits, carry_out) + 1
-    circ = Circuit(pool)
     segs = list(segments) if segments else _single_segment(sum_qubits)
-    _ripple_chain(circ, a, b_qubits, segs, carry_out, branch=None, path=path)
-    return circ
+    insts: list[Instruction] = []
+    _ripple_chain(insts, (), False, a, b_qubits, segs, carry_out, None, path)
+    return _checked(Circuit(pool), insts)
 
 
 def build_ha(a: int, b_qubits: Sequence[int], sum_qubits: Sequence[int], *,
@@ -258,19 +289,171 @@ def build_ha(a: int, b_qubits: Sequence[int], sum_qubits: Sequence[int], *,
     if not 0 <= a < 1 << len(b_qubits):
         raise ValueError(f"{a} does not fit in {len(b_qubits)} bits")
     pool = num_qubits or max(*b_qubits, *sum_qubits) + 1
-    circ = Circuit(pool)
-    _ripple_chain(circ, a, b_qubits, _single_segment(sum_qubits), None,
-                  branch=None, path=path)
-    return circ
+    insts: list[Instruction] = []
+    _ripple_chain(insts, (), False, a, b_qubits, _single_segment(sum_qubits),
+                  None, None, path)
+    return _checked(Circuit(pool), insts)
 
 
 # -- modular arithmetic ----------------------------------------------------
+#
+# Each block is emitted by ``_xxx(out, controls, ...)``, which appends its
+# gates to ``out``: ``controls`` go after every gate's own, innermost
+# first, so a ladder gate reads (branch, x_i, k_i).  Every ladder gate is a
+# self-inverse permutation, so a ``reverse``d block only runs its steps
+# last first and turns its MOVEs around.  MF and the ladder check the
+# control they put on each child against the qubits the first child
+# touches (``_admit``); the children all touch the same ones.
 
 def _pool(layout: RegisterLayout, slicing: AdderSlicing | None) -> int:
     pool = layout.pool_size
     if slicing is not None:
         pool = max(pool, slicing.max_qubit + 1)
     return pool
+
+
+def _footprint(insts: Sequence[Instruction], extra: int) -> set[int]:
+    """The qubits ``insts`` touch, less the ``extra`` controls each gate
+    carries last: ``Circuit.used_qubits`` of the block built without
+    them."""
+    used: set[int] = set()
+    for inst in insts:
+        used.update(inst.targets)
+        controls = inst.controls
+        used.update(q for q, _ in controls[:len(controls) - extra])
+    return used
+
+
+def _admit(controls: Sequence[int], used: set[int], pool: int):
+    """What ``Circuit.append`` and ``add_controls`` check gate by gate,
+    once for a block: the qubits it touches are in range, and each of
+    ``controls`` is in range and clear of them."""
+    for q in sorted(used):
+        if not 0 <= q < pool:
+            raise ValueError(f"qubit {q} out of range")
+    for q in controls:
+        if q in used:
+            raise ValueError(f"control qubit {q} collides with the circuit")
+        if not 0 <= q < pool:
+            raise ValueError(f"control qubit {q} out of range")
+
+
+def _around(out: list, controls: tuple[Control, ...], reverse: bool,
+            emit, before: tuple, middle: list[Instruction], after: tuple):
+    """Compute, act, uncompute: ``emit``'s block for the ``before``
+    arguments, the ``middle`` gates, then the reversed block for the
+    ``after`` arguments.  Reversed, it is the same shape with the two
+    blocks swapped and the middle gates last first."""
+    if reverse:
+        before, after, middle = after, before, middle[::-1]
+    emit(out, controls, False, *before)
+    out += middle
+    emit(out, controls, True, *after)
+
+
+def _an(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+        N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
+        path: str):
+    n = layout.n
+    if not 0 <= a < N:
+        raise ValueError(f"addend {a} outside [0, {N})")
+    if N >= 1 << n:
+        raise ValueError("modulus does not fit the register width")
+    shifted = (a + (1 << n) - N) % (1 << n)
+    neg = N % (1 << n)  # two's-complement encoding of -(2^n - N)
+    fa_segs = (slicing.segments(layout.s, 0, path, "fa")
+               if slicing else _single_segment(layout.s))
+    ha_segs = (slicing.segments(layout.inter, 1, path, "ha")
+               if slicing else _single_segment(layout.inter))
+    fa = (shifted, layout.b, fa_segs, layout.carry, None, f"{path}/FA")
+    ha = (neg, layout.s, ha_segs, None, (layout.carry, True), f"{path}/HA")
+    if reverse:
+        fa, ha = ha, fa
+    _ripple_chain(out, controls, reverse, *fa)
+    # carry set means a+b >= N (no subtraction); flip it into a
+    # "subtraction needed" flag so the half-adder constants fire on 1
+    out.append(Instruction(gates.X, (layout.carry,), controls, None,
+                           f"{path}/carry-flip", fa_segs[-1].block))
+    _ripple_chain(out, controls, reverse, *ha)
+
+
+def _pairwise(kind: GateKind, first: Sequence[int], second: Sequence[int],
+              controls: tuple[Control, ...], slicing: AdderSlicing | None,
+              path: str, name: str, tag: str) -> list[Instruction]:
+    """One ``kind`` gate per register position, tagged with its slice."""
+    return [Instruction(kind, (p, q), controls, None, f"{path}/{name}[{i}]",
+                        f"{path}@{tag}{slicing.slice_of(i)}" if slicing
+                        else None)
+            for i, (p, q) in enumerate(zip(first, second))]
+
+
+def _xan(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+         N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
+         path: str):
+    copies = _pairwise(gates.CNOT, layout.inter, layout.out, controls,
+                       slicing, path, "COPY", "cp")
+    _around(out, controls, reverse, _an,
+            (a, N, layout, slicing, f"{path}/AN"), copies,
+            (a, N, layout, slicing, f"{path}/ANr"))
+
+
+def _adder(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+           N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
+           path: str):
+    swaps = _pairwise(gates.SWAP, layout.b, layout.out, controls, slicing,
+                      path, "SWAP", "sw")
+    _around(out, controls, reverse, _xan,
+            (a % N, N, layout, slicing, f"{path}/XAN0"), swaps,
+            ((N - a) % N, N, layout, slicing, f"{path}/XAN1r"))
+
+
+def _mf(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+        N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
+        path: str) -> set[int]:
+    """Emit MF; returns the qubits it touches, ``controls`` aside."""
+    if math.gcd(a, N) != 1:
+        raise ValueError(f"{a} is not invertible mod {N}")
+    used: set[int] | None = None
+    order = range(layout.n)
+    for i in (reversed(order) if reverse else order):
+        start = len(out)
+        _adder(out, ((layout.x[i], True),) + controls, reverse, (a << i) % N,
+               N, layout, slicing, f"{path}/A[{i}]")
+        if used is None:
+            used = _footprint(out[start:], 1 + len(controls))
+            _admit(layout.x, used, _pool(layout, slicing))
+    return used.union(layout.x)
+
+
+def _m(out: list, controls: tuple[Control, ...], a: int, N: int,
+       layout: RegisterLayout, slicing: AdderSlicing | None,
+       path: str) -> set[int]:
+    """Emit M; returns the qubits it touches, ``controls`` aside."""
+    if math.gcd(a, N) != 1:
+        raise ValueError(f"{a} is not invertible mod {N}")
+    a = a % N
+    swaps: list[Instruction] = []
+    for i, (xq, bq) in enumerate(zip(layout.x, layout.b)):
+        label = f"{path}/MSWAP[{i}]"
+        if slicing is None:
+            swaps.append(Instruction(gates.SWAP, (xq, bq), controls, None,
+                                     label))
+        else:
+            # the multiplier register lives on its own node: park the qubit
+            # beside the accumulator, swap locally, park it back
+            j = slicing.slice_of(i)
+            spare = slicing.spares[j][1]
+            swaps += (_move(xq, spare, f"{label}/park", False),
+                      Instruction(gates.SWAP, (spare, bq), controls, None,
+                                  label, f"{path}@msw{j}.{i}"),
+                      _move(spare, xq, f"{label}/unpark", False))
+    used = _mf(out, controls, False, a, N, layout, slicing, f"{path}/MF0")
+    out += swaps
+    _mf(out, controls, True, pow(a, -1, N), N, layout, slicing,
+        f"{path}/MF1r")
+    swapped = _footprint(swaps, len(controls))
+    _admit((), swapped, _pool(layout, slicing))
+    return used | swapped
 
 
 def build_an(a: int, N: int, layout: RegisterLayout, *,
@@ -282,29 +465,9 @@ def build_an(a: int, N: int, layout: RegisterLayout, *,
     2^n and flag the negated overflow carry.  8n - 1 gates: a full adder,
     the carry flip, and the flag-branched half adder.
     """
-    n = layout.n
-    if not 0 <= a < N:
-        raise ValueError(f"addend {a} outside [0, {N})")
-    if N >= 1 << n:
-        raise ValueError("modulus does not fit the register width")
-    shifted = (a + (1 << n) - N) % (1 << n)
-    neg = N % (1 << n)  # two's-complement encoding of -(2^n - N)
-
-    circ = Circuit(_pool(layout, slicing))
-    fa_segs = (slicing.segments(layout.s, 0, path, "fa")
-               if slicing else _single_segment(layout.s))
-    ha_segs = (slicing.segments(layout.inter, 1, path, "ha")
-               if slicing else _single_segment(layout.inter))
-
-    _ripple_chain(circ, shifted, layout.b, fa_segs, layout.carry,
-                  branch=None, path=f"{path}/FA")
-    # carry set means a+b >= N (no subtraction); flip it into a
-    # "subtraction needed" flag so the half-adder constants fire on 1
-    circ.x(layout.carry, label=f"{path}/carry-flip",
-           block=fa_segs[-1].block)
-    _ripple_chain(circ, neg, layout.s, ha_segs, None,
-                  branch=(layout.carry, True), path=f"{path}/HA")
-    return circ
+    insts: list[Instruction] = []
+    _an(insts, (), False, a, N, layout, slicing, path)
+    return _checked(Circuit(_pool(layout, slicing)), insts)
 
 
 def build_xan(a: int, N: int, layout: RegisterLayout, *,
@@ -315,14 +478,9 @@ def build_xan(a: int, N: int, layout: RegisterLayout, *,
     The sum lands in ``layout.out``; the 2n + 1 ancillas (s, carry, inter)
     are returned to |0>.  17n - 2 gates.
     """
-    circ = Circuit(_pool(layout, slicing))
-    circ.extend(build_an(a, N, layout, slicing=slicing, path=f"{path}/AN"))
-    for i, (src, dst) in enumerate(zip(layout.inter, layout.out)):
-        block = (f"{path}@cp{slicing.slice_of(i)}" if slicing else None)
-        circ.cnot(src, dst, label=f"{path}/COPY[{i}]", block=block)
-    circ.extend(reverse(
-        build_an(a, N, layout, slicing=slicing, path=f"{path}/ANr")))
-    return circ
+    insts: list[Instruction] = []
+    _xan(insts, (), False, a, N, layout, slicing, path)
+    return _checked(Circuit(_pool(layout, slicing)), insts)
 
 
 def build_adder(a: int, N: int, layout: RegisterLayout, *,
@@ -334,15 +492,9 @@ def build_adder(a: int, N: int, layout: RegisterLayout, *,
     Swap-and-uncompute: run the copying adder, swap input and output, then
     reverse the copying adder for the negated constant.
     """
-    circ = Circuit(_pool(layout, slicing))
-    circ.extend(build_xan(a % N, N, layout, slicing=slicing,
-                          path=f"{path}/XAN0"))
-    for i, (p, q) in enumerate(zip(layout.b, layout.out)):
-        block = (f"{path}@sw{slicing.slice_of(i)}" if slicing else None)
-        circ.swap(p, q, label=f"{path}/SWAP[{i}]", block=block)
-    circ.extend(reverse(build_xan((N - a) % N, N, layout, slicing=slicing,
-                                  path=f"{path}/XAN1r")))
-    return circ
+    insts: list[Instruction] = []
+    _adder(insts, (), False, a, N, layout, slicing, path)
+    return _checked(Circuit(_pool(layout, slicing)), insts)
 
 
 def build_mf(a: int, N: int, layout: RegisterLayout, *,
@@ -353,13 +505,8 @@ def build_mf(a: int, N: int, layout: RegisterLayout, *,
     One adder block per multiplier bit, each controlled by that bit and
     adding the precomputed constant a*2^i mod N.
     """
-    if math.gcd(a, N) != 1:
-        raise ValueError(f"{a} is not invertible mod {N}")
     circ = Circuit(_pool(layout, slicing))
-    for i, ctrl in enumerate(layout.x):
-        block = build_adder((a << i) % N, N, layout, slicing=slicing,
-                            path=f"{path}/A[{i}]")
-        circ.extend(add_controls(block, [(ctrl, True)]))
+    _mf(circ.instructions, (), False, a, N, layout, slicing, path)
     return circ
 
 
@@ -372,26 +519,8 @@ def build_m(a: int, N: int, layout: RegisterLayout, *,
     Multiply out of place, swap the registers, then uncompute the stale
     input with the reversed multiplier for a^-1 mod N.
     """
-    if math.gcd(a, N) != 1:
-        raise ValueError(f"{a} is not invertible mod {N}")
-    a = a % N
-    a_inv = pow(a, -1, N)
     circ = Circuit(_pool(layout, slicing))
-    circ.extend(build_mf(a, N, layout, slicing=slicing, path=f"{path}/MF0"))
-    for i, (xq, bq) in enumerate(zip(layout.x, layout.b)):
-        label = f"{path}/MSWAP[{i}]"
-        if slicing is None:
-            circ.swap(xq, bq, label=label)
-        else:
-            # the multiplier register lives on its own node: park the qubit
-            # beside the accumulator, swap locally, park it back
-            j = slicing.slice_of(i)
-            spare = slicing.spares[j][1]
-            circ.move(xq, spare, label=f"{label}/park")
-            circ.swap(spare, bq, label=label, block=f"{path}@msw{j}.{i}")
-            circ.move(spare, xq, label=f"{label}/unpark")
-    circ.extend(reverse(build_mf(a_inv, N, layout, slicing=slicing,
-                                 path=f"{path}/MF1r")))
+    _m(circ.instructions, (), a, N, layout, slicing, path)
     return circ
 
 
@@ -411,10 +540,10 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
         raise ValueError("layout control register too narrow")
     circ = Circuit(_pool(layout, slicing))
     for i in range(m):
-        const = pow(a, 1 << i, N)
-        block = build_m(const, N, layout, slicing=slicing,
-                        path=f"{path}/M[{i}]")
-        circ.extend(add_controls(block, [(layout.k[i], True)]))
+        used = _m(circ.instructions, ((layout.k[i], True),),
+                  pow(a, 1 << i, N), N, layout, slicing, f"{path}/M[{i}]")
+        if i == 0:
+            _admit(layout.k[:m], used, circ.num_qubits)
     return circ
 
 

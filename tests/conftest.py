@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from distshor import cli, gates, partition
 from distshor.circuit import (Circuit, Instruction, add_controls,
-                              count_gates, execute)
+                              count_gates, execute, reverse)
 from distshor.netsim import (Network, NetworkError, SessionRecord,
                              execute_distributed, remote_controls,
                              session_groups)
 from distshor.qft import build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource, SimulationError
-from distshor.revarith import gate_count_formula
+from distshor.revarith import build_an, gate_count_formula
 from distshor.shor import run_order_circuit
 
 
@@ -122,6 +123,95 @@ def reference_execute_distributed(network: Network, circ: Circuit):
             reference_move(network, *group[0].targets, group[0].label)
         else:
             reference_session(network, node, group, group[0].block)
+
+
+# The arithmetic ladder composed block by block: every block built forward
+# and uncontrolled, its children wrapped by ``add_controls`` and turned
+# around by ``reverse``.  The builders emit the same instructions once each,
+# with the controls and the direction passed down; this is the reference
+# they are diffed against.  AN, a straight run of gates, is the leaf, so
+# its reversed form is checked through XAN.
+
+def _reference_pool(layout, slicing) -> int:
+    if slicing is None:
+        return layout.pool_size
+    return max(layout.pool_size, slicing.max_qubit + 1)
+
+
+def reference_an(a, N, layout, *, slicing=None, path="AN") -> Circuit:
+    return build_an(a, N, layout, slicing=slicing, path=path)
+
+
+def reference_xan(a, N, layout, *, slicing=None, path="XAN") -> Circuit:
+    circ = Circuit(_reference_pool(layout, slicing))
+    circ.extend(reference_an(a, N, layout, slicing=slicing,
+                             path=f"{path}/AN"))
+    for i, (src, dst) in enumerate(zip(layout.inter, layout.out)):
+        block = (f"{path}@cp{slicing.slice_of(i)}" if slicing else None)
+        circ.cnot(src, dst, label=f"{path}/COPY[{i}]", block=block)
+    circ.extend(reverse(reference_an(a, N, layout, slicing=slicing,
+                                     path=f"{path}/ANr")))
+    return circ
+
+
+def reference_adder(a, N, layout, *, slicing=None, path="A") -> Circuit:
+    circ = Circuit(_reference_pool(layout, slicing))
+    circ.extend(reference_xan(a % N, N, layout, slicing=slicing,
+                              path=f"{path}/XAN0"))
+    for i, (p, q) in enumerate(zip(layout.b, layout.out)):
+        block = (f"{path}@sw{slicing.slice_of(i)}" if slicing else None)
+        circ.swap(p, q, label=f"{path}/SWAP[{i}]", block=block)
+    circ.extend(reverse(reference_xan((N - a) % N, N, layout,
+                                      slicing=slicing, path=f"{path}/XAN1r")))
+    return circ
+
+
+def reference_mf(a, N, layout, *, slicing=None, path="MF") -> Circuit:
+    if math.gcd(a, N) != 1:
+        raise ValueError(f"{a} is not invertible mod {N}")
+    circ = Circuit(_reference_pool(layout, slicing))
+    for i, ctrl in enumerate(layout.x):
+        block = reference_adder((a << i) % N, N, layout, slicing=slicing,
+                                path=f"{path}/A[{i}]")
+        circ.extend(add_controls(block, [(ctrl, True)]))
+    return circ
+
+
+def reference_m(a, N, layout, *, slicing=None, path="M") -> Circuit:
+    if math.gcd(a, N) != 1:
+        raise ValueError(f"{a} is not invertible mod {N}")
+    a = a % N
+    circ = Circuit(_reference_pool(layout, slicing))
+    circ.extend(reference_mf(a, N, layout, slicing=slicing,
+                             path=f"{path}/MF0"))
+    for i, (xq, bq) in enumerate(zip(layout.x, layout.b)):
+        label = f"{path}/MSWAP[{i}]"
+        if slicing is None:
+            circ.swap(xq, bq, label=label)
+        else:
+            j = slicing.slice_of(i)
+            spare = slicing.spares[j][1]
+            circ.move(xq, spare, label=f"{label}/park")
+            circ.swap(spare, bq, label=label, block=f"{path}@msw{j}.{i}")
+            circ.move(spare, xq, label=f"{label}/unpark")
+    circ.extend(reverse(reference_mf(pow(a, -1, N), N, layout,
+                                     slicing=slicing, path=f"{path}/MF1r")))
+    return circ
+
+
+def reference_cm_m(a, N, m, layout, *, slicing=None, path="cm") -> Circuit:
+    if m < 1:
+        raise ValueError("need at least one control qubit")
+    if math.gcd(a, N) != 1:
+        raise ValueError(f"{a} is not invertible mod {N}")
+    if m > layout.m:
+        raise ValueError("layout control register too narrow")
+    circ = Circuit(_reference_pool(layout, slicing))
+    for i in range(m):
+        block = reference_m(pow(a, 1 << i, N), N, layout, slicing=slicing,
+                            path=f"{path}/M[{i}]")
+        circ.extend(add_controls(block, [(layout.k[i], True)]))
+    return circ
 
 
 def reference_counts_section(config: cli.RunConfig) -> dict:

@@ -198,9 +198,11 @@ class TestAdmission:
 
 
 class TestGateBudget:
-    """A report needing more than ``cli.GATE_BUDGET`` gates (the first
-    controlled multiplier and two inverse transforms) is refused before
-    anything is built, in either kind of run."""
+    """A run needing more than ``cli.GATE_BUDGET`` gates is refused before
+    anything is built: a report's share (the first controlled multiplier
+    and two inverse transforms) in either kind of run, plus the whole
+    order-finding program in a factoring run and the whole ladder when a
+    circuit dump is asked for."""
 
     @pytest.mark.parametrize("n,m", [(128, 256), (4, 1000), (32, 64)])
     def test_admitted(self, n, m):
@@ -229,6 +231,61 @@ class TestGateBudget:
         assert status == cli.EXIT_EXHAUSTED
         assert report["error"].startswith("n = 4, m = 4 builds 1116 gates")
         assert "counts" not in report
+
+    def test_factoring_run_counts_its_whole_program(self):
+        # n = 60, m = 16: the report's share fits, the ladder's sixteen
+        # multipliers (16 * 251,640 gates) do not
+        assert cli.gate_budget_error(60, 16) is None
+        error = cli.gate_budget_error(60, 16, factoring=True)
+        assert error == (
+            "n = 60, m = 16 builds 251912 gates for its report and 4026392 "
+            "for its order-finding program, 4278304 in all, over the "
+            f"budget of {1 << 21}")
+
+    def test_factoring_bound_is_inclusive(self, monkeypatch):
+        built = (gate_count_formula("M", 4)
+                 + 2 * gate_count_formula("QFT_inv", 4, 8)
+                 + gate_count_formula("SHOR", 4, 8))
+        monkeypatch.setattr(cli, "GATE_BUDGET", built)
+        assert cli.gate_budget_error(4, 8, factoring=True) is None
+        monkeypatch.setattr(cli, "GATE_BUDGET", built - 1)
+        assert cli.gate_budget_error(4, 8, factoring=True) is not None
+        assert cli.gate_budget_error(4, 8) is None
+
+    def test_factoring_run_refused_before_building(self, monkeypatch):
+        for name in ("_counts_section", "build_cm_m"):
+            monkeypatch.setattr(cli, name, None)  # never reached
+        monkeypatch.setattr(shor, "factor", None)
+        status, report = cli.run(cli.RunConfig(N=(1 << 60) - 1, a=2, m=16))
+        assert status == cli.EXIT_EXHAUSTED
+        assert "4026392 for its order-finding program" in report["error"]
+        assert "counts" not in report
+
+    def test_dump_counts_its_ladder(self):
+        # n = 32, m = 64: the report's share fits, the dumped ladder's 64
+        # multipliers (64 * 71,488 gates) do not
+        assert cli.gate_budget_error(32, 64) is None
+        assert cli.gate_budget_error(32, 64, dump=True) == (
+            "n = 32, m = 64 builds 75648 gates for its report and 4575232 "
+            "for its circuit dump, 4650880 in all, over the budget of "
+            f"{1 << 21}")
+        assert cli.gate_budget_error(60, 16, factoring=True, dump=True) == (
+            "n = 60, m = 16 builds 251912 gates for its report, 4026392 for "
+            "its order-finding program and 4026240 for its circuit dump, "
+            f"8304544 in all, over the budget of {1 << 21}")
+
+    def test_dump_refused_before_building(self, tmp_path, monkeypatch):
+        # 1168 gates for the report fit, 8768 more for the ladder do not
+        monkeypatch.setattr(cli, "GATE_BUDGET", 5000)
+        for name in ("_counts_section", "build_cm_m"):
+            monkeypatch.setattr(cli, name, None)  # never reached
+        dump_path = tmp_path / "ladder.txt"
+        status, report = run_cli(tmp_path, "--N", "15", "--a", "7", "--m",
+                                 "8", "--counts-only", "--dump-circuit",
+                                 str(dump_path))
+        assert status == cli.EXIT_EXHAUSTED
+        assert "8768 for its circuit dump" in report["error"]
+        assert not dump_path.exists()
 
     def test_large_m_count_report_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_counts_section", None)  # never reached

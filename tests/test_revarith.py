@@ -5,16 +5,23 @@ checked bit-exactly against plain integer arithmetic, with ancilla
 registers verified clean.
 """
 
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_ancillas_zero, read_register, run_on_basis
-from distshor.circuit import Circuit, count_gates, reverse
+from conftest import (amp_distance, assert_ancillas_zero, random_amplitudes,
+                      read_register, reference_adder, reference_an,
+                      reference_cm_m, reference_execute, reference_m,
+                      reference_mf, reference_xan, run_on_basis)
+from distshor.circuit import Circuit, count_gates, dump, execute, reverse
 from distshor.partition import plan_placement
-from distshor.revarith import (RegisterLayout, build_adder, build_an,
+from distshor.qstate import QuantumState
+from distshor.revarith import (AdderSlicing, RegisterLayout, build_adder,
+                               build_an,
                                build_bfa, build_bha, build_cm_m, build_fa,
                                build_ha, build_m, build_mf, build_xan,
                                gate_count_formula)
@@ -411,3 +418,170 @@ class TestOracleSweep:
         for bad in (1 << n, -1):
             with pytest.raises(ValueError, match="does not fit"):
                 build_fa(bad, b_q, s_q, carry)
+
+
+# builder -> the conftest reference composition it replaces
+EMITTED = {
+    "AN": (build_an, reference_an),
+    "XAN": (build_xan, reference_xan),
+    "A": (build_adder, reference_adder),
+    "MF": (build_mf, reference_mf),
+    "M": (build_m, reference_m),
+    "cm": (build_cm_m, reference_cm_m),
+}
+
+
+# every emitted level, the ladder at m = 1 and 2: (level, args after a, N)
+EMITTED_CASES = [("AN", ()), ("XAN", ()), ("A", ()), ("MF", ()), ("M", ()),
+                 ("cm", (1,)), ("cm", (2,))]
+
+
+def emitted_cases(a, N):
+    return [(level, (a, N, *ladder)) for level, ladder in EMITTED_CASES]
+
+
+def refusal(build, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as err:
+        build(*args, **kwargs)
+    return str(err.value)
+
+
+class TestEmitter:
+    """Each builder emits its gates once, passing the controls and the
+    direction down to its children; its dump must equal the composition
+    it replaced, which holds every controlled and reversed block below
+    it."""
+
+    @pytest.mark.parametrize("level,ladder", EMITTED_CASES)
+    @settings(max_examples=5, deadline=None)
+    @given(modular_inputs())
+    def test_dump_matches_reference_composition(self, level, ladder, inputs):
+        N, a, _x = inputs
+        n = N.bit_length()
+        builder, reference = EMITTED[level]
+        args = (a, N, *ladder)
+        plan = plan_placement(n, 2)
+        for layout, slicing in ((RegisterLayout.packed(n, 2), None),
+                                (plan.layout, plan.slicing)):
+            built = builder(*args, layout, slicing=slicing)
+            want = reference(*args, layout, slicing=slicing)
+            assert built.num_qubits == want.num_qubits
+            assert dump(built) == dump(want)
+
+
+def with_spare(plan, j, stage, qubit) -> AdderSlicing:
+    """``plan``'s slicing with slice j's spare for ``stage`` replaced."""
+    spares = [list(pair) for pair in plan.slicing.spares]
+    spares[j][stage] = qubit
+    return AdderSlicing(plan.slicing.cuts,
+                        tuple(tuple(pair) for pair in spares))
+
+
+class TestRefusalParity:
+    """The builders refuse what the composition refused, with the same
+    ``ValueError``."""
+
+    LAYOUT = RegisterLayout.packed(4, 8)
+
+    def assert_same(self, level, *args, **kwargs):
+        builder, reference = EMITTED[level]
+        want = refusal(reference, *args, **kwargs)
+        assert refusal(builder, *args, **kwargs) == want
+        return want
+
+    def test_spare_on_a_ladder_control(self):
+        plan = plan_placement(4, 8)
+        lay = plan.layout
+        bad = with_spare(plan, 0, 0, lay.k[0])
+        assert self.assert_same("cm", 7, 15, 2, lay, slicing=bad) == \
+            f"control qubit {lay.k[0]} collides with the circuit"
+
+    def test_spare_on_a_multiplier_bit(self):
+        plan = plan_placement(4, 8)
+        lay = plan.layout
+        bad = with_spare(plan, 1, 0, lay.x[2])
+        want = f"control qubit {lay.x[2]} collides with the circuit"
+        assert self.assert_same("MF", 7, 15, lay, slicing=bad) == want
+        assert self.assert_same("cm", 7, 15, 1, lay, slicing=bad) == want
+
+    def test_parking_slot_on_a_ladder_control(self):
+        # the last slice's second spare only parks multiplier qubits: M
+        # touches it, MF does not
+        plan = plan_placement(4, 8)
+        lay = plan.layout
+        last = plan.slicing.slice_of(lay.n - 1)
+        bad = with_spare(plan, last, 1, lay.k[1])
+        assert self.assert_same("cm", 7, 15, 2, lay, slicing=bad) == \
+            f"control qubit {lay.k[1]} collides with the circuit"
+        assert dump(build_mf(7, 15, lay, slicing=bad)) == \
+            dump(reference_mf(7, 15, lay, slicing=bad))
+
+    def test_carry_move_onto_itself(self):
+        plan = plan_placement(4, 8)
+        lay = plan.layout
+        bad = with_spare(plan, 0, 0, lay.s[plan.slicing.cuts[0]])
+        for level, args in emitted_cases(7, 15):
+            assert self.assert_same(level, *args, lay, slicing=bad) == \
+                "MOVE needs distinct qubits"
+
+    @pytest.mark.parametrize("register,levels,want", [
+        ("b", ("AN", "XAN", "A", "MF", "M", "cm"), "qubit -1 out of range"),
+        ("x", ("MF", "M", "cm"), "control qubit -1 out of range"),
+        ("k", ("cm",), "control qubit -1 out of range")])
+    def test_negative_qubit_id(self, register, levels, want):
+        # the pool is sized from the largest id, so only a negative one
+        # falls outside it
+        qubits = getattr(self.LAYOUT, register)
+        odd = dataclasses.replace(self.LAYOUT,
+                                  **{register: (-1, *qubits[1:])})
+        for level, args in emitted_cases(7, 15):
+            if level in levels:
+                assert self.assert_same(level, *args, odd) == want
+
+    def test_layout_narrower_than_ladder(self):
+        narrow = RegisterLayout.packed(4, 2)
+        assert self.assert_same("cm", 7, 15, 3, narrow) == \
+            "layout control register too narrow"
+        assert self.assert_same("cm", 7, 15, 0, narrow) == \
+            "need at least one control qubit"
+
+    def test_noninvertible_base(self):
+        lay = self.LAYOUT
+        for level, args in (("MF", (5, 15)), ("M", (3, 15)),
+                            ("cm", (3, 15, 2))):
+            assert self.assert_same(level, *args, lay).endswith(
+                "is not invertible mod 15")
+
+    def test_addend_and_modulus(self):
+        lay = self.LAYOUT
+        assert self.assert_same("AN", 15, 15, lay) == \
+            "addend 15 outside [0, 15)"
+        for level in ("AN", "XAN", "A", "MF", "M"):
+            assert self.assert_same(level, 2, 17, lay) == \
+                "modulus does not fit the register width"
+
+
+class TestKernelSweep:
+    """``circuit.execute`` against ``conftest.reference_execute`` on the
+    multiplier, its register in superposition, packed and sliced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(modular_inputs(), st.integers(0, 1 << 32))
+    def test_m_on_a_superposed_register(self, inputs, seed):
+        N, a, _x = inputs
+        rnd = random.Random(seed)
+        n = N.bit_length()
+        plan = plan_placement(n, 1)
+        for layout, slicing in ((RegisterLayout.packed(n, 1), None),
+                                (plan.layout, plan.slicing)):
+            circ = build_m(a, N, layout, slicing=slicing)
+            spread = rnd.sample(layout.x, 3)
+            fast = QuantumState.from_amplitudes(
+                circ.num_qubits,
+                random_amplitudes(spread, circ.num_qubits, rnd))
+            slow = fast.copy()
+            execute(circ, fast)
+            reference_execute(circ, slow)
+            assert len(fast.amplitudes) == 8
+            assert fast.amplitudes.keys() == slow.amplitudes.keys()
+            assert amp_distance(fast, slow) < 1e-12
