@@ -2,11 +2,12 @@
 
 Reports are JSON documents with a fixed key order; the wall time lives in
 a single ``wall_time_s`` key so golden comparisons can mask it.  Exit
-codes: 0 success, 2 invalid configuration, 3 resource exhaustion (the
-retry budget ran out, or, checked before anything is built, a factoring
-run's support bound is over ``shor.SUPPORT_BUDGET`` or the gates a run
-builds, its report's plus a factoring run's order-finding program and a
-circuit dump's ladder, are over ``GATE_BUDGET``).
+codes: 0 success, 2 invalid configuration or an output path that cannot
+be written, 3 resource exhaustion (the retry budget ran out, or, checked
+before anything is built, a factoring run's support bound is over
+``shor.SUPPORT_BUDGET`` or the gates a run builds, its report's plus a
+factoring run's order-finding program and a circuit dump's ladder, are
+over ``GATE_BUDGET``).
 
 The counts section builds the power ladder's first controlled multiplier
 and the distributed inverse transform, never the whole order-finding
@@ -24,6 +25,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import partition, shor
 from .circuit import count_gates, dump
@@ -211,8 +213,7 @@ def run(config: RunConfig, *, dump: bool = False) -> tuple[int, dict]:
                 rounds.append({"a": order.a, "j": rnd.j,
                                "candidates": rnd.candidates,
                                "r_found": rnd.r_found})
-            if order.ledger is not None:
-                ledger.merge(order.ledger)
+            ledger.merge(order.ledger)
         report["outcome"] = (
             {"factors": sorted(outcome.factors)} if outcome.factors
             else {"failure": outcome.failure})
@@ -258,21 +259,32 @@ def main(argv: list[str] | None = None) -> int:
                         help="static gate/communication analysis, no "
                              "quantum execution")
     args = parser.parse_args(argv)
+    # an output path is checked before anything is built
+    for flag, path in (("--report", args.report),
+                       ("--dump-circuit", args.dump_circuit)):
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            print(f"error: {flag} {path} is a directory or lies in a "
+                  "missing one", file=sys.stderr)
+            return EXIT_BAD_CONFIG
 
     config = RunConfig(N=args.N, a=args.a, m=args.m, mode=args.mode,
                        seed=args.seed, max_rounds=args.max_rounds,
                        counts_only=args.counts_only)
     status, report = run(config, dump=args.dump_circuit is not None)
-    text = json.dumps(report, indent=2)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
-    if args.dump_circuit and status == EXIT_OK:
-        _write_dump(config, args.dump_circuit)
+    text = json.dumps(report, indent=2)
+    try:
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        if args.dump_circuit and status == EXIT_OK:
+            _write_dump(config, args.dump_circuit)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     return status
 
 

@@ -37,10 +37,6 @@ TOFFOLI = GateKind("TOFFOLI")
 # The circuit IR's relocation directive; not a unitary gate kind.
 MOVE = GateKind("MOVE")
 
-_UNITARY_NAMES = frozenset(
-    {"X", "Z", "H", "SWAP", "CNOT", "TOFFOLI", "R", "R_INV", "PHASE"}
-)
-
 #: Number of target qubits each unitary kind expects.
 ARITY = {
     "X": 1, "Z": 1, "H": 1, "R": 1, "R_INV": 1, "PHASE": 1,
@@ -69,7 +65,7 @@ def phase_gate(p: int, q: int) -> GateKind:
 
 
 def is_unitary(kind: GateKind) -> bool:
-    return kind.name in _UNITARY_NAMES
+    return kind.name in ARITY
 
 
 def inverse(kind: GateKind) -> GateKind:
@@ -80,7 +76,7 @@ def inverse(kind: GateKind) -> GateKind:
         return GateKind("R", k=kind.k)
     if kind.name == "PHASE":
         return GateKind("PHASE", p=(kind.q - kind.p) % kind.q, q=kind.q)
-    if kind.name in _UNITARY_NAMES:
+    if kind.name in ARITY:
         return kind
     raise ValueError(f"{kind.name} has no inverse")
 

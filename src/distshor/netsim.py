@@ -106,11 +106,6 @@ class ResourceLedger:
     teleports: int = 0
     pairs_established: int = 0
 
-    @property
-    def qubit_transmissions(self) -> int:
-        """Physical qubits sent: one per pair established."""
-        return self.pairs_established
-
     def send_cbit(self, src: str, dst: str):
         key = (src, dst)
         self.cbits_sent[key] = self.cbits_sent.get(key, 0) + 1
@@ -132,7 +127,8 @@ class ResourceLedger:
                       for (a, b), n in sorted(self.cbits_sent.items())},
             "cbits_total": self.total_cbits(),
             "teleports": self.teleports,
-            "qubit_transmissions": self.qubit_transmissions,
+            # physical qubits sent: one per pair established
+            "qubit_transmissions": self.pairs_established,
             "pairs_established": self.pairs_established,
         }
 
@@ -232,9 +228,6 @@ class Network:
             return self.owner[qubit]
         except KeyError:
             raise NetworkError(f"qubit {qubit} belongs to no node") from None
-
-    def live_count(self, node_id: str) -> int:
-        return self._node(node_id).live_count()
 
     # -- local gate application -----------------------------------------
 

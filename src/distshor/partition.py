@@ -65,8 +65,6 @@ class PlanError(Exception):
 class PlacementPlan:
     """Total map from logical qubit role to a (node, slot) home."""
 
-    n: int
-    m: int
     topology: Topology
     layout: RegisterLayout
     slicing: AdderSlicing
@@ -78,9 +76,6 @@ class PlacementPlan:
     @property
     def capacity(self) -> int:
         return self.topology.nodes[0].register_capacity
-
-    def node_of_role(self, role: str) -> str:
-        return self.node_of_qubit[self.roles[role]]
 
     def dump(self) -> str:
         """Text table: role -> node/slot."""
@@ -163,7 +158,7 @@ def plan_placement(n: int, m: int) -> PlacementPlan:
         s=tuple(s_ids), carry=carry, inter=tuple(inter_ids),
         out=tuple(out_ids))
     slicing = AdderSlicing(cuts=cuts, spares=tuple(spares))
-    return PlacementPlan(n=n, m=m, topology=topology, layout=layout,
+    return PlacementPlan(topology=topology, layout=layout,
                          slicing=slicing, node_of_qubit=node_of_qubit,
                          roles=roles, k_spares=k_spares,
                          adder_nodes=tuple(ADDER_NODES[:len(slices)]))
@@ -193,7 +188,7 @@ def build_distributed_modexp_program(a: int, N: int,
     lay = plan.layout
     pool = sum(spec.register_capacity for spec in plan.topology.nodes)
     return shor.order_prefix(
-        lay, pool, build_cm_m(a, N, plan.m, lay, slicing=plan.slicing))
+        lay, pool, build_cm_m(a, N, lay.m, lay, slicing=plan.slicing))
 
 
 def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
@@ -204,8 +199,8 @@ def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
     node_of = {q: plan.node_of_qubit[q] for q in lay.k}
     for node, spare in plan.k_spares.items():
         node_of[spare] = node
-    return build_inverse_qft(lay.k, num_qubits=pool, path="QFTinv",
-                             node_of=node_of, spare_of=dict(plan.k_spares))
+    return build_inverse_qft(lay.k, num_qubits=pool, node_of=node_of,
+                             spare_of=dict(plan.k_spares))
 
 
 def build_distributed_order_program(a: int, N: int,
@@ -235,10 +230,10 @@ def distribute_circuit(circ: Circuit, plan: PlacementPlan,
 def run_order_program(a: int, N: int, m: int,
                       rng: RandomSource) -> shor.OrderRun:
     """Plan, build, and execute the distributed order-finding circuit up
-    to measurement: ``shor.run_order_circuit`` in distributed mode."""
+    to measurement: one distributed ``shor.order_round``."""
     from . import shor  # shor imports this module
 
-    return shor.run_order_circuit(a, N, m, rng, shor.DISTRIBUTED)
+    return shor.order_round(a, N, m, shor.DISTRIBUTED)(rng)
 
 
 # -- communication census ---------------------------------------------------

@@ -63,11 +63,11 @@ def build_qft(qubits: Sequence[int], *, num_qubits: int | None = None,
 
 
 def build_inverse_qft(qubits: Sequence[int], *,
-                      num_qubits: int | None = None, path: str = "QFTinv",
+                      num_qubits: int | None = None,
                       node_of: Mapping[int, str] | None = None,
                       spare_of: Mapping[str, int] | None = None) -> Circuit:
-    """Reverse computation of the forward transform."""
-    return reverse(build_qft(qubits, num_qubits=num_qubits, path=path,
+    """Reverse computation of the forward transform, labelled ``QFTinv``."""
+    return reverse(build_qft(qubits, num_qubits=num_qubits, path="QFTinv",
                              node_of=node_of, spare_of=spare_of))
 
 

@@ -49,7 +49,8 @@ class OrderResult:
     r: int | None
     rounds_used: int
     transcript: list[OrderRound] = field(default_factory=list)
-    ledger: ResourceLedger | None = None  # distributed-mode totals
+    # the network's totals over every round; empty on one machine
+    ledger: ResourceLedger = field(default_factory=ResourceLedger)
 
 
 @dataclass
@@ -202,12 +203,6 @@ def order_round(a: int, N: int, m: int,
     return run
 
 
-def run_order_circuit(a: int, N: int, m: int, rng: RandomSource,
-                      mode: str = MONOLITHIC) -> OrderRun:
-    """Build and execute the order-finding circuit up to measurement."""
-    return order_round(a, N, m, mode)(rng)
-
-
 def continued_fraction(j: int, two_to_m: int, N: int) -> list[int]:
     """Denominators (< N, ascending, deduplicated) of the convergents of
     j / 2^m.  j = 0 carries no information and yields an empty list."""
@@ -286,8 +281,6 @@ def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
 
     result = OrderResult(a=a, N=N, r=None, rounds_used=0)
-    if mode == DISTRIBUTED:
-        result.ledger = ResourceLedger()
     run_round = order_round(a, N, m, mode)
     for _ in range(max_rounds):
         run = run_round(rng)
@@ -315,6 +308,9 @@ def default_max_rounds(N: int) -> int:
 
 
 # -- classical wrapper --------------------------------------------------------
+
+# Bases a factoring run draws before it gives up.
+MAX_ATTEMPTS = 16
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -378,21 +374,20 @@ def classical_rejection(N: int) -> str | None:
 
 def factor(N: int, rng: RandomSource, *, a: int | None = None,
            m: int | None = None, mode: str = MONOLITHIC,
-           max_rounds: int | None = None,
-           max_attempts: int = 16) -> FactoringOutcome:
+           max_rounds: int | None = None) -> FactoringOutcome:
     """Factor an odd composite N that is not a prime power.
 
     Pick a base (or use the fixed one), shortcut on a shared factor, find
     its order r, and when r is even with a^(r/2) != -1 mod N read the
-    factors off gcd(a^(r/2) +- 1, N).  Otherwise retry with a new base.
+    factors off gcd(a^(r/2) +- 1, N).  Otherwise retry with a new base,
+    up to ``MAX_ATTEMPTS`` bases.
     """
-    reason = classical_rejection(N)
-    if reason is not None:
-        return FactoringOutcome(N=N, factors=None, failure=reason,
-                                attempts=[], seed=rng.seed)
-    outcome = FactoringOutcome(N=N, factors=None, failure=None,
-                               attempts=[], seed=rng.seed)
-    for _ in range(max_attempts):
+    outcome = FactoringOutcome(N=N, factors=None,
+                               failure=classical_rejection(N), attempts=[],
+                               seed=rng.seed)
+    if outcome.failure is not None:
+        return outcome
+    for _ in range(MAX_ATTEMPTS):
         base = a if a is not None else rng.randint(2, N - 1)
         outcome.attempts.append(base)
         g = math.gcd(base, N)

@@ -16,7 +16,7 @@ from distshor.netsim import (Network, NetworkError, SessionRecord,
 from distshor.qft import build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource, SimulationError
 from distshor.revarith import build_an, gate_count_formula
-from distshor.shor import run_order_circuit
+from distshor.shor import order_round
 
 
 def set_register(state: QuantumState, qubits, value: int):
@@ -123,6 +123,18 @@ def reference_execute_distributed(network: Network, circ: Circuit):
             reference_move(network, *group[0].targets, group[0].label)
         else:
             reference_session(network, node, group, group[0].block)
+
+
+def observed(network: Network) -> dict:
+    """Everything a network run leaves behind except the state; reading
+    the next draw advances the network's random stream."""
+    return {
+        "ledger": network.ledger.as_dict(),
+        "sessions": network.sessions,
+        "teleport_log": network.teleport_log,
+        "max_live": network.max_live,
+        "next_draw": network.rng.uniform(),
+    }
 
 
 # The arithmetic ladder composed block by block: every block built forward
@@ -282,10 +294,10 @@ def assert_ancillas_zero(state: QuantumState, qubits, tol: float = 1e-12):
 @pytest.fixture(scope="session")
 def mono_run_15():
     """Monolithic pre-measurement order run for N=15, a=7, m=8."""
-    return run_order_circuit(7, 15, 8, RandomSource(1), mode="monolithic")
+    return order_round(7, 15, 8, "monolithic")(RandomSource(1))
 
 
 @pytest.fixture(scope="session")
 def dist_run_15():
     """Distributed pre-measurement order run for N=15, a=7, m=8."""
-    return run_order_circuit(7, 15, 8, RandomSource(1), mode="distributed")
+    return order_round(7, 15, 8, "distributed")(RandomSource(1))

@@ -20,7 +20,7 @@ from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (RegisterLayout, build_adder, build_an,
                                build_cm_m, build_fa, build_ha, build_m,
                                build_mf, build_xan, gate_count_formula)
-from distshor.shor import factor, prepare_phase_state, run_order_circuit
+from distshor.shor import factor, order_round, prepare_phase_state
 
 
 def announce(number, text):
@@ -72,8 +72,8 @@ class TestCriterion2DistributedEquivalence:
     def test_pre_measurement_distribution_equal_at_paper_sizes(self, a, N,
                                                                 m):
         self.assert_same_distribution(
-            run_order_circuit(a, N, m, RandomSource(0), "monolithic"),
-            run_order_circuit(a, N, m, RandomSource(0), "distributed"),
+            order_round(a, N, m, "monolithic")(RandomSource(0)),
+            order_round(a, N, m, "distributed")(RandomSource(0)),
             f"N={N}, m={m}: ")
 
     def test_shared_seed_same_factors(self):

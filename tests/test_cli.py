@@ -295,6 +295,60 @@ class TestGateBudget:
         assert "budget of 2097152" in report["error"]
 
 
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 with an ``error:``
+    line and no traceback; a directory, or a path in a missing one, is
+    refused before anything is built."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        for name in ("_counts_section", "build_cm_m"):
+            monkeypatch.setattr(cli, name, None)  # never reached
+        monkeypatch.setattr(shor, "factor", None)
+
+    @pytest.mark.parametrize("flag", ["--report", "--dump-circuit"])
+    def test_missing_directory_refused(self, tmp_path, capsys, flag,
+                                       nothing_built):
+        path = tmp_path / "missing" / "out.txt"
+        status = cli.main(["--N", "15", "--a", "7", "--m", "4", flag,
+                           str(path)])
+        assert status == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {flag} {path} is a directory or lies in a missing "
+            "one\n")
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("flag", ["--report", "--dump-circuit"])
+    def test_directory_refused(self, tmp_path, capsys, flag, nothing_built):
+        report = tmp_path / "report.json"
+        args = ["--N", "15", "--a", "7", "--m", "4", flag, str(tmp_path)]
+        if flag == "--dump-circuit":
+            args += ["--report", str(report)]
+        status = cli.main(args)
+        assert status == cli.EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert err == (f"error: {flag} {tmp_path} is a directory or lies "
+                       "in a missing one\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--report", "--dump-circuit"])
+    def test_write_failure_exits_two(self, tmp_path, capsys, monkeypatch,
+                                     flag):
+        def refuse(path, mode="r"):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        path = tmp_path / "out.txt"
+        status = cli.main(["--N", "15", "--a", "7", "--m", "2",
+                           "--counts-only", flag, str(path)])
+        assert status == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: [Errno 13] Permission denied: "
+            f"'{path}'\n")
+        assert not path.exists()
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_wall_time(self, tmp_path):
         _, first = run_cli(tmp_path, "--N", "15", "--a", "7", "--m", "8",
@@ -316,5 +370,7 @@ class TestDump:
                            "--dump-circuit", str(dump_path)])
         assert status == cli.EXIT_OK
         lines = dump_path.read_text().splitlines()
-        assert len(lines) > 2000  # two multiplier blocks
+        # one line per gate of the ladder's two multiplier blocks
+        counts = json.loads(report.read_text())["counts"]
+        assert len(lines) == counts["G_measured"]["c_m(M)"]
         assert all(line.count(" | ") == 4 for line in lines)

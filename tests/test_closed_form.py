@@ -15,25 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (amp_distance, reference_execute_distributed,
-                      reference_move, reference_session)
+from conftest import (amp_distance, observed,
+                      reference_execute_distributed, reference_move,
+                      reference_session)
 from distshor import gates, partition, shor
 from distshor.circuit import Circuit, Instruction
 from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
                              execute_distributed)
 from distshor.qstate import RandomSource, SimulationError
-
-
-def observed(network: Network) -> dict:
-    """Everything a network run leaves behind except the state; reading
-    the next draw advances the network's random stream."""
-    return {
-        "ledger": network.ledger.as_dict(),
-        "sessions": network.sessions,
-        "teleport_log": network.teleport_log,
-        "max_live": network.max_live,
-        "next_draw": network.rng.uniform(),
-    }
 
 
 # -- whole order-finding rounds ---------------------------------------------

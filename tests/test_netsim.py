@@ -34,7 +34,7 @@ class TestEstablish:
         pair = net.establish_epr("A", "B")
         dist = net.state.exact_distribution([pair.qubit_a, pair.qubit_b])
         assert abs(dist[0] - 0.5) < 1e-12 and abs(dist[3] - 0.5) < 1e-12
-        assert net.ledger.qubit_transmissions == 1
+        assert net.ledger.as_dict()["qubit_transmissions"] == 1
 
     def test_channel_exhaustion(self):
         net = two_nodes(channels=1)

@@ -13,13 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (amp_distance, assert_ancillas_zero, random_amplitudes,
-                      read_register, reference_adder, reference_an,
-                      reference_cm_m, reference_execute, reference_m,
+from conftest import (amp_distance, assert_ancillas_zero, observed,
+                      random_amplitudes, read_register, reference_adder,
+                      reference_an, reference_cm_m, reference_execute,
+                      reference_execute_distributed, reference_m,
                       reference_mf, reference_xan, run_on_basis)
+from distshor import gates
 from distshor.circuit import Circuit, count_gates, dump, execute, reverse
-from distshor.partition import plan_placement
-from distshor.qstate import QuantumState
+from distshor.netsim import execute_distributed
+from distshor.partition import build_network, plan_placement
+from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (AdderSlicing, RegisterLayout, build_adder,
                                build_an,
                                build_bfa, build_bha, build_cm_m, build_fa,
@@ -585,3 +588,28 @@ class TestKernelSweep:
             assert len(fast.amplitudes) == 8
             assert fast.amplitudes.keys() == slow.amplitudes.keys()
             assert amp_distance(fast, slow) < 1e-12
+
+
+class TestClosedFormSweep:
+    """``netsim.execute_distributed`` against
+    ``conftest.reference_execute_distributed`` on the sliced ladder's
+    first two controlled multipliers, both estimation qubits in
+    superposition."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(modular_inputs(), st.integers(0, 1 << 32))
+    def test_cm_m_matches_physical_protocol(self, inputs, seed):
+        N, a, _x = inputs
+        plan = plan_placement(N.bit_length(), 2)
+        lay = plan.layout
+        circ = build_cm_m(a, N, 2, lay, slicing=plan.slicing)
+        closed, reference = (build_network(plan, RandomSource(seed))
+                             for _ in range(2))
+        for net in (closed, reference):
+            for kind, q in ((gates.X, lay.x[0]), (gates.H, lay.k[0]),
+                            (gates.H, lay.k[1])):
+                net.apply_local(net.node_of(q), kind, [q])
+        execute_distributed(closed, circ)
+        reference_execute_distributed(reference, circ)
+        assert amp_distance(closed.state, reference.state) < 1e-12
+        assert observed(closed) == observed(reference)

@@ -17,7 +17,7 @@ from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
                            find_order, is_prime, order_candidates,
                            phase_estimate, prepare_phase_state,
-                           prime_power_root, run_order_circuit)
+                           order_round, prime_power_root)
 
 
 class TestContinuedFraction:
@@ -157,8 +157,8 @@ class TestOrderFindingStatistics:
                                          (2, 33, 8, 10)])
     def test_distribution_matches_estimation_kernel(self, a, N, m, r):
         assert pow(a, r, N) == 1 and (1 << m) % r != 0
-        dist = run_order_circuit(a, N, m,
-                                 RandomSource(1)).first_register_distribution()
+        dist = order_round(a, N, m)(
+            RandomSource(1)).first_register_distribution()
         predicted = fejer_order_distribution(r, m)
         assert set(dist) <= set(predicted)
         for j, p in predicted.items():
@@ -274,7 +274,7 @@ class TestBuildOnce:
         rng = RandomSource(0)
         js = []
         for _ in range(rounds):
-            run = run_order_circuit(7, 15, 1, rng, mode)
+            run = order_round(7, 15, 1, mode)(rng)
             js.append(run.measure_first_register(rng))
         assert [rnd.j for rnd in res.transcript] == js
 
@@ -352,7 +352,7 @@ class TestRunKernel:
         ref = QuantumState(layout.num_data_qubits)
         for circ in (modexp, transform):
             reference_execute(circ, ref)
-        run = run_order_circuit(a, N, m, RandomSource(1))
+        run = order_round(a, N, m)(RandomSource(1))
         assert list(run.state.amplitudes.items()) == \
             list(ref.amplitudes.items())
         assert run.state.peak_support == ref.peak_support
@@ -360,8 +360,8 @@ class TestRunKernel:
 
 class TestModeEquivalence:
     def test_first_register_distribution_small_instance(self):
-        mono = run_order_circuit(7, 15, 4, RandomSource(4), "monolithic")
-        dist = run_order_circuit(7, 15, 4, RandomSource(4), "distributed")
+        mono = order_round(7, 15, 4, "monolithic")(RandomSource(4))
+        dist = order_round(7, 15, 4, "distributed")(RandomSource(4))
         dm = mono.first_register_distribution()
         dd = dist.first_register_distribution()
         for key in set(dm) | set(dd):
@@ -387,7 +387,7 @@ class TestFactor:
         assert math.prod(out.factors) == 15
 
     def test_shared_factor_shortcut(self):
-        out = factor(15, RandomSource(0), a=None, m=8, max_attempts=50)
+        out = factor(15, RandomSource(0), a=None, m=8)
         # whichever way it resolves, the product must check out
         assert math.prod(out.factors) == 15
 
@@ -420,7 +420,7 @@ class TestFactor:
     def test_odd_base_failure_retries(self):
         # base 14 has order 2 with 14 = -1 mod 15: the reduction fails and
         # a new base must be drawn
-        out = factor(15, RandomSource(8), m=8, max_attempts=6)
+        out = factor(15, RandomSource(8), m=8)
         if out.factors is not None:
             assert math.prod(out.factors) == 15
 
