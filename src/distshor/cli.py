@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     # an output path is checked before anything is built
     for flag, path in (("--report", args.report),
                        ("--dump-circuit", args.dump_circuit)):
+        if path == "":
+            print(f"error: {flag} needs a file path", file=sys.stderr)
+            return EXIT_BAD_CONFIG
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             print(f"error: {flag} {path} is a directory or lies in a "
                   "missing one", file=sys.stderr)
@@ -275,12 +278,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {report['error']}", file=sys.stderr)
     text = json.dumps(report, indent=2)
     try:
-        if args.report:
+        if args.report is not None:
             with open(args.report, "w") as fh:
                 fh.write(text + "\n")
         else:
             print(text)
-        if args.dump_circuit and status == EXIT_OK:
+        if args.dump_circuit is not None and status == EXIT_OK:
             _write_dump(config, args.dump_circuit)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -33,18 +33,22 @@ support entry, so a session applies its body on the original controls
 and a teleport into a |0> slot is a SWAP: the program changes the state
 as ``circuit.execute`` does.  The run posts the program's bill first, a
 session (``run_session``) or relocation (``move``) per unit of
-``session_groups`` that draws one ``rng.uniform()`` per protocol
-measurement in the physical order and posts the reference's channel
-claims, capacity checks, ledger and classical-bit entries and records
-through the same bookkeeping helpers.  Then one ``circuit.execute`` runs
-the state; its kernel refuses a MOVE into a slot that is not |0>.  The
-state agrees with the reference up to floating-point rounding.
+``session_groups``.  Each posts its whole bill in one step: it checks
+that its pairs find free channels and room under every node's capacity,
+then adds its pairs, ebits, classical bits per direction and peak live
+counts to the network's totals and draws one ``rng.uniform()`` per
+protocol measurement, as the reference would.  A unit that does not fit
+replays its shares one by one through the reference's bookkeeping
+helpers, so the refusal and the partial bill are the protocol's.  Then
+one ``circuit.execute`` runs the state; its kernel refuses a MOVE into a
+slot that is not |0>.  The state agrees with the reference up to
+floating-point rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import gates
 from .circuit import Circuit, Instruction, execute
@@ -153,8 +157,7 @@ class CatState:
     live: bool = True
 
 
-@dataclass(frozen=True)
-class SessionRecord:
+class SessionRecord(NamedTuple):
     """One remotely controlled block: the unit non-local ops are counted
     in."""
 
@@ -164,8 +167,7 @@ class SessionRecord:
     gates: int
 
 
-@dataclass(frozen=True)
-class TeleportRecord:
+class TeleportRecord(NamedTuple):
     src_node: str
     dst_node: str
     label: str
@@ -182,6 +184,13 @@ class _NodeRuntime:
 
     def live_count(self) -> int:
         return len(self.allocated) + len(self.busy_channels)
+
+    def can_hold(self, pairs: int) -> bool:
+        """Whether ``pairs`` more channel qubits can be busy at once: each
+        needs a free channel and room under the node's capacity."""
+        held = len(self.busy_channels) + pairs
+        return (held <= len(self.channel_slots) and len(self.allocated)
+                + held <= self.spec.register_capacity)
 
 
 class Network:
@@ -314,25 +323,49 @@ class Network:
         pair and two classical bits no matter how many gates use it.
         At most 3 remote controls are ever distributed at once.
 
-        Closed form of entangle, body on the mirrors, disentangle: the
-        gates it enables must run on ``node_id``; their state changes are
-        left to ``circuit.execute``.
+        Closed form of entangle, body on the mirrors, disentangle, posted
+        as one bill: the k shares (``_open_shares``), then the k
+        disentangle bits back and their coins.  One walk over the block
+        finds the remote controls in first-use order, the gates a 0
+        constant does not disable, and the first of those with a target
+        off ``node_id``, which raises after the shares as the protocol
+        would.  The enabled gates' state changes are left to
+        ``circuit.execute``.
         """
-        remote = remote_controls(instructions, node_id, self.node_of)
+        owner = self.owner
+        remote: list[int] = []
+        sources: list[str] = []
+        enabled = 0
+        stray = None
+        for inst in instructions:
+            for q, _pol in inst.controls:
+                if owner.get(q) != node_id and q not in remote:
+                    sources.append(self.node_of(q))
+                    remote.append(q)
+            if inst.classical_constant != 0:
+                enabled += 1
+                if stray is None:
+                    for q in inst.targets:
+                        if owner.get(q) != node_id:
+                            stray = inst
+                            break
         if len(remote) > 3:
             raise NetworkError(
                 f"session needs {len(remote)} remote controls (max 3)")
-        cats = [self._share(ctrl, node_id) for ctrl in remote]
-        body = [inst for inst in instructions
-                if inst.classical_constant != 0]
-        for inst in body:
-            self._check_local(node_id, inst.targets)
-        for cat in reversed(cats):
-            self.rng.uniform()  # the disentangle measurement: a fair coin
-            self._release_mirror(cat, cat.node_mirror, cat.node_control)
+        if stray is not None:
+            for ctrl in remote:
+                self._share(ctrl, node_id)
+            self._check_local(node_id, stray.targets)
         if not remote:
             return None
-        record = SessionRecord(block, node_id, tuple(remote), len(body))
+        self._open_shares(remote, sources, node_id)
+        cbits = self.ledger.cbits_sent
+        draw = self.rng.uniform
+        for src in reversed(sources):
+            draw()  # the disentangle measurement: a fair coin
+            key = (node_id, src)
+            cbits[key] = cbits.get(key, 0) + 1
+        record = SessionRecord(block, node_id, tuple(remote), enabled)
         self.sessions.append(record)
         return record
 
@@ -377,25 +410,63 @@ class Network:
         """Bill a relocation into a |0> slot: nothing for a local swap on
         one node, a teleport across nodes.
 
-        Closed form of the teleport, billed as ``teleport`` bills it, with
-        one fair coin for each of its two measurements; the swap and its
-        |0> check are left to ``circuit.execute``.
+        Closed form of the teleport, billed as ``teleport`` bills it: one
+        share (``_open_shares``), then the source's X-basis bit forward,
+        with one fair coin for each of the two measurements; the swap and
+        its |0> check are left to ``circuit.execute``.
         """
         src_node, dst_node = self.node_of(src), self.node_of(dst)
         if src_node != dst_node:
             self._check_held(dst_node, dst)
-            cat = self._share(src, dst_node)
+            self._open_shares((src,), (src_node,), dst_node)
             self.rng.uniform()  # the source's X-basis measurement
-            self._release_mirror(cat, src_node, dst_node)
+            self.ledger.send_cbit(src_node, dst_node)
             self._log_teleport(src_node, dst_node, label)
 
-    def _share(self, control: int, node_id: str) -> CatState:
+    def _open_shares(self, controls: Sequence[int], sources: Sequence[str],
+                     node_id: str):
+        """Bill ``_share(control, node_id)`` for every control in one
+        step; ``sources`` holds each control's node.
+
+        A share frees the control's channel half at once, so a source
+        node needs room for one claim while ``node_id`` ends holding all
+        k mirrors.  When that fits, post the pairs, ebits, entangle bits,
+        peak live counts and k coins; no channel is marked busy, since
+        the callers end every share before anything else runs.  When a
+        share does not fit, replay them through ``_share``, which raises
+        at that share after the protocol's partial bill.
+        """
+        nodes = self.nodes
+        dst = nodes.get(node_id)
+        k = len(controls)
+        if (dst is None or not dst.can_hold(k)
+                or not all(nodes[src].can_hold(1) for src in sources)):
+            for ctrl in controls:
+                self._share(ctrl, node_id)
+            raise AssertionError("the replay billed every share")
+        max_live = self.max_live
+        cbits = self.ledger.cbits_sent
+        draw = self.rng.uniform
+        for src in sources:
+            live = nodes[src].live_count() + 1
+            if live > max_live[src]:
+                max_live[src] = live
+            key = (src, node_id)
+            cbits[key] = cbits.get(key, 0) + 1
+            draw()  # the entangle measurement
+        live = dst.live_count() + k
+        if live > max_live[node_id]:
+            max_live[node_id] = live
+        self.ledger.pairs_established += k
+        self.ledger.ebits_consumed += k
+
+    def _share(self, control: int, node_id: str):
         """Closed form of ``establish_epr`` then ``cat_entangle``: the
         mirror on ``node_id`` would equal ``control``, so only the
         bookkeeping and the measurement's fair coin remain."""
         pair = self._claim_pair(self.node_of(control), node_id)
         self.rng.uniform()  # the entangle measurement
-        return self._spend_pair(control, pair)
+        self._spend_pair(control, pair)
 
     # -- protocol bookkeeping: the reference steps and the closed form ---
 
@@ -433,7 +504,6 @@ class Network:
     def _log_teleport(self, src_node: str, dest_node: str, label: str):
         self.ledger.teleports += 1
         self.teleport_log.append(TeleportRecord(src_node, dest_node, label))
-        self._track(dest_node)
 
     def _check_held(self, node_id: str, slot: int):
         """A relocation lands in a register slot that ``node_id`` holds."""
@@ -516,13 +586,17 @@ def session_groups(instructions: Sequence[Instruction],
                 group = []
             yield None, [inst]
             continue
-        nodes = {node_of(q) for q in inst.targets}
-        if len(nodes) != 1:
+        targets = inst.targets
+        inst_node = node_of(targets[0]) if targets else None
+        for q in targets[1:]:
+            if node_of(q) != inst_node:
+                inst_node = None
+        if inst_node is None:
             raise NetworkError(
-                f"gate {inst.kind} operands span nodes {sorted(nodes)}")
-        inst_node = nodes.pop()
+                f"gate {inst.kind} operands span nodes "
+                f"{sorted({node_of(q) for q in targets})}")
         if inst.block is not None:
-            inst_key = ("block", inst.block)
+            inst_key = inst.block
         else:
             inst_key = ("adhoc", inst_node,
                         frozenset(remote_controls((inst,), inst_node,

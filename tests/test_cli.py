@@ -297,8 +297,8 @@ class TestGateBudget:
 
 class TestOutputPaths:
     """An output path that cannot be written exits 2 with an ``error:``
-    line and no traceback; a directory, or a path in a missing one, is
-    refused before anything is built."""
+    line and no traceback; an empty path, a directory, or a path in a
+    missing one is refused before anything is built."""
 
     @pytest.fixture
     def nothing_built(self, monkeypatch):
@@ -329,6 +329,18 @@ class TestOutputPaths:
         out, err = capsys.readouterr()
         assert err == (f"error: {flag} {tmp_path} is a directory or lies "
                        "in a missing one\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--report", "--dump-circuit"])
+    def test_empty_path_refused(self, tmp_path, capsys, monkeypatch, flag,
+                                nothing_built):
+        monkeypatch.chdir(tmp_path)
+        status = cli.main(["--N", "15", "--a", "7", "--m", "4",
+                           "--counts-only", flag, ""])
+        assert status == cli.EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert err == f"error: {flag} needs a file path\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -102,6 +102,15 @@ def over_capacity_move():
     return net, ("move", held["A"][0], held["B"][1])
 
 
+def over_capacity_second_share():
+    net, held = network(("A", 4, 2), ("T", 5, 3))
+    # T holds 2 data qubits: its first mirror fits, its second does not
+    net.nodes["T"].spec = NodeSpec("T", 3, 3)
+    return net, ("session", "T", [Instruction(
+        gates.X, (held["T"][0],), ((held["A"][0], True),
+                                   (held["A"][1], False)))])
+
+
 def spanning_body():
     net, held = network(("A", 3, 1), ("B", 4, 2), ("C", 3, 1))
     net.apply_local("A", gates.H, [held["A"][0]])
@@ -148,6 +157,7 @@ def run_reference(net, step, *args):
     (exhausted_move_channels, r"^no free channel qubit on A$"),
     (over_capacity_session, r"^node T over capacity: 3 live qubits$"),
     (over_capacity_move, r"^node B over capacity: 3 live qubits$"),
+    (over_capacity_second_share, r"^node T over capacity: 4 live qubits$"),
     (spanning_body, r"^gate spans nodes: qubit \d+ is on C, not B$"),
     (slot_not_held, r"^destination slot \d+ not held by B$"),
     (slot_not_zero, r"^destination slot \d+ is not \|0>$"),
@@ -172,6 +182,46 @@ def test_errors_match_physical_protocol(build, message):
         assert outcomes[0][0] == outcomes[1][0]
     else:
         assert outcomes[0] == outcomes[1]
+
+
+# -- sessions the one-step bill must post as the protocol does ----------------
+
+def disabled_gate_off_node():
+    """A constant-0 gate in a block-tagged session whose target is on
+    another node: disabled, so no locality error, yet its control is
+    shared with the rest of the block's."""
+    net, held = network(("A", 4, 2), ("B", 4, 2), ("C", 4, 2))
+    circ = Circuit(net.state.num_qubits)
+    circ.x(held["B"][0], controls=[(held["A"][0], True)], block="s")
+    circ.x(held["C"][0], controls=[(held["A"][1], False)],
+           classical_constant=0, block="s")
+    return net, circ
+
+
+def two_controls_one_node():
+    """Two remote controls on one node that already holds a pair half:
+    each share claims and frees a channel there in turn."""
+    net, held = network(("A", 5, 3), ("B", 4, 2), ("C", 4, 2))
+    net.establish_epr("A", "C")
+    circ = Circuit(net.state.num_qubits)
+    circ.x(held["B"][0], controls=[(held["A"][0], True),
+                                   (held["A"][1], True)])
+    return net, circ
+
+
+@pytest.mark.parametrize("build", [disabled_gate_off_node,
+                                   two_controls_one_node])
+def test_sessions_match_physical_protocol(build):
+    outcomes = []
+    for execute in (execute_distributed, reference_execute_distributed):
+        net, circ = build()
+        execute(net, circ)
+        channels = {node: sorted(rt.busy_channels)
+                    for node, rt in net.nodes.items()}
+        outcomes.append((observed(net), channels))
+    [session] = outcomes[0][0]["sessions"]
+    assert len(session.remote_controls) == 2
+    assert outcomes[0] == outcomes[1]
 
 
 # -- random programs ----------------------------------------------------------

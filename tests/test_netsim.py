@@ -8,8 +8,9 @@ import pytest
 from conftest import (amp_distance, random_amplitudes, remote_block,
                       remote_cnot)
 from distshor import gates
-from distshor.circuit import Circuit, add_controls, execute
-from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
+from distshor.circuit import Circuit, Instruction, add_controls, execute
+from distshor.netsim import (Network, NetworkError, NodeSpec,
+                             SessionRecord, TeleportRecord, Topology,
                              execute_distributed, session_groups)
 from distshor.qstate import QuantumState, RandomSource
 
@@ -321,7 +322,6 @@ class TestLocalityAndCapacity:
         net = Network(topo, RandomSource(0))
         ctrls = [net.allocate_data(f"N{i}", 1)[0] for i in range(4)]
         tq = net.allocate_data("T", 1)[0]
-        from distshor.circuit import Instruction
         inst = Instruction(gates.X, (tq,),
                            tuple((c, True) for c in ctrls))
         with pytest.raises(NetworkError, match="max 3"):
@@ -388,3 +388,38 @@ class TestSessionGroups:
                                                     node_of)]
         assert groups == [("B", [0, 1]), ("B", [2, 3]), ("B", [4]),
                           ("A", [5]), (None, [6]), ("A", [7])]
+
+
+class TestRecords:
+    def test_run_session_returns_its_record(self):
+        net = two_nodes()
+        qa = net.allocate_data("A", 2)
+        qb = net.allocate_data("B", 1)[0]
+        body = [Instruction(gates.X, (qb,), ((qa[1], True),), block="b"),
+                Instruction(gates.X, (qb,), ((qa[0], False), (qa[1], True)),
+                            classical_constant=0, block="b")]
+        record = net.run_session("B", body, block="b")
+        # both controls are shared; the disabled gate is not counted
+        assert record == SessionRecord("b", "B", (qa[1], qa[0]), 1)
+        assert net.sessions == [record]
+
+    def test_session_without_remote_control_returns_none(self):
+        net = two_nodes()
+        qb = net.allocate_data("B", 2)
+        body = [Instruction(gates.X, (qb[0],), ((qb[1], True),))]
+        assert net.run_session("B", body) is None
+        assert net.sessions == []
+        assert net.ledger.ebits_consumed == 0
+
+    @pytest.mark.parametrize("make,fields,field", [
+        (SessionRecord, ("b", "A", (3, 4), 2), "gates"),
+        (TeleportRecord, ("A", "B", "AN/t"), "label"),
+    ])
+    def test_records_are_immutable_values(self, make, fields, field):
+        record = make(*fields)
+        assert record == make(*fields)
+        assert hash(record) == hash(make(*fields))
+        assert record != make(*fields[:-1], "other")
+        with pytest.raises(AttributeError):
+            setattr(record, field, "other")
+        assert getattr(record, field) == fields[-1]
