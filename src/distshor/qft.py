@@ -70,10 +70,3 @@ def build_inverse_qft(qubits: Sequence[int], *,
     return reverse(build_qft(qubits, num_qubits=num_qubits, path="QFTinv",
                              node_of=node_of, spare_of=spare_of))
 
-
-def cross_rotation_count(qubits: Sequence[int],
-                         node_of: Mapping[int, str]) -> int:
-    """Controlled rotations whose control and target sit on different
-    nodes; for an even two-node split this is (n/2)^2."""
-    return sum(1 for h in range(len(qubits)) for low in range(h)
-               if node_of[qubits[h]] != node_of[qubits[low]])

@@ -123,7 +123,14 @@ class OrderRun:
 
     k_qubits: tuple[int, ...]
     state: QuantumState
-    network: Network | None = None  # distributed mode: the run's network
+    network: Network | None = None  # distributed mode: the billing network
+
+    @property
+    def ledger(self) -> ResourceLedger:
+        """The round's bill: the network's ledger, empty on one machine."""
+        if self.network is None:
+            return ResourceLedger()
+        return self.network.ledger
 
     def first_register_distribution(self) -> dict[int, float]:
         return self.state.exact_distribution(self.k_qubits)
@@ -183,23 +190,45 @@ def order_circuit_parts(a: int, N: int,
 def order_round(a: int, N: int, m: int,
                 mode: str = MONOLITHIC) -> Callable[[RandomSource], OrderRun]:
     """Build the order-finding circuits once; the returned function
-    executes them up to measurement on a fresh state at every call.  Its
-    random source feeds the network's protocol measurements; a
-    monolithic round draws nothing before measurement."""
+    simulates them up to measurement on its first call only.
+
+    Neither the pre-measurement state nor the bill depends on the
+    round's coins, so every call, the first included, returns a copy of
+    the first call's state with the network that billed it (none on one
+    machine).  The first call's random source feeds the network's
+    protocol measurements; every later call draws the same number of
+    coins from its own source, at the same point in the stream, so the
+    rounds read as if each were simulated afresh.  A monolithic round
+    draws nothing before measurement."""
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)
-        return lambda _rng: run_estimation(modexp, transform, layout.k)
-    if mode != DISTRIBUTED:
+
+        def simulate(_rng: RandomSource) -> OrderRun:
+            return run_estimation(modexp, transform, layout.k)
+    elif mode == DISTRIBUTED:
+        plan = partition.plan_placement(N.bit_length(), m)
+        modexp = partition.build_distributed_modexp_program(a, N, plan)
+        transform = partition.build_distributed_transform_program(plan)
+
+        def simulate(rng: RandomSource) -> OrderRun:
+            network = partition.build_network(plan, rng)
+            partition.distribute_circuit(modexp, plan, network)
+            partition.distribute_circuit(transform, plan, network)
+            return OrderRun(plan.layout.k, network.state, network)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    plan = partition.plan_placement(N.bit_length(), m)
-    modexp = partition.build_distributed_modexp_program(a, N, plan)
-    transform = partition.build_distributed_transform_program(plan)
+    first: OrderRun | None = None
 
     def run(rng: RandomSource) -> OrderRun:
-        network = partition.build_network(plan, rng)
-        partition.distribute_circuit(modexp, plan, network)
-        partition.distribute_circuit(transform, plan, network)
-        return OrderRun(plan.layout.k, network.state, network)
+        nonlocal first
+        if first is None:
+            first = simulate(rng)
+        else:
+            # each pair is two fair coins: its entangle measurement, then
+            # a session's disentangle or a teleport's X-basis measurement
+            for _ in range(2 * first.ledger.pairs_established):
+                rng.uniform()
+        return OrderRun(first.k_qubits, first.state.copy(), first.network)
     return run
 
 
@@ -257,7 +286,8 @@ def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
                max_rounds: int | None = None) -> OrderResult:
     """Quantum order finding with classical verification.
 
-    The circuits are built once per call and run again in every round.
+    The circuits are built and simulated once per call; every later
+    round replays the first round's pre-measurement state and bill.
     Each round measures an estimate j, derives candidate orders from the
     continued-fraction convergents of j/2^m, and accepts the smallest
     candidate e with a^e = 1 mod N (minimized over divisors, so the
@@ -285,8 +315,7 @@ def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
     for _ in range(max_rounds):
         run = run_round(rng)
         j = run.measure_first_register(rng)
-        if run.network is not None:
-            result.ledger.merge(run.network.ledger)
+        result.ledger.merge(run.ledger)
         result.rounds_used += 1
         cands = order_candidates(j, m, N)
         found = None

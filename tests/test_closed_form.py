@@ -43,15 +43,18 @@ def round_outcome(run: shor.OrderRun):
 @pytest.mark.parametrize("N,m,a,seed", ROUNDS)
 def test_order_round_matches_physical_protocol(request, monkeypatch, N, m,
                                                a, seed):
-    run_round = shor.order_round(a, N, m, shor.DISTRIBUTED)
+    # a runner simulates on its first call only, so each side builds one
+    def fresh_round():
+        return shor.order_round(a, N, m, shor.DISTRIBUTED)(RandomSource(seed))
+
     if (N, m, a, seed) == (15, 8, 7, 1):
         run = copy.deepcopy(request.getfixturevalue("dist_run_15"))
     else:
-        run = run_round(RandomSource(seed))
+        run = fresh_round()
     closed = round_outcome(run)
     monkeypatch.setattr(partition, "execute_distributed",
                         reference_execute_distributed)
-    reference = round_outcome(run_round(RandomSource(seed)))
+    reference = round_outcome(fresh_round())
     assert closed[0] == reference[0]
     assert closed[2] == reference[2]
     keys = set(closed[1]) | set(reference[1])

@@ -10,8 +10,15 @@ import pytest
 from distshor import gates
 from distshor.circuit import count_gates, execute
 from distshor.netsim import Network, NodeSpec, Topology, execute_distributed
-from distshor.qft import build_inverse_qft, build_qft, cross_rotation_count
+from distshor.qft import build_inverse_qft, build_qft
 from distshor.qstate import QuantumState, RandomSource
+
+
+def cross_rotation_count(qubits, node_of):
+    """Controlled rotations whose control and target sit on different
+    nodes; for an even two-node split this is (n/2)^2."""
+    return sum(1 for h in range(len(qubits)) for low in range(h)
+               if node_of[qubits[h]] != node_of[qubits[low]])
 
 
 def circuit_matrix(circ, n):

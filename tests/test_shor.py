@@ -263,8 +263,8 @@ def count_calls(monkeypatch, module, name) -> list:
 
 
 class TestBuildOnce:
-    """find_order builds a round's circuits once per call and runs them
-    again in every round; the rounds must read as if rebuilt each time."""
+    """find_order builds a round's circuits once per call; the rounds must
+    read as if rebuilt each time."""
 
     @pytest.mark.parametrize("mode,rounds", [("monolithic", 3),
                                              ("distributed", 5)])
@@ -295,6 +295,77 @@ class TestBuildOnce:
         res = find_order(7, 15, 1, RandomSource(0), mode="distributed")
         assert res.rounds_used == 5
         assert [len(calls[name]) for name in names] == [1, 1, 1, 1, 0]
+
+
+class CountingSource(RandomSource):
+    """A random source that counts the coins drawn from it."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws = 0
+
+    def uniform(self) -> float:
+        self.draws += 1
+        return super().uniform()
+
+
+class TestReplay:
+    """A round's runner simulates its program on the first call only.
+    Later calls replay the pre-measurement state and the bill and draw
+    the protocol's coins, so k rounds read as k freshly built ones."""
+
+    # per mode, a seed whose run takes more than one round
+    @pytest.mark.parametrize("a,N,m,mode,seed", [
+        (7, 15, 8, "monolithic", 1), (7, 15, 8, "distributed", 1),
+        (2, 21, 10, "monolithic", 0), (2, 21, 10, "distributed", 2)])
+    def test_rounds_equal_fresh_rounds(self, monkeypatch, a, N, m, mode,
+                                       seed):
+        rng = RandomSource(seed)
+        replayed = find_order(a, N, m, rng, mode=mode)
+        assert replayed.rounds_used > 1
+        build = shor.order_round
+        monkeypatch.setattr(shor, "order_round",
+                            lambda *args: lambda source: build(*args)(source))
+        fresh_rng = RandomSource(seed)
+        fresh = find_order(a, N, m, fresh_rng, mode=mode)
+        assert fresh.rounds_used == replayed.rounds_used
+        assert fresh.transcript == replayed.transcript
+        assert fresh.ledger == replayed.ledger
+        assert fresh_rng.uniform() == rng.uniform()
+
+    @pytest.mark.parametrize("mode,module,name", [
+        ("monolithic", shor, "execute"),
+        ("distributed", partition, "execute_distributed")])
+    def test_program_runs_once_per_base(self, monkeypatch, mode, module,
+                                        name):
+        runs = count_calls(monkeypatch, module, name)
+        res = find_order(7, 15, 1, RandomSource(0), mode=mode)
+        assert res.rounds_used > 1
+        assert len(runs) == 2  # the ladder, then the transform
+
+    @pytest.mark.parametrize("mode,m", [("monolithic", 1),
+                                        ("distributed", 1),
+                                        ("distributed", 4)])
+    def test_replayed_round_draws_a_fresh_rounds_coins(self, mode, m):
+        run_round = order_round(7, 15, m, mode)
+        first, later, fresh = (CountingSource(seed) for seed in (0, 1, 1))
+        pairs = run_round(first).ledger.pairs_established
+        run_round(later)
+        order_round(7, 15, m, mode)(fresh)
+        assert (pairs > 0) == (mode == "distributed")
+        # an entangle coin, then a disentangle or X-basis coin, per pair
+        assert first.draws == 2 * pairs
+        assert later.draws == fresh.draws == first.draws
+        assert later.uniform() == fresh.uniform()
+
+    def test_each_round_gets_its_own_state(self):
+        run_round = order_round(7, 15, 4, "distributed")
+        first = run_round(RandomSource(0))
+        before = dict(first.state.amplitudes)
+        first.measure_first_register(RandomSource(0))
+        later = run_round(RandomSource(1))
+        assert later.state.amplitudes == before
+        assert later.network is first.network
 
 
 class TestReportBuilds:
