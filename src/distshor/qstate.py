@@ -16,7 +16,11 @@ controls, and the circuit IR's MOVE, a SWAP into a slot it checks is
 qubit the run touches is held as one Python int with one bit per support
 entry, so a controlled X is ``col[t] ^= AND(control columns)`` and a
 controlled SWAP a masked exchange, one big-int operation per gate at any
-support size (bitslicing, as in Biham's software DES, 1997).  Its results
+support size (bitslicing, as in Biham's software DES, 1997).  Each
+distinct gate of a run is checked once, on its first visit, into a plan of
+qubit ids that its later visits apply directly, so a multiplier ladder that
+visits the same gates again and again pays for each check once; a MOVE
+checks its destination slot on every visit.  The kernel's results
 are bit-exact with applying the gates one by one through ``apply_gate``:
 a permutation only relabels basis indices, the amplitude values are
 carried over untouched, and both paths keep the dict's entry order, so
@@ -209,14 +213,17 @@ class QuantumState:
         """Apply a run of X/CNOT/TOFFOLI/SWAP gates and MOVEs in place
         and return self.
 
-        The run is consumed one gate at a time; each gate goes through the
-        same validation as ``apply_gate``, and a MOVE, a SWAP, also checks
-        that its destination (second target) is |0>.  Every qubit the run
-        touches is held as one bitset over the support entries (bit k
-        belongs to the k-th entry in dict order), so a gate is a few
-        big-int operations whatever the support size.  When the run ends,
-        also on an error, the entries get their new keys in their original
-        order; the amplitude values are not touched.
+        The run is consumed one gate at a time.  Each distinct gate (its
+        kind's name, targets and controls) is checked once per call, on
+        its first visit, by the same validation as ``apply_gate``; the
+        check leaves a plan of qubit ids that every later visit of that
+        gate applies as it is.  A MOVE, a SWAP, also checks that its
+        destination (second target) is |0>, on every visit.  Every qubit
+        the run touches is held as one bitset over the support entries
+        (bit k belongs to the k-th entry in dict order), so a gate is a
+        few big-int operations whatever the support size.  When the run
+        ends, also on an error, the entries get their new keys in their
+        original order; the amplitude values are not touched.
         """
         amps = self.amplitudes
         width = self.num_qubits
@@ -224,36 +231,35 @@ class QuantumState:
         full = (1 << len(amps)) - 1
         rows = None  # the keys as fixed-width binary slots, one per entry
         cols: dict[int, int] = {}  # qubit -> its bits over the entries
-
-        def column(q: int) -> int:
-            bits = cols.get(q)
-            if bits is None:
-                bits = int(rows[width - 1 - q::stride][::-1], 2)
-                cols[q] = bits
-            return bits
+        plans = {}  # (name, targets, controls) -> _permutation_plan's plan
 
         try:
             for gate, targets, controls in run:
-                move = gate.name == "MOVE"
-                base, targets, controls = self._normalize(
-                    SWAP if move else gate, targets, controls)
-                if base.name not in ("X", "SWAP"):
-                    raise SimulationError(
-                        f"{gate} is not a permutation gate")
-                if rows is None:
-                    rows = " ".join(map(format, amps,
-                                        repeat(f"0{width}b"))).encode()
-                if move and column(targets[1]):
-                    raise SimulationError(
-                        f"destination slot {targets[1]} is not |0>")
+                targets = tuple(targets)
+                controls = tuple(controls)
+                key = gate.name, targets, controls
+                plan = plans.get(key)
+                if plan is None:
+                    plan = self._permutation_plan(gate, targets, controls)
+                    if rows is None:
+                        rows = " ".join(map(format, amps,
+                                            repeat(f"0{width}b"))).encode()
+                    for q in (*targets, *(q for q, _pol in controls)):
+                        if q not in cols:
+                            cols[q] = int(rows[width - 1 - q::stride][::-1], 2)
+                    plans[key] = plan
+                move, is_x, a, b, pos, neg = plan
+                if move and cols[b]:
+                    raise SimulationError(f"destination slot {b} is not |0>")
                 mask = full
-                for q, pol in controls:
-                    mask &= column(q) if pol else ~column(q)
-                if base.name == "X":
-                    cols[targets[0]] = column(targets[0]) ^ mask
+                for q in pos:
+                    mask &= cols[q]
+                for q in neg:
+                    mask &= ~cols[q]
+                if is_x:
+                    cols[a] ^= mask
                 else:
-                    a, b = targets
-                    diff = (column(a) ^ column(b)) & mask
+                    diff = (cols[a] ^ cols[b]) & mask
                     cols[a] ^= diff
                     cols[b] ^= diff
         finally:
@@ -301,6 +307,21 @@ class QuantumState:
         if not 0 <= q < self.num_qubits:
             raise SimulationError(
                 f"qubit {q} out of range for {self.num_qubits}-qubit state")
+
+    def _permutation_plan(self, gate: GateKind, targets: Sequence[int],
+                          controls: Iterable[Control]):
+        """Check one gate of a permutation run and return its plan:
+        ``(move, is_x, a, b, pos, neg)`` with targets ``a`` and ``b``
+        (``b`` is ``a`` for an X) and the positive and negative control
+        qubits; qubit ids only, so the plan holds for any support."""
+        move = gate.name == "MOVE"
+        base, targets, controls = self._normalize(
+            SWAP if move else gate, targets, controls)
+        if base.name not in ("X", "SWAP"):
+            raise SimulationError(f"{gate} is not a permutation gate")
+        return (move, base.name == "X", targets[0], targets[-1],
+                tuple(q for q, pol in controls if pol),
+                tuple(q for q, pol in controls if not pol))
 
     def _normalize(self, gate: GateKind, targets: Sequence[int],
                    controls: Iterable[Control]):

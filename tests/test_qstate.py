@@ -281,6 +281,17 @@ def sparse_states_and_runs(draw):
     return amps, circ
 
 
+@hst.composite
+def sparse_states_and_repeating_runs(draw):
+    """Like ``sparse_states_and_runs``, but each run is drawn from a pool
+    of 2 to 6 distinct gates, so most visits repeat an earlier gate."""
+    amps, circ = draw(sparse_states_and_runs())
+    pool = draw(hst.lists(permutation_instructions(circ.num_qubits),
+                          min_size=2, max_size=6, unique_by=lambda i: i[:3]))
+    circ.instructions = draw(hst.lists(hst.sampled_from(pool), max_size=40))
+    return amps, circ
+
+
 def per_gate(state, run):
     for gate, targets, controls in run:
         state.apply_gate(gate, targets, controls)
@@ -309,6 +320,22 @@ class TestPermutationRun:
         assert errors[1] == errors[0]
         assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
         assert st.peak_support == ref.peak_support
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_states_and_repeating_runs())
+    def test_repeated_gates_match_per_gate_application(self, case):
+        amps, circ = case
+        outcomes = []
+        for run in (reference_execute, execute):
+            st = QuantumState.from_amplitudes(circ.num_qubits, amps)
+            try:
+                run(circ, st)
+                error = None
+            except SimulationError as exc:  # a MOVE into a set slot
+                error = str(exc)
+            outcomes.append((error, list(st.amplitudes.items()),
+                             st.peak_support))
+        assert outcomes[1] == outcomes[0]
 
     def test_move_into_set_slot_rejected(self):
         circ = Circuit(3)
@@ -359,6 +386,74 @@ class TestPermutationRun:
             st.apply_permutation(iter(good + [bad, good[0]]))
         assert str(run_err.value) == str(ref_err.value)
         assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+
+    def test_repeated_move_into_set_slot_rejected(self):
+        circ = Circuit(3)
+        circ.move(0, 2)
+        circ.x(1)
+        circ.move(0, 2)
+        amps = {0b000: 1.0, 0b001: 1.0j}
+        ref = QuantumState.from_amplitudes(3, amps)
+        with pytest.raises(SimulationError,
+                           match=r"^destination slot 2 is not \|0>$"):
+            reference_execute(circ, ref)
+        st = QuantumState.from_amplitudes(3, amps)
+        with pytest.raises(SimulationError,
+                           match=r"^destination slot 2 is not \|0>$"):
+            execute(circ, st)
+        assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+        assert list(st.amplitudes) == [0b010, 0b110]
+
+    def test_repeated_gate_reads_its_changed_control(self):
+        run = [(gates.CNOT, [0, 1], ()), (gates.X, [0], ()),
+               (gates.CNOT, [0, 1], ())]
+        amps = {0b00: 1.0, 0b01: 1.0j}
+        ref = per_gate(QuantumState.from_amplitudes(2, amps), run)
+        st = QuantumState.from_amplitudes(2, amps).apply_permutation(run)
+        assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+        assert list(st.amplitudes) == [0b11, 0b10]
+
+
+class TestCheckOnce:
+    """``apply_permutation`` checks each distinct gate on its first visit
+    only; later visits of an equal gate (by value, not identity) reuse
+    the check."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = QuantumState._normalize
+
+        def counted(self, *args):
+            calls.append(args)
+            return check(self, *args)
+
+        monkeypatch.setattr(QuantumState, "_normalize", counted)
+        return calls
+
+    def test_repeated_gate_checked_once(self, checks):
+        amps = {0b0000: 1.0, 0b1011: 1.0j, 0b1111: -1.0}
+        run = [(gates.TOFFOLI, [0, 1, 2], [(3, True)]) for _ in range(1000)]
+        st = QuantumState.from_amplitudes(4, amps).apply_permutation(run)
+        assert len(checks) == 1
+        assert list(st.amplitudes.items()) == \
+            list(per_gate(QuantumState.from_amplitudes(4, amps),
+                          run).amplitudes.items())
+
+    @pytest.mark.parametrize("bad,message", [
+        ((gates.H, [0], ()), "H is not a permutation gate"),
+        ((gates.X, [5], ()), "qubit 5 out of range for 4-qubit state"),
+        ((gates.TOFFOLI, [0, 1, 1], ()),
+         "qubit 1 used as both target and control"),
+    ])
+    def test_refused_gate_raises_on_first_visit(self, checks, bad, message):
+        good = (gates.CNOT, [0, 2], ())
+        st = QuantumState.from_amplitudes(4, {0b0011: 1.0, 0b0110: 1.0j})
+        with pytest.raises(SimulationError) as err:
+            st.apply_permutation([good] * 11 + [bad, good])
+        assert str(err.value) == message
+        assert len(checks) == 2
+        assert list(st.amplitudes) == [0b0111, 0b0110]
 
 
 class TestPeakSupport:
