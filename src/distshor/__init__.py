@@ -10,8 +10,7 @@ from .circuit import (Circuit, GateCountReport, Instruction, add_controls,
 from .gates import GateKind, R, R_inv, phase_gate
 from .netsim import (CatState, EprPair, Network, NetworkError, NodeSpec,
                      ResourceLedger, Topology, execute_distributed)
-from .partition import (PlacementPlan, count_nl_t, distribute_circuit,
-                        plan_placement)
+from .partition import PlacementPlan, count_nl_t, plan_placement
 from .qstate import QuantumState, RandomSource, SimulationError
 from .revarith import (AdderSlicing, ChainSegment, RegisterLayout,
                        gate_count_formula)

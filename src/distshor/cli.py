@@ -52,7 +52,6 @@ class RunConfig:
     m: int | None = None
     mode: str = shor.MONOLITHIC
     seed: int = 0
-    max_rounds: int | None = None
     counts_only: bool = False
 
     def validate(self) -> str | None:
@@ -67,8 +66,6 @@ class RunConfig:
             return f"unknown mode {self.mode!r}"
         if self.m is not None and self.m < 1:
             return "m must be positive"
-        if self.max_rounds is not None and self.max_rounds < 1:
-            return "max_rounds must be at least 1"
         return None
 
     @property
@@ -87,7 +84,6 @@ def _config_dict(config: RunConfig) -> dict:
         "m": config.m_effective,
         "mode": config.mode,
         "seed": config.seed,
-        "max_rounds": config.max_rounds,
     }
 
 
@@ -204,8 +200,7 @@ def run(config: RunConfig, *, dump: bool = False) -> tuple[int, dict]:
     else:
         rng = RandomSource(config.seed)
         outcome = shor.factor(config.N, rng, a=config.a, m=config.m,
-                              mode=config.mode,
-                              max_rounds=config.max_rounds)
+                              mode=config.mode)
         rounds = []
         ledger = ResourceLedger()
         for order in outcome.order_results:
@@ -250,7 +245,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode", choices=[shor.MONOLITHIC,
                                            shor.DISTRIBUTED],
                         default=shor.MONOLITHIC)
-    parser.add_argument("--max-rounds", type=int, default=None)
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON report here (default stdout)")
     parser.add_argument("--dump-circuit", default=None, metavar="PATH",
@@ -271,8 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_BAD_CONFIG
 
     config = RunConfig(N=args.N, a=args.a, m=args.m, mode=args.mode,
-                       seed=args.seed, max_rounds=args.max_rounds,
-                       counts_only=args.counts_only)
+                       seed=args.seed, counts_only=args.counts_only)
     status, report = run(config, dump=args.dump_circuit is not None)
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)

@@ -2,7 +2,7 @@
 census.
 
 The layout for factoring with an n-bit modulus and an m-bit estimation
-register (m = 2n by default):
+register:
 
 * two nodes hold the halves of the estimation register ``k``,
 * one node holds the multiplier register ``x``,
@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .circuit import Circuit
+# ``shor.order_round`` runs its programs through this module's
+# ``execute_distributed``, so one substitution here reaches every round
 from .netsim import (Network, NodeSpec, SessionRecord, TeleportRecord,
                      Topology, execute_distributed, remote_controls,
                      session_groups)
@@ -63,26 +65,19 @@ class PlanError(Exception):
 
 @dataclass
 class PlacementPlan:
-    """Total map from logical qubit role to a (node, slot) home."""
+    """Where every logical qubit lives: the layout's slots and the node
+    of each."""
 
     topology: Topology
     layout: RegisterLayout
     slicing: AdderSlicing
     node_of_qubit: dict[int, str]
-    roles: dict[str, int]  # role name -> global qubit id
     k_spares: dict[str, int]  # per estimation node: swap-network parking slot
     adder_nodes: tuple[str, ...]
 
     @property
     def capacity(self) -> int:
         return self.topology.nodes[0].register_capacity
-
-    def dump(self) -> str:
-        """Text table: role -> node/slot."""
-        lines = ["role | node | qubit"]
-        for role, qid in self.roles.items():
-            lines.append(f"{role} | {self.node_of_qubit[qid]} | {qid}")
-        return "\n".join(lines) + "\n"
 
 
 def plan_placement(n: int, m: int) -> PlacementPlan:
@@ -112,24 +107,21 @@ def plan_placement(n: int, m: int) -> PlacementPlan:
     data_slots = {spec.node_id: data
                   for spec, data, _channels in topology.slot_ids()}
 
-    roles: dict[str, int] = {}
     node_of_qubit: dict[int, str] = {}
     cursor = {name: 0 for name in node_order}
 
-    def claim(node: str, role: str) -> int:
+    def claim(node: str) -> int:
         slots = data_slots[node]
         if cursor[node] >= len(slots):
             raise PlanError(f"node {node} exceeds capacity")
         qid = slots[cursor[node]]
         cursor[node] += 1
-        roles[role] = qid
         node_of_qubit[qid] = node
         return qid
 
-    k_ids = [claim(K_NODES[0] if i < half else K_NODES[1], f"k[{i}]")
-             for i in range(m)]
-    k_spares = {node: claim(node, f"qft_spare[{node}]") for node in K_NODES}
-    x_ids = [claim(X_NODE, f"x[{i}]") for i in range(n)]
+    k_ids = [claim(K_NODES[0] if i < half else K_NODES[1]) for i in range(m)]
+    k_spares = {node: claim(node) for node in K_NODES}
+    x_ids = [claim(X_NODE) for _ in range(n)]
 
     edges = [min(j * width, n) for j in range(5)]
     slices = [(edges[j], edges[j + 1]) for j in range(4)
@@ -143,15 +135,10 @@ def plan_placement(n: int, m: int) -> PlacementPlan:
     spares: list[tuple[int, int]] = []
     for j, (lo, hi) in enumerate(slices):
         node = ADDER_NODES[j]
-        b_ids += [claim(node, f"b[{i}]") for i in range(lo, hi)]
-        s_ids += [claim(node, f"s[{i}]") for i in range(lo, hi)]
-        inter_ids += [claim(node, f"inter[{i}]") for i in range(lo, hi)]
-        out_ids += [claim(node, f"out[{i}]") for i in range(lo, hi)]
-        fa_spare = claim(node, f"fa_spare[{j}]")
-        ha_spare = claim(node, f"ha_spare[{j}]")
-        spares.append((fa_spare, ha_spare))
+        for reg in (b_ids, s_ids, inter_ids, out_ids):
+            reg += [claim(node) for _ in range(lo, hi)]
+        spares.append((claim(node), claim(node)))  # full adder's, half adder's
     carry = spares[-1][0]
-    roles["carry"] = carry
 
     layout = RegisterLayout(
         n=n, m=m, k=tuple(k_ids), x=tuple(x_ids), b=tuple(b_ids),
@@ -160,22 +147,16 @@ def plan_placement(n: int, m: int) -> PlacementPlan:
     slicing = AdderSlicing(cuts=cuts, spares=tuple(spares))
     return PlacementPlan(topology=topology, layout=layout,
                          slicing=slicing, node_of_qubit=node_of_qubit,
-                         roles=roles, k_spares=k_spares,
+                         k_spares=k_spares,
                          adder_nodes=tuple(ADDER_NODES[:len(slices)]))
 
 
 def build_network(plan: PlacementPlan, rng: RandomSource) -> Network:
-    """Instantiate the network and claim every planned slot."""
+    """Instantiate the network and claim every planned slot: the plan
+    took each node's first data slots, and so does ``allocate_data``."""
     network = Network(plan.topology, rng)
-    per_node: dict[str, int] = {}
-    for qid, node in plan.node_of_qubit.items():
-        per_node[node] = per_node.get(node, 0) + 1
-    for node in (spec.node_id for spec in plan.topology.nodes):
-        got = network.allocate_data(node, per_node.get(node, 0))
-        expected = sorted(q for q, nd in plan.node_of_qubit.items()
-                          if nd == node)
-        if got != expected:
-            raise PlanError(f"slot assignment drifted on {node}")
+    for node, count in Counter(plan.node_of_qubit.values()).items():
+        network.allocate_data(node, count)
     return network
 
 
@@ -194,13 +175,10 @@ def build_distributed_modexp_program(a: int, N: int,
 def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
     """The inverse transform over the split estimation register, its swap
     network realized by teleports through the parking slots."""
-    lay = plan.layout
     pool = sum(spec.register_capacity for spec in plan.topology.nodes)
-    node_of = {q: plan.node_of_qubit[q] for q in lay.k}
-    for node, spare in plan.k_spares.items():
-        node_of[spare] = node
-    return build_inverse_qft(lay.k, num_qubits=pool, node_of=node_of,
-                             spare_of=dict(plan.k_spares))
+    return build_inverse_qft(plan.layout.k, num_qubits=pool,
+                             node_of=plan.node_of_qubit,
+                             spare_of=plan.k_spares)
 
 
 def build_distributed_order_program(a: int, N: int,
@@ -212,19 +190,6 @@ def build_distributed_order_program(a: int, N: int,
     circ = build_distributed_modexp_program(a, N, plan)
     circ.extend(build_distributed_transform_program(plan))
     return circ
-
-
-def distribute_circuit(circ: Circuit, plan: PlacementPlan,
-                       network: Network):
-    """Run a program on the planned network.
-
-    Every data qubit the circuit touches must be covered by the plan;
-    remote controls become shared controls, MOVE directives teleports.
-    """
-    for q in circ.used_qubits():
-        if q not in plan.node_of_qubit:
-            raise PlanError(f"qubit {q} is not in the placement plan")
-    execute_distributed(network, circ)
 
 
 def run_order_program(a: int, N: int, m: int,

@@ -51,7 +51,6 @@ class RandomSource:
     """Seeded PRNG; identical seed yields an identical outcome sequence."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def uniform(self) -> float:

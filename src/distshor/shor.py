@@ -59,7 +59,6 @@ class FactoringOutcome:
     factors: tuple[int, int] | None
     failure: str | None
     attempts: list[int]
-    seed: int
     order_results: list[OrderResult] = field(default_factory=list)
 
 
@@ -212,8 +211,8 @@ def order_round(a: int, N: int, m: int,
 
         def simulate(rng: RandomSource) -> OrderRun:
             network = partition.build_network(plan, rng)
-            partition.distribute_circuit(modexp, plan, network)
-            partition.distribute_circuit(transform, plan, network)
+            partition.execute_distributed(network, modexp)
+            partition.execute_distributed(network, transform)
             return OrderRun(plan.layout.k, network.state, network)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -282,8 +281,7 @@ def _minimal_order(a: int, N: int, exponent: int) -> int:
 
 
 def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
-               mode: str = MONOLITHIC,
-               max_rounds: int | None = None) -> OrderResult:
+               mode: str = MONOLITHIC) -> OrderResult:
     """Quantum order finding with classical verification.
 
     The circuits are built and simulated once per call; every later
@@ -291,8 +289,9 @@ def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
     Each round measures an estimate j, derives candidate orders from the
     continued-fraction convergents of j/2^m, and accepts the smallest
     candidate e with a^e = 1 mod N (minimized over divisors, so the
-    returned r is the true order).  Unproductive rounds retry up to
-    ``max_rounds``.
+    returned r is the true order).  Unproductive rounds retry, up to
+    ``default_max_rounds(N)`` rounds in all; when none verifies, the
+    result's ``r`` is None.
     """
     if not 1 < a < N:
         raise ValueError("base must lie strictly between 1 and N")
@@ -305,14 +304,10 @@ def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
     error = admission_error(m)
     if error is not None:
         raise ValueError(error)
-    if max_rounds is None:
-        max_rounds = default_max_rounds(N)
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
 
     result = OrderResult(a=a, N=N, r=None, rounds_used=0)
     run_round = order_round(a, N, m, mode)
-    for _ in range(max_rounds):
+    for _ in range(default_max_rounds(N)):
         run = run_round(rng)
         j = run.measure_first_register(rng)
         result.ledger.merge(run.ledger)
@@ -332,6 +327,7 @@ def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
 
 
 def default_max_rounds(N: int) -> int:
+    """Order-finding rounds tried per base: 8 ceil(log2 log2 N) + 8."""
     loglog = math.ceil(math.log2(max(2.0, math.log2(N))))
     return 8 * loglog + 8
 
@@ -402,18 +398,17 @@ def classical_rejection(N: int) -> str | None:
 
 
 def factor(N: int, rng: RandomSource, *, a: int | None = None,
-           m: int | None = None, mode: str = MONOLITHIC,
-           max_rounds: int | None = None) -> FactoringOutcome:
+           m: int | None = None, mode: str = MONOLITHIC) -> FactoringOutcome:
     """Factor an odd composite N that is not a prime power.
 
     Pick a base (or use the fixed one), shortcut on a shared factor, find
-    its order r, and when r is even with a^(r/2) != -1 mod N read the
-    factors off gcd(a^(r/2) +- 1, N).  Otherwise retry with a new base,
-    up to ``MAX_ATTEMPTS`` bases.
+    its order r within ``find_order``'s per-base round cap, and when r is
+    even with a^(r/2) != -1 mod N read the factors off
+    gcd(a^(r/2) +- 1, N).  Otherwise retry with a new base, up to
+    ``MAX_ATTEMPTS`` bases; a fixed base is tried once.
     """
     outcome = FactoringOutcome(N=N, factors=None,
-                               failure=classical_rejection(N), attempts=[],
-                               seed=rng.seed)
+                               failure=classical_rejection(N), attempts=[])
     if outcome.failure is not None:
         return outcome
     for _ in range(MAX_ATTEMPTS):
@@ -423,8 +418,7 @@ def factor(N: int, rng: RandomSource, *, a: int | None = None,
         if g > 1:
             outcome.factors = (g, N // g)
             return outcome
-        order = find_order(base, N, m, rng, mode=mode,
-                           max_rounds=max_rounds)
+        order = find_order(base, N, m, rng, mode=mode)
         outcome.order_results.append(order)
         r = order.r
         if r is not None and r % 2 == 0:

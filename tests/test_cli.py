@@ -51,14 +51,6 @@ class TestRun:
         status, report = run_cli(tmp_path, "--N", "15", "--a", "5")
         assert status == cli.EXIT_BAD_CONFIG
 
-    @pytest.mark.parametrize("rounds", ["0", "-1"])
-    def test_nonpositive_round_budget_rejected(self, tmp_path, rounds):
-        status, report = run_cli(tmp_path, "--N", "15", "--a", "7",
-                                 "--m", "8", "--max-rounds", rounds)
-        assert status == cli.EXIT_BAD_CONFIG
-        assert "max_rounds" in report["error"]
-        assert "outcome" not in report
-
     def test_exhaustion_exit_code(self, tmp_path):
         # base 14 squares to 1 with 14 = -1 mod 15: the fixed-base run
         # cannot produce factors
@@ -66,6 +58,17 @@ class TestRun:
                                  "--m", "4", "--seed", "0")
         assert status == cli.EXIT_EXHAUSTED
         assert report["outcome"] == {"failure": "retry budget exhausted"}
+
+    @pytest.mark.parametrize("mode", [shor.MONOLITHIC, shor.DISTRIBUTED])
+    def test_round_cap_reached(self, mode):
+        # one estimation bit reads j = 0 or 1; 1/2 proposes orders up to
+        # 14, and 2 has order 30 mod 77, so every round of the cap runs
+        status, report = cli.run(cli.RunConfig(N=77, a=2, m=1, mode=mode))
+        assert status == cli.EXIT_EXHAUSTED
+        assert report["outcome"] == {"failure": "retry budget exhausted"}
+        assert len(report["rounds"]) == shor.default_max_rounds(77) == 32
+        per_round = 1757 if mode == shor.DISTRIBUTED else 0
+        assert report["ledger"]["ebits"] == 32 * per_round
 
 
 class TestCountsOnly:

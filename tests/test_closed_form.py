@@ -52,9 +52,15 @@ def test_order_round_matches_physical_protocol(request, monkeypatch, N, m,
     else:
         run = fresh_round()
     closed = round_outcome(run)
-    monkeypatch.setattr(partition, "execute_distributed",
-                        reference_execute_distributed)
+    calls = []
+
+    def counted_reference(network, program):
+        calls.append(program)
+        reference_execute_distributed(network, program)
+
+    monkeypatch.setattr(partition, "execute_distributed", counted_reference)
     reference = round_outcome(fresh_round())
+    assert len(calls) == 2  # the ladder, then the transform
     assert closed[0] == reference[0]
     assert closed[2] == reference[2]
     keys = set(closed[1]) | set(reference[1])

@@ -10,7 +10,7 @@ from distshor.partition import (PlanError, build_distributed_order_program,
                                 build_distributed_transform_program,
                                 build_network, census_from_program,
                                 census_from_records, count_nl_t,
-                                distribute_circuit, plan_placement,
+                                execute_distributed, plan_placement,
                                 run_order_program)
 from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (build_adder, build_an, build_cm_m, build_fa,
@@ -59,10 +59,14 @@ class TestPlan:
     def test_roles_cover_every_register(self):
         plan = plan_placement(4, 8)
         lay = plan.layout
-        for i, q in enumerate(lay.k):
-            assert plan.roles[f"k[{i}]"] == q
-        assert plan.roles["carry"] == lay.carry
-        assert plan.node_of_qubit[plan.roles["carry"]] == plan.adder_nodes[-1]
+        spares = [q for pair in plan.slicing.spares for q in pair]
+        placed = [*lay.k, *plan.k_spares.values(), *lay.x, *lay.b, *lay.s,
+                  *lay.inter, *lay.out, *spares]
+        assert len(set(placed)) == len(placed)
+        assert set(placed) == set(plan.node_of_qubit)
+        k_nodes = [plan.node_of_qubit[q] for q in lay.k]
+        assert k_nodes == ["K0"] * 4 + ["K1"] * 4
+        assert plan.node_of_qubit[lay.carry] == plan.adder_nodes[-1]
 
     def test_register_slices_land_on_their_nodes(self):
         plan = plan_placement(8, 16)
@@ -72,12 +76,14 @@ class TestPlan:
             for reg in (lay.b, lay.s, lay.inter, lay.out):
                 assert plan.node_of_qubit[reg[i]] == node
 
-    def test_dump_lists_all_roles(self):
-        plan = plan_placement(4, 8)
-        text = plan.dump()
-        assert text.startswith("role | node | qubit")
-        assert "k[0] | K0" in text
-        assert "carry | A3" in text
+    # n = 2..8 gives two, three and four adder slices; m = 1 and m = 2n
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("double", [False, True], ids=["m=1", "m=2n"])
+    def test_builders_touch_only_planned_qubits(self, n, double):
+        m = 2 * n if double else 1
+        plan = plan_placement(n, m)
+        program = build_distributed_order_program(2, (1 << n) - 1, plan)
+        assert program.used_qubits() <= set(plan.node_of_qubit)
 
 
 class TestDistributedBlocks:
@@ -92,7 +98,7 @@ class TestDistributedBlocks:
         if enable:
             preset += [self.lay.k[0], self.lay.x[0]]
         preset_network(net, preset)
-        distribute_circuit(circ, self.plan, net)
+        execute_distributed(net, circ)
         return net
 
     def test_fa_slice_with_open_controls_untouched(self):
@@ -185,15 +191,6 @@ def plan_capacity(plan, node):
 
 
 class TestDistributeCircuit:
-    def test_unplanned_qubit_rejected(self):
-        plan = plan_placement(4, 8)
-        net = fresh_network(plan)
-        circ = Circuit(net.state.num_qubits)
-        channel = plan.topology.nodes[0].register_capacity - 1
-        circ.x(channel)  # a channel slot, not a planned data qubit
-        with pytest.raises(PlanError, match="not in the placement"):
-            distribute_circuit(circ, plan, net)
-
     def test_local_only_circuit_costs_nothing(self):
         plan = plan_placement(4, 8)
         net = fresh_network(plan)
@@ -201,7 +198,7 @@ class TestDistributeCircuit:
         circ = Circuit(net.state.num_qubits)
         circ.h(lay.k[0])
         circ.cnot(lay.k[0], lay.k[1])  # both on K0
-        distribute_circuit(circ, plan, net)
+        execute_distributed(net, circ)
         led = net.ledger
         assert led.ebits_consumed == 0 and led.teleports == 0
         assert led.total_cbits() == 0 and led.pairs_established == 0
@@ -274,7 +271,7 @@ class TestRoundBill:
     @staticmethod
     def bill(plan, circ):
         net = fresh_network(plan)
-        distribute_circuit(circ, plan, net)
+        execute_distributed(net, circ)
         ledger = net.ledger
         return (ledger.ebits_consumed, ledger.pairs_established,
                 ledger.teleports, ledger.total_cbits())
