@@ -155,6 +155,9 @@ def gate_budget_error(n: int, m: int, *, factoring: bool = False,
     ladder's first controlled multiplier and two inverse transforms; a
     factoring run also builds its whole order-finding program (the
     ``SHOR`` count), and a circuit dump the whole ladder."""
+    if m > GATE_BUDGET:  # no count: the two transforms alone are m(m + 1)
+        return (f"n = {n}, m = {m} builds m(m + 1) gates or more for its "
+                f"report's transforms, over the budget of {GATE_BUDGET}")
     report = (gate_count_formula("M", n)
               + 2 * gate_count_formula("QFT_inv", n, m))
     shares = [f"{report} gates for its report"]
@@ -199,8 +202,8 @@ def run(config: RunConfig, *, dump: bool = False) -> tuple[int, dict]:
         report["counts"] = _counts_section(config)
     else:
         rng = RandomSource(config.seed)
-        outcome = shor.factor(config.N, rng, a=config.a, m=config.m,
-                              mode=config.mode)
+        outcome = shor.factor(config.N, rng, a=config.a,
+                              m=config.m_effective, mode=config.mode)
         rounds = []
         ledger = ResourceLedger()
         for order in outcome.order_results:

@@ -37,7 +37,8 @@ session (``run_session``) or relocation (``move``) per unit of
 that its pairs find free channels and room under every node's capacity,
 then adds its pairs, ebits, classical bits per direction and peak live
 counts to the network's totals and draws one ``rng.uniform()`` per
-protocol measurement, as the reference would.  A unit that does not fit
+protocol measurement, as the reference would: two per pair
+(``ResourceLedger.coins``).  A unit that does not fit
 replays its shares one by one through the reference's bookkeeping
 helpers, so the refusal and the partial bill are the protocol's.  Then
 one ``circuit.execute`` runs the state; its kernel refuses a MOVE into a
@@ -55,6 +56,8 @@ from .circuit import Circuit, Instruction, execute
 from .qstate import Control, QuantumState, RandomSource
 
 _PURE_TOL = 1e-9
+
+MAX_REMOTE_CONTROLS = 3  # shared by one session at once, a channel each
 
 
 class NetworkError(Exception):
@@ -116,6 +119,11 @@ class ResourceLedger:
 
     def total_cbits(self) -> int:
         return sum(self.cbits_sent.values())
+
+    def coins(self) -> int:
+        """The fair coins drawn for this bill: per pair, its entangle
+        measurement and a disentangle or X-basis measurement."""
+        return 2 * self.pairs_established
 
     def merge(self, other: "ResourceLedger"):
         self.ebits_consumed += other.ebits_consumed
@@ -321,7 +329,7 @@ class Network:
 
         Controls are deduplicated: each remote control qubit costs one
         pair and two classical bits no matter how many gates use it.
-        At most 3 remote controls are ever distributed at once.
+        At most ``MAX_REMOTE_CONTROLS`` remote controls are shared at once.
 
         Closed form of entangle, body on the mirrors, disentangle, posted
         as one bill: the k shares (``_open_shares``), then the k
@@ -349,9 +357,9 @@ class Network:
                         if owner.get(q) != node_id:
                             stray = inst
                             break
-        if len(remote) > 3:
-            raise NetworkError(
-                f"session needs {len(remote)} remote controls (max 3)")
+        if len(remote) > MAX_REMOTE_CONTROLS:
+            raise NetworkError(f"session needs {len(remote)} remote "
+                               f"controls (max {MAX_REMOTE_CONTROLS})")
         if stray is not None:
             for ctrl in remote:
                 self._share(ctrl, node_id)

@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .circuit import Circuit
-# ``shor.order_round`` runs its programs through this module's
+# ``shor.order_round`` runs its program through this module's
 # ``execute_distributed``, so one substitution here reaches every round
-from .netsim import (Network, NodeSpec, SessionRecord, TeleportRecord,
-                     Topology, execute_distributed, remote_controls,
-                     session_groups)
+from .netsim import (MAX_REMOTE_CONTROLS, Network, NodeSpec, SessionRecord,
+                     TeleportRecord, Topology, execute_distributed,
+                     remote_controls, session_groups)
 from .qft import build_inverse_qft
 from .qstate import RandomSource
 from .revarith import AdderSlicing, RegisterLayout, build_cm_m
@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 K_NODES = ("K0", "K1")
 X_NODE = "X"
 ADDER_NODES = ("A0", "A1", "A2", "A3")
-CHANNELS_PER_NODE = 3
+CHANNELS_PER_NODE = MAX_REMOTE_CONTROLS
 
 
 class PlanError(Exception):
@@ -94,11 +94,9 @@ def plan_placement(n: int, m: int) -> PlacementPlan:
     width = math.ceil(n / 4)
     capacity = 4 * width + 5
     half = (m + 1) // 2
-    if half + 1 + CHANNELS_PER_NODE > capacity or n + CHANNELS_PER_NODE > capacity:
-        # wider estimation registers than the canonical m = 2n need
-        # proportionally larger nodes
-        capacity = max(capacity, half + 1 + CHANNELS_PER_NODE,
-                       n + CHANNELS_PER_NODE)
+    # wider estimation registers than the canonical m = 2n need larger nodes
+    capacity = max(capacity, half + 1 + CHANNELS_PER_NODE,
+                   n + CHANNELS_PER_NODE)
 
     node_order = [*K_NODES, X_NODE, *ADDER_NODES]
     specs = [NodeSpec(name, capacity, CHANNELS_PER_NODE)
@@ -184,9 +182,10 @@ def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
 def build_distributed_order_program(a: int, N: int,
                                     plan: PlacementPlan) -> Circuit:
     """The full order-finding program: preparation, power ladder, inverse
-    transform.  Measurement is left to the driver so the pre-measurement
-    distribution stays inspectable.  It has ~70 m n^2 gates; the count
-    report builds one controlled multiplier instead."""
+    transform, the one program a distributed round runs.  Measurement is
+    left to the driver so the pre-measurement distribution stays
+    inspectable.  It has ~70 m n^2 gates; the count report builds one
+    controlled multiplier instead."""
     circ = build_distributed_modexp_program(a, N, plan)
     circ.extend(build_distributed_transform_program(plan))
     return circ

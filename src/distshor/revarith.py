@@ -525,12 +525,11 @@ def build_m(a: int, N: int, layout: RegisterLayout, *,
 
 
 def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
-               slicing: AdderSlicing | None = None,
-               path: str = "cm") -> Circuit:
+               slicing: AdderSlicing | None = None) -> Circuit:
     """Controlled power ladder: |k>|x> -> |k> (M_a)^k |x>.
 
     Repeated squaring: block i applies M for the constant a^(2^i) mod N
-    under control k_i.
+    under control k_i, labelled ``cm/M[i]``.
     """
     if m < 1:
         raise ValueError("need at least one control qubit")
@@ -541,7 +540,7 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
     circ = Circuit(_pool(layout, slicing))
     for i in range(m):
         used = _m(circ.instructions, ((layout.k[i], True),),
-                  pow(a, 1 << i, N), N, layout, slicing, f"{path}/M[{i}]")
+                  pow(a, 1 << i, N), N, layout, slicing, f"cm/M[{i}]")
         if i == 0:
             _admit(layout.k[:m], used, circ.num_qubits)
     return circ

@@ -47,7 +47,6 @@ class OrderResult:
     a: int
     N: int
     r: int | None
-    rounds_used: int
     transcript: list[OrderRound] = field(default_factory=list)
     # the network's totals over every round; empty on one machine
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
@@ -58,7 +57,6 @@ class FactoringOutcome:
     N: int
     factors: tuple[int, int] | None
     failure: str | None
-    attempts: list[int]
     order_results: list[OrderResult] = field(default_factory=list)
 
 
@@ -85,16 +83,16 @@ def phase_estimate(controlled_power: Callable[[int, int], Circuit],
 def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
                         prepare: Circuit, m: int,
                         n_target: int) -> QuantumState:
-    """Run the estimation circuit up to (not including) measurement."""
+    """Run the estimation program up to (not including) measurement."""
     if m < 1:
         raise ValueError("need at least one estimation qubit")
     k_qubits = tuple(range(n_target, n_target + m))
     pool = n_target + m
-    prefix = estimation_prefix(
+    program = estimation_prefix(
         Circuit(pool).extend(prepare), k_qubits,
         (controlled_power(i, kq) for i, kq in enumerate(k_qubits)))
-    transform = build_inverse_qft(k_qubits, num_qubits=pool)
-    return run_estimation(prefix, transform, k_qubits).state
+    program.extend(build_inverse_qft(k_qubits, num_qubits=pool))
+    return run_estimation(program, k_qubits).state
 
 
 def estimation_prefix(circ: Circuit, k_qubits: Sequence[int],
@@ -141,13 +139,11 @@ class OrderRun:
         return j
 
 
-def run_estimation(prefix: Circuit, transform: Circuit,
-                   k_qubits: tuple[int, ...]) -> OrderRun:
-    """Execute a phase-estimation program up to measurement on a fresh
-    state."""
-    state = QuantumState(prefix.num_qubits)
-    execute(prefix, state)
-    execute(transform, state)
+def run_estimation(program: Circuit, k_qubits: tuple[int, ...]) -> OrderRun:
+    """Execute a whole phase-estimation program, inverse transform
+    included, on a fresh state up to measurement."""
+    state = QuantumState(program.num_qubits)
+    execute(program, state)
     return OrderRun(k_qubits, state)
 
 
@@ -166,19 +162,20 @@ def admission_error(m: int) -> str | None:
     contributes 2^m branches.  Both modes run the state through the same
     ``circuit.execute``; only the gate-by-gate shared-control protocol
     (netsim's reference primitives) adds a transient doubling on each
-    side of a measurement, and the bound keeps that slack.
+    side of a measurement, and the bound keeps that slack.  Comparing
+    exponents builds no 2^m: 4 * 2^m > budget iff m + 2 >= its bit length.
     """
-    if 4 << m > SUPPORT_BUDGET:
-        return (f"m = {m} needs up to 4 * 2^{m} = {4 << m} support "
-                f"entries, over the budget of {SUPPORT_BUDGET} "
+    if m + 2 >= SUPPORT_BUDGET.bit_length():
+        return (f"m = {m} needs up to 4 * 2^{m} support entries, over the "
+                f"budget of {SUPPORT_BUDGET} "
                 f"(m <= {SUPPORT_BUDGET.bit_length() - 3})")
     return None
 
 
 def order_circuit_parts(a: int, N: int,
                         m: int) -> tuple[Circuit, Circuit, RegisterLayout]:
-    """Single-machine order-finding program, split before its inverse
-    transform: (preparation + power ladder, inverse transform)."""
+    """Single-machine order-finding circuits, split before the inverse
+    transform: (preparation + power ladder, inverse transform, layout)."""
     layout = RegisterLayout.packed(N.bit_length(), m)
     modexp = order_prefix(layout, layout.num_data_qubits,
                           build_cm_m(a, N, m, layout))
@@ -188,31 +185,31 @@ def order_circuit_parts(a: int, N: int,
 
 def order_round(a: int, N: int, m: int,
                 mode: str = MONOLITHIC) -> Callable[[RandomSource], OrderRun]:
-    """Build the order-finding circuits once; the returned function
-    simulates them up to measurement on its first call only.
+    """Build a round's one program (preparation, power ladder, inverse
+    transform) once; the returned function runs it up to measurement, in
+    one ``execute`` or ``execute_distributed``, on its first call only.
 
     Neither the pre-measurement state nor the bill depends on the
     round's coins, so every call, the first included, returns a copy of
     the first call's state with the network that billed it (none on one
     machine).  The first call's random source feeds the network's
-    protocol measurements; every later call draws the same number of
-    coins from its own source, at the same point in the stream, so the
-    rounds read as if each were simulated afresh.  A monolithic round
-    draws nothing before measurement."""
+    protocol measurements; every later call draws the bill's ``coins()``
+    from its own source, at the same point in the stream, so the rounds
+    read as if each were simulated afresh.  A monolithic round draws
+    nothing before measurement."""
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)
+        program = modexp.extend(transform)
 
         def simulate(_rng: RandomSource) -> OrderRun:
-            return run_estimation(modexp, transform, layout.k)
+            return run_estimation(program, layout.k)
     elif mode == DISTRIBUTED:
         plan = partition.plan_placement(N.bit_length(), m)
-        modexp = partition.build_distributed_modexp_program(a, N, plan)
-        transform = partition.build_distributed_transform_program(plan)
+        program = partition.build_distributed_order_program(a, N, plan)
 
         def simulate(rng: RandomSource) -> OrderRun:
             network = partition.build_network(plan, rng)
-            partition.execute_distributed(network, modexp)
-            partition.execute_distributed(network, transform)
+            partition.execute_distributed(network, program)
             return OrderRun(plan.layout.k, network.state, network)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -223,9 +220,7 @@ def order_round(a: int, N: int, m: int,
         if first is None:
             first = simulate(rng)
         else:
-            # each pair is two fair coins: its entangle measurement, then
-            # a session's disentangle or a teleport's X-basis measurement
-            for _ in range(2 * first.ledger.pairs_established):
+            for _ in range(first.ledger.coins()):
                 rng.uniform()
         return OrderRun(first.k_qubits, first.state.copy(), first.network)
     return run
@@ -280,38 +275,35 @@ def _minimal_order(a: int, N: int, exponent: int) -> int:
     return e
 
 
-def find_order(a: int, N: int, m: int | None, rng: RandomSource, *,
+def find_order(a: int, N: int, m: int, rng: RandomSource, *,
                mode: str = MONOLITHIC) -> OrderResult:
     """Quantum order finding with classical verification.
 
-    The circuits are built and simulated once per call; every later
+    The round's one program is built and run once per call; every later
     round replays the first round's pre-measurement state and bill.
     Each round measures an estimate j, derives candidate orders from the
     continued-fraction convergents of j/2^m, and accepts the smallest
     candidate e with a^e = 1 mod N (minimized over divisors, so the
     returned r is the true order).  Unproductive rounds retry, up to
-    ``default_max_rounds(N)`` rounds in all; when none verifies, the
-    result's ``r`` is None.
+    ``default_max_rounds(N)`` rounds, one transcript entry each; when
+    none verifies, the result's ``r`` is None.
     """
     if not 1 < a < N:
         raise ValueError("base must lie strictly between 1 and N")
     if math.gcd(a, N) != 1:
         raise ValueError(f"{a} shares a factor with {N}")
-    if m is None:
-        m = 2 * N.bit_length()
     if m < 1:
         raise ValueError(f"estimation width m must be at least 1, got {m}")
     error = admission_error(m)
     if error is not None:
         raise ValueError(error)
 
-    result = OrderResult(a=a, N=N, r=None, rounds_used=0)
+    result = OrderResult(a=a, N=N, r=None)
     run_round = order_round(a, N, m, mode)
     for _ in range(default_max_rounds(N)):
         run = run_round(rng)
         j = run.measure_first_register(rng)
         result.ledger.merge(run.ledger)
-        result.rounds_used += 1
         cands = order_candidates(j, m, N)
         found = None
         for e in cands:
@@ -397,23 +389,23 @@ def classical_rejection(N: int) -> str | None:
     return None
 
 
-def factor(N: int, rng: RandomSource, *, a: int | None = None,
-           m: int | None = None, mode: str = MONOLITHIC) -> FactoringOutcome:
-    """Factor an odd composite N that is not a prime power.
+def factor(N: int, rng: RandomSource, *, a: int | None = None, m: int,
+           mode: str = MONOLITHIC) -> FactoringOutcome:
+    """Factor an odd composite N that is not a prime power, with an m-bit
+    estimation register.
 
     Pick a base (or use the fixed one), shortcut on a shared factor, find
     its order r within ``find_order``'s per-base round cap, and when r is
     even with a^(r/2) != -1 mod N read the factors off
-    gcd(a^(r/2) +- 1, N).  Otherwise retry with a new base, up to
+    gcd(a^(r/2) - 1, N).  Otherwise retry with a new base, up to
     ``MAX_ATTEMPTS`` bases; a fixed base is tried once.
     """
     outcome = FactoringOutcome(N=N, factors=None,
-                               failure=classical_rejection(N), attempts=[])
+                               failure=classical_rejection(N))
     if outcome.failure is not None:
         return outcome
     for _ in range(MAX_ATTEMPTS):
         base = a if a is not None else rng.randint(2, N - 1)
-        outcome.attempts.append(base)
         g = math.gcd(base, N)
         if g > 1:
             outcome.factors = (g, N // g)
@@ -423,15 +415,11 @@ def factor(N: int, rng: RandomSource, *, a: int | None = None,
         r = order.r
         if r is not None and r % 2 == 0:
             half = pow(base, r // 2, N)
-            if half != N - 1:
+            # half^2 = 1 but half != +-1 mod N: N splits over half -+ 1
+            if half not in (1, N - 1):
                 p = math.gcd(half - 1, N)
-                q = math.gcd(half + 1, N)
-                if 1 < p < N:
-                    outcome.factors = (p, N // p)
-                    return outcome
-                if 1 < q < N:
-                    outcome.factors = (q, N // q)
-                    return outcome
+                outcome.factors = (p, N // p)
+                return outcome
         if a is not None:
             break  # a fixed base that fails cannot be retried
     outcome.failure = "retry budget exhausted"

@@ -10,9 +10,9 @@ import pytest
 from distshor import cli, gates, partition
 from distshor.circuit import (Circuit, Instruction, add_controls,
                               count_gates, execute, reverse)
-from distshor.netsim import (Network, NetworkError, SessionRecord,
-                             execute_distributed, remote_controls,
-                             session_groups)
+from distshor.netsim import (MAX_REMOTE_CONTROLS, Network, NetworkError,
+                             SessionRecord, execute_distributed,
+                             remote_controls, session_groups)
 from distshor.qft import build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource, SimulationError
 from distshor.revarith import build_an, gate_count_formula
@@ -80,9 +80,9 @@ def reference_session(network: Network, node_id: str,
     fresh pair, the body runs on the mirrors, and the mirrors are
     disentangled in reverse order."""
     remote = remote_controls(instructions, node_id, network.node_of)
-    if len(remote) > 3:
-        raise NetworkError(
-            f"session needs {len(remote)} remote controls (max 3)")
+    if len(remote) > MAX_REMOTE_CONTROLS:
+        raise NetworkError(f"session needs {len(remote)} remote "
+                           f"controls (max {MAX_REMOTE_CONTROLS})")
     cats = []
     mirror: dict[int, int] = {}
     for ctrl in remote:

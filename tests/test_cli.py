@@ -1,6 +1,7 @@
 """Batch driver tests: runs, validation, reports, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -192,6 +193,17 @@ class TestAdmission:
         monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 3)
         status, _ = cli.run(cli.RunConfig(N=16, m=4))
         assert status == cli.EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("m,counts_only", [
+        (20_000, False), (10**18, False), (10**2200, True)])
+    def test_huge_width_exits_three_at_once(self, m, counts_only):
+        # no power of two or gate count of m's size is built or printed
+        started = time.perf_counter()
+        status, report = cli.run(cli.RunConfig(N=15, m=m,
+                                               counts_only=counts_only))
+        assert time.perf_counter() - started < 1.0
+        assert status == cli.EXIT_EXHAUSTED
+        assert len(report["error"]) < len(str(m)) + 300
 
     def test_counts_only_is_exempt(self, monkeypatch):
         monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 3)

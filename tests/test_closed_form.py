@@ -60,7 +60,7 @@ def test_order_round_matches_physical_protocol(request, monkeypatch, N, m,
 
     monkeypatch.setattr(partition, "execute_distributed", counted_reference)
     reference = round_outcome(fresh_round())
-    assert len(calls) == 2  # the ladder, then the transform
+    assert len(calls) == 1  # one program: ladder and transform
     assert closed[0] == reference[0]
     assert closed[2] == reference[2]
     keys = set(closed[1]) | set(reference[1])

@@ -169,7 +169,7 @@ class TestFindOrder:
     def test_order_of_seven_mod_fifteen(self):
         res = find_order(7, 15, 8, RandomSource(1))
         assert res.r == 4
-        assert res.rounds_used <= 4
+        assert len(res.transcript) <= 4
 
     def test_order_of_four_mod_fifteen(self):
         res = find_order(4, 15, 8, RandomSource(2))
@@ -189,7 +189,7 @@ class TestFindOrder:
 
     def test_transcript_records_each_round(self):
         res = find_order(7, 15, 8, RandomSource(1))
-        assert len(res.transcript) == res.rounds_used
+        assert all(rnd.r_found is None for rnd in res.transcript[:-1])
         assert res.transcript[-1].r_found == res.r
 
     def test_invalid_base_rejected(self):
@@ -258,7 +258,7 @@ class TestBuildOnce:
                                              ("distributed", 5)])
     def test_rounds_match_rebuilding_every_round(self, mode, rounds):
         res = find_order(7, 15, 1, RandomSource(0), mode=mode)
-        assert res.rounds_used == rounds and res.r == 4
+        assert len(res.transcript) == rounds and res.r == 4
         rng = RandomSource(0)
         js = []
         for _ in range(rounds):
@@ -270,7 +270,7 @@ class TestBuildOnce:
         parts = count_calls(monkeypatch, shor, "order_circuit_parts")
         ladders = count_calls(monkeypatch, shor, "build_cm_m")
         res = find_order(7, 15, 1, RandomSource(0))
-        assert res.rounds_used == 3
+        assert len(res.transcript) == 3
         assert (len(parts), len(ladders)) == (1, 1)
 
     def test_distributed_builds_once(self, monkeypatch):
@@ -281,8 +281,8 @@ class TestBuildOnce:
         calls = {name: count_calls(monkeypatch, partition, name)
                  for name in names}
         res = find_order(7, 15, 1, RandomSource(0), mode="distributed")
-        assert res.rounds_used == 5
-        assert [len(calls[name]) for name in names] == [1, 1, 1, 1, 0]
+        assert len(res.transcript) == 5
+        assert [len(calls[name]) for name in names] == [1, 1, 1, 1, 1]
 
 
 class CountingSource(RandomSource):
@@ -310,13 +310,13 @@ class TestReplay:
                                        seed):
         rng = RandomSource(seed)
         replayed = find_order(a, N, m, rng, mode=mode)
-        assert replayed.rounds_used > 1
+        assert len(replayed.transcript) > 1
         build = shor.order_round
         monkeypatch.setattr(shor, "order_round",
                             lambda *args: lambda source: build(*args)(source))
         fresh_rng = RandomSource(seed)
         fresh = find_order(a, N, m, fresh_rng, mode=mode)
-        assert fresh.rounds_used == replayed.rounds_used
+        assert len(fresh.transcript) == len(replayed.transcript)
         assert fresh.transcript == replayed.transcript
         assert fresh.ledger == replayed.ledger
         assert fresh_rng.uniform() == rng.uniform()
@@ -328,8 +328,8 @@ class TestReplay:
                                         name):
         runs = count_calls(monkeypatch, module, name)
         res = find_order(7, 15, 1, RandomSource(0), mode=mode)
-        assert res.rounds_used > 1
-        assert len(runs) == 2  # the ladder, then the transform
+        assert len(res.transcript) > 1
+        assert len(runs) == 1  # one program: ladder and transform
 
     @pytest.mark.parametrize("mode,m", [("monolithic", 1),
                                         ("distributed", 1),
@@ -337,12 +337,12 @@ class TestReplay:
     def test_replayed_round_draws_a_fresh_rounds_coins(self, mode, m):
         run_round = order_round(7, 15, m, mode)
         first, later, fresh = (CountingSource(seed) for seed in (0, 1, 1))
-        pairs = run_round(first).ledger.pairs_established
+        first_ledger = run_round(first).ledger
         run_round(later)
         order_round(7, 15, m, mode)(fresh)
-        assert (pairs > 0) == (mode == "distributed")
-        # an entangle coin, then a disentangle or X-basis coin, per pair
-        assert first.draws == 2 * pairs
+        distributed = first_ledger.pairs_established > 0
+        assert distributed == (mode == "distributed")
+        assert first.draws == first_ledger.coins()
         assert later.draws == fresh.draws == first.draws
         assert later.uniform() == fresh.uniform()
 
@@ -357,8 +357,9 @@ class TestReplay:
 
 
 class TestReportBuilds:
-    """A factoring report never builds the whole distributed program: its
-    counts section builds the ladder's first controlled multiplier."""
+    """A factoring report never builds the whole distributed program
+    beyond the one its distributed rounds run: its counts section builds
+    the ladder's first controlled multiplier."""
 
     @pytest.mark.parametrize("mode", ["monolithic", "distributed"])
     def test_counts_section_builds_one_multiplier(self, monkeypatch, mode):
@@ -368,7 +369,8 @@ class TestReportBuilds:
         status, report = cli.run(cli.RunConfig(N=15, a=7, m=2, mode=mode,
                                                seed=1))
         assert status == cli.EXIT_OK and "counts" in report
-        assert len(programs) == 0
+        # one base (a = 7): its rounds' program, and none for the report
+        assert len(programs) == (mode == "distributed")
         assert [args[2] for args in ladders] == [1]
 
 
@@ -434,7 +436,7 @@ class TestFactor:
     def test_fifteen_with_fixed_base(self):
         out = factor(15, RandomSource(1), a=7, m=8)
         assert sorted(out.factors) == [3, 5]
-        assert out.attempts == [7]
+        assert [order.a for order in out.order_results] == [7]
 
     def test_twentyone_with_fixed_base(self):
         out = factor(21, RandomSource(3), a=2, m=10)
@@ -451,7 +453,7 @@ class TestFactor:
         assert math.prod(out.factors) == 15
 
     def test_prime_power_rejected_classically(self):
-        out = factor(9, RandomSource(0))
+        out = factor(9, RandomSource(0), m=8)
         assert out.factors is None
         assert "prime power" in out.failure
         assert out.order_results == []  # no quantum execution
