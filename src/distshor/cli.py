@@ -7,7 +7,8 @@ be written, 3 resource exhaustion (the retry budget ran out, or, checked
 before anything is built, a factoring run's support bound is over
 ``shor.SUPPORT_BUDGET`` or the gates a run builds, its report's plus a
 factoring run's order-finding program and a circuit dump's ladder, are
-over ``GATE_BUDGET``).
+over ``GATE_BUDGET``).  The budgets are checked before N is tested for
+primes and prime powers, so an N over a budget exits 3 either way.
 
 The counts section builds the power ladder's first controlled multiplier
 and the distributed inverse transform, never the whole order-finding
@@ -182,17 +183,18 @@ def run(config: RunConfig, *, dump: bool = False) -> tuple[int, dict]:
     whole ladder that ``--dump-circuit`` builds afterwards."""
     started = time.perf_counter()
     status, error = EXIT_BAD_CONFIG, config.validate()
-    if error is None and not config.counts_only:
-        error = shor.classical_rejection(config.N)
-        if error is None:
-            # a factoring run's support must fit
-            status = EXIT_EXHAUSTED
-            error = shor.admission_error(config.m_effective)
     if error is None:
+        # the budgets first: they cost nothing, and the classical checks
+        # then only run on an N small enough to factor
         status = EXIT_EXHAUSTED
-        error = gate_budget_error(config.n, config.m_effective,
-                                  factoring=not config.counts_only,
-                                  dump=dump)
+        if not config.counts_only:  # a factoring run's support must fit
+            error = shor.admission_error(config.m_effective)
+        if error is None:
+            error = gate_budget_error(config.n, config.m_effective,
+                                      factoring=not config.counts_only,
+                                      dump=dump)
+    if error is None and not config.counts_only:
+        status, error = EXIT_BAD_CONFIG, shor.classical_rejection(config.N)
     if error is not None:
         return status, {"config": _config_dict(config), "error": error}
 

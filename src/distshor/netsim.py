@@ -33,14 +33,13 @@ support entry, so a session applies its body on the original controls
 and a teleport into a |0> slot is a SWAP: the program changes the state
 as ``circuit.execute`` does.  The run posts the program's bill first, a
 session (``run_session``) or relocation (``move``) per unit of
-``session_groups``.  Each posts its whole bill in one step: it checks
-that its pairs find free channels and room under every node's capacity,
-then adds its pairs, ebits, classical bits per direction and peak live
-counts to the network's totals and draws one ``rng.uniform()`` per
-protocol measurement, as the reference would: two per pair
-(``ResourceLedger.coins``).  A unit that does not fit
-replays its shares one by one through the reference's bookkeeping
-helpers, so the refusal and the partial bill are the protocol's.  Then
+``session_groups``.  Each posts its bill share by share, making the
+protocol's checks in the protocol's order: a free channel and room under
+the capacity on each node of a pair.  It adds its pairs, ebits, classical
+bits per direction and peak live counts to the network's totals and
+draws one ``rng.uniform()`` per protocol measurement, as the reference
+would: two per pair (``ResourceLedger.coins``).  A refusal therefore
+raises at the protocol's share, with the protocol's partial bill.  Then
 one ``circuit.execute`` runs the state; its kernel refuses a MOVE into a
 slot that is not |0>.  The state agrees with the reference up to
 floating-point rounding.
@@ -190,16 +189,6 @@ class _NodeRuntime:
         self.allocated: set[int] = set()
         self.busy_channels: set[int] = set()
 
-    def live_count(self) -> int:
-        return len(self.allocated) + len(self.busy_channels)
-
-    def can_hold(self, pairs: int) -> bool:
-        """Whether ``pairs`` more channel qubits can be busy at once: each
-        needs a free channel and room under the node's capacity."""
-        held = len(self.busy_channels) + pairs
-        return (held <= len(self.channel_slots) and len(self.allocated)
-                + held <= self.spec.register_capacity)
-
 
 class Network:
     """Global state plus per-node bookkeeping and the protocol suite.
@@ -232,9 +221,9 @@ class Network:
         free = [q for q in rt.data_slots if q not in rt.allocated]
         if len(free) < count:
             raise NetworkError(f"node {node_id} has no free register slot")
+        self._track(node_id, count)
         taken = free[:count]
         rt.allocated.update(taken)
-        self._track(node_id)
         return taken
 
     def release_data(self, node_id: str, qubit: int):
@@ -332,9 +321,9 @@ class Network:
         At most ``MAX_REMOTE_CONTROLS`` remote controls are shared at once.
 
         Closed form of entangle, body on the mirrors, disentangle, posted
-        as one bill: the k shares (``_open_shares``), then the k
-        disentangle bits back and their coins.  One walk over the block
-        finds the remote controls in first-use order, the gates a 0
+        in the protocol's order: the k shares (``_open_shares``), then
+        the k disentangle bits back and their coins.  One walk over the
+        block finds the remote controls in first-use order, the gates a 0
         constant does not disable, and the first of those with a target
         off ``node_id``, which raises after the shares as the protocol
         would.  The enabled gates' state changes are left to
@@ -360,13 +349,11 @@ class Network:
         if len(remote) > MAX_REMOTE_CONTROLS:
             raise NetworkError(f"session needs {len(remote)} remote "
                                f"controls (max {MAX_REMOTE_CONTROLS})")
+        self._open_shares(sources, node_id)
         if stray is not None:
-            for ctrl in remote:
-                self._share(ctrl, node_id)
             self._check_local(node_id, stray.targets)
         if not remote:
             return None
-        self._open_shares(remote, sources, node_id)
         cbits = self.ledger.cbits_sent
         draw = self.rng.uniform
         for src in reversed(sources):
@@ -426,69 +413,54 @@ class Network:
         src_node, dst_node = self.node_of(src), self.node_of(dst)
         if src_node != dst_node:
             self._check_held(dst_node, dst)
-            self._open_shares((src,), (src_node,), dst_node)
+            self._open_shares((src_node,), dst_node)
             self.rng.uniform()  # the source's X-basis measurement
             self.ledger.send_cbit(src_node, dst_node)
             self._log_teleport(src_node, dst_node, label)
 
-    def _open_shares(self, controls: Sequence[int], sources: Sequence[str],
-                     node_id: str):
-        """Bill ``_share(control, node_id)`` for every control in one
-        step; ``sources`` holds each control's node.
+    def _open_shares(self, sources: Sequence[str], node_id: str):
+        """Bill ``establish_epr`` then ``cat_entangle`` from each node of
+        ``sources`` to ``node_id``, in order: the closed form of sharing
+        a control from each of them.
 
-        A share frees the control's channel half at once, so a source
-        node needs room for one claim while ``node_id`` ends holding all
-        k mirrors.  When that fits, post the pairs, ebits, entangle bits,
-        peak live counts and k coins; no channel is marked busy, since
-        the callers end every share before anything else runs.  When a
-        share does not fit, replay them through ``_share``, which raises
-        at that share after the protocol's partial bill.
+        A share frees its source's channel half at once, while
+        ``node_id`` keeps each mirror until the caller ends the shares.
+        So share i checks its pair as ``_claim_pair`` does, with the i
+        mirrors before it counted on ``node_id`` (``_admit_pair``), and
+        only then posts its pair, ebit, entangle bit and coin.  A refusal
+        raises at the share the protocol refuses, after the protocol's
+        partial bill.  No channel is marked busy, since the callers end
+        every share before anything else runs.
         """
-        nodes = self.nodes
-        dst = nodes.get(node_id)
-        k = len(controls)
-        if (dst is None or not dst.can_hold(k)
-                or not all(nodes[src].can_hold(1) for src in sources)):
-            for ctrl in controls:
-                self._share(ctrl, node_id)
-            raise AssertionError("the replay billed every share")
-        max_live = self.max_live
-        cbits = self.ledger.cbits_sent
-        draw = self.rng.uniform
-        for src in sources:
-            live = nodes[src].live_count() + 1
-            if live > max_live[src]:
-                max_live[src] = live
-            key = (src, node_id)
-            cbits[key] = cbits.get(key, 0) + 1
-            draw()  # the entangle measurement
-        live = dst.live_count() + k
-        if live > max_live[node_id]:
-            max_live[node_id] = live
-        self.ledger.pairs_established += k
-        self.ledger.ebits_consumed += k
-
-    def _share(self, control: int, node_id: str):
-        """Closed form of ``establish_epr`` then ``cat_entangle``: the
-        mirror on ``node_id`` would equal ``control``, so only the
-        bookkeeping and the measurement's fair coin remain."""
-        pair = self._claim_pair(self.node_of(control), node_id)
-        self.rng.uniform()  # the entangle measurement
-        self._spend_pair(control, pair)
+        ledger = self.ledger
+        for held, src in enumerate(sources):
+            self._admit_pair(src, node_id, held)
+            ledger.pairs_established += 1
+            ledger.ebits_consumed += 1
+            ledger.send_cbit(src, node_id)
+            self.rng.uniform()  # the entangle measurement
 
     # -- protocol bookkeeping: the reference steps and the closed form ---
 
-    def _claim_pair(self, node_a: str, node_b: str) -> EprPair:
-        """Claim a free channel qubit on each node for a new pair, check
-        both nodes' capacity and bill one qubit transmission."""
+    def _admit_pair(self, node_a: str, node_b: str,
+                    held: int = 0) -> tuple[int, int]:
+        """The channel qubits a new pair takes on each node, once both
+        have a free channel and room under their capacity; ``node_b``
+        also holds ``held`` unmarked pair halves of the closed form."""
         if node_a == node_b:
             raise NetworkError("a pair needs two distinct nodes")
         qa = self._free_channel(node_a)
-        qb = self._free_channel(node_b)
+        qb = self._free_channel(node_b, held)
+        self._track(node_a, 1)
+        self._track(node_b, held + 1)
+        return qa, qb
+
+    def _claim_pair(self, node_a: str, node_b: str) -> EprPair:
+        """Claim a free channel qubit on each node for a new pair and
+        bill one qubit transmission."""
+        qa, qb = self._admit_pair(node_a, node_b)
         self.nodes[node_a].busy_channels.add(qa)
         self.nodes[node_b].busy_channels.add(qb)
-        self._track(node_a)
-        self._track(node_b)
         self.ledger.pairs_established += 1
         return EprPair(qa, qb, node_a, node_b)
 
@@ -534,11 +506,14 @@ class Network:
                     f"gate spans nodes: qubit {q} is on {self.node_of(q)}, "
                     f"not {node_id}")
 
-    def _free_channel(self, node_id: str) -> int:
+    def _free_channel(self, node_id: str, held: int = 0) -> int:
+        """The first free channel qubit on a node past ``held`` free ones."""
         rt = self._node(node_id)
         for q in rt.channel_slots:
             if q not in rt.busy_channels:
-                return q
+                if not held:
+                    return q
+                held -= 1
         raise NetworkError(f"no free channel qubit on {node_id}")
 
     def _end_in_x_basis(self, qubit: int, node_id: str, partner: int,
@@ -551,9 +526,11 @@ class Network:
             self.apply_local(partner_node, gates.Z, [partner])
             self.apply_local(node_id, gates.X, [qubit])
 
-    def _track(self, node_id: str):
-        rt = self._node(node_id)
-        live = rt.live_count()
+    def _track(self, node_id: str, pending: int):
+        """Check that a known node has room for ``pending`` more live
+        qubits, and raise its peak live count to include them."""
+        rt = self.nodes[node_id]
+        live = len(rt.allocated) + len(rt.busy_channels) + pending
         if live > rt.spec.register_capacity:
             raise NetworkError(
                 f"node {node_id} over capacity: {live} live qubits")

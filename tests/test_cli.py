@@ -205,6 +205,20 @@ class TestAdmission:
         assert status == cli.EXIT_EXHAUSTED
         assert len(report["error"]) < len(str(m)) + 300
 
+    def test_huge_modulus_exits_three_at_once(self):
+        # m = 2n = 26,570 is refused before any primality test on N
+        started = time.perf_counter()
+        status, report = cli.run(cli.RunConfig(N=10**3999 + 1))
+        assert time.perf_counter() - started < 1.0
+        assert status == cli.EXIT_EXHAUSTED
+        assert report["error"].startswith("m = 26570 ")
+
+    @pytest.mark.parametrize("N,status", [
+        (2**127 - 1, cli.EXIT_EXHAUSTED),  # a prime over the budgets
+        (13, cli.EXIT_BAD_CONFIG), (9, cli.EXIT_BAD_CONFIG)])
+    def test_budgets_come_before_classical_checks(self, N, status):
+        assert cli.run(cli.RunConfig(N=N))[0] == status
+
     def test_counts_only_is_exempt(self, monkeypatch):
         monkeypatch.setattr(shor, "SUPPORT_BUDGET", 4 << 3)
         status, report = cli.run(cli.RunConfig(N=15, m=8, counts_only=True))

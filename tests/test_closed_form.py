@@ -299,3 +299,48 @@ def test_random_programs_match_physical_protocol(program, seed):
     assert ([closed.measure_local(q) for q in readout]
             == [reference.measure_local(q) for q in readout])
     assert observed(closed) == observed(reference)
+
+
+# -- random refusals ----------------------------------------------------------
+
+PAIRS = [(a, b) for a in NODES for b in NODES if a != b]
+
+
+@st.composite
+def strains(draw):
+    """What the network holds before a run: 0-4 pairs established between
+    random nodes, each only while both nodes have a free channel, then each
+    node's capacity cut by 0-2 below its six slots."""
+    busy = dict.fromkeys(NODES, 0)
+    pairs = []
+    for a, b in draw(st.lists(st.sampled_from(PAIRS), max_size=4)):
+        if busy[a] < 3 and busy[b] < 3:
+            busy[a] += 1
+            busy[b] += 1
+            pairs.append((a, b))
+    cuts = draw(st.tuples(*[st.integers(0, 2)] * len(NODES)))
+    return pairs, cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs(), strains(), st.integers(0, 2**16))
+def test_random_refusals_match_physical_protocol(program, strain, seed):
+    # a refusal at any share, on the source side or the mirror side, for
+    # want of a channel or of capacity, raises where the protocol raises
+    # and leaves its partial bill
+    circ, _ = program
+    pairs, cuts = strain
+    outcomes = []
+    for execute in (execute_distributed, reference_execute_distributed):
+        net, _ = three_nodes(seed)
+        for a, b in pairs:
+            net.establish_epr(a, b)
+        for node, cut in zip(NODES, cuts):
+            net.nodes[node].spec = NodeSpec(node, 6 - cut, 3)
+        try:
+            execute(net, circ)
+            error = None
+        except NetworkError as exc:
+            error = str(exc)
+        outcomes.append((error, observed(net)))
+    assert outcomes[0] == outcomes[1]

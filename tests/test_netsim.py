@@ -333,6 +333,18 @@ class TestLocalityAndCapacity:
         with pytest.raises(NetworkError, match="no free register slot"):
             net.allocate_data("A", 1)
 
+    def test_capacity_refusal_claims_nothing(self):
+        net = two_nodes()
+        held = net.allocate_data("B", 2)
+        # live counts only outgrow a node's spec if the spec shrinks under it
+        net.nodes["B"].spec = NodeSpec("B", 2, 2)
+        with pytest.raises(NetworkError, match="^node B over capacity: 3 "):
+            net.establish_epr("A", "B")
+        assert all(not rt.busy_channels for rt in net.nodes.values())
+        with pytest.raises(NetworkError, match="^node B over capacity: 3 "):
+            net.allocate_data("B", 1)
+        assert net.nodes["B"].allocated == set(held)
+
 
 class TestDeterminism:
     def test_protocol_transcripts_repeat(self):
