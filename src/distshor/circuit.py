@@ -74,20 +74,8 @@ class Circuit:
     def x(self, t, **kw):
         return self.gate(gates.X, [t], **kw)
 
-    def z(self, t, **kw):
-        return self.gate(gates.Z, [t], **kw)
-
     def h(self, t, **kw):
         return self.gate(gates.H, [t], **kw)
-
-    def r(self, k, t, **kw):
-        return self.gate(gates.R(k), [t], **kw)
-
-    def cnot(self, c, t, **kw):
-        return self.gate(gates.CNOT, [c, t], **kw)
-
-    def toffoli(self, c1, c2, t, **kw):
-        return self.gate(gates.TOFFOLI, [c1, c2, t], **kw)
 
     def swap(self, a, b, **kw):
         return self.gate(gates.SWAP, [a, b], **kw)

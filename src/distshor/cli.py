@@ -4,10 +4,10 @@ Reports are JSON documents with a fixed key order; the wall time lives in
 a single ``wall_time_s`` key so golden comparisons can mask it.  Exit
 codes: 0 success, 2 invalid configuration or an output path that cannot
 be written, 3 resource exhaustion (the retry budget ran out, or, checked
-before anything is built, a factoring run's support bound is over
-``shor.SUPPORT_BUDGET`` or the gates a run builds, its report's plus a
-factoring run's order-finding program and a circuit dump's ladder, are
-over ``GATE_BUDGET``).  The budgets are checked before N is tested for
+before anything is built, a factoring run's m is over the cap that
+``shor.admission_error`` derives from ``shor.SUPPORT_BUDGET``, or the
+gates a run builds, its report's plus a factoring run's order-finding
+program and a circuit dump's ladder, are over ``GATE_BUDGET``).  The budgets are checked before N is tested for
 primes and prime powers, so an N over a budget exits 3 either way.
 
 The counts section builds the power ladder's first controlled multiplier
@@ -187,7 +187,7 @@ def run(config: RunConfig, *, dump: bool = False) -> tuple[int, dict]:
         # the budgets first: they cost nothing, and the classical checks
         # then only run on an N small enough to factor
         status = EXIT_EXHAUSTED
-        if not config.counts_only:  # a factoring run's support must fit
+        if not config.counts_only:  # a factoring run's m is capped
             error = shor.admission_error(config.m_effective)
         if error is None:
             error = gate_budget_error(config.n, config.m_effective,

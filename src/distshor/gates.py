@@ -1,7 +1,8 @@
 """Gate vocabulary shared by the simulator kernel and the circuit IR.
 
 A ``GateKind`` is a small immutable descriptor.  Parameterized kinds carry
-their parameters inline: rotations ``R(k)`` / ``R_inv(k)`` apply the phase
+their parameters inline: rotations ``R(k)`` and their inverses
+``inverse(R(k))`` (kind ``R_INV``) apply the phase
 ``exp(+-2*pi*i / 2**k)`` to the |1> component, and ``phase_gate(p, q)``
 applies the exact rational phase ``exp(2*pi*i * p/q)``.
 """
@@ -49,12 +50,6 @@ def R(k: int) -> GateKind:
     if k < 2:
         raise ValueError(f"rotation order must be >= 2, got {k}")
     return GateKind("R", k=k)
-
-
-def R_inv(k: int) -> GateKind:
-    if k < 2:
-        raise ValueError(f"rotation order must be >= 2, got {k}")
-    return GateKind("R_INV", k=k)
 
 
 def phase_gate(p: int, q: int) -> GateKind:

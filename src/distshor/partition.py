@@ -79,6 +79,11 @@ class PlacementPlan:
     def capacity(self) -> int:
         return self.topology.nodes[0].register_capacity
 
+    @property
+    def num_qubits(self) -> int:
+        """The distributed program's qubit pool: every node's register."""
+        return sum(spec.register_capacity for spec in self.topology.nodes)
+
 
 def plan_placement(n: int, m: int) -> PlacementPlan:
     """Lay out the 5n + m + 1 logical qubits over the seven nodes.
@@ -165,16 +170,15 @@ def build_distributed_modexp_program(a: int, N: int,
     from . import shor  # shor imports this module
 
     lay = plan.layout
-    pool = sum(spec.register_capacity for spec in plan.topology.nodes)
     return shor.order_prefix(
-        lay, pool, build_cm_m(a, N, lay.m, lay, slicing=plan.slicing))
+        lay, plan.num_qubits,
+        build_cm_m(a, N, lay.m, lay, slicing=plan.slicing))
 
 
 def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
     """The inverse transform over the split estimation register, its swap
     network realized by teleports through the parking slots."""
-    pool = sum(spec.register_capacity for spec in plan.topology.nodes)
-    return build_inverse_qft(plan.layout.k, num_qubits=pool,
+    return build_inverse_qft(plan.layout.k, num_qubits=plan.num_qubits,
                              node_of=plan.node_of_qubit,
                              spare_of=plan.k_spares)
 

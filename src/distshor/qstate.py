@@ -104,10 +104,6 @@ class QuantumState:
 
     # -- queries ---------------------------------------------------------
 
-    def norm_squared(self) -> float:
-        return sum((a.real * a.real + a.imag * a.imag)
-                   for a in self.amplitudes.values())
-
     def amplitude(self, index: int) -> complex:
         return self.amplitudes.get(index, 0.0 + 0.0j)
 

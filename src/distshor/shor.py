@@ -1,4 +1,4 @@
-"""Phase estimation, order finding, and the classical factoring wrapper.
+"""Order finding by phase estimation, and the classical factoring wrapper.
 
 Order finding runs phase estimation on the in-place modular multiplier
 with the second register prepared in |1>, an even mixture of the
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from . import partition
 from .circuit import Circuit, execute
@@ -23,16 +22,6 @@ from .revarith import RegisterLayout, build_cm_m
 
 MONOLITHIC = "monolithic"
 DISTRIBUTED = "distributed"
-
-
-@dataclass(frozen=True)
-class PhaseEstimate:
-    j: int
-    m: int
-
-    @property
-    def theta(self) -> Fraction:
-        return Fraction(self.j, 1 << self.m)
 
 
 @dataclass
@@ -60,63 +49,22 @@ class FactoringOutcome:
     order_results: list[OrderResult] = field(default_factory=list)
 
 
-# -- phase estimation -------------------------------------------------------
-
-def phase_estimate(controlled_power: Callable[[int, int], Circuit],
-                   prepare: Circuit, m: int, n_target: int,
-                   rng: RandomSource) -> PhaseEstimate:
-    """Estimate the eigenphase of a unitary given its controlled powers.
-
-    ``controlled_power(i, control_qubit)`` must return a circuit applying
-    the unitary ``2^i`` times under the given control; target qubits are
-    ``0..n_target-1`` and the estimation register sits above them.
-    ``prepare`` initializes the eigenstate.  Returns the measured j; when
-    the phase is an exact m-bit fraction j/2^m the result is j with
-    certainty, otherwise the best estimate appears with probability at
-    least 4/pi^2.
-    """
-    state = prepare_phase_state(controlled_power, prepare, m, n_target)
-    run = OrderRun(tuple(range(n_target, n_target + m)), state)
-    return PhaseEstimate(j=run.measure_first_register(rng), m=m)
-
-
-def prepare_phase_state(controlled_power: Callable[[int, int], Circuit],
-                        prepare: Circuit, m: int,
-                        n_target: int) -> QuantumState:
-    """Run the estimation program up to (not including) measurement."""
-    if m < 1:
-        raise ValueError("need at least one estimation qubit")
-    k_qubits = tuple(range(n_target, n_target + m))
-    pool = n_target + m
-    program = estimation_prefix(
-        Circuit(pool).extend(prepare), k_qubits,
-        (controlled_power(i, kq) for i, kq in enumerate(k_qubits)))
-    program.extend(build_inverse_qft(k_qubits, num_qubits=pool))
-    return run_estimation(program, k_qubits).state
-
-
-def estimation_prefix(circ: Circuit, k_qubits: Sequence[int],
-                      powers: Iterable[Circuit]) -> Circuit:
-    """Phase estimation up to its inverse transform: append to the
-    preparation ``circ`` an H on each estimation qubit, then the
-    controlled powers."""
-    for i, kq in enumerate(k_qubits):
-        circ.h(kq, label=f"prep/H[{i}]")
-    for power in powers:
-        circ.extend(power)
-    return circ
-
+# -- order finding -----------------------------------------------------------
 
 def order_prefix(layout: RegisterLayout, num_qubits: int,
                  ladder: Circuit) -> Circuit:
-    """Order finding's estimation prefix: |1> in the multiplier register."""
-    one = Circuit(num_qubits).x(layout.x[0], label="prep/one")
-    return estimation_prefix(one, layout.k, [ladder])
+    """Order finding's phase estimation up to its inverse transform: |1>
+    in the multiplier register, an H on each estimation qubit, then the
+    controlled power ladder."""
+    circ = Circuit(num_qubits).x(layout.x[0], label="prep/one")
+    for i, kq in enumerate(layout.k):
+        circ.h(kq, label=f"prep/H[{i}]")
+    return circ.extend(ladder)
 
 
 @dataclass
 class OrderRun:
-    """One pre-measurement phase-estimation execution, either mode."""
+    """One pre-measurement order-finding execution, either mode."""
 
     k_qubits: tuple[int, ...]
     state: QuantumState
@@ -129,9 +77,6 @@ class OrderRun:
             return ResourceLedger()
         return self.network.ledger
 
-    def first_register_distribution(self) -> dict[int, float]:
-        return self.state.exact_distribution(self.k_qubits)
-
     def measure_first_register(self, rng: RandomSource) -> int:
         j = 0
         for i, q in enumerate(self.k_qubits):
@@ -139,18 +84,9 @@ class OrderRun:
         return j
 
 
-def run_estimation(program: Circuit, k_qubits: tuple[int, ...]) -> OrderRun:
-    """Execute a whole phase-estimation program, inverse transform
-    included, on a fresh state up to measurement."""
-    state = QuantumState(program.num_qubits)
-    execute(program, state)
-    return OrderRun(k_qubits, state)
-
-
-# -- order finding -----------------------------------------------------------
-
-# The most sparse-support entries an order-finding run may need: 4 * 2^m
-# must fit, so the estimation register is at most 16 qubits wide.
+# Order finding is admitted while 4 * 2^m fits in this many sparse-support
+# entries, which caps the estimation register at 16 qubits.  It does not
+# bound a run's support (see ``admission_error``).
 SUPPORT_BUDGET = 1 << 18
 
 
@@ -158,11 +94,12 @@ def admission_error(m: int) -> str | None:
     """Why order finding with an m-bit estimation register is refused
     before anything is built, or None.
 
-    The sparse support never exceeds 4 * 2^m: the estimation register
-    contributes 2^m branches.  Both modes run the state through the same
-    ``circuit.execute``; only the gate-by-gate shared-control protocol
-    (netsim's reference primitives) adds a transient doubling on each
-    side of a measurement, and the bound keeps that slack.  Comparing
+    The check caps m at 16; no bound on the sparse support is enforced
+    yet.  The support is at most r * 2^m, r the order of the base, and
+    nears it when r does not divide 2^m: after the inverse transform each
+    of the r values of the multiplier register carries up to 2^m values
+    of the estimation register.  So a run under the cap can exceed
+    4 * 2^m (N = 21, a = 2, m = 10 peaks at 6,140 entries).  Comparing
     exponents builds no 2^m: 4 * 2^m > budget iff m + 2 >= its bit length.
     """
     if m + 2 >= SUPPORT_BUDGET.bit_length():
@@ -202,7 +139,9 @@ def order_round(a: int, N: int, m: int,
         program = modexp.extend(transform)
 
         def simulate(_rng: RandomSource) -> OrderRun:
-            return run_estimation(program, layout.k)
+            state = QuantumState(program.num_qubits)
+            execute(program, state)
+            return OrderRun(layout.k, state)
     elif mode == DISTRIBUTED:
         plan = partition.plan_placement(N.bit_length(), m)
         program = partition.build_distributed_order_program(a, N, plan)

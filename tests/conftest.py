@@ -60,6 +60,25 @@ def reference_execute(circ: Circuit, state: QuantumState):
             state.apply_gate(inst.kind, inst.targets, inst.controls)
 
 
+def phase_estimation_state(controlled_power, prepare: Circuit, m: int,
+                           n_target: int) -> QuantumState:
+    """Phase estimation run up to measurement, the order-finding program's
+    skeleton for any unitary on target qubits 0..n_target-1: ``prepare``,
+    an H on each estimation qubit n_target..n_target+m-1, the controlled
+    powers ``controlled_power(i, k_i)`` (the unitary 2^i times under
+    control k_i), then the inverse transform."""
+    k_qubits = range(n_target, n_target + m)
+    circ = Circuit(n_target + m).extend(prepare)
+    for kq in k_qubits:
+        circ.h(kq)
+    for i, kq in enumerate(k_qubits):
+        circ.extend(controlled_power(i, kq))
+    circ.extend(build_inverse_qft(k_qubits, num_qubits=circ.num_qubits))
+    state = QuantumState(circ.num_qubits)
+    execute(circ, state)
+    return state
+
+
 def remote_cnot(network: Network, control: int, target: int):
     """A CNOT whose control sits on another node than its target: the
     one-gate program, run on the network as one session."""
@@ -160,7 +179,8 @@ def reference_xan(a, N, layout, *, slicing=None, path="XAN") -> Circuit:
                              path=f"{path}/AN"))
     for i, (src, dst) in enumerate(zip(layout.inter, layout.out)):
         block = (f"{path}@cp{slicing.slice_of(i)}" if slicing else None)
-        circ.cnot(src, dst, label=f"{path}/COPY[{i}]", block=block)
+        circ.gate(gates.CNOT, [src, dst], label=f"{path}/COPY[{i}]",
+                  block=block)
     circ.extend(reverse(reference_an(a, N, layout, slicing=slicing,
                                      path=f"{path}/ANr")))
     return circ

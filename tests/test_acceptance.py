@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from conftest import (amp_distance, random_amplitudes, remote_block,
-                      remote_cnot)
+from conftest import (amp_distance, phase_estimation_state,
+                      random_amplitudes, remote_block, remote_cnot)
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
 from distshor.netsim import Network, NodeSpec, Topology
@@ -20,7 +20,7 @@ from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (RegisterLayout, build_adder, build_an,
                                build_cm_m, build_fa, build_ha, build_m,
                                build_mf, build_xan, gate_count_formula)
-from distshor.shor import factor, order_round, prepare_phase_state
+from distshor.shor import factor, order_round
 
 
 def announce(number, text):
@@ -35,7 +35,7 @@ class TestCriterion1EndToEnd:
         assert sorted(outcome.factors) == [3, 5]
         assert elapsed < 60.0
 
-        dist = mono_run_15.first_register_distribution()
+        dist = mono_run_15.state.exact_distribution(mono_run_15.k_qubits)
         assert set(dist) == {0, 64, 128, 192}
         for peak in (0, 64, 128, 192):
             assert abs(dist[peak] - 0.25) < 1e-9
@@ -55,8 +55,8 @@ class TestCriterion1EndToEnd:
 class TestCriterion2DistributedEquivalence:
     @staticmethod
     def assert_same_distribution(mono_run, dist_run, what):
-        mono = mono_run.first_register_distribution()
-        dist = dist_run.first_register_distribution()
+        mono = mono_run.state.exact_distribution(mono_run.k_qubits)
+        dist = dist_run.state.exact_distribution(dist_run.k_qubits)
         worst = max(abs(mono.get(k, 0.0) - dist.get(k, 0.0))
                     for k in set(mono) | set(dist))
         assert worst < 1e-9
@@ -122,8 +122,8 @@ class TestCriterion4PrimitiveCosts:
             net.apply_local("A", gates.H, [ctrl])
             body = Circuit(net.state.num_qubits)
             for i in range(body_len):
-                body.h(tq[i % 4]) if i % 3 else body.cnot(tq[i % 4],
-                                                          tq[(i + 1) % 4])
+                body.h(tq[i % 4]) if i % 3 else body.gate(
+                    gates.CNOT, [tq[i % 4], tq[(i + 1) % 4]])
             remote_block(net, ctrl, body)
             assert net.ledger.ebits_consumed == 1
             assert net.ledger.total_cbits() == 2
@@ -246,7 +246,7 @@ class TestCriterion7EstimationBound:
 
         prep = Circuit(1)
         prep.x(0)
-        state = prepare_phase_state(power, prep, 4, 1)
+        state = phase_estimation_state(power, prep, 4, 1)
         dist = state.exact_distribution([1, 2, 3, 4])
         bound = 4 / math.pi**2
         assert dist[5] >= bound
@@ -285,7 +285,8 @@ class TestCriterion9Properties:
             g = (gates.H, gates.X, gates.Z,
                  gates.R(py_rng.randrange(2, 10)))[py_rng.randrange(4)]
             st.apply_gate(g, [q])
-        assert abs(st.norm_squared() - 1.0) < 1e-10
+        assert abs(sum(abs(a) ** 2 for a in st.amplitudes.values())
+                   - 1.0) < 1e-10
 
     def test_reversal_identity_exhaustive(self):
         py_rng = random.Random(2)
@@ -297,12 +298,12 @@ class TestCriterion9Properties:
                 if pick == 0:
                     circ.h(q)
                 elif pick == 1:
-                    circ.r(py_rng.randrange(2, 6), q)
+                    circ.gate(gates.R(py_rng.randrange(2, 6)), [q])
                 elif pick == 2:
-                    circ.cnot(q, (q + 1) % num_qubits)
+                    circ.gate(gates.CNOT, [q, (q + 1) % num_qubits])
                 else:
-                    circ.toffoli(q, (q + 1) % num_qubits,
-                                 (q + 2) % num_qubits)
+                    circ.gate(gates.TOFFOLI, [q, (q + 1) % num_qubits,
+                                              (q + 2) % num_qubits])
             round_trip = Circuit(num_qubits)
             round_trip.extend(circ)
             round_trip.extend(reverse(circ))

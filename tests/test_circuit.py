@@ -23,12 +23,12 @@ def small_random_circuit(num_qubits, length, seed):
         elif kind == 1:
             circ.x(q)
         elif kind == 2:
-            circ.z(q)
+            circ.gate(gates.Z, [q])
         elif kind == 3:
-            circ.r(rng.randrange(2, 6), q)
+            circ.gate(gates.R(rng.randrange(2, 6)), [q])
         elif kind == 4:
             t = (q + 1) % num_qubits
-            circ.cnot(q, t)
+            circ.gate(gates.CNOT, [q, t])
         else:
             t = (q + 1) % num_qubits
             circ.swap(q, t)
@@ -39,15 +39,15 @@ class TestReverse:
     def test_order_and_kinds(self):
         circ = Circuit(2)
         circ.h(0)
-        circ.cnot(0, 1)
+        circ.gate(gates.CNOT, [0, 1])
         rev = reverse(circ)
         assert [i.kind.name for i in rev.instructions] == ["CNOT", "H"]
 
     def test_rotations_invert(self):
         circ = Circuit(1)
-        circ.r(3, 0)
+        circ.gate(gates.R(3), [0])
         rev = reverse(circ)
-        assert rev.instructions[0].kind == gates.R_inv(3)
+        assert rev.instructions[0].kind == gates.inverse(gates.R(3))
 
     def test_involution(self):
         circ = build_fa(5, [0, 1, 2], [3, 4, 5], 6)
@@ -107,7 +107,7 @@ class TestAddControls:
 
     def test_control_budget_enforced(self):
         circ = Circuit(9)
-        circ.toffoli(0, 1, 2)
+        circ.gate(gates.TOFFOLI, [0, 1, 2])
         wrapped = add_controls(circ, [(3, True), (4, True), (5, True)])
         assert len(wrapped.instructions[0].controls) == 3
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ ROUNDS = [(15, 8, 7, 1), (15, 4, 11, 0), (15, 5, 2, 1), (15, 6, 7, 3)]
 def round_outcome(run: shor.OrderRun):
     """The first-register distribution, j and what the network left
     behind, for a distributed order-finding round run up to measurement."""
-    dist = run.first_register_distribution()
+    dist = run.state.exact_distribution(run.k_qubits)
     j = run.measure_first_register(run.network.rng)
     return j, dist, observed(run.network)
 

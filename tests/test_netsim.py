@@ -178,8 +178,8 @@ class TestControlledCircuit:
             net.apply_local("A", gates.H, [ctrl])
             body = Circuit(net.state.num_qubits)
             for i in range(body_len):
-                body.h(tq[i % 3]) if i % 2 else body.cnot(
-                    tq[i % 3], tq[(i + 1) % 3])
+                body.h(tq[i % 3]) if i % 2 else body.gate(
+                    gates.CNOT, [tq[i % 3], tq[(i + 1) % 3]])
             remote_block(net, ctrl, body)
             assert net.ledger.ebits_consumed == 1
             assert net.ledger.total_cbits() == 2

@@ -103,10 +103,9 @@ class TestDistributedBlocks:
 
     def test_fa_slice_with_open_controls_untouched(self):
         segments = self.plan.slicing.segments(self.lay.s, 0, "FA", "fa")
-        pool = sum(spec.register_capacity
-                   for spec in self.plan.topology.nodes)
         fa = build_fa(11, self.lay.b, self.lay.s, self.lay.carry,
-                      num_qubits=pool, path="FA", segments=segments)
+                      num_qubits=self.plan.num_qubits, path="FA",
+                      segments=segments)
         circ = add_controls(fa, self.controls)
         net = self.run_block(circ, 9, enable=False)
         assert read_register(net.state, self.lay.s) == 0
@@ -197,7 +196,7 @@ class TestDistributeCircuit:
         lay = plan.layout
         circ = Circuit(net.state.num_qubits)
         circ.h(lay.k[0])
-        circ.cnot(lay.k[0], lay.k[1])  # both on K0
+        circ.gate(gates.CNOT, [lay.k[0], lay.k[1]])  # both on K0
         execute_distributed(net, circ)
         led = net.ledger
         assert led.ebits_consumed == 0 and led.teleports == 0

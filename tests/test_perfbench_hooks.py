@@ -24,6 +24,24 @@ def test_tracer_installs_and_restores(monkeypatch):
             cli.count_gates) == originals
 
 
+def test_tracer_sees_a_monolithic_round(monkeypatch):
+    """A traced monolithic job builds through the patched builders and
+    runs its round through ``shor.execute``: were the round to reach the
+    interpreter by another name, ``circuit.insts_walked`` would read 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        status, _report = tracer.job_span(
+            0, lambda: cli.run(cli.RunConfig(N=15, a=7, m=4, seed=1)))
+    assert status == cli.EXIT_OK
+    _duration, _self_s, calls, counts = tracer.totals()
+    assert counts["circuit.insts_walked"] > 0
+    assert calls["shor.order_circuit_parts"] > 0
+    assert calls["qft.build"] > 0
+
+
 # Two recorded (a, seed) jobs for each mono-factor stratum (N, m).
 MONO_FACTOR_JOBS = [
     (15, 6, 2, 3), (15, 6, 13, 0),

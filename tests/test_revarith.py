@@ -180,7 +180,7 @@ class TestGarbageErasure:
         circ = Circuit(lay.pool_size)
         circ.extend(fwd)
         for src, dst in zip(lay.inter, lay.out):
-            circ.cnot(src, dst)
+            circ.gate(gates.CNOT, [src, dst])
         circ.extend(reverse(build_an(2, 5, lay)))
         for b in range(5):
             st = run_on_basis(circ, preset_register(lay.b, b))

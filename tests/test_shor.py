@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import reference_execute
+from conftest import phase_estimation_state, reference_execute
 from distshor import cli, gates, partition, shor
 from distshor.circuit import Circuit
-from distshor.qft import build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
                            find_order, is_prime, order_candidates,
-                           phase_estimate, prepare_phase_state,
                            order_round, prime_power_root)
 
 
@@ -53,6 +51,10 @@ class TestContinuedFraction:
 
 
 class TestPhaseEstimation:
+    """Phase estimation's statistics on small unitaries, each program built
+    like order finding's (``phase_estimation_state``).  An exact m-bit
+    phase j/2^m is read as j with certainty."""
+
     def test_exact_half_phase(self):
         def power(i, ctrl):
             circ = Circuit(2)
@@ -62,8 +64,8 @@ class TestPhaseEstimation:
 
         prep = Circuit(1)
         prep.x(0)
-        est = phase_estimate(power, prep, 1, 1, RandomSource(3))
-        assert est.j == 1 and est.theta == 0.5
+        state = phase_estimation_state(power, prep, 1, 1)
+        assert abs(state.exact_distribution([1])[1] - 1.0) < 1e-12
 
     def test_exact_quarter_phase(self):
         def power(i, ctrl):
@@ -74,9 +76,8 @@ class TestPhaseEstimation:
 
         prep = Circuit(1)
         prep.x(0)
-        for seed in range(5):
-            est = phase_estimate(power, prep, 2, 1, RandomSource(seed))
-            assert est.j == 1
+        state = phase_estimation_state(power, prep, 2, 1)
+        assert abs(state.exact_distribution([1, 2])[1] - 1.0) < 1e-12
 
     def test_third_phase_peak_and_bound(self):
         def power(i, ctrl):
@@ -87,7 +88,7 @@ class TestPhaseEstimation:
 
         prep = Circuit(1)
         prep.x(0)
-        state = prepare_phase_state(power, prep, 4, 1)
+        state = phase_estimation_state(power, prep, 4, 1)
         dist = state.exact_distribution([1, 2, 3, 4])
 
         # independent oracle: |sum_k e^{2 pi i k (theta - j/16)}|^2 / 16^2
@@ -104,30 +105,6 @@ class TestPhaseEstimation:
         best = max(range(16), key=predicted)
         assert best == 5  # 5/16 is the closest 4-bit fraction to 1/3
         assert dist[best] >= 4 / math.pi**2
-
-    def test_superposed_preparation_runs_unbounded(self):
-        """A preparation wider than order finding's |1>: H on three target
-        qubits gives support 8 times the estimation register's, which the
-        order-finding support bound would refuse."""
-        def power(i, ctrl):
-            return Circuit(4)  # the identity
-
-        prep = Circuit(3)
-        for q in range(3):
-            prep.h(q)
-        skeleton = Circuit(4)
-        skeleton.extend(prep)
-        skeleton.h(3)
-        skeleton.extend(build_inverse_qft([3], num_qubits=4))
-        ref = QuantumState(4)
-        reference_execute(skeleton, ref)
-
-        state = prepare_phase_state(power, prep, 1, 3)
-        assert list(state.amplitudes.items()) == \
-            list(ref.amplitudes.items())
-        assert len(state.amplitudes) == 8
-        est = phase_estimate(power, prep, 1, 3, RandomSource(0))
-        assert est.j == 0
 
 
 def fejer_order_distribution(r: int, m: int) -> dict[int, float]:
@@ -157,8 +134,8 @@ class TestOrderFindingStatistics:
                                          (2, 33, 8, 10)])
     def test_distribution_matches_estimation_kernel(self, a, N, m, r):
         assert pow(a, r, N) == 1 and (1 << m) % r != 0
-        dist = order_round(a, N, m)(
-            RandomSource(1)).first_register_distribution()
+        run = order_round(a, N, m)(RandomSource(1))
+        dist = run.state.exact_distribution(run.k_qubits)
         predicted = fejer_order_distribution(r, m)
         assert set(dist) <= set(predicted)
         for j, p in predicted.items():
@@ -215,7 +192,7 @@ class TestFindOrder:
         recovers the order through the convergents (128 via the doubled
         denominator), so about three rounds in four succeed.
         """
-        dist = mono_run_15.first_register_distribution()
+        dist = mono_run_15.state.exact_distribution(mono_run_15.k_qubits)
         values = sorted(dist)
         weights = [dist[v] for v in values]
         rng = RandomSource(99)
@@ -375,8 +352,10 @@ class TestReportBuilds:
 
 
 class TestAdmission:
-    """One check of the support bound 4 * 2^m before anything is built;
-    only called directly, never by running an oversized case."""
+    """One check before anything is built: it caps m at 16, refusing any
+    m with 4 * 2^m over ``SUPPORT_BUDGET``.  It is not a bound on the
+    support (see ``TestSupportBound``).  Only called directly, never by
+    running an oversized case."""
 
     def test_budget_admits_up_to_sixteen_qubits(self):
         assert shor.admission_error(16) is None
@@ -401,6 +380,23 @@ class TestAdmission:
         assert rounds == []
 
 
+class TestSupportBound:
+    """A run's sparse support peaks at no more than r * 2^m, r the order
+    of the base: after the inverse transform each of the r values of the
+    multiplier register carries up to 2^m estimates.  When r does not
+    divide 2^m the peak comes within O(r) of it, past 4 * 2^m for r > 4."""
+
+    @pytest.mark.parametrize("mode", ["monolithic", "distributed"])
+    @pytest.mark.parametrize("N,a,m", [(15, 7, 8), (21, 4, 8), (21, 2, 10),
+                                       (35, 2, 8)])
+    def test_peak_support_within_order_times_estimates(self, N, a, m, mode):
+        r = next(e for e in range(1, N) if pow(a, e, N) == 1)
+        run = order_round(a, N, m, mode)(RandomSource(1))
+        assert run.state.peak_support <= r << m
+        if (N, a, m) == (21, 2, 10):
+            assert run.state.peak_support > 4 << m
+
+
 class TestRunKernel:
     """The monolithic order-finding state, executed with the permutation
     run kernel, equals the one every gate applied one at a time gives:
@@ -423,8 +419,8 @@ class TestModeEquivalence:
     def test_first_register_distribution_small_instance(self):
         mono = order_round(7, 15, 4, "monolithic")(RandomSource(4))
         dist = order_round(7, 15, 4, "distributed")(RandomSource(4))
-        dm = mono.first_register_distribution()
-        dd = dist.first_register_distribution()
+        dm = mono.state.exact_distribution(mono.k_qubits)
+        dd = dist.state.exact_distribution(dist.k_qubits)
         for key in set(dm) | set(dd):
             assert abs(dm.get(key, 0) - dd.get(key, 0)) < 1e-9
 
