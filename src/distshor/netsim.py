@@ -21,8 +21,8 @@ local implementation of non-local quantum gates", PRA 62, 052317, 2000):
 Everything else (remote CNOT, remotely controlled blocks, teleportation)
 is a composition of these two and is billed exactly one pair and two
 classical bits per shared control qubit.  A remote CNOT is the one-gate
-program ``x(t, controls=[(c, True)])`` and a remotely controlled block is
-``add_controls(body, [(c, True)])``; ``execute_distributed`` runs both.
+program ``x(t, controls=[(c, True)])``; ``execute_distributed`` runs it,
+like any remotely controlled block, as one session.
 
 ``establish_epr``, ``cat_entangle``, ``cat_disentangle`` and ``teleport``
 carry out these steps on the state, gate by gate: they are the reference.
@@ -33,16 +33,21 @@ support entry, so a session applies its body on the original controls
 and a teleport into a |0> slot is a SWAP: the program changes the state
 as ``circuit.execute`` does.  The run posts the program's bill first, a
 session (``run_session``) or relocation (``move``) per unit of
-``session_groups``.  Each posts its bill share by share, making the
-protocol's checks in the protocol's order: a free channel and room under
-the capacity on each node of a pair.  It adds its pairs, ebits, classical
-bits per direction and peak live counts to the network's totals and
-draws one ``rng.uniform()`` per protocol measurement, as the reference
-would: two per pair (``ResourceLedger.coins``).  A refusal therefore
-raises at the protocol's share, with the protocol's partial bill.  Then
-one ``circuit.execute`` runs the state; its kernel refuses a MOVE into a
-slot that is not |0>.  The state agrees with the reference up to
-floating-point rounding.
+``session_groups``.  A unit's bill and checks follow from its shape: the
+node it runs on and the nodes it shares from, in order.  The first unit
+of a shape posts its bill share by share, making the protocol's checks
+in the protocol's order: a free channel and room under the capacity on
+each node of a pair.  Later units of the shape are only tallied, and the
+tally's pairs, ebits and classical bits per direction are posted
+once, their discarded coins (two per pair,
+``ResourceLedger.coins``) in one ``RandomSource.skip``.  Skipping their
+checks is exact: no unit of a walk claims a slot or marks a channel
+busy, so a shape that passed once passes again, and the peak live
+counts are running maxima its first unit already raised.  A refusal
+therefore raises at the protocol's share, with the protocol's partial
+bill.  Then one ``circuit.execute`` runs the state; its kernel refuses a
+MOVE into a slot that is not |0>.  The state agrees with the reference
+up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -121,7 +126,9 @@ class ResourceLedger:
 
     def coins(self) -> int:
         """The fair coins drawn for this bill: per pair, its entangle
-        measurement and a disentangle or X-basis measurement."""
+        measurement and a disentangle or X-basis measurement.  Nothing
+        reads them, so a walk's tally and a replayed round draw theirs in
+        one ``RandomSource.skip``."""
         return 2 * self.pairs_established
 
     def merge(self, other: "ResourceLedger"):
@@ -212,6 +219,9 @@ class Network:
         self.sessions: list[SessionRecord] = []
         self.teleport_log: list[TeleportRecord] = []
         self.max_live: dict[str, int] = {n: 0 for n in self.nodes}
+        # during an ``execute_distributed`` walk: each shape met so far ->
+        # its later units, billed but not yet posted
+        self._tally: dict[tuple, int] | None = None
 
     # -- allocation ------------------------------------------------------
 
@@ -328,6 +338,12 @@ class Network:
         off ``node_id``, which raises after the shares as the protocol
         would.  The enabled gates' state changes are left to
         ``circuit.execute``.
+
+        Within an ``execute_distributed`` walk, a session whose shape
+        (``node_id`` and the source node of each remote control, in
+        order) an earlier session passed with is only tallied
+        (``_tallied``): its checks would pass again.  One with a stray
+        target still posts its shares before it raises.
         """
         owner = self.owner
         remote: list[int] = []
@@ -349,17 +365,19 @@ class Network:
         if len(remote) > MAX_REMOTE_CONTROLS:
             raise NetworkError(f"session needs {len(remote)} remote "
                                f"controls (max {MAX_REMOTE_CONTROLS})")
-        self._open_shares(sources, node_id)
-        if stray is not None:
-            self._check_local(node_id, stray.targets)
+        if stray is not None or not self._tallied(
+                (tuple(sources), node_id, False)):
+            self._open_shares(sources, node_id)
+            if stray is not None:
+                self._check_local(node_id, stray.targets)
+            cbits = self.ledger.cbits_sent
+            draw = self.rng.uniform
+            for src in reversed(sources):
+                draw()  # the disentangle measurement: a fair coin
+                key = (node_id, src)
+                cbits[key] = cbits.get(key, 0) + 1
         if not remote:
             return None
-        cbits = self.ledger.cbits_sent
-        draw = self.rng.uniform
-        for src in reversed(sources):
-            draw()  # the disentangle measurement: a fair coin
-            key = (node_id, src)
-            cbits[key] = cbits.get(key, 0) + 1
         record = SessionRecord(block, node_id, tuple(remote), enabled)
         self.sessions.append(record)
         return record
@@ -408,14 +426,18 @@ class Network:
         Closed form of the teleport, billed as ``teleport`` bills it: one
         share (``_open_shares``), then the source's X-basis bit forward,
         with one fair coin for each of the two measurements; the swap and
-        its |0> check are left to ``circuit.execute``.
+        its |0> check are left to ``circuit.execute``.  Within an
+        ``execute_distributed`` walk, a relocation between two nodes an
+        earlier one passed between is only tallied (``_tallied``) once
+        its destination slot is checked.
         """
         src_node, dst_node = self.node_of(src), self.node_of(dst)
         if src_node != dst_node:
             self._check_held(dst_node, dst)
-            self._open_shares((src_node,), dst_node)
-            self.rng.uniform()  # the source's X-basis measurement
-            self.ledger.send_cbit(src_node, dst_node)
+            if not self._tallied(((src_node,), dst_node, True)):
+                self._open_shares((src_node,), dst_node)
+                self.rng.uniform()  # the source's X-basis measurement
+                self.ledger.send_cbit(src_node, dst_node)
             self._log_teleport(src_node, dst_node, label)
 
     def _open_shares(self, sources: Sequence[str], node_id: str):
@@ -430,7 +452,8 @@ class Network:
         only then posts its pair, ebit, entangle bit and coin.  A refusal
         raises at the share the protocol refuses, after the protocol's
         partial bill.  No channel is marked busy, since the callers end
-        every share before anything else runs.
+        every share before anything else runs; so within a walk these
+        checks run for the first unit of each shape only (``_tallied``).
         """
         ledger = self.ledger
         for held, src in enumerate(sources):
@@ -439,6 +462,44 @@ class Network:
             ledger.ebits_consumed += 1
             ledger.send_cbit(src, node_id)
             self.rng.uniform()  # the entangle measurement
+
+    def _tallied(self, shape: tuple[tuple[str, ...], str, bool]) -> bool:
+        """Tally a unit of ``shape`` (its source nodes, its node, and
+        whether it is a teleport) if an earlier unit of the walk had that
+        shape; else note the shape and leave the unit to post itself.
+
+        The first unit checked the shape's shares against channels and
+        capacities no unit of the walk changes, so a later unit's checks
+        would pass and raise no peak live count: it only owes its bill,
+        which ``_post_tally`` posts.  Outside a walk nothing is tallied.
+        """
+        tally = self._tally
+        if tally is None:
+            return False
+        if shape in tally:
+            tally[shape] += 1
+            return True
+        tally[shape] = 0
+        return False
+
+    def _post_tally(self):
+        """End a walk: post the bill of every tallied unit, per source a
+        pair, an ebit, its entangle bit and its closing bit (back from a
+        session's node, onward for a teleport), and draw its coins."""
+        bill = ResourceLedger()
+        cbits = bill.cbits_sent
+        for (sources, node_id, teleport), count in self._tally.items():
+            if not count:  # a first unit, posted already
+                continue
+            for src in sources:
+                bill.pairs_established += count
+                bill.ebits_consumed += count
+                closing = (src, node_id) if teleport else (node_id, src)
+                for key in ((src, node_id), closing):
+                    cbits[key] = cbits.get(key, 0) + count
+        self._tally = None
+        self.ledger.merge(bill)
+        self.rng.skip(bill.coins())
 
     # -- protocol bookkeeping: the reference steps and the closed form ---
 
@@ -602,15 +663,23 @@ def execute_distributed(network: Network, circ: Circuit):
     and each MOVE as a relocation, a teleport across nodes; then run the
     state through ``circuit.execute``.
 
-    The whole bill is posted before the state runs.  A program the state
-    then refuses is raised after that: ``ValueError`` when it needs more
-    qubits than the network's state holds, ``SimulationError`` when a MOVE
-    lands in a slot that is not |0>.  The ledger, records and random
-    stream then cover work that did not run, or ran only in part."""
-    for node, group in session_groups(circ.instructions, network.node_of):
-        if node is None:
-            src, dst = group[0].targets
-            network.move(src, dst, label=group[0].label)
-        else:
-            network.run_session(node, group, block=group[0].block)
+    The walk checks each shape of unit once and tallies the rest
+    (``Network._tallied``); the tally is posted when the walk ends, by a
+    refusal too, so the whole bill is posted before the state runs.  A
+    program the state then refuses is raised after that: ``ValueError``
+    when it needs more qubits than the network's state holds,
+    ``SimulationError`` when a MOVE lands in a slot that is not |0>.  The
+    ledger, records and random stream then cover work that did not run,
+    or ran only in part."""
+    network._tally = {}
+    try:
+        for node, group in session_groups(circ.instructions,
+                                          network.node_of):
+            if node is None:
+                src, dst = group[0].targets
+                network.move(src, dst, label=group[0].label)
+            else:
+                network.run_session(node, group, block=group[0].block)
+    finally:
+        network._post_tally()
     execute(circ, network.state)

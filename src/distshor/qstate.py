@@ -56,6 +56,13 @@ class RandomSource:
     def uniform(self) -> float:
         return self._rng.random()
 
+    def skip(self, count: int):
+        """Advance the stream past ``count`` discarded ``uniform()`` draws
+        in one call: each draw takes two 32-bit Mersenne Twister words, as
+        every 64 bits of ``getrandbits`` do."""
+        if count:
+            self._rng.getrandbits(64 * count)
+
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive."""
         return self._rng.randint(lo, hi)

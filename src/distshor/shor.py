@@ -130,10 +130,10 @@ def order_round(a: int, N: int, m: int,
     round's coins, so every call, the first included, returns a copy of
     the first call's state with the network that billed it (none on one
     machine).  The first call's random source feeds the network's
-    protocol measurements; every later call draws the bill's ``coins()``
-    from its own source, at the same point in the stream, so the rounds
-    read as if each were simulated afresh.  A monolithic round draws
-    nothing before measurement."""
+    protocol measurements; every later call skips the bill's ``coins()``
+    on its own source in one ``RandomSource.skip``, which leaves the
+    stream where that many draws would, so the rounds read as if each
+    were simulated afresh.  A monolithic round's bill has no coins."""
     if mode == MONOLITHIC:
         modexp, transform, layout = order_circuit_parts(a, N, m)
         program = modexp.extend(transform)
@@ -159,8 +159,7 @@ def order_round(a: int, N: int, m: int,
         if first is None:
             first = simulate(rng)
         else:
-            for _ in range(first.ledger.coins()):
-                rng.uniform()
+            rng.skip(first.ledger.coins())
         return OrderRun(first.k_qubits, first.state.copy(), first.network)
     return run
 

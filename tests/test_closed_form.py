@@ -193,6 +193,68 @@ def test_errors_match_physical_protocol(build, message):
         assert outcomes[0] == outcomes[1]
 
 
+# -- refusals after a unit the walk only tallied -----------------------------
+
+# ``execute_distributed`` checks the first unit of each shape and tallies
+# the later ones.  ``programs()`` never emits a stray target, so here each
+# program refuses after a unit whose shape the walk has already seen.
+
+def stray_after_same_shape():
+    """Block s1 shares from A as s0 did, then runs a gate on C: the
+    protocol bills both blocks' shares and s0's disentangle bit, 2 ebits
+    and 3 classical bits, then raises."""
+    net, held = network(("A", 4, 2), ("B", 4, 2), ("C", 3, 1))
+    circ = Circuit(net.state.num_qubits)
+    circ.x(held["B"][0], controls=[(held["A"][0], True)], block="s0")
+    circ.x(held["B"][1], controls=[(held["A"][1], True)], block="s1")
+    circ.x(held["C"][0], block="s1")
+    return net, circ
+
+
+def move_to_unheld_after_same_nodes():
+    """Two relocations from A to B, then a third into a slot B let go."""
+    net, held = network(("A", 4, 1), ("B", 5, 1))
+    net.release_data("B", held["B"][3])
+    circ = Circuit(net.state.num_qubits)
+    for src, dst in zip(held["A"], held["B"][1:]):
+        circ.move(src, dst)
+    return net, circ
+
+
+def spanning_gate_after_tallied_sessions():
+    """Two sessions on B sharing from A, then a SWAP across B and C.
+    ``session_groups`` raises on the SWAP before it ends the group
+    ahead of it, so a local gate ends s1 first."""
+    net, held = network(("A", 4, 2), ("B", 4, 2), ("C", 3, 1))
+    circ = Circuit(net.state.num_qubits)
+    circ.x(held["B"][0], controls=[(held["A"][0], True)], block="s0")
+    circ.x(held["B"][1], controls=[(held["A"][1], False)], block="s1")
+    circ.x(held["B"][0])
+    circ.swap(held["B"][0], held["C"][0])
+    return net, circ
+
+
+@pytest.mark.parametrize("build,message,ebits,cbits", [
+    (stray_after_same_shape, r"^gate spans nodes: qubit \d+ is on C, not B$",
+     2, 3),
+    (move_to_unheld_after_same_nodes, r"^destination slot \d+ not held by B$",
+     2, 4),
+    (spanning_gate_after_tallied_sessions,
+     r"^gate .* operands span nodes \['B', 'C'\]$", 2, 4),
+])
+def test_refusals_after_tallied_units_match_physical_protocol(
+        build, message, ebits, cbits):
+    outcomes = []
+    for execute in (execute_distributed, reference_execute_distributed):
+        net, circ = build()
+        with pytest.raises(NetworkError, match=message) as err:
+            execute(net, circ)
+        outcomes.append((str(err.value), observed(net)))
+    assert outcomes[0] == outcomes[1]
+    ledger = outcomes[0][1]["ledger"]
+    assert (ledger["ebits"], ledger["cbits_total"]) == (ebits, cbits)
+
+
 # -- sessions the one-step bill must post as the protocol does ----------------
 
 def disabled_gate_off_node():

@@ -42,6 +42,23 @@ def test_tracer_sees_a_monolithic_round(monkeypatch):
     assert calls["qft.build"] > 0
 
 
+def test_tracer_sees_every_distributed_session(monkeypatch):
+    """A traced distributed job counts its sessions as they return from
+    ``Network.run_session``: were the walk to bill a unit without calling
+    it, ``netsim.sessions`` would read 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    config = cli.RunConfig(N=15, a=7, m=4, mode=shor.DISTRIBUTED, seed=1)
+    with tracer.installed():
+        status, _report = tracer.job_span(0, lambda: cli.run(config))
+    assert status == cli.EXIT_OK
+    _duration, _self_s, calls, counts = tracer.totals()
+    assert counts["netsim.sessions"] > 0
+    assert calls["netsim.run_session"] > 0
+
+
 # Two recorded (a, seed) jobs for each mono-factor stratum (N, m).
 MONO_FACTOR_JOBS = [
     (15, 6, 2, 3), (15, 6, 13, 0),

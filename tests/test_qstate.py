@@ -248,6 +248,16 @@ class TestDeterminism:
             outs.add(st.measure(0, RandomSource(seed)))
         assert outs == {0, 1}
 
+    # 12078 is the coin count of one distributed N=15, m=6 walk
+    @pytest.mark.parametrize("count", [0, 1, 2, 12078])
+    def test_skip_advances_as_uniform_draws_do(self, count):
+        drawn, skipped = RandomSource(7), RandomSource(7)
+        for _ in range(count):
+            drawn.uniform()
+        skipped.skip(count)
+        assert skipped._rng.getstate() == drawn._rng.getstate()
+        assert skipped.uniform() == drawn.uniform()
+
 
 PERMUTATION_KINDS = (gates.X, gates.CNOT, gates.TOFFOLI, gates.SWAP,
                      gates.MOVE)

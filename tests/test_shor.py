@@ -273,6 +273,10 @@ class CountingSource(RandomSource):
         self.draws += 1
         return super().uniform()
 
+    def skip(self, count: int):
+        self.draws += count
+        super().skip(count)
+
 
 class TestReplay:
     """A round's runner simulates its program on the first call only.
