@@ -5,8 +5,8 @@ network protocols with exact entanglement and classical-bit accounting,
 and the seven-node qubit placement.
 """
 
-from .circuit import (Circuit, GateCountReport, Instruction, add_controls,
-                      count_gates, dump, execute, reverse)
+from .circuit import (Circuit, GateCountReport, Instruction, count_gates,
+                      dump, execute, reverse)
 from .gates import GateKind, R, phase_gate
 from .netsim import (CatState, EprPair, Network, NetworkError, NodeSpec,
                      ResourceLedger, Topology, execute_distributed)

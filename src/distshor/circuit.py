@@ -13,8 +13,7 @@ classically known addend.
 ``MOVE src dst`` relocates a qubit state into a |0> slot.  ``execute``
 runs it as a SWAP and refuses it when the destination is not |0>; across
 nodes the network bills it as a teleport.  MOVE is a relocation
-directive, so it is ignored by gate counting and is not wrapped by
-``add_controls``.
+directive, so gate counting ignores it.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ class Circuit:
 
     # -- queries ---------------------------------------------------------
 
-    def used_qubits(self) -> set[int]:
-        insts = self.instructions
-        used = {q for inst in insts for q in inst.targets}
-        used.update(q for inst in insts for q, _ in inst.controls)
-        return used
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -138,39 +131,6 @@ def reverse(circ: Circuit) -> Circuit:
         else:
             inst = Instruction(gates.inverse(inst.kind), *inst[1:])
         out.instructions.append(inst)
-    return out
-
-
-def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
-    """Give every gate additional controls; MOVE directives are exempt.
-
-    The extra control qubits must not be touched by the circuit, and no
-    resulting gate may exceed 5 controls (CNOT/TOFFOLI count their built-in
-    controls).
-    """
-    extra = tuple(extra)
-    used = circ.used_qubits()
-    for q, _pol in extra:
-        if q in used:
-            raise ValueError(f"control qubit {q} collides with the circuit")
-        if not 0 <= q < circ.num_qubits:
-            raise ValueError(f"control qubit {q} out of range")
-    if len({q for q, _ in extra}) != len(extra):
-        raise ValueError("duplicate control qubits")
-
-    builtin = {"CNOT": 1, "TOFFOLI": 2}
-    out = Circuit(circ.num_qubits)
-    for inst in circ.instructions:
-        if inst.kind.name == "MOVE":
-            out.instructions.append(inst)
-            continue
-        n_controls = (len(inst.controls) + len(extra)
-                      + builtin.get(inst.kind.name, 0))
-        if n_controls > 5:
-            raise ValueError(
-                f"gate would carry {n_controls} controls (max 5)")
-        out.instructions.append(Instruction(
-            inst.kind, inst.targets, inst.controls + extra, *inst[3:]))
     return out
 
 

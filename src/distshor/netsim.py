@@ -31,23 +31,19 @@ closed form instead.  Every protocol measurement is a fair coin whose
 outcome the fix-ups undo, and the mirror equals its control on every
 support entry, so a session applies its body on the original controls
 and a teleport into a |0> slot is a SWAP: the program changes the state
-as ``circuit.execute`` does.  The run posts the program's bill first, a
-session (``run_session``) or relocation (``move``) per unit of
-``session_groups``.  A unit's bill and checks follow from its shape: the
-node it runs on and the nodes it shares from, in order.  The first unit
-of a shape posts its bill share by share, making the protocol's checks
-in the protocol's order: a free channel and room under the capacity on
-each node of a pair.  Later units of the shape are only tallied, and the
-tally's pairs, ebits and classical bits per direction are posted
-once, their discarded coins (two per pair,
-``ResourceLedger.coins``) in one ``RandomSource.skip``.  Skipping their
-checks is exact: no unit of a walk claims a slot or marks a channel
-busy, so a shape that passed once passes again, and the peak live
-counts are running maxima its first unit already raised.  A refusal
-therefore raises at the protocol's share, with the protocol's partial
-bill.  Then one ``circuit.execute`` runs the state; its kernel refuses a
-MOVE into a slot that is not |0>.  The state agrees with the reference
-up to floating-point rounding.
+as ``circuit.execute`` does.  The run posts the program's bill first.
+One pass (``session_groups``) splits the program into units, sessions
+and relocations, and finds each unit's facts: its node, its remote
+controls and their nodes, its enabled gates and its first stray target.
+The bill (``run_session``, ``move``) and the census read these facts and
+walk no gates.  The first unit of each shape (its node and the nodes it
+shares from, in order) makes the protocol's checks in the protocol's
+order; later ones are only tallied, and the tally is posted once, its
+discarded coins in one ``RandomSource.skip``.  A refusal raises at the
+protocol's share, with the protocol's partial bill.  Then one
+``circuit.execute`` runs the state; its kernel refuses a MOVE into a
+slot that is not |0>.  The state agrees with the reference up to
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -179,6 +175,14 @@ class SessionRecord(NamedTuple):
     node: str
     remote_controls: tuple[int, ...]
     gates: int
+
+
+# A unit of a program as ``session_groups`` yields it: (node, instructions,
+# remote controls, their source nodes, enabled gates, stray, is_move).  A
+# plain tuple: the census walks thousands of units, and a NamedTuple's
+# constructor costs several times what building the tuple does.
+Unit = tuple[str, list[Instruction], tuple[int, ...], tuple[str, ...], int,
+             Instruction | None, bool]
 
 
 class TeleportRecord(NamedTuple):
@@ -321,52 +325,24 @@ class Network:
                              cat.node_control)
         self._release_mirror(cat, cat.node_mirror, cat.node_control)
 
-    def run_session(self, node_id: str, instructions: Sequence[Instruction],
-                    *, block: str | None = None) -> SessionRecord | None:
-        """Bill a block of gates on one node, sharing every remote control
-        for the whole block.
-
-        Controls are deduplicated: each remote control qubit costs one
-        pair and two classical bits no matter how many gates use it.
-        At most ``MAX_REMOTE_CONTROLS`` remote controls are shared at once.
+    def run_session(self, unit: Unit) -> SessionRecord | None:
+        """Bill a session: a block of gates on one node, sharing each of
+        its remote controls (at most ``MAX_REMOTE_CONTROLS``) once, one
+        pair and two classical bits each, however many gates use it.
 
         Closed form of entangle, body on the mirrors, disentangle, posted
         in the protocol's order: the k shares (``_open_shares``), then
-        the k disentangle bits back and their coins.  One walk over the
-        block finds the remote controls in first-use order, the gates a 0
-        constant does not disable, and the first of those with a target
-        off ``node_id``, which raises after the shares as the protocol
-        would.  The enabled gates' state changes are left to
-        ``circuit.execute``.
-
-        Within an ``execute_distributed`` walk, a session whose shape
-        (``node_id`` and the source node of each remote control, in
-        order) an earlier session passed with is only tallied
-        (``_tallied``): its checks would pass again.  One with a stray
-        target still posts its shares before it raises.
+        the k disentangle bits back and their coins.  A stray target
+        raises after the shares, as the protocol would; the enabled
+        gates' state changes are left to ``circuit.execute``.  Within an
+        ``execute_distributed`` walk, a session of a shape an earlier one
+        passed with is only tallied (``_tallied``), unless it has a stray.
         """
-        owner = self.owner
-        remote: list[int] = []
-        sources: list[str] = []
-        enabled = 0
-        stray = None
-        for inst in instructions:
-            for q, _pol in inst.controls:
-                if owner.get(q) != node_id and q not in remote:
-                    sources.append(self.node_of(q))
-                    remote.append(q)
-            if inst.classical_constant != 0:
-                enabled += 1
-                if stray is None:
-                    for q in inst.targets:
-                        if owner.get(q) != node_id:
-                            stray = inst
-                            break
+        node_id, instructions, remote, sources, enabled, stray, _ = unit
         if len(remote) > MAX_REMOTE_CONTROLS:
             raise NetworkError(f"session needs {len(remote)} remote "
                                f"controls (max {MAX_REMOTE_CONTROLS})")
-        if stray is not None or not self._tallied(
-                (tuple(sources), node_id, False)):
+        if stray is not None or not self._tallied(unit):
             self._open_shares(sources, node_id)
             if stray is not None:
                 self._check_local(node_id, stray.targets)
@@ -378,7 +354,8 @@ class Network:
                 cbits[key] = cbits.get(key, 0) + 1
         if not remote:
             return None
-        record = SessionRecord(block, node_id, tuple(remote), enabled)
+        record = SessionRecord(instructions[0].block, node_id, remote,
+                               enabled)
         self.sessions.append(record)
         return record
 
@@ -419,26 +396,25 @@ class Network:
         self._log_teleport(src_node, dest_node, label)
         return dest_slot
 
-    def move(self, src: int, dst: int, *, label: str = ""):
-        """Bill a relocation into a |0> slot: nothing for a local swap on
-        one node, a teleport across nodes.
+    def move(self, unit: Unit):
+        """Bill a relocation into a |0> slot: nothing within one node, a
+        teleport from the unit's one source node.
 
         Closed form of the teleport, billed as ``teleport`` bills it: one
         share (``_open_shares``), then the source's X-basis bit forward,
-        with one fair coin for each of the two measurements; the swap and
-        its |0> check are left to ``circuit.execute``.  Within an
-        ``execute_distributed`` walk, a relocation between two nodes an
-        earlier one passed between is only tallied (``_tallied``) once
-        its destination slot is checked.
+        a fair coin for each of the two measurements; the swap and its
+        |0> check are left to ``circuit.execute``.  Within a walk, one
+        between two nodes an earlier one passed between is only tallied
+        (``_tallied``) once its destination slot is checked.
         """
-        src_node, dst_node = self.node_of(src), self.node_of(dst)
-        if src_node != dst_node:
-            self._check_held(dst_node, dst)
-            if not self._tallied(((src_node,), dst_node, True)):
-                self._open_shares((src_node,), dst_node)
+        dst_node, (inst,), _, sources, _, _, _ = unit
+        if sources:
+            self._check_held(dst_node, inst.targets[1])
+            if not self._tallied(unit):
+                self._open_shares(sources, dst_node)
                 self.rng.uniform()  # the source's X-basis measurement
-                self.ledger.send_cbit(src_node, dst_node)
-            self._log_teleport(src_node, dst_node, label)
+                self.ledger.send_cbit(sources[0], dst_node)
+            self._log_teleport(sources[0], dst_node, inst.label)
 
     def _open_shares(self, sources: Sequence[str], node_id: str):
         """Bill ``establish_epr`` then ``cat_entangle`` from each node of
@@ -451,9 +427,8 @@ class Network:
         mirrors before it counted on ``node_id`` (``_admit_pair``), and
         only then posts its pair, ebit, entangle bit and coin.  A refusal
         raises at the share the protocol refuses, after the protocol's
-        partial bill.  No channel is marked busy, since the callers end
-        every share before anything else runs; so within a walk these
-        checks run for the first unit of each shape only (``_tallied``).
+        partial bill.  No channel is marked busy: the callers end every
+        share before anything else runs.
         """
         ledger = self.ledger
         for held, src in enumerate(sources):
@@ -463,10 +438,10 @@ class Network:
             ledger.send_cbit(src, node_id)
             self.rng.uniform()  # the entangle measurement
 
-    def _tallied(self, shape: tuple[tuple[str, ...], str, bool]) -> bool:
-        """Tally a unit of ``shape`` (its source nodes, its node, and
-        whether it is a teleport) if an earlier unit of the walk had that
-        shape; else note the shape and leave the unit to post itself.
+    def _tallied(self, unit: Unit) -> bool:
+        """Tally ``unit`` if an earlier unit of the walk had its shape
+        (its source nodes, its node, and whether it is a teleport); else
+        note the shape and leave the unit to post itself.
 
         The first unit checked the shape's shares against channels and
         capacities no unit of the walk changes, so a later unit's checks
@@ -476,6 +451,8 @@ class Network:
         tally = self._tally
         if tally is None:
             return False
+        node_id, _, _, sources, _, _, is_move = unit
+        shape = (sources, node_id, is_move)
         if shape in tally:
             tally[shape] += 1
             return True
@@ -599,40 +576,33 @@ class Network:
             self.max_live[node_id] = live
 
 
-def remote_controls(instructions: Iterable[Instruction], node: str,
-                    node_of: Callable[[int], str]) -> list[int]:
-    """The control qubits of ``instructions`` that live off ``node``, each
-    once, in first-use order: what a session on ``node`` shares, one pair
-    and two classical bits each."""
-    remote: list[int] = []
-    for inst in instructions:
-        for q, _pol in inst.controls:
-            if node_of(q) != node and q not in remote:
-                remote.append(q)
-    return remote
-
-
 def session_groups(instructions: Sequence[Instruction],
-                   node_of: Callable[[int], str]
-                   ) -> Iterator[tuple[str | None, list[Instruction]]]:
-    """Split a program into the units the network runs, in order.
+                   node_of: Callable[[int], str]) -> Iterator[Unit]:
+    """Split a program into the units the network runs, in order, and
+    find each unit's facts (``Unit``) in the same pass.
 
-    A MOVE comes alone, with node ``None``.  Gates come in runs with the
-    node they run on: one session, so every remote control is shared once
-    for the whole run.  A run is the gates tagged with one ``block``; an
-    untagged run is the gates on one node with one set of remote
-    controls.  Gate operands spanning two nodes raise ``NetworkError``.
+    A MOVE comes alone, on its destination's node, with one source when
+    it crosses nodes.  Gates come in runs, on the node of the run's first
+    gate: one session, so every remote control is shared once for the
+    whole run.  A run is the gates tagged with one ``block``; an untagged
+    run is the gates on one node with one set of remote controls.  Gate
+    operands spanning two nodes raise ``NetworkError``.
     """
-    group: list[Instruction] = []
-    node = key = None
+    group: list[Instruction] = []  # the open run; the rest is set as it opens
     for inst in instructions:
+        targets = inst.targets
         if inst.kind.name == "MOVE":
             if group:
-                yield node, group
+                yield (node, group, tuple(remote), tuple(sources), enabled,
+                       stray, False)
                 group = []
-            yield None, [inst]
+            src_node, dst_node = node_of(targets[0]), node_of(targets[1])
+            if src_node == dst_node:
+                yield (dst_node, [inst], (), (), 0, None, True)
+            else:
+                yield (dst_node, [inst], targets[:1], (src_node,), 0, None,
+                       True)
             continue
-        targets = inst.targets
         inst_node = node_of(targets[0]) if targets else None
         for q in targets[1:]:
             if node_of(q) != inst_node:
@@ -641,27 +611,43 @@ def session_groups(instructions: Sequence[Instruction],
             raise NetworkError(
                 f"gate {inst.kind} operands span nodes "
                 f"{sorted({node_of(q) for q in targets})}")
-        if inst.block is not None:
-            inst_key = inst.block
+        # a gate that joins its tagged run adds its remote controls to the
+        # run's; any other gate's own remote controls also key an untagged
+        # run, and are the run's if the gate starts one
+        block = inst.block
+        if group and block == key:
+            base, into, into_sources = node, remote, sources
         else:
-            inst_key = ("adhoc", inst_node,
-                        frozenset(remote_controls((inst,), inst_node,
-                                                  node_of)))
-        if group and inst_key != key:
-            yield node, group
+            base, into, into_sources = inst_node, [], []
+        for q, _pol in inst.controls:
+            if q not in into:
+                src = node_of(q)
+                if src != base:
+                    into.append(q)
+                    into_sources.append(src)
+        if block is None:
+            block = ("adhoc", inst_node, frozenset(into))
+        if group and block != key:
+            yield (node, group, tuple(remote), tuple(sources), enabled,
+                   stray, False)
             group = []
         if not group:
-            node, key = inst_node, inst_key
+            node, key, remote, sources = inst_node, block, into, into_sources
+            enabled, stray = 0, None
         group.append(inst)
+        if inst.classical_constant != 0:
+            enabled += 1
+            if stray is None and inst_node != node:
+                stray = inst
     if group:
-        yield node, group
+        yield (node, group, tuple(remote), tuple(sources), enabled, stray,
+               False)
 
 
 def execute_distributed(network: Network, circ: Circuit):
-    """Run a circuit on the network: bill each run of gates from
-    ``session_groups`` as one session, its remote controls shared once,
-    and each MOVE as a relocation, a teleport across nodes; then run the
-    state through ``circuit.execute``.
+    """Run a circuit on the network: bill each unit of ``session_groups``
+    from the facts that pass found, a session (``run_session``) or a MOVE
+    (``move``), then run the state through ``circuit.execute``.
 
     The walk checks each shape of unit once and tallies the rest
     (``Network._tallied``); the tally is posted when the walk ends, by a
@@ -673,13 +659,11 @@ def execute_distributed(network: Network, circ: Circuit):
     or ran only in part."""
     network._tally = {}
     try:
-        for node, group in session_groups(circ.instructions,
-                                          network.node_of):
-            if node is None:
-                src, dst = group[0].targets
-                network.move(src, dst, label=group[0].label)
+        for unit in session_groups(circ.instructions, network.node_of):
+            if unit[-1]:  # a MOVE
+                network.move(unit)
             else:
-                network.run_session(node, group, block=group[0].block)
+                network.run_session(unit)
     finally:
         network._post_tally()
     execute(circ, network.state)

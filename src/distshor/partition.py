@@ -45,7 +45,7 @@ from .circuit import Circuit
 # ``execute_distributed``, so one substitution here reaches every round
 from .netsim import (MAX_REMOTE_CONTROLS, Network, NodeSpec, SessionRecord,
                      TeleportRecord, Topology, execute_distributed,
-                     remote_controls, session_groups)
+                     session_groups)
 from .qft import build_inverse_qft
 from .qstate import RandomSource
 from .revarith import AdderSlicing, RegisterLayout, build_cm_m
@@ -254,19 +254,17 @@ def census_from_records(sessions: Sequence[SessionRecord],
 
 
 def census_from_program(circ: Circuit, plan: PlacementPlan) -> BlockCensus:
-    """Static census: a dry run over the sessions the executor would
-    run, tallying each one with a remote control and each MOVE that
-    crosses nodes."""
-    node_of = plan.node_of_qubit.__getitem__
+    """Static census: a dry run over the units the executor would bill
+    (``session_groups``), tallying each session with a remote control
+    and each MOVE across nodes: each unit with a source node."""
     blocks, labels = [], []
-    for node, group in session_groups(circ.instructions, node_of):
-        if node is not None:
-            if remote_controls(group, node, node_of):
-                blocks.append(group[0].block)
-        else:
-            src, dst = group[0].targets
-            if node_of(src) != node_of(dst):
-                labels.append(group[0].label)
+    for _, insts, _, sources, _, _, is_move in session_groups(
+            circ.instructions, plan.node_of_qubit.__getitem__):
+        if sources:
+            if is_move:
+                labels.append(insts[0].label)
+            else:
+                blocks.append(insts[0].block)
     return _census(blocks, labels)
 
 

@@ -31,9 +31,9 @@ From AN up, every gate is appended to the circuit once: a private
 emitter per level takes the extra controls and the direction of the block
 it emits, a block passes its own control (x_i in MF, k_i in the ladder)
 down to its children, and a reversed block runs its children last first.
-Composing ``circuit.add_controls`` and ``circuit.reverse`` over blocks
-built forward and uncontrolled gives the same circuits; that composition
-is the reference the builders are checked against.
+Building each block forward and uncontrolled, then adding its controls
+to every gate and turning it around with ``circuit.reverse``, gives the
+same circuits; the tests check the builders against that composition.
 """
 
 from __future__ import annotations
@@ -314,8 +314,7 @@ def _pool(layout: RegisterLayout, slicing: AdderSlicing | None) -> int:
 
 def _footprint(insts: Sequence[Instruction], extra: int) -> set[int]:
     """The qubits ``insts`` touch, less the ``extra`` controls each gate
-    carries last: ``Circuit.used_qubits`` of the block built without
-    them."""
+    carries last: the qubits of the block built without them."""
     used: set[int] = set()
     for inst in insts:
         used.update(inst.targets)
@@ -325,9 +324,10 @@ def _footprint(insts: Sequence[Instruction], extra: int) -> set[int]:
 
 
 def _admit(controls: Sequence[int], used: set[int], pool: int):
-    """What ``Circuit.append`` and ``add_controls`` check gate by gate,
-    once for a block: the qubits it touches are in range, and each of
-    ``controls`` is in range and clear of them."""
+    """What ``Circuit.append`` checks gate by gate, and what adding a
+    control to a built block checks, once for a block: the qubits it
+    touches are in range, and each of ``controls`` is in range and clear
+    of them."""
     for q in sorted(used):
         if not 0 <= q < pool:
             raise ValueError(f"qubit {q} out of range")

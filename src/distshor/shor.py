@@ -103,9 +103,10 @@ def admission_error(m: int) -> str | None:
     exponents builds no 2^m: 4 * 2^m > budget iff m + 2 >= its bit length.
     """
     if m + 2 >= SUPPORT_BUDGET.bit_length():
-        return (f"m = {m} needs up to 4 * 2^{m} support entries, over the "
-                f"budget of {SUPPORT_BUDGET} "
-                f"(m <= {SUPPORT_BUDGET.bit_length() - 3})")
+        return (f"m = {m} is over the cap m <= "
+                f"{SUPPORT_BUDGET.bit_length() - 3}, the largest m with "
+                f"4 * 2^m within the budget of {SUPPORT_BUDGET} support "
+                f"entries")
     return None
 
 

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 import pytest
 
 from distshor import cli, gates, partition
-from distshor.circuit import (Circuit, Instruction, add_controls,
-                              count_gates, execute, reverse)
+from distshor.circuit import (Circuit, Instruction, count_gates, execute,
+                              reverse)
 from distshor.netsim import (MAX_REMOTE_CONTROLS, Network, NetworkError,
                              SessionRecord, execute_distributed,
-                             remote_controls, session_groups)
+                             session_groups)
 from distshor.qft import build_inverse_qft
-from distshor.qstate import QuantumState, RandomSource, SimulationError
+from distshor.qstate import (Control, QuantumState, RandomSource,
+                             SimulationError)
 from distshor.revarith import build_an, gate_count_formula
 from distshor.shor import order_round
 
@@ -60,6 +62,49 @@ def reference_execute(circ: Circuit, state: QuantumState):
             state.apply_gate(inst.kind, inst.targets, inst.controls)
 
 
+def used_qubits(circ: Circuit) -> set[int]:
+    """Every qubit an instruction of ``circ`` targets or is controlled
+    by."""
+    used = {q for inst in circ.instructions for q in inst.targets}
+    used.update(q for inst in circ.instructions for q, _ in inst.controls)
+    return used
+
+
+def add_controls(circ: Circuit, extra: Sequence[Control]) -> Circuit:
+    """Give every gate additional controls; MOVE directives are exempt.
+
+    The extra control qubits must not be touched by the circuit, and no
+    resulting gate may exceed 5 controls (CNOT/TOFFOLI count their built-in
+    controls).  The arithmetic builders pass their controls down as they
+    emit; this wrapper is the reference they are checked against, and it
+    writes a remotely controlled block as a program.
+    """
+    extra = tuple(extra)
+    used = used_qubits(circ)
+    for q, _pol in extra:
+        if q in used:
+            raise ValueError(f"control qubit {q} collides with the circuit")
+        if not 0 <= q < circ.num_qubits:
+            raise ValueError(f"control qubit {q} out of range")
+    if len({q for q, _ in extra}) != len(extra):
+        raise ValueError("duplicate control qubits")
+
+    builtin = {"CNOT": 1, "TOFFOLI": 2}
+    out = Circuit(circ.num_qubits)
+    for inst in circ.instructions:
+        if inst.kind.name == "MOVE":
+            out.instructions.append(inst)
+            continue
+        n_controls = (len(inst.controls) + len(extra)
+                      + builtin.get(inst.kind.name, 0))
+        if n_controls > 5:
+            raise ValueError(
+                f"gate would carry {n_controls} controls (max 5)")
+        out.instructions.append(Instruction(
+            inst.kind, inst.targets, inst.controls + extra, *inst[3:]))
+    return out
+
+
 def phase_estimation_state(controlled_power, prepare: Circuit, m: int,
                            n_target: int) -> QuantumState:
     """Phase estimation run up to measurement, the order-finding program's
@@ -97,8 +142,13 @@ def reference_session(network: Network, node_id: str,
     """``Network.run_session`` as the protocol runs it, gate by gate on
     the state: each remote control is entangled with a mirror through a
     fresh pair, the body runs on the mirrors, and the mirrors are
-    disentangled in reverse order."""
-    remote = remote_controls(instructions, node_id, network.node_of)
+    disentangled in reverse order.  It finds the remote controls itself,
+    so a fault in the facts ``session_groups`` finds shows here."""
+    remote: list[int] = []
+    for inst in instructions:
+        for q, _pol in inst.controls:
+            if network.node_of(q) != node_id and q not in remote:
+                remote.append(q)
     if len(remote) > MAX_REMOTE_CONTROLS:
         raise NetworkError(f"session needs {len(remote)} remote "
                            f"controls (max {MAX_REMOTE_CONTROLS})")
@@ -137,11 +187,12 @@ def reference_execute_distributed(network: Network, circ: Circuit):
     """``netsim.execute_distributed`` with every session and relocation
     run gate by gate through the physical protocol primitives: the
     reference for the closed-form gadgets."""
-    for node, group in session_groups(circ.instructions, network.node_of):
-        if node is None:
-            reference_move(network, *group[0].targets, group[0].label)
+    for node, insts, *_, is_move in session_groups(circ.instructions,
+                                                   network.node_of):
+        if is_move:
+            reference_move(network, *insts[0].targets, insts[0].label)
         else:
-            reference_session(network, node, group, group[0].block)
+            reference_session(network, node, insts, insts[0].block)
 
 
 def observed(network: Network) -> dict:

@@ -11,7 +11,8 @@ import time
 import pytest
 
 from conftest import (amp_distance, phase_estimation_state,
-                      random_amplitudes, remote_block, remote_cnot)
+                      random_amplitudes, remote_block, remote_cnot,
+                      used_qubits)
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
 from distshor.netsim import Network, NodeSpec, Topology
@@ -261,7 +262,7 @@ class TestCriterion8SpaceBounds:
         assert layout.num_data_qubits == 5 * n + m + 1 == 29
         circ = build_cm_m(7, 15, m, layout)
         assert circ.num_qubits == 29
-        assert max(circ.used_qubits()) == 28
+        assert max(used_qubits(circ)) == 28
 
     def test_distributed_fits_seven_nodes(self, dist_run_15):
         plan = plan_placement(4, 8)

@@ -8,8 +8,9 @@ import hashlib
 
 import pytest
 
+from conftest import add_controls
 from distshor import shor
-from distshor.circuit import add_controls, dump, reverse
+from distshor.circuit import dump, reverse
 from distshor.partition import build_distributed_order_program, plan_placement
 from distshor.qft import build_inverse_qft
 from distshor.revarith import RegisterLayout, build_cm_m, build_xan

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from conftest import read_register, run_on_basis
+from conftest import add_controls, read_register, run_on_basis
 from distshor import gates
-from distshor.circuit import (Circuit, add_controls, count_gates, dump,
-                              execute, reverse)
+from distshor.circuit import Circuit, count_gates, dump, execute, reverse
 from distshor.qstate import QuantumState
 from distshor.revarith import RegisterLayout, build_fa, build_m
 

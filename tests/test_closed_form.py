@@ -21,7 +21,7 @@ from conftest import (amp_distance, observed,
 from distshor import gates, partition, shor
 from distshor.circuit import Circuit, Instruction
 from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
-                             execute_distributed)
+                             execute_distributed, session_groups)
 from distshor.qstate import RandomSource, SimulationError
 
 
@@ -121,11 +121,16 @@ def over_capacity_second_share():
 
 
 def spanning_body():
+    """A block on B whose last gate targets C only: the session posts
+    its shares, then raises on that gate, as the first unit of a shape
+    does in a walk (``stray_after_same_shape`` covers a tallied one)."""
     net, held = network(("A", 3, 1), ("B", 4, 2), ("C", 3, 1))
     net.apply_local("A", gates.H, [held["A"][0]])
-    body = [Instruction(gates.H, (held["B"][0],), ((held["A"][0], True),)),
-            Instruction(gates.X, (held["B"][1],), ((held["C"][0], True),)),
-            Instruction(gates.SWAP, (held["B"][1], held["C"][1]))]
+    body = [Instruction(gates.H, (held["B"][0],), ((held["A"][0], True),),
+                        block="s"),
+            Instruction(gates.X, (held["B"][1],), ((held["C"][0], True),),
+                        block="s"),
+            Instruction(gates.X, (held["C"][1],), block="s")]
     return net, ("session", "B", body)
 
 
@@ -144,9 +149,14 @@ def slot_not_zero():
 
 def run_closed(net, step, *args):
     if step == "session":
-        net.run_session(*args)
+        node, instructions = args
+        [unit] = session_groups(instructions, net.node_of)
+        assert unit[0] == node
+        net.run_session(unit)
     elif step == "move":
-        net.move(*args)
+        move = Circuit(net.state.num_qubits).move(*args)
+        [unit] = session_groups(move.instructions, net.node_of)
+        net.move(unit)
     else:
         execute_distributed(net, *args)
 
@@ -406,3 +416,54 @@ def test_random_refusals_match_physical_protocol(program, strain, seed):
             error = str(exc)
         outcomes.append((error, observed(net)))
     assert outcomes[0] == outcomes[1]
+
+
+# -- the facts ``session_groups`` finds for each unit ------------------------
+
+def naive_facts(node, insts, is_move, node_of):
+    """A unit's remote controls, their nodes, its enabled gates and its
+    first stray, derived from its own instructions one at a time."""
+    if is_move:
+        src, dst = insts[0].targets
+        remote = [src] if node_of(src) != node_of(dst) else []
+        return tuple(remote), tuple(map(node_of, remote)), 0, None
+    remote = []
+    for inst in insts:
+        for q, _pol in inst.controls:
+            if node_of(q) != node and q not in remote:
+                remote.append(q)
+    enabled = [inst for inst in insts if inst.classical_constant != 0]
+    strays = [inst for inst in enabled
+              if any(node_of(q) != node for q in inst.targets)]
+    return (tuple(remote), tuple(map(node_of, remote)), len(enabled),
+            strays[0] if strays else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_unit_facts_match_a_naive_derivation(program):
+    circ, _ = program
+    net, _ = three_nodes(0)
+    units = list(session_groups(circ.instructions, net.node_of))
+    assert [inst for unit in units for inst in unit[1]] == circ.instructions
+    for node, insts, *facts, is_move in units:
+        assert is_move == (insts[0].kind.name == "MOVE")
+        assert node == net.node_of(insts[0].targets[-1 if is_move else 0])
+        assert tuple(facts) == naive_facts(node, insts, is_move, net.node_of)
+
+
+def test_block_facts_are_taken_on_its_first_gates_node():
+    """A block on B whose later gate runs on C under a control on B and
+    one on C: the C control is remote and the B one is not, as on B, and
+    that gate is the block's stray."""
+    net, held = network(("A", 3, 1), ("B", 4, 2), ("C", 4, 2))
+    circ = Circuit(net.state.num_qubits)
+    circ.x(held["B"][0], controls=[(held["A"][0], True)], block="s")
+    circ.x(held["C"][0], controls=[(held["B"][1], True),
+                                   (held["C"][1], False)], block="s")
+    [(node, insts, *facts, is_move)] = session_groups(circ.instructions,
+                                                     net.node_of)
+    assert (node, is_move) == ("B", False)
+    assert tuple(facts) == ((held["A"][0], held["C"][1]), ("A", "C"), 2,
+                            circ.instructions[1])
+    assert tuple(facts) == naive_facts(node, insts, is_move, net.node_of)

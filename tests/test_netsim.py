@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from conftest import (amp_distance, random_amplitudes, remote_block,
-                      remote_cnot)
+from conftest import (add_controls, amp_distance, random_amplitudes,
+                      remote_block, remote_cnot)
 from distshor import gates
-from distshor.circuit import Circuit, Instruction, add_controls, execute
+from distshor.circuit import Circuit, Instruction, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec,
                              SessionRecord, TeleportRecord, Topology,
                              execute_distributed, session_groups)
@@ -324,8 +324,9 @@ class TestLocalityAndCapacity:
         tq = net.allocate_data("T", 1)[0]
         inst = Instruction(gates.X, (tq,),
                            tuple((c, True) for c in ctrls))
+        [unit] = session_groups([inst], net.node_of)
         with pytest.raises(NetworkError, match="max 3"):
-            net.run_session("T", [inst])
+            net.run_session(unit)
 
     def test_over_capacity_detected(self):
         net = two_nodes(capacity=3, channels=2)
@@ -395,11 +396,13 @@ class TestSessionGroups:
         circ.x(0)
         circ.move(0, 2)
         circ.x(1)
-        groups = [(node, [circ.instructions.index(i) for i in group])
-                  for node, group in session_groups(circ.instructions,
-                                                    node_of)]
-        assert groups == [("B", [0, 1]), ("B", [2, 3]), ("B", [4]),
-                          ("A", [5]), (None, [6]), ("A", [7])]
+        groups = [(node, is_move,
+                   [circ.instructions.index(i) for i in insts])
+                  for node, insts, *_, is_move
+                  in session_groups(circ.instructions, node_of)]
+        assert groups == [("B", False, [0, 1]), ("B", False, [2, 3]),
+                          ("B", False, [4]), ("A", False, [5]),
+                          ("B", True, [6]), ("A", False, [7])]
 
 
 class TestRecords:
@@ -410,7 +413,8 @@ class TestRecords:
         body = [Instruction(gates.X, (qb,), ((qa[1], True),), block="b"),
                 Instruction(gates.X, (qb,), ((qa[0], False), (qa[1], True)),
                             classical_constant=0, block="b")]
-        record = net.run_session("B", body, block="b")
+        [unit] = session_groups(body, net.node_of)
+        record = net.run_session(unit)
         # both controls are shared; the disabled gate is not counted
         assert record == SessionRecord("b", "B", (qa[1], qa[0]), 1)
         assert net.sessions == [record]
@@ -419,7 +423,8 @@ class TestRecords:
         net = two_nodes()
         qb = net.allocate_data("B", 2)
         body = [Instruction(gates.X, (qb[0],), ((qb[1], True),))]
-        assert net.run_session("B", body) is None
+        [unit] = session_groups(body, net.node_of)
+        assert net.run_session(unit) is None
         assert net.sessions == []
         assert net.ledger.ebits_consumed == 0
 

@@ -3,9 +3,9 @@ block equivalence, session/teleport censuses, and the level rollup."""
 
 import pytest
 
-from conftest import read_register
+from conftest import add_controls, read_register, used_qubits
 from distshor import gates
-from distshor.circuit import Circuit, add_controls, execute
+from distshor.circuit import Circuit, execute
 from distshor.partition import (PlanError, build_distributed_order_program,
                                 build_distributed_transform_program,
                                 build_network, census_from_program,
@@ -83,7 +83,7 @@ class TestPlan:
         m = 2 * n if double else 1
         plan = plan_placement(n, m)
         program = build_distributed_order_program(2, (1 << n) - 1, plan)
-        assert program.used_qubits() <= set(plan.node_of_qubit)
+        assert used_qubits(program) <= set(plan.node_of_qubit)
 
 
 class TestDistributedBlocks:
