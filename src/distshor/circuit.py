@@ -18,13 +18,20 @@ directive, so gate counting ignores it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
-from .gates import MOVE, GateKind, is_unitary
+from .gates import ARITY, MOVE, GateKind, is_unitary
 from .qstate import Control, QuantumState
+
+
+# ``_new(Instruction, fields)``, with a value for each of the six fields,
+# skips the NamedTuple's Python-level ``__new__``: the builders use it.
+_new = tuple.__new__
 
 
 class Instruction(NamedTuple):
@@ -66,9 +73,9 @@ class Circuit:
              controls: Iterable[Control] = (), *,
              classical_constant: int | None = None, label: str = "",
              block: str | None = None) -> "Circuit":
-        return self.append(Instruction(
+        return self.append(_new(Instruction, (
             kind, tuple(targets), tuple(controls), classical_constant,
-            label, block))
+            label, block)))
 
     def x(self, t, **kw):
         return self.gate(gates.X, [t], **kw)
@@ -97,6 +104,11 @@ class Circuit:
         return len(self.instructions)
 
 
+def _nested(prefix: str) -> tuple[str, str]:
+    """The labels under ``prefix`` lie in [lo, hi): "0" follows "/"."""
+    return prefix + "/", prefix + "0"
+
+
 @dataclass
 class GateCountReport:
     """Gate tally; a multi-controlled gate counts as one gate."""
@@ -106,30 +118,44 @@ class GateCountReport:
 
     def count_under(self, prefix: str) -> int:
         """Total gates whose label equals or nests under ``prefix``."""
+        lo, hi = _nested(prefix)
         return sum(n for lbl, n in self.per_label.items()
-                   if lbl == prefix or lbl.startswith(prefix + "/"))
+                   if lbl == prefix or lo <= lbl < hi)
+
+    def counts_under(self, prefixes: Iterable[str]) -> list[int]:
+        """``count_under`` for each prefix, from one sort of the labels:
+        the labels nested under a prefix are one run of the sorted list."""
+        labels = sorted(self.per_label)
+        sums = [0, *accumulate(self.per_label[lbl] for lbl in labels)]
+        totals = []
+        for prefix in prefixes:
+            lo, hi = _nested(prefix)
+            totals.append(self.per_label.get(prefix, 0)
+                          + sums[bisect_left(labels, hi)]
+                          - sums[bisect_left(labels, lo)])
+        return totals
 
 
 def count_gates(circ: Circuit) -> GateCountReport:
     """Count gate instructions; a MOVE is not a gate."""
-    report = GateCountReport()
-    for inst in circ.instructions:
-        if not inst.is_gate():
-            continue
-        report.total += 1
-        report.per_label[inst.label] = report.per_label.get(inst.label, 0) + 1
-    return report
+    per_label = Counter(inst.label for inst in circ.instructions
+                        if inst.kind.name in ARITY)
+    return GateCountReport(per_label.total(), per_label)
 
 
 def reverse(circ: Circuit) -> Circuit:
     """Reverse computation: inverted gates in reverse order; MOVE
     directives reverse their direction."""
     out = Circuit(circ.num_qubits)
+    inverses: dict[GateKind, GateKind] = {}  # each kind is inverted once
     for inst in reversed(circ.instructions):
-        if inst.kind.name == "MOVE":
-            inst = Instruction(MOVE, inst.targets[::-1], *inst[2:])
+        kind = inst.kind
+        if kind.name == "MOVE":
+            inst = _new(Instruction, (MOVE, inst.targets[::-1], *inst[2:]))
         else:
-            inst = Instruction(gates.inverse(inst.kind), *inst[1:])
+            inverse = inverses.get(kind) or inverses.setdefault(
+                kind, gates.inverse(kind))
+            inst = _new(Instruction, (inverse, *inst[1:]))
         out.instructions.append(inst)
     return out
 

@@ -105,13 +105,13 @@ def _counts_section(config: RunConfig) -> dict:
     # each level is read off its first instance; the transform is counted
     # packed, as the distributed one's cross-node swaps are MOVEs and do
     # not count as gates
-    counted = count_gates(instance)
     adder = "cm/M[0]/MF0/A[0]"
-    measured = {lvl: counted.count_under(path) for lvl, path in (
-        ("FA", f"{adder}/XAN0/AN/FA"), ("HA", f"{adder}/XAN0/AN/HA"),
-        ("AN", f"{adder}/XAN0/AN"), ("XAN", f"{adder}/XAN0"), ("A", adder),
-        ("MF", "cm/M[0]/MF0"), ("M", "cm/M[0]"))}
-    measured["c_m(M)"] = m * counted.count_under("cm")
+    levels = {"FA": f"{adder}/XAN0/AN/FA", "HA": f"{adder}/XAN0/AN/HA",
+              "AN": f"{adder}/XAN0/AN", "XAN": f"{adder}/XAN0", "A": adder,
+              "MF": "cm/M[0]/MF0", "M": "cm/M[0]", "c_m(M)": "cm"}
+    measured = dict(zip(levels,
+                        count_gates(instance).counts_under(levels.values())))
+    measured["c_m(M)"] *= m
     measured["QFT_inv"] = count_gates(build_inverse_qft(range(m))).total
 
     predicted = {lvl: gate_count_formula(lvl, n, m)

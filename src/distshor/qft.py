@@ -40,13 +40,14 @@ def build_qft(qubits: Sequence[int], *, num_qubits: int | None = None,
         if spare_of:
             num_qubits = max(num_qubits, max(spare_of.values()) + 1)
     circ = Circuit(num_qubits)
+    rotations = [gates.R(k) for k in range(2, n + 1)]  # R(k) at k - 2
 
     for h in range(n - 1, -1, -1):
         block = f"{path}@h{h}" if node_of else None
         circ.h(qubits[h], label=f"{path}/H[{h}]", block=block)
         for low in range(h - 1, -1, -1):
             block = f"{path}@r{h}.{low}" if node_of else None
-            circ.gate(gates.R(h - low + 1), [qubits[h]],
+            circ.gate(rotations[h - low - 1], [qubits[h]],
                       [(qubits[low], True)],
                       label=f"{path}/CR[{low}->{h}]", block=block)
     for h in range(n // 2):

@@ -41,10 +41,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import gates
-from .circuit import Circuit, Instruction
+from .circuit import Circuit, Instruction, _new
 from .gates import MOVE, GateKind
 from .qstate import Control
 
@@ -106,8 +106,7 @@ class RegisterLayout:
                    self.carry, max(self.inter), max(self.out)) + 1
 
 
-@dataclass(frozen=True)
-class ChainSegment:
+class ChainSegment(NamedTuple):
     """A locally contiguous stretch of a ripple chain.
 
     ``spare`` receives the segment's outgoing carry, which a MOVE then
@@ -125,10 +124,10 @@ class ChainSegment:
 class AdderSlicing:
     """Node-slicing description for the adder registers.
 
-    ``cuts`` are the interior chain positions where ownership changes;
-    ``spares`` holds one ``(carry_spare, subtract_spare)`` pair per slice.
-    The last slice's carry spare is, by placement convention, the layout's
-    carry qubit itself.
+    ``cuts`` are the interior chain positions where ownership changes, in
+    increasing order; ``spares`` holds one ``(carry_spare,
+    subtract_spare)`` pair per slice.  The last slice's carry spare is, by
+    placement convention, the layout's carry qubit itself.
     """
 
     cuts: tuple[int, ...]
@@ -145,17 +144,14 @@ class AdderSlicing:
                  tag: str) -> list[ChainSegment]:
         """Split ``qubits`` at the cuts; ``stage`` picks the spare column."""
         edges = [0, *self.cuts, len(qubits)]
-        segs: list[ChainSegment] = []
-        for j in range(len(edges) - 1):
-            part = tuple(qubits[edges[j]:edges[j + 1]])
-            if not part:
-                continue
-            segs.append(ChainSegment(part, spare=self.spares[j][stage],
-                                     block=f"{path}@{tag}{j}"))
-        # the final live segment hands nothing off
-        segs[-1] = ChainSegment(segs[-1].qubits, spare=None,
-                                block=segs[-1].block)
-        return segs
+        last = len(self.cuts)
+        # the cuts are interior, so no segment is empty; the final one
+        # hands nothing off
+        return [_new(ChainSegment, (tuple(qubits[edges[j]:edges[j + 1]]),
+                                    None if j == last
+                                    else self.spares[j][stage],
+                                    f"{path}@{tag}{j}"))
+                for j in range(last + 1)]
 
 
 def _emit_bfa(out: list, a_bit: int, carry_q: int, b_q: int, fresh_q: int,
@@ -164,11 +160,13 @@ def _emit_bfa(out: list, a_bit: int, carry_q: int, b_q: int, fresh_q: int,
     """Four gates: fold the constant into (carry, fresh), then the qubit."""
     own = (branch, *controls) if branch else controls
     out += (
-        Instruction(gates.CNOT, (carry_q, fresh_q), own, a_bit, label, block),
-        Instruction(gates.X, (carry_q,), own, a_bit, label, block),
-        Instruction(gates.TOFFOLI, (carry_q, b_q, fresh_q), controls, None,
-                    label, block),
-        Instruction(gates.CNOT, (b_q, carry_q), controls, None, label, block))
+        _new(Instruction, (gates.CNOT, (carry_q, fresh_q), own, a_bit, label,
+                           block)),
+        _new(Instruction, (gates.X, (carry_q,), own, a_bit, label, block)),
+        _new(Instruction, (gates.TOFFOLI, (carry_q, b_q, fresh_q), controls,
+                           None, label, block)),
+        _new(Instruction, (gates.CNOT, (b_q, carry_q), controls, None, label,
+                           block)))
 
 
 def _emit_bha(out: list, a_bit: int, carry_q: int, b_q: int,
@@ -178,16 +176,17 @@ def _emit_bha(out: list, a_bit: int, carry_q: int, b_q: int,
     Toffoli."""
     own = (branch, *controls) if branch else controls
     out += (
-        Instruction(gates.X, (carry_q,), own, a_bit, label, block),
-        Instruction(gates.CNOT, (b_q, carry_q), controls, None, label, block))
+        _new(Instruction, (gates.X, (carry_q,), own, a_bit, label, block)),
+        _new(Instruction, (gates.CNOT, (b_q, carry_q), controls, None, label,
+                           block)))
 
 
 def _move(src: int, dst: int, label: str, reverse: bool) -> Instruction:
     """A MOVE, or the MOVE that undoes it when ``reverse``."""
     if src == dst:
         raise ValueError("MOVE needs distinct qubits")
-    return Instruction(MOVE, (dst, src) if reverse else (src, dst),
-                       label=label)
+    return _new(Instruction, (MOVE, (dst, src) if reverse else (src, dst),
+                              (), None, label, None))
 
 
 def _ripple_chain(out: list, controls: tuple[Control, ...], reverse: bool,
@@ -228,7 +227,7 @@ def _ripple_chain(out: list, controls: tuple[Control, ...], reverse: bool,
 
 
 def _single_segment(qubits: Sequence[int]) -> list[ChainSegment]:
-    return [ChainSegment(tuple(qubits))]
+    return [_new(ChainSegment, (tuple(qubits), None, None))]
 
 
 def _checked(circ: Circuit, insts: list[Instruction]) -> Circuit:
@@ -319,7 +318,8 @@ def _footprint(insts: Sequence[Instruction], extra: int) -> set[int]:
     for inst in insts:
         used.update(inst.targets)
         controls = inst.controls
-        used.update(q for q, _ in controls[:len(controls) - extra])
+        for q, _ in controls[:len(controls) - extra]:
+            used.add(q)
     return used
 
 
@@ -372,8 +372,8 @@ def _an(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
     _ripple_chain(out, controls, reverse, *fa)
     # carry set means a+b >= N (no subtraction); flip it into a
     # "subtraction needed" flag so the half-adder constants fire on 1
-    out.append(Instruction(gates.X, (layout.carry,), controls, None,
-                           f"{path}/carry-flip", fa_segs[-1].block))
+    out.append(_new(Instruction, (gates.X, (layout.carry,), controls, None,
+                                  f"{path}/carry-flip", fa_segs[-1].block)))
     _ripple_chain(out, controls, reverse, *ha)
 
 
@@ -381,9 +381,10 @@ def _pairwise(kind: GateKind, first: Sequence[int], second: Sequence[int],
               controls: tuple[Control, ...], slicing: AdderSlicing | None,
               path: str, name: str, tag: str) -> list[Instruction]:
     """One ``kind`` gate per register position, tagged with its slice."""
-    return [Instruction(kind, (p, q), controls, None, f"{path}/{name}[{i}]",
-                        f"{path}@{tag}{slicing.slice_of(i)}" if slicing
-                        else None)
+    return [_new(Instruction, (kind, (p, q), controls, None,
+                               f"{path}/{name}[{i}]",
+                               f"{path}@{tag}{slicing.slice_of(i)}"
+                               if slicing else None))
             for i, (p, q) in enumerate(zip(first, second))]
 
 
@@ -436,16 +437,16 @@ def _m(out: list, controls: tuple[Control, ...], a: int, N: int,
     for i, (xq, bq) in enumerate(zip(layout.x, layout.b)):
         label = f"{path}/MSWAP[{i}]"
         if slicing is None:
-            swaps.append(Instruction(gates.SWAP, (xq, bq), controls, None,
-                                     label))
+            swaps.append(_new(Instruction, (gates.SWAP, (xq, bq), controls,
+                                            None, label, None)))
         else:
             # the multiplier register lives on its own node: park the qubit
             # beside the accumulator, swap locally, park it back
             j = slicing.slice_of(i)
             spare = slicing.spares[j][1]
             swaps += (_move(xq, spare, f"{label}/park", False),
-                      Instruction(gates.SWAP, (spare, bq), controls, None,
-                                  label, f"{path}@msw{j}.{i}"),
+                      _new(Instruction, (gates.SWAP, (spare, bq), controls,
+                                         None, label, f"{path}@msw{j}.{i}")),
                       _move(spare, xq, f"{label}/unpark", False))
     used = _mf(out, controls, False, a, N, layout, slicing, f"{path}/MF0")
     out += swaps
@@ -552,9 +553,9 @@ def gate_count_formula(level: str, n: int, m: int | None = None) -> int:
     """Closed-form gate-count prediction for a named circuit level.
 
     The multiplier levels follow the reference closed form ``70mn^2 - 6mn``
-    (so ``M`` is ``70n^2 - 6n``), which undercounts the swap stage of the
-    built multiplier by ``n``; callers report measured counts next to these
-    predictions rather than forcing agreement.
+    (so ``M`` is ``70n^2 - 6n``), ``n`` more than the built multiplier's
+    two MF blocks and ``n`` controlled swaps; callers report measured
+    counts next to these predictions rather than forcing agreement.
     """
     forms = {
         "BFA": lambda: 4,

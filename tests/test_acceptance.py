@@ -150,8 +150,8 @@ class TestCriterion5GateCountFormulas:
         predicted = gate_count_formula("c_m(M)", n, m)
         assert predicted == 70 * m * n * n - 6 * m * n == 8768
         assert measured == 8736
-        # the documented gap: the in-place multiplier's swap stage is n
-        # gates per multiplier that the closed form leaves out
+        # the documented gap: the closed form is n gates per multiplier
+        # larger than the built one, 2 MF plus n controlled swaps
         assert predicted - measured == m * n
         announce(5, f"FA=4n and HA=4n-2 exact for n=1..8; ladder measured "
                     f"{measured} vs closed form {predicted} "

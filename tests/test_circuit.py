@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import add_controls, read_register, run_on_basis
 from distshor import gates
@@ -171,6 +173,44 @@ class TestCountGates:
         report = count_gates(circ)
         assert report.count_under("FA") == 12
         assert report.count_under("FA/BFA[0]") == 4
+
+    def test_level_pass_matches_count_under(self):
+        # a label equal to a level path, siblings that extend a path
+        # without a "/", labels only MOVEs carry, and labels under no path
+        levels = ["cm", "cm/M[0]", "cm/M[0]/MF0", "cm/M[0]/MF0/A[0]/FA",
+                  "cm/M[0]/MF0/A[0]/HA"]
+        circ = Circuit(2)
+        for label in ["cm/M[0]", "cm/M[0]/MF0/A[0]/FA/BFA[1]",
+                      "cm/M[0]/MF0/A[0]/FA/BFA[1]", "cm/M[0]/MF0/A[0]/FAx",
+                      "cm/M[0]/MF01/A[0]", "cm/M[0]/MF0.5",
+                      "cm/M[0]/MF0/A[0]/HA", "cm-x", "cmx/M[0]",
+                      "QFTinv/H[0]", ""]:
+            circ.x(0, label=label)
+        circ.move(0, 1, label="cm/M[0]/MF0/A[0]/FA/carry-move[0]")
+        circ.move(1, 0, label="cm/M[0]/MF0/A[0]/XAN0")
+        report = count_gates(circ)
+        assert report.counts_under(levels) == [7, 7, 4, 2, 1]
+        assert report.counts_under(levels) == [report.count_under(path)
+                                               for path in levels]
+
+
+# labels and prefixes over characters on both sides of "/" and "0", and
+# past ASCII
+LABELS = st.text(alphabet="ab/0.-~é", max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LABELS, max_size=12), st.lists(LABELS, max_size=5))
+def test_level_pass_matches_count_under_at_random(labels, prefixes):
+    circ = Circuit(1)
+    for label in labels:
+        circ.x(0, label=label)
+    report = count_gates(circ)
+    under = [sum(1 for lbl in labels
+                 if lbl == prefix or lbl.startswith(prefix + "/"))
+             for prefix in prefixes]
+    assert report.counts_under(prefixes) == under
+    assert [report.count_under(prefix) for prefix in prefixes] == under
 
 
 class TestDump:

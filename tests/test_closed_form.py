@@ -206,8 +206,9 @@ def test_errors_match_physical_protocol(build, message):
 # -- refusals after a unit the walk only tallied -----------------------------
 
 # ``execute_distributed`` checks the first unit of each shape and tallies
-# the later ones.  ``programs()`` never emits a stray target, so here each
-# program refuses after a unit whose shape the walk has already seen.
+# the later ones.  The programs the random refusal test draws never hold a
+# stray target, so here each program refuses after a unit whose shape the
+# walk has already seen.
 
 def stray_after_same_shape():
     """Block s1 shares from A as s0 did, then runs a gate on C: the
@@ -318,12 +319,14 @@ def three_nodes(seed: int) -> tuple[Network, dict[str, list[int]]]:
 
 
 @st.composite
-def programs(draw):
+def programs(draw, strays=False):
     """A program over three nodes of three data slots each: sessions with
     0-3 remote controls of either polarity, bodies of X, CNOT, TOFFOLI,
     SWAP, H and R gates carrying the constants None, 0 or 1, and MOVEs
     within and across nodes into a |0> slot; plus 1-3 qubits to read out
-    after the run."""
+    after the run.  With ``strays``, a tagged block's gate may run on
+    another node instead, under a control on the block's node: the
+    block's stray when no 0 constant disables it."""
     _, held = three_nodes(0)
     parked = {held[n][-1] for n in NODES}  # known |0>: where MOVEs land
     node_of = {q: n for n in NODES for q in held[n]}
@@ -342,13 +345,20 @@ def programs(draw):
         remote = draw(st.lists(st.sampled_from(others), unique=True,
                                max_size=min(3, len(others))))
         block = draw(st.sampled_from([None, f"s{step}"]))
-        kinds = sorted(k for k, width in BODY_KINDS.items()
-                       if width <= len(local))
         for _ in range(draw(st.integers(1, 4))):
+            on, controls = local, []
+            if strays and block and draw(st.booleans()):
+                away = draw(st.sampled_from(sorted({node_of[q]
+                                                    for q in others})))
+                on = [q for q in others if node_of[q] == away]
+                controls = [(draw(st.sampled_from(local)),
+                             draw(st.booleans()))]
+            kinds = sorted(k for k, width in BODY_KINDS.items()
+                           if width <= len(on))
             kind = draw(st.sampled_from(kinds))
-            operands = draw(st.permutations(local))[:BODY_KINDS[kind]]
-            controls = [(q, draw(st.booleans()))
-                        for q in remote if draw(st.booleans())]
+            operands = draw(st.permutations(on))[:BODY_KINDS[kind]]
+            controls += [(q, draw(st.booleans())) for q in remote
+                         if q not in operands and draw(st.booleans())]
             gate = gates.R(draw(st.integers(2, 4))) if kind == "R" \
                 else getattr(gates, kind)
             circ.gate(gate, operands, controls,
@@ -440,7 +450,7 @@ def naive_facts(node, insts, is_move, node_of):
 
 
 @settings(max_examples=100, deadline=None)
-@given(programs())
+@given(programs(strays=True))
 def test_unit_facts_match_a_naive_derivation(program):
     circ, _ = program
     net, _ = three_nodes(0)

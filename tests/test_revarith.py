@@ -19,12 +19,15 @@ from conftest import (amp_distance, assert_ancillas_zero, observed,
                       reference_execute_distributed, reference_m,
                       reference_mf, reference_xan, run_on_basis)
 from distshor import gates
-from distshor.circuit import Circuit, count_gates, dump, execute, reverse
+from distshor.circuit import (Circuit, Instruction, count_gates, dump,
+                              execute, reverse)
 from distshor.netsim import execute_distributed
-from distshor.partition import build_network, plan_placement
+from distshor.partition import (build_distributed_transform_program,
+                                build_network, plan_placement)
+from distshor.qft import build_inverse_qft
 from distshor.qstate import QuantumState, RandomSource
-from distshor.revarith import (AdderSlicing, RegisterLayout, build_adder,
-                               build_an,
+from distshor.revarith import (AdderSlicing, ChainSegment, RegisterLayout,
+                               build_adder, build_an,
                                build_bfa, build_bha, build_cm_m, build_fa,
                                build_ha, build_m, build_mf, build_xan,
                                gate_count_formula)
@@ -348,8 +351,8 @@ class TestCountFormulas:
             gate_count_formula("nope", 4)
 
     def test_measured_vs_predicted_deltas(self):
-        # the multiplier's swap stage is the one documented gap: n per
-        # multiplier, mn per power ladder
+        # the one documented gap: the closed form exceeds the built
+        # multiplier (2 MF plus n controlled swaps) by n, the ladder by mn
         n, m, N, a = 4, 8, 15, 7
         lay = LAYOUTS[4]
         assert count_gates(build_mf(a, N, lay)).total == \
@@ -358,6 +361,27 @@ class TestCountFormulas:
         assert gate_count_formula("M", n) - measured_m == n
         measured_cm = count_gates(build_cm_m(a, N, m, lay)).total
         assert gate_count_formula("c_m(M)", n, m) - measured_cm == m * n
+
+    def test_built_records_are_whole_named_tuples(self):
+        # the builders make instructions and chain segments through
+        # ``tuple.__new__``, which skips the NamedTuple's field-count check
+        for n, N in ((2, 3), (4, 15), (5, 21), (7, 77)):
+            plan = plan_placement(n, 2 * n)
+            circuits = [
+                build_cm_m(2, N, 2, RegisterLayout.packed(n, 2 * n)),
+                build_cm_m(2, N, 2, plan.layout, slicing=plan.slicing),
+                build_inverse_qft(range(2 * n)),
+                build_distributed_transform_program(plan)]
+            for inst in (i for circ in circuits for i in circ.instructions):
+                assert type(inst) is Instruction
+                assert inst == Instruction(*inst)
+            for stage, qubits in enumerate((plan.layout.s, plan.layout.inter)):
+                segments = plan.slicing.segments(qubits, stage, "p", "t")
+                assert [q for seg in segments for q in seg.qubits] == \
+                    list(qubits)
+                for seg in segments:
+                    assert type(seg) is ChainSegment
+                    assert seg == ChainSegment(*seg)
 
     def test_sliced_build_counts_match_monolithic(self):
         from distshor.partition import plan_placement
