@@ -56,6 +56,7 @@ class Circuit:
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
         self.instructions: list[Instruction] = []
+        self.repeats: list[tuple[range, range]] = []  # execute_distributed
 
     # -- append API ------------------------------------------------------
 

@@ -34,12 +34,14 @@ and a teleport into a |0> slot is a SWAP: the program changes the state
 as ``circuit.execute`` does.  The run posts the program's bill first.
 One pass (``session_groups``) splits the program into units, sessions
 and relocations, and finds each unit's facts: its node, its remote
-controls and their nodes, its enabled gates and its first stray target.
-The bill (``run_session``, ``move``) and the census read these facts and
-walk no gates.  The first unit of each shape (its node and the nodes it
-shares from, in order) makes the protocol's checks in the protocol's
-order; later ones are only tallied, and the tally is posted once, its
-discarded coins in one ``RandomSource.skip``.  A refusal raises at the
+controls and their nodes, its enabled gates and its stray (its first
+gate off its node).  The bill (``run_session``, ``move``) and the census
+read these facts and walk no gates.  The first unit of each shape (its
+node and the nodes it shares from, in order) makes the protocol's checks
+in the protocol's order; later ones are only tallied, and the tally is
+posted once, its discarded coins in one ``RandomSource.skip``.  A round
+walks one multiplier per estimation node and bills each later one there
+as a repeat of it (``execute_distributed``).  A refusal raises at the
 protocol's share, with the protocol's partial bill.  Then one
 ``circuit.execute`` runs the state; its kernel refuses a MOVE into a
 slot that is not |0>.  The state agrees with the reference up to
@@ -49,7 +51,7 @@ floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
 from .circuit import Circuit, Instruction, execute
@@ -167,28 +169,13 @@ class CatState:
     live: bool = True
 
 
-class SessionRecord(NamedTuple):
-    """One remotely controlled block: the unit non-local ops are counted
-    in."""
-
-    block: str | None
-    node: str
-    remote_controls: tuple[int, ...]
-    gates: int
-
-
 # A unit of a program as ``session_groups`` yields it: (node, instructions,
-# remote controls, their source nodes, enabled gates, stray, is_move).  A
-# plain tuple: the census walks thousands of units, and a NamedTuple's
-# constructor costs several times what building the tuple does.
+# remote controls, their source nodes, enabled gates, stray: its first gate
+# off its node, is_move).  A plain tuple: the census walks thousands of
+# units, and a NamedTuple's constructor costs several times what building
+# the tuple does.
 Unit = tuple[str, list[Instruction], tuple[int, ...], tuple[str, ...], int,
              Instruction | None, bool]
-
-
-class TeleportRecord(NamedTuple):
-    src_node: str
-    dst_node: str
-    label: str
 
 
 class _NodeRuntime:
@@ -220,11 +207,9 @@ class Network:
             for q in (*data, *channels):
                 self.owner[q] = spec.node_id
         self.state = QuantumState(max(1, len(self.owner)))
-        self.sessions: list[SessionRecord] = []
-        self.teleport_log: list[TeleportRecord] = []
         self.max_live: dict[str, int] = {n: 0 for n in self.nodes}
         # during an ``execute_distributed`` walk: each shape met so far ->
-        # its later units, billed but not yet posted
+        # its units billed but not yet posted
         self._tally: dict[tuple, int] | None = None
 
     # -- allocation ------------------------------------------------------
@@ -325,42 +310,41 @@ class Network:
                              cat.node_control)
         self._release_mirror(cat, cat.node_mirror, cat.node_control)
 
-    def run_session(self, unit: Unit) -> SessionRecord | None:
+    def run_session(self, unit: Unit) -> tuple[int, ...] | None:
         """Bill a session: a block of gates on one node, sharing each of
         its remote controls (at most ``MAX_REMOTE_CONTROLS``) once, one
-        pair and two classical bits each, however many gates use it.
+        pair and two classical bits each, however many gates use it;
+        returns the shared controls, or None.
 
         Closed form of entangle, body on the mirrors, disentangle, posted
         in the protocol's order: the k shares (``_open_shares``), then
-        the k disentangle bits back and their coins.  A stray target
-        raises after the shares, as the protocol would; the enabled
-        gates' state changes are left to ``circuit.execute``.  Within an
-        ``execute_distributed`` walk, a session of a shape an earlier one
-        passed with is only tallied (``_tallied``), unless it has a stray.
+        the k disentangle bits back and their coins.  An enabled gate off
+        the session's node raises after the shares, as the protocol
+        would; the enabled gates' state changes are left to
+        ``circuit.execute``.  Within an ``execute_distributed`` walk, a
+        session of a shape an earlier one passed with is only tallied
+        (``_tallied``), unless it holds a stray.
         """
-        node_id, instructions, remote, sources, enabled, stray, _ = unit
+        node_id, instructions, remote, sources, _, stray, _ = unit
         if len(remote) > MAX_REMOTE_CONTROLS:
             raise NetworkError(f"session needs {len(remote)} remote "
                                f"controls (max {MAX_REMOTE_CONTROLS})")
         if stray is not None or not self._tallied(unit):
             self._open_shares(sources, node_id)
             if stray is not None:
-                self._check_local(node_id, stray.targets)
+                self._check_local(node_id, (
+                    q for inst in instructions if inst.classical_constant != 0
+                    for q in inst.targets))
             cbits = self.ledger.cbits_sent
             draw = self.rng.uniform
             for src in reversed(sources):
                 draw()  # the disentangle measurement: a fair coin
                 key = (node_id, src)
                 cbits[key] = cbits.get(key, 0) + 1
-        if not remote:
-            return None
-        record = SessionRecord(instructions[0].block, node_id, remote,
-                               enabled)
-        self.sessions.append(record)
-        return record
+        return remote or None
 
     def teleport(self, qubit: int, dest_node: str,
-                 dest_slot: int | None = None, *, label: str = "") -> int:
+                 dest_slot: int | None = None) -> int:
         """Move a qubit state to another node.
 
         Entangle the qubit with a fresh pair, measure it out in the X
@@ -393,7 +377,7 @@ class Network:
         self._release_mirror(cat, src_node, dest_node)
         # park the state in the register
         self.apply_local(dest_node, gates.SWAP, [cat.mirror, dest_slot])
-        self._log_teleport(src_node, dest_node, label)
+        self.ledger.teleports += 1
         return dest_slot
 
     def move(self, unit: Unit):
@@ -414,7 +398,7 @@ class Network:
                 self._open_shares(sources, dst_node)
                 self.rng.uniform()  # the source's X-basis measurement
                 self.ledger.send_cbit(sources[0], dst_node)
-            self._log_teleport(sources[0], dst_node, inst.label)
+                self.ledger.teleports += 1
 
     def _open_shares(self, sources: Sequence[str], node_id: str):
         """Bill ``establish_epr`` then ``cat_entangle`` from each node of
@@ -462,12 +446,15 @@ class Network:
     def _post_tally(self):
         """End a walk: post the bill of every tallied unit, per source a
         pair, an ebit, its entangle bit and its closing bit (back from a
-        session's node, onward for a teleport), and draw its coins."""
+        session's node, onward for a teleport), a teleport's count, and
+        draw its coins."""
         bill = ResourceLedger()
         cbits = bill.cbits_sent
         for (sources, node_id, teleport), count in self._tally.items():
             if not count:  # a first unit, posted already
                 continue
+            if teleport:
+                bill.teleports += count
             for src in sources:
                 bill.pairs_established += count
                 bill.ebits_consumed += count
@@ -518,10 +505,6 @@ class Network:
         self.ledger.send_cbit(src_node, dst_node)
         cat.live = False
         self.nodes[cat.node_mirror].busy_channels.discard(cat.mirror)
-
-    def _log_teleport(self, src_node: str, dest_node: str, label: str):
-        self.ledger.teleports += 1
-        self.teleport_log.append(TeleportRecord(src_node, dest_node, label))
 
     def _check_held(self, node_id: str, slot: int):
         """A relocation lands in a register slot that ``node_id`` holds."""
@@ -637,33 +620,58 @@ def session_groups(instructions: Sequence[Instruction],
         group.append(inst)
         if inst.classical_constant != 0:
             enabled += 1
-            if stray is None and inst_node != node:
-                stray = inst
+        if stray is None and inst_node != node:
+            stray = inst
     if group:
         yield (node, group, tuple(remote), tuple(sources), enabled, stray,
                False)
 
 
-def execute_distributed(network: Network, circ: Circuit):
+def execute_distributed(network: Network, circ: Circuit,
+                        repeats: Sequence[tuple[range, range]] = ()):
     """Run a circuit on the network: bill each unit of ``session_groups``
     from the facts that pass found, a session (``run_session``) or a MOVE
     (``move``), then run the state through ``circuit.execute``.
 
     The walk checks each shape of unit once and tallies the rest
-    (``Network._tallied``); the tally is posted when the walk ends, by a
-    refusal too, so the whole bill is posted before the state runs.  A
-    program the state then refuses is raised after that: ``ValueError``
-    when it needs more qubits than the network's state holds,
-    ``SimulationError`` when a MOVE lands in a slot that is not |0>.  The
-    ledger, records and random stream then cover work that did not run,
-    or ran only in part."""
-    network._tally = {}
+    (``Network._tallied``).  A repeat ``(first, span)`` says ``span`` holds
+    the units of the earlier ``first`` in order, of shapes checked already
+    whose checks pass again, as no walk changes an occupancy; so ``span``
+    adds ``first``'s units per shape to the tally, walked only if ``first``
+    holds a stray.  Bad spans raise ``ValueError``.  The tally is posted
+    when the walk ends, by a refusal too, so the whole bill is posted
+    before the state runs; a refusal of the state (``ValueError``, too few
+    qubits; ``SimulationError``, a MOVE into a slot not |0>) comes after,
+    and the ledger and random stream cover work that did not run."""
+    insts, owed, cuts = circ.instructions, {}, [0]
+    for first, span in repeats:
+        if len(first) != len(span) or span.start < first.stop:
+            raise ValueError(f"{span} does not repeat {first}")
+        owed[span.start] = first.start
+    for start, stop in sorted([*{(f.start, f.stop) for f, _ in repeats},
+                               *((s.start, s.stop) for _, s in repeats)]):
+        if not cuts[-1] <= start < stop <= len(insts):
+            raise ValueError(f"repeat spans overlap or leave at {start}")
+        cuts += (start, stop)
+    cuts = sorted({*cuts, len(insts)})
+    bills: dict[int, dict] = {}  # a clean span's start -> units per shape
+    network._tally = tally = {}
     try:
-        for unit in session_groups(circ.instructions, network.node_of):
-            if unit[-1]:  # a MOVE
-                network.move(unit)
-            else:
-                network.run_session(unit)
+        for start, stop in zip(cuts, cuts[1:]):
+            if owed.get(start) in bills:  # a repeat of a clean first
+                for shape, count in bills[owed[start]].items():
+                    tally[shape] += count
+                continue
+            before, clean = dict(tally), True
+            for unit in session_groups(insts[start:stop], network.node_of):
+                if unit[-1]:  # a MOVE
+                    network.move(unit)
+                else:
+                    clean = clean and unit[5] is None
+                    network.run_session(unit)
+            if clean:  # a shape's first unit is tallied as 0, hence the -1
+                bills[start] = {shape: count - before.get(shape, -1)
+                                for shape, count in tally.items()}
     finally:
         network._post_tally()
     execute(circ, network.state)

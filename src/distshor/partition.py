@@ -38,14 +38,13 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .circuit import Circuit
 # ``shor.order_round`` runs its program through this module's
 # ``execute_distributed``, so one substitution here reaches every round
-from .netsim import (MAX_REMOTE_CONTROLS, Network, NodeSpec, SessionRecord,
-                     TeleportRecord, Topology, execute_distributed,
-                     session_groups)
+from .netsim import (MAX_REMOTE_CONTROLS, Network, NodeSpec, Topology,
+                     execute_distributed, session_groups)
 from .qft import build_inverse_qft
 from .qstate import RandomSource
 from .revarith import AdderSlicing, RegisterLayout, build_cm_m
@@ -189,8 +188,21 @@ def build_distributed_order_program(a: int, N: int,
     transform, the one program a distributed round runs.  Measurement is
     left to the driver so the pre-measurement distribution stays
     inspectable.  It has ~70 m n^2 gates; the count report builds one
-    controlled multiplier instead."""
+    controlled multiplier instead.  The ladder's m multipliers have one
+    shape and length: the ``repeats`` pair each with the first whose
+    control is on its node (see ``execute_distributed``)."""
     circ = build_distributed_modexp_program(a, N, plan)
+    k, insts, firsts = plan.layout.k, circ.instructions, {}
+    prep = 1 + len(k)  # prep/one, then an H on each estimation qubit
+    width = (len(insts) - prep) // len(k)
+    for i, kq in enumerate(k):
+        span = range(prep + i * width, prep + (i + 1) * width)
+        if not all(insts[j].label.startswith(f"cm/M[{i}]/")
+                   for j in (span.start, span.stop - 1)):
+            raise PlanError(f"multiplier {i} does not fill {span}")
+        first = firsts.setdefault(plan.node_of_qubit[kq], span)
+        if first is not span:
+            circ.repeats.append((first, span))
     circ.extend(build_distributed_transform_program(plan))
     return circ
 
@@ -245,12 +257,6 @@ def _census(blocks: Iterable[str | None],
         else:
             census.teleports["other"][label] += 1
     return census
-
-
-def census_from_records(sessions: Sequence[SessionRecord],
-                        teleports: Sequence[TeleportRecord]) -> BlockCensus:
-    return _census((rec.block for rec in sessions),
-                   (rec.label for rec in teleports))
 
 
 def census_from_program(circ: Circuit, plan: PlacementPlan) -> BlockCensus:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import pytest
 
@@ -12,8 +12,7 @@ from distshor import cli, gates, partition
 from distshor.circuit import (Circuit, Instruction, count_gates, execute,
                               reverse)
 from distshor.netsim import (MAX_REMOTE_CONTROLS, Network, NetworkError,
-                             SessionRecord, execute_distributed,
-                             session_groups)
+                             execute_distributed, session_groups)
 from distshor.qft import build_inverse_qft
 from distshor.qstate import (Control, QuantumState, RandomSource,
                              SimulationError)
@@ -137,13 +136,40 @@ def remote_block(network: Network, control: int, body: Circuit):
     execute_distributed(network, add_controls(body, [(control, True)]))
 
 
+class SessionRecord(NamedTuple):
+    """One remotely controlled block: the unit non-local ops are counted
+    in."""
+
+    block: str | None
+    node: str
+    remote_controls: tuple[int, ...]
+    gates: int
+
+
+class TeleportRecord(NamedTuple):
+    src_node: str
+    dst_node: str
+    label: str
+
+
+def census_from_records(sessions: Sequence[SessionRecord],
+                        teleports: Sequence[TeleportRecord]
+                        ) -> partition.BlockCensus:
+    """The census of what a reference walk recorded: the dynamic side
+    of ``partition.census_from_program``."""
+    return partition._census((rec.block for rec in sessions),
+                             (rec.label for rec in teleports))
+
+
 def reference_session(network: Network, node_id: str,
-                      instructions: list[Instruction], block: str | None):
+                      instructions: list[Instruction],
+                      block: str | None) -> SessionRecord | None:
     """``Network.run_session`` as the protocol runs it, gate by gate on
     the state: each remote control is entangled with a mirror through a
     fresh pair, the body runs on the mirrors, and the mirrors are
     disentangled in reverse order.  It finds the remote controls itself,
-    so a fault in the facts ``session_groups`` finds shows here."""
+    so a fault in the facts ``session_groups`` finds shows here.  Returns
+    the session's record, or None when it shares no control."""
     remote: list[int] = []
     for inst in instructions:
         for q, _pol in inst.controls:
@@ -169,30 +195,44 @@ def reference_session(network: Network, node_id: str,
     for cat in reversed(cats):
         network.cat_disentangle(cat)
     if remote:
-        network.sessions.append(
-            SessionRecord(block, node_id, tuple(remote), gate_count))
+        return SessionRecord(block, node_id, tuple(remote), gate_count)
+    return None
 
 
-def reference_move(network: Network, src: int, dst: int, label: str):
+def reference_move(network: Network, src: int, dst: int,
+                   label: str) -> TeleportRecord | None:
     """``Network.move`` with a cross-node relocation run as the physical
-    teleport."""
+    teleport; returns the teleport's record, or None within a node."""
     src_node, dst_node = network.node_of(src), network.node_of(dst)
     if src_node == dst_node:
         network.apply_local(src_node, gates.SWAP, [src, dst])
-    else:
-        network.teleport(src, dst_node, dst, label=label)
+        return None
+    network.teleport(src, dst_node, dst)
+    return TeleportRecord(src_node, dst_node, label)
 
 
-def reference_execute_distributed(network: Network, circ: Circuit):
+def reference_execute_distributed(
+        network: Network,
+        circ: Circuit) -> tuple[list[SessionRecord], list[TeleportRecord]]:
     """``netsim.execute_distributed`` with every session and relocation
     run gate by gate through the physical protocol primitives: the
-    reference for the closed-form gadgets."""
+    reference for the closed-form gadgets.  Returns its records: each
+    session that shares a control and each teleport, in order."""
+    sessions: list[SessionRecord] = []
+    teleports: list[TeleportRecord] = []
     for node, insts, *_, is_move in session_groups(circ.instructions,
                                                    network.node_of):
         if is_move:
-            reference_move(network, *insts[0].targets, insts[0].label)
+            record = reference_move(network, *insts[0].targets,
+                                    insts[0].label)
+            if record is not None:
+                teleports.append(record)
         else:
-            reference_session(network, node, insts, insts[0].block)
+            record = reference_session(network, node, insts,
+                                       insts[0].block)
+            if record is not None:
+                sessions.append(record)
+    return sessions, teleports
 
 
 def observed(network: Network) -> dict:
@@ -200,8 +240,6 @@ def observed(network: Network) -> dict:
     the next draw advances the network's random stream."""
     return {
         "ledger": network.ledger.as_dict(),
-        "sessions": network.sessions,
-        "teleport_log": network.teleport_log,
         "max_live": network.max_live,
         "next_draw": network.rng.uniform(),
     }
@@ -372,3 +410,13 @@ def mono_run_15():
 def dist_run_15():
     """Distributed pre-measurement order run for N=15, a=7, m=8."""
     return order_round(7, 15, 8, "distributed")(RandomSource(1))
+
+
+@pytest.fixture(scope="session")
+def dist_records_15():
+    """The records of the N=15, a=7, m=8 distributed program run through
+    the reference walk: (sessions, teleports)."""
+    plan = partition.plan_placement(4, 8)
+    program = partition.build_distributed_order_program(7, 15, plan)
+    return reference_execute_distributed(
+        partition.build_network(plan, RandomSource(1)), program)

@@ -10,13 +10,13 @@ import time
 
 import pytest
 
-from conftest import (amp_distance, phase_estimation_state,
-                      random_amplitudes, remote_block, remote_cnot,
-                      used_qubits)
+from conftest import (amp_distance, census_from_records,
+                      phase_estimation_state, random_amplitudes,
+                      remote_block, remote_cnot, used_qubits)
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
 from distshor.netsim import Network, NodeSpec, Topology
-from distshor.partition import census_from_records, count_nl_t, plan_placement
+from distshor.partition import count_nl_t, plan_placement
 from distshor.qstate import QuantumState, RandomSource
 from distshor.revarith import (RegisterLayout, build_adder, build_an,
                                build_cm_m, build_fa, build_ha, build_m,
@@ -86,9 +86,8 @@ class TestCriterion2DistributedEquivalence:
 
 
 class TestCriterion3CommunicationFormulas:
-    def test_census_and_rollup(self, dist_run_15):
-        net = dist_run_15.network
-        census = census_from_records(net.sessions, net.teleport_log)
+    def test_census_and_rollup(self, dist_records_15):
+        census = census_from_records(*dist_records_15)
         report = count_nl_t(census, 4, 8)
         n, m = 4, 8
         assert report["leaves_measured"]["AN"]["NL"] == 8

@@ -5,14 +5,17 @@ gadgets gate by gate: ``Network.run_session`` and ``Network.move`` post
 what they bill, then ``circuit.execute`` applies what they compute.
 ``reference_execute_distributed`` (conftest) runs the same programs
 through the physical primitives.  Every observable must agree:
-transcripts, ledgers, session and teleport records, peak live counts and
-the random stream exactly, the state to 1e-12.
+transcripts, ledgers, peak live counts and the random stream exactly,
+the state to 1e-12.  A walk that bills repeats from their first must
+leave exactly what the flat walk leaves.
 """
 
 import copy
+import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (amp_distance, observed,
@@ -20,7 +23,8 @@ from conftest import (amp_distance, observed,
                       reference_session)
 from distshor import gates, partition, shor
 from distshor.circuit import Circuit, Instruction
-from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
+from distshor.netsim import (Network, NetworkError, NodeSpec,
+                             ResourceLedger, Topology,
                              execute_distributed, session_groups)
 from distshor.qstate import RandomSource, SimulationError
 
@@ -54,7 +58,7 @@ def test_order_round_matches_physical_protocol(request, monkeypatch, N, m,
     closed = round_outcome(run)
     calls = []
 
-    def counted_reference(network, program):
+    def counted_reference(network, program, _repeats):
         calls.append(program)
         reference_execute_distributed(network, program)
 
@@ -297,11 +301,11 @@ def test_sessions_match_physical_protocol(build):
     outcomes = []
     for execute in (execute_distributed, reference_execute_distributed):
         net, circ = build()
-        execute(net, circ)
+        records = execute(net, circ)
         channels = {node: sorted(rt.busy_channels)
                     for node, rt in net.nodes.items()}
         outcomes.append((observed(net), channels))
-    [session] = outcomes[0][0]["sessions"]
+    [session], _ = records  # the reference walk's
     assert len(session.remote_controls) == 2
     assert outcomes[0] == outcomes[1]
 
@@ -404,6 +408,17 @@ def strains(draw):
     return pairs, cuts
 
 
+def strained(seed: int, strain) -> Network:
+    """``three_nodes`` holding what ``strains`` drew."""
+    pairs, cuts = strain
+    net, _ = three_nodes(seed)
+    for a, b in pairs:
+        net.establish_epr(a, b)
+    for node, cut in zip(NODES, cuts):
+        net.nodes[node].spec = NodeSpec(node, 6 - cut, 3)
+    return net
+
+
 @settings(max_examples=100, deadline=None)
 @given(programs(), strains(), st.integers(0, 2**16))
 def test_random_refusals_match_physical_protocol(program, strain, seed):
@@ -411,14 +426,9 @@ def test_random_refusals_match_physical_protocol(program, strain, seed):
     # want of a channel or of capacity, raises where the protocol raises
     # and leaves its partial bill
     circ, _ = program
-    pairs, cuts = strain
     outcomes = []
     for execute in (execute_distributed, reference_execute_distributed):
-        net, _ = three_nodes(seed)
-        for a, b in pairs:
-            net.establish_epr(a, b)
-        for node, cut in zip(NODES, cuts):
-            net.nodes[node].spec = NodeSpec(node, 6 - cut, 3)
+        net = strained(seed, strain)
         try:
             execute(net, circ)
             error = None
@@ -428,11 +438,30 @@ def test_random_refusals_match_physical_protocol(program, strain, seed):
     assert outcomes[0] == outcomes[1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(programs(strays=True), strains(), st.integers(0, 2**16))
+def test_walks_leave_occupancy_unchanged(program, strain, seed):
+    # no walk claims a slot or keeps a channel busy, refused or not: so
+    # the checks a shape passed once pass again, which the tally and the
+    # repeats rely on
+    circ, _ = program
+    net = strained(seed, strain)
+    before = {node: (set(rt.allocated), set(rt.busy_channels))
+              for node, rt in net.nodes.items()}
+    try:
+        execute_distributed(net, circ)
+    except (NetworkError, SimulationError):
+        pass
+    assert before == {node: (rt.allocated, rt.busy_channels)
+                      for node, rt in net.nodes.items()}
+
+
 # -- the facts ``session_groups`` finds for each unit ------------------------
 
 def naive_facts(node, insts, is_move, node_of):
     """A unit's remote controls, their nodes, its enabled gates and its
-    first stray, derived from its own instructions one at a time."""
+    first stray (a gate off its node, enabled or not), derived from its
+    own instructions one at a time."""
     if is_move:
         src, dst = insts[0].targets
         remote = [src] if node_of(src) != node_of(dst) else []
@@ -443,7 +472,7 @@ def naive_facts(node, insts, is_move, node_of):
             if node_of(q) != node and q not in remote:
                 remote.append(q)
     enabled = [inst for inst in insts if inst.classical_constant != 0]
-    strays = [inst for inst in enabled
+    strays = [inst for inst in insts
               if any(node_of(q) != node for q in inst.targets)]
     return (tuple(remote), tuple(map(node_of, remote)), len(enabled),
             strays[0] if strays else None)
@@ -477,3 +506,248 @@ def test_block_facts_are_taken_on_its_first_gates_node():
     assert tuple(facts) == ((held["A"][0], held["C"][1]), ("A", "C"), 2,
                             circ.instructions[1])
     assert tuple(facts) == naive_facts(node, insts, is_move, net.node_of)
+
+
+# -- repeats billed from their first -----------------------------------------
+
+@st.composite
+def rounds(draw):
+    """An order-finding round (N, a, m)."""
+    N = draw(st.sampled_from([15, 21, 33, 35, 39]))
+    a = draw(st.sampled_from([a for a in range(2, N)
+                              if math.gcd(a, N) == 1]))
+    return N, a, draw(st.integers(1, 12))
+
+
+def order_program(N, a, m):
+    plan = partition.plan_placement(N.bit_length(), m)
+    return plan, partition.build_distributed_order_program(a, N, plan)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rounds())
+@example((21, 2, 10))
+@example((33, 5, 12))
+def test_ladder_repeats_hold_their_firsts_units(case):
+    """The builder's contract the repeats rely on: each repeat groups
+    into its first's units, on unit boundaries of the whole program, and
+    no gate of the program lies off its unit's node."""
+    N, a, m = case
+    plan, program = order_program(N, a, m)
+    node_of, insts = plan.node_of_qubit.__getitem__, program.instructions
+    k_nodes = {plan.node_of_qubit[q] for q in plan.layout.k}
+    assert len(program.repeats) == m - len(k_nodes)
+    units = list(session_groups(insts, node_of))
+    bounds = {0, *itertools.accumulate(len(unit[1]) for unit in units)}
+    for node, group, *_, is_move in units:
+        if not is_move:
+            assert {node_of(q) for inst in group for q in inst.targets} \
+                == {node}
+
+    def facts(span):
+        return [(node, sources, is_move, group[0].targets if is_move else 0)
+                for node, group, _, sources, _, _, is_move
+                in session_groups(insts[span.start:span.stop], node_of)]
+
+    for first, span in program.repeats:
+        assert {first.start, first.stop, span.start, span.stop} <= bounds
+        assert facts(span) == facts(first)
+
+
+@settings(max_examples=6, deadline=None)
+@given(rounds(), st.integers(0, 2**16))
+@example((21, 2, 10), 3)
+@example((33, 5, 12), 2)
+def test_repeats_bill_as_the_flat_walk(case, seed):
+    N, a, m = case
+    plan, program = order_program(N, a, m)
+    outcomes = []
+    for repeats in (program.repeats, ()):
+        net = partition.build_network(plan, RandomSource(seed))
+        execute_distributed(net, program, repeats)
+        outcomes.append((observed(net), list(net.state.amplitudes.items())))
+    assert outcomes[0] == outcomes[1]
+
+
+def walk(net, circ, repeats):
+    """Run ``circ`` on ``net``: the refusal's type and message, or None,
+    and what the network left behind, its state included."""
+    try:
+        execute_distributed(net, circ, repeats)
+        error = None
+    except (NetworkError, SimulationError) as exc:
+        error = (type(exc), str(exc))
+    return error, observed(net), list(net.state.amplitudes.items())
+
+
+@st.composite
+def repeated_programs(draw):
+    """[prefix][S][S'...][tail]: each S' is S with constants drawn again
+    and blocks renamed, as a ladder's multipliers differ; with the
+    repeats that say so."""
+    prefix, body, tail = (draw(programs(strays=True))[0] for _ in range(3))
+    circ = Circuit(prefix.num_qubits)
+
+    def put(insts, tag, redraw=False):
+        start = len(circ.instructions)
+        for inst in insts:
+            constant = (draw(st.sampled_from([None, 0, 1]))
+                        if redraw and inst.kind.name != "MOVE"
+                        else inst.classical_constant)
+            block = inst.block and f"{tag}/{inst.block}"
+            circ.instructions.append(inst._replace(
+                classical_constant=constant, block=block))
+        return range(start, len(circ.instructions))
+
+    put(prefix.instructions, "p")
+    first = put(body.instructions, "s")
+    repeats = [(first, put(body.instructions, f"s{i}", redraw=True))
+               for i in range(draw(st.integers(1, 3)))]
+    put(tail.instructions, "t")
+    return circ, repeats
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_programs(), strains(), st.integers(0, 2**16))
+def test_random_repeats_bill_as_the_flat_walk(program, strain, seed):
+    # refused or not, strays or not, in a first, a repeat or the tail
+    circ, repeats = program
+    bounds = {0, *itertools.accumulate(
+        len(unit[1]) for unit in session_groups(circ.instructions,
+                                                three_nodes(0)[0].node_of))}
+    assume(all({span.start, span.stop} <= bounds for _, span in repeats))
+    assert (walk(strained(seed, strain), circ, repeats)
+            == walk(strained(seed, strain), circ, ()))
+
+
+def shares_and_round_trips(net, held, constants, tag):
+    """A session on B under a control on A, then a relocation from B to
+    A and back: two teleports."""
+    circ = Circuit(net.state.num_qubits)
+    for i, constant in enumerate(constants):
+        circ.x(held["B"][i % 2], controls=[(held["A"][i % 2], True)],
+               classical_constant=constant, block=f"{tag}@s")
+    circ.move(held["B"][2], held["A"][2], label=f"{tag}/go")
+    circ.move(held["A"][2], held["B"][2], label=f"{tag}/back")
+    return circ.instructions
+
+
+def stacked(net, held, parts):
+    """One program of ``parts``, and the repeats of each part that
+    repeats an earlier one: (instructions, index of its first or None)."""
+    circ, spans, repeats = Circuit(net.state.num_qubits), [], []
+    for insts, of in parts:
+        spans.append(range(len(circ), len(circ) + len(insts)))
+        circ.instructions += insts
+        if of is not None:
+            repeats.append((spans[of], spans[-1]))
+    return circ, repeats
+
+
+def test_repeats_post_the_protocols_teleports():
+    # the tallied relocations of a repeat owe their teleports: a tally
+    # that left them out would fall short of the gate-by-gate protocol
+    outcomes = []
+    for execute in ("repeats", "flat", "reference"):
+        net, held = three_nodes(5)
+        circ, repeats = stacked(net, held, [
+            (shares_and_round_trips(net, held, (1, 0, None), "S"), None),
+            (shares_and_round_trips(net, held, (0, 1, 1), "S1"), 0),
+            (shares_and_round_trips(net, held, (None, None, 0), "S2"), 0)])
+        if execute == "reference":
+            reference_execute_distributed(net, circ)
+        else:
+            execute_distributed(net, circ,
+                                repeats if execute == "repeats" else ())
+        outcomes.append(observed(net))
+    assert outcomes[0]["ledger"]["teleports"] == 6
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def from_node(net, held, node, tag):
+    """A session on B under a control on ``node``."""
+    return Circuit(net.state.num_qubits).x(
+        held["B"][0], controls=[(held[node][0], True)],
+        block=f"{tag}@s").instructions
+
+
+@pytest.mark.parametrize("refusal,message", [
+    ("channel", r"^no free channel qubit on C$"),
+    ("capacity", r"^node C over capacity: 4 live qubits$")])
+@pytest.mark.parametrize("where", ["later first", "tail"])
+def test_refusal_after_repeats_matches_the_flat_walk(refusal, message,
+                                                     where):
+    """Two repeats of a first, then a share from C that C refuses: in a
+    later first with repeats of its own, or in the tail.  The refusal
+    leaves the flat walk's message and partial bill, the repeats'
+    shares and teleports included."""
+    outcomes = []
+    for flat in (False, True):
+        net, held = three_nodes(9)
+        rt = net.nodes["C"]
+        if refusal == "channel":
+            rt.busy_channels.update(rt.channel_slots)
+        else:
+            rt.spec = NodeSpec("C", 3, 3)
+        parts = [(shares_and_round_trips(net, held, (1, 0), "S"), None),
+                 (shares_and_round_trips(net, held, (0, 1), "S1"), 0),
+                 (shares_and_round_trips(net, held, (1, 1), "S2"), 0),
+                 (from_node(net, held, "C", "T"), None)]
+        if where == "later first":
+            parts.append((from_node(net, held, "C", "T1"), 3))
+        parts.append((from_node(net, held, "A", "U"), None))
+        circ, repeats = stacked(net, held, parts)
+        with pytest.raises(NetworkError, match=message):
+            execute_distributed(net, circ, () if flat else repeats)
+        outcomes.append(observed(net))
+    assert outcomes[0] == outcomes[1]
+    # each of the three parts shares two controls and teleports twice
+    assert outcomes[0]["ledger"]["ebits"] == 3 * 4
+    assert outcomes[0]["ledger"]["teleports"] == 3 * 2
+
+
+def test_stray_a_repeat_enables_raises_as_the_flat_walk():
+    """A block on B whose gate on C is disabled in the first and enabled
+    in its repeat: the repeat is walked, and raises the flat walk's
+    stray error after the same shares."""
+    outcomes = []
+    for flat in (False, True):
+        net, held = three_nodes(4)
+        parts = []
+        for tag, constant in (("S", 0), ("S1", 1)):
+            circ = Circuit(net.state.num_qubits)
+            circ.x(held["B"][0], controls=[(held["A"][0], True)],
+                   block=f"{tag}@s")
+            circ.x(held["C"][0], controls=[(held["B"][1], True)],
+                   classical_constant=constant, block=f"{tag}@s")
+            parts.append((circ.instructions, 0 if parts else None))
+        circ, repeats = stacked(net, held, parts)
+        with pytest.raises(NetworkError,
+                           match=r"^gate spans nodes: qubit \d+ is on C, "
+                                 r"not B$"):
+            execute_distributed(net, circ, () if flat else repeats)
+        outcomes.append(observed(net))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0]["ledger"]["ebits"] == 2
+
+
+@pytest.mark.parametrize("repeats", [
+    [(range(0, 2), range(1, 3))],                           # its own first
+    [(range(0, 2), range(2, 4)), (range(0, 2), range(3, 5))],  # each other
+    [(range(2, 4), range(4, 6)), (range(0, 3), range(3, 6))],  # a first
+    [(range(0, 2), range(2, 4)), (range(2, 4), range(4, 6))],  # chained
+    [(range(0, 2), range(7, 9))],                           # past the end
+    [(range(-1, 1), range(2, 4))],                          # before the start
+    [(range(0, 2), range(2, 5))],                           # lengths differ
+    [(range(3, 5), range(0, 2))],                           # before its first
+    [(range(0, 0), range(2, 2))],                           # empty
+])
+def test_bad_repeats_raise_before_billing(repeats):
+    net, held = three_nodes(0)
+    circ = Circuit(net.state.num_qubits)
+    for i in range(8):
+        circ.instructions += from_node(net, held, "A", f"S{i}")
+    with pytest.raises(ValueError):
+        execute_distributed(net, circ, repeats)
+    assert net.ledger == ResourceLedger()
+    assert observed(net) == observed(three_nodes(0)[0])

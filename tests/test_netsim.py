@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from conftest import (add_controls, amp_distance, random_amplitudes,
+from conftest import (SessionRecord, TeleportRecord, add_controls,
+                      amp_distance, random_amplitudes, reference_session,
                       remote_block, remote_cnot)
 from distshor import gates
 from distshor.circuit import Circuit, Instruction, execute
-from distshor.netsim import (Network, NetworkError, NodeSpec,
-                             SessionRecord, TeleportRecord, Topology,
+from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
                              execute_distributed, session_groups)
 from distshor.qstate import QuantumState, RandomSource
 
@@ -406,27 +406,30 @@ class TestSessionGroups:
 
 
 class TestRecords:
-    def test_run_session_returns_its_record(self):
-        net = two_nodes()
-        qa = net.allocate_data("A", 2)
-        qb = net.allocate_data("B", 1)[0]
+    def test_run_session_returns_its_shared_controls(self):
+        nets = two_nodes(), two_nodes()
+        for net in nets:
+            qa = net.allocate_data("A", 2)
+            qb = net.allocate_data("B", 1)[0]
         body = [Instruction(gates.X, (qb,), ((qa[1], True),), block="b"),
                 Instruction(gates.X, (qb,), ((qa[0], False), (qa[1], True)),
                             classical_constant=0, block="b")]
-        [unit] = session_groups(body, net.node_of)
-        record = net.run_session(unit)
+        [unit] = session_groups(body, nets[0].node_of)
         # both controls are shared; the disabled gate is not counted
-        assert record == SessionRecord("b", "B", (qa[1], qa[0]), 1)
-        assert net.sessions == [record]
+        assert nets[0].run_session(unit) == (qa[1], qa[0])
+        assert reference_session(nets[1], "B", body, "b") == \
+            SessionRecord("b", "B", (qa[1], qa[0]), 1)
+        assert nets[0].ledger == nets[1].ledger
 
     def test_session_without_remote_control_returns_none(self):
-        net = two_nodes()
-        qb = net.allocate_data("B", 2)
+        nets = two_nodes(), two_nodes()
+        for net in nets:
+            qb = net.allocate_data("B", 2)
         body = [Instruction(gates.X, (qb[0],), ((qb[1], True),))]
-        [unit] = session_groups(body, net.node_of)
-        assert net.run_session(unit) is None
-        assert net.sessions == []
-        assert net.ledger.ebits_consumed == 0
+        [unit] = session_groups(body, nets[0].node_of)
+        assert nets[0].run_session(unit) is None
+        assert reference_session(nets[1], "B", body, None) is None
+        assert nets[0].ledger.ebits_consumed == 0
 
     @pytest.mark.parametrize("make,fields,field", [
         (SessionRecord, ("b", "A", (3, 4), 2), "gates"),

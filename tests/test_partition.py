@@ -3,13 +3,14 @@ block equivalence, session/teleport censuses, and the level rollup."""
 
 import pytest
 
-from conftest import add_controls, read_register, used_qubits
+from conftest import (add_controls, census_from_records, read_register,
+                      reference_execute_distributed, used_qubits)
 from distshor import gates
 from distshor.circuit import Circuit, execute
 from distshor.partition import (PlanError, build_distributed_order_program,
                                 build_distributed_transform_program,
                                 build_network, census_from_program,
-                                census_from_records, count_nl_t,
+                                count_nl_t,
                                 execute_distributed, plan_placement,
                                 run_order_program)
 from distshor.qstate import QuantumState, RandomSource
@@ -92,14 +93,22 @@ class TestDistributedBlocks:
         self.lay = self.plan.layout
         self.controls = [(self.lay.k[0], True), (self.lay.x[0], True)]
 
-    def run_block(self, circ, b_value, *, enable=True, seed=7):
+    def run_block(self, circ, b_value, *, enable=True, seed=7,
+                  execute=execute_distributed):
         net = fresh_network(self.plan, seed)
         preset = bits_of(b_value, self.lay.b)
         if enable:
             preset += [self.lay.k[0], self.lay.x[0]]
         preset_network(net, preset)
-        execute_distributed(net, circ)
+        execute(net, circ)
         return net
+
+    def records(self, circ, b_value):
+        """The reference walk's (sessions, teleports) over ``circ``."""
+        records = []
+        self.run_block(circ, b_value, execute=lambda net, circ: records.extend(
+            reference_execute_distributed(net, circ)))
+        return records
 
     def test_fa_slice_with_open_controls_untouched(self):
         segments = self.plan.slicing.segments(self.lay.s, 0, "FA", "fa")
@@ -139,8 +148,7 @@ class TestDistributedBlocks:
         an = add_controls(
             build_an(7, 15, self.lay, slicing=self.plan.slicing, path="AN"),
             self.controls)
-        net = self.run_block(an, 9)
-        census = census_from_records(net.sessions, net.teleport_log)
+        census = census_from_records(*self.records(an, 9))
         assert census.blocks["AN"] == {"AN": 8}
         assert census.teleports["AN"] == {"AN": 6}
 
@@ -148,8 +156,7 @@ class TestDistributedBlocks:
         xan = add_controls(
             build_xan(7, 15, self.lay, slicing=self.plan.slicing,
                       path="XAN0"), self.controls)
-        net = self.run_block(xan, 9)
-        census = census_from_records(net.sessions, net.teleport_log)
+        census = census_from_records(*self.records(xan, 9))
         assert census.blocks["AN"] == {"XAN0/AN": 8, "XAN0/ANr": 8}
         assert census.blocks["COPY"] == {"XAN0": 4}
         assert census.teleports["AN"] == {"XAN0/AN": 6, "XAN0/ANr": 6}
@@ -158,8 +165,7 @@ class TestDistributedBlocks:
         adder = add_controls(
             build_adder(7, 15, self.lay, slicing=self.plan.slicing,
                         path="A"), self.controls)
-        net = self.run_block(adder, 9)
-        census = census_from_records(net.sessions, net.teleport_log)
+        census = census_from_records(*self.records(adder, 9))
         assert census.blocks["SWAP"] == {"A": 4}
         assert all(v == 8 for v in census.blocks["AN"].values())
         levels = count_nl_t(census, 4, 8)["per_level"]
@@ -170,8 +176,8 @@ class TestDistributedBlocks:
         adder = add_controls(
             build_adder(7, 15, self.lay, slicing=self.plan.slicing),
             self.controls)
-        net = self.run_block(adder, 9)
-        assert max(len(s.remote_controls) for s in net.sessions) == 3
+        sessions, _ = self.records(adder, 9)
+        assert max(len(s.remote_controls) for s in sessions) == 3
 
     def test_capacity_respected_throughout(self):
         adder = add_controls(
@@ -204,9 +210,8 @@ class TestDistributeCircuit:
 
 
 class TestFullRunEquivalence:
-    def test_rollup_hits_reference_totals(self, dist_run_15):
-        net = dist_run_15.network
-        census = census_from_records(net.sessions, net.teleport_log)
+    def test_rollup_hits_reference_totals(self, dist_records_15):
+        census = census_from_records(*dist_records_15)
         report = count_nl_t(census, 4, 8)
         assert report["leaves_measured"]["AN"]["NL"] == 8
         assert report["leaves_measured"]["AN"]["T"] == 6
@@ -217,13 +222,13 @@ class TestFullRunEquivalence:
     # N=21 (n=5) leaves one adder node without a slice: three slices
     @pytest.mark.parametrize("a,N,m", [(7, 15, 8), (2, 21, 2), (2, 33, 1)])
     def test_static_census_matches_dynamic(self, request, a, N, m):
-        run = (request.getfixturevalue("dist_run_15") if N == 15
-               else order_round(a, N, m, "distributed")(RandomSource(0)))
         plan = plan_placement(N.bit_length(), m)
         program = build_distributed_order_program(a, N, plan)
+        records = (request.getfixturevalue("dist_records_15") if N == 15
+                   else reference_execute_distributed(
+                       fresh_network(plan), program))
         static = census_from_program(program, plan)
-        net = run.network
-        assert static == census_from_records(net.sessions, net.teleport_log)
+        assert static == census_from_records(*records)
 
     def test_live_counts_stay_within_capacity(self, dist_run_15):
         net = dist_run_15.network

