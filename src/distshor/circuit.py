@@ -18,7 +18,7 @@ directive, so gate counting ignores it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
 from .gates import ARITY, MOVE, GateKind, is_unitary
-from .qstate import Control, QuantumState
+from .qstate import Control, QuantumState, enabled_gates
 
 
 # ``_new(Instruction, fields)``, with a value for each of the six fields,
@@ -51,12 +51,23 @@ class Circuit:
 
     Treat circuits as immutable once built: builders append, everything
     downstream only reads, so sharing across execution contexts is safe.
+
+    ``repeats`` lists pairs ``(first, span)`` of instruction positions, as
+    the power ladder's builder sets them (``shor.order_prefix``): ``span``
+    repeats the earlier ``first`` gate by gate.  Gate p of a span equals
+    gate p of its first except for its last control, whose qubit is the
+    span's own control (k_i in place of the first's k_0), and its
+    ``classical_constant``; its MOVEs equal the first's.  Two readers
+    rely on it: the billing walk (``netsim.execute_distributed``) bills a
+    span as its first's units, and the state kernel
+    (``QuantumState.apply_permutation``, through ``execute``) runs a span
+    from its first's plans.  Neither re-checks the gates of a span.
     """
 
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
         self.instructions: list[Instruction] = []
-        self.repeats: list[tuple[range, range]] = []  # execute_distributed
+        self.repeats: list[tuple[range, range]] = []
 
     # -- append API ------------------------------------------------------
 
@@ -170,34 +181,42 @@ def _in_run(inst: Instruction) -> bool:
     return inst.kind.name in _RUN_KINDS
 
 
-def _run_gates(insts: Iterable[Instruction]):
-    """The gates of a run for ``QuantumState.apply_permutation``, which
-    checks that each MOVE lands in a |0> slot; gates disabled by a 0
-    constant are left out."""
-    for inst in insts:
-        if inst.kind.name == "MOVE" or inst.classical_constant != 0:
-            yield inst.kind, inst.targets, inst.controls
-
-
 def execute(circ: Circuit, state: QuantumState):
     """Run a circuit on a state, in place.
 
     Each maximal run of permutation instructions and MOVEs goes to
-    ``QuantumState.apply_permutation`` in one call; that gives the same
-    state, entry order included, as applying its gates one by one, and
-    raises ``SimulationError`` on a MOVE into a slot that is not |0>.
-    Every other gate goes through ``apply_gate``, unless a 0 constant
-    disables it.
+    ``QuantumState.apply_permutation`` in one call, with the circuit's
+    repeats whose first starts in it; that gives the same state, entry
+    order included, as applying its gates one by one, and raises
+    ``SimulationError`` on a MOVE into a slot that is not |0>.  Every
+    other gate goes through ``apply_gate``, unless a 0 constant disables
+    it.  A repeat whose first starts outside every run raises
+    ``ValueError`` before anything runs.
     """
     if state.num_qubits < circ.num_qubits:
         raise ValueError("state is smaller than the circuit's qubit pool")
+    runs, starts, at = [], [], 0
     for in_run, insts in groupby(circ.instructions, key=_in_run):
-        if in_run:
-            state.apply_permutation(_run_gates(insts))
-            continue
-        for inst in insts:
-            if inst.classical_constant != 0:
-                state.apply_gate(inst.kind, inst.targets, inst.controls)
+        insts = list(insts)
+        runs.append((in_run, insts, []))
+        starts.append(at)
+        at += len(insts)
+    for first, span in circ.repeats:
+        i = bisect_right(starts, first.start) - 1
+        if i < 0 or not runs[i][0]:
+            raise ValueError(f"repeat {first} starts outside a run")
+        off = starts[i]
+        runs[i][2].append(tuple(range(r.start - off, r.stop - off, r.step)
+                                for r in (first, span)))
+    for in_run, insts, repeats in runs:
+        if not in_run:
+            for inst in insts:
+                if inst.classical_constant != 0:
+                    state.apply_gate(inst.kind, inst.targets, inst.controls)
+        elif repeats:
+            state.apply_permutation(insts, repeats)
+        else:
+            state.apply_permutation(enabled_gates(insts))
 
 
 def dump(circ: Circuit) -> str:

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
 from .circuit import Circuit, Instruction, execute
-from .qstate import Control, QuantumState, RandomSource
+from .qstate import Control, QuantumState, RandomSource, span_cuts
 
 _PURE_TOL = 1e-9
 
@@ -638,22 +638,16 @@ def execute_distributed(network: Network, circ: Circuit,
     the units of the earlier ``first`` in order, of shapes checked already
     whose checks pass again, as no walk changes an occupancy; so ``span``
     adds ``first``'s units per shape to the tally, walked only if ``first``
-    holds a stray.  Bad spans raise ``ValueError``.  The tally is posted
-    when the walk ends, by a refusal too, so the whole bill is posted
-    before the state runs; a refusal of the state (``ValueError``, too few
-    qubits; ``SimulationError``, a MOVE into a slot not |0>) comes after,
-    and the ledger and random stream cover work that did not run."""
-    insts, owed, cuts = circ.instructions, {}, [0]
-    for first, span in repeats:
-        if len(first) != len(span) or span.start < first.stop:
-            raise ValueError(f"{span} does not repeat {first}")
-        owed[span.start] = first.start
-    for start, stop in sorted([*{(f.start, f.stop) for f, _ in repeats},
-                               *((s.start, s.stop) for _, s in repeats)]):
-        if not cuts[-1] <= start < stop <= len(insts):
-            raise ValueError(f"repeat spans overlap or leave at {start}")
-        cuts += (start, stop)
-    cuts = sorted({*cuts, len(insts)})
+    holds a stray.  Bad spans raise ``ValueError`` (``span_cuts``).  The
+    tally is posted when the walk ends, by a refusal too, so the whole
+    bill is posted before the state runs, from the circuit's own
+    ``repeats``; a refusal of the state (``ValueError``, too few qubits or
+    bad repeats; ``SimulationError``, a MOVE into a slot not |0>) comes
+    after, and the ledger and random stream cover work that did not
+    run."""
+    insts = circ.instructions
+    cuts = span_cuts(repeats, len(insts))
+    owed = {span.start: first.start for first, span in repeats}
     bills: dict[int, dict] = {}  # a clean span's start -> units per shape
     network._tally = tally = {}
     try:

@@ -171,7 +171,8 @@ def build_distributed_modexp_program(a: int, N: int,
     lay = plan.layout
     return shor.order_prefix(
         lay, plan.num_qubits,
-        build_cm_m(a, N, lay.m, lay, slicing=plan.slicing))
+        build_cm_m(a, N, lay.m, lay, slicing=plan.slicing),
+        plan.node_of_qubit)
 
 
 def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
@@ -188,23 +189,11 @@ def build_distributed_order_program(a: int, N: int,
     transform, the one program a distributed round runs.  Measurement is
     left to the driver so the pre-measurement distribution stays
     inspectable.  It has ~70 m n^2 gates; the count report builds one
-    controlled multiplier instead.  The ladder's m multipliers have one
-    shape and length: the ``repeats`` pair each with the first whose
-    control is on its node (see ``execute_distributed``)."""
-    circ = build_distributed_modexp_program(a, N, plan)
-    k, insts, firsts = plan.layout.k, circ.instructions, {}
-    prep = 1 + len(k)  # prep/one, then an H on each estimation qubit
-    width = (len(insts) - prep) // len(k)
-    for i, kq in enumerate(k):
-        span = range(prep + i * width, prep + (i + 1) * width)
-        if not all(insts[j].label.startswith(f"cm/M[{i}]/")
-                   for j in (span.start, span.stop - 1)):
-            raise PlanError(f"multiplier {i} does not fill {span}")
-        first = firsts.setdefault(plan.node_of_qubit[kq], span)
-        if first is not span:
-            circ.repeats.append((first, span))
-    circ.extend(build_distributed_transform_program(plan))
-    return circ
+    controlled multiplier instead.  Its ``repeats`` pair each multiplier
+    with the first whose control is on its node (``shor.order_prefix``),
+    as ``execute_distributed`` needs to bill a repeat as its first."""
+    return build_distributed_modexp_program(a, N, plan).extend(
+        build_distributed_transform_program(plan))
 
 
 def run_order_program(a: int, N: int, m: int,

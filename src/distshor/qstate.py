@@ -18,9 +18,14 @@ entry, so a controlled X is ``col[t] ^= AND(control columns)`` and a
 controlled SWAP a masked exchange, one big-int operation per gate at any
 support size (bitslicing, as in Biham's software DES, 1997).  Each
 distinct gate of a run is checked once, on its first visit, into a plan of
-qubit ids that its later visits apply directly, so a multiplier ladder that
-visits the same gates again and again pays for each check once; a MOVE
-checks its destination slot on every visit.  The kernel's results
+qubit ids that its later visits apply directly; a MOVE checks its
+destination slot on every visit.  A run may also come with repeats
+(``Circuit.repeats``): spans that repeat an earlier span of the run gate
+by gate, each under its own control in place of its first's, as the
+multipliers of a power ladder do.  The kernel plans each first position
+by position, once, and runs every repeat from those plans with the
+repeat's control swapped in, so the ladder's m multipliers pay for one
+multiplier's checks and keys.  The kernel's results
 are bit-exact with applying the gates one by one through ``apply_gate``:
 a permutation only relabels basis indices, the amplitude values are
 carried over untouched, and both paths keep the dict's entry order, so
@@ -30,10 +35,9 @@ every later floating-point sum (H accumulation, ``measure``,
 
 from __future__ import annotations
 
-import math
 import random
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .gates import ARITY, SWAP, GateKind, X, is_unitary, phase_factor
 
@@ -41,6 +45,36 @@ _SQRT_HALF = 0.5**0.5
 PRUNE_EPSILON = 1e-12  # H drops amplitudes at or below this magnitude
 
 Control = tuple[int, bool]
+
+
+def span_cuts(repeats: Sequence[tuple[range, range]],
+              length: int) -> list[int]:
+    """Check the repeats ``(first, span)`` over a sequence of ``length``
+    items and return the ends of its pieces in order, 0 and ``length``
+    included: every first and span a nonempty range of step 1 inside the
+    sequence that overlaps no other, each span as long as its first and
+    after it.  Raises ``ValueError`` otherwise."""
+    cuts = [0]
+    for first, span in repeats:
+        if (len(first) != len(span) or span.start < first.stop
+                or first.step != 1 or span.step != 1):
+            raise ValueError(f"{span} does not repeat {first}")
+    for start, stop in sorted([*{(f.start, f.stop) for f, _ in repeats},
+                               *((s.start, s.stop) for _, s in repeats)]):
+        if not cuts[-1] <= start < stop <= length:
+            raise ValueError(f"repeat spans overlap or leave at {start}")
+        cuts += (start, stop)
+    return sorted({*cuts, length})
+
+
+def enabled_gates(insts):
+    """The gates ``(kind, targets, controls)`` of a run of instructions
+    ``(kind, targets, controls, classical_constant, ...)`` that
+    ``apply_permutation`` applies: a 0 constant disables a gate, never a
+    MOVE."""
+    for inst in insts:
+        if inst[0].name == "MOVE" or inst[3] != 0:
+            yield inst[0], inst[1], inst[2]
 
 
 class SimulationError(Exception):
@@ -72,7 +106,7 @@ class QuantumState:
     """Sparse register of ``num_qubits`` qubits, initially |0...0>.
 
     Single-writer: one thread mutates a state at a time.  Reads
-    (``exact_distribution``, ``prob_one``, ``amplitude``) are safe to run
+    (``amplitudes``, ``exact_distribution``, ``prob_one``) are safe to run
     concurrently as long as nothing is writing.
     """
 
@@ -83,26 +117,6 @@ class QuantumState:
         self.amplitudes: dict[int, complex] = {0: 1.0 + 0.0j}
         self.peak_support = 1  # largest support seen, for sparsity checks
 
-    @classmethod
-    def from_amplitudes(cls, num_qubits: int,
-                        amplitudes: Mapping[int, complex]) -> "QuantumState":
-        """Build a state from explicit amplitudes (normalized on entry)."""
-        state = cls(num_qubits)
-        norm = sum(abs(a) ** 2 for a in amplitudes.values()) ** 0.5
-        if norm < 1e-12:
-            raise ValueError("cannot normalize an all-zero amplitude map")
-        limit = 1 << num_qubits
-        state.amplitudes = {}
-        for idx, amp in amplitudes.items():
-            if not 0 <= idx < limit:
-                raise ValueError(f"basis index {idx} out of range")
-            value = complex(amp) / norm
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"amplitude at {idx} is not finite")
-            state.amplitudes[idx] = value
-        state.peak_support = len(state.amplitudes)
-        return state
-
     def copy(self) -> "QuantumState":
         dup = QuantumState(self.num_qubits)
         dup.amplitudes = dict(self.amplitudes)
@@ -110,9 +124,6 @@ class QuantumState:
         return dup
 
     # -- queries ---------------------------------------------------------
-
-    def amplitude(self, index: int) -> complex:
-        return self.amplitudes.get(index, 0.0 + 0.0j)
 
     def prob_one(self, qubit: int) -> float:
         """Marginal probability that ``qubit`` reads 1."""
@@ -209,24 +220,42 @@ class QuantumState:
             self.peak_support = len(self.amplitudes)
         return self
 
-    def apply_permutation(self, run: Iterable[tuple[GateKind, Sequence[int],
-                                                    Iterable[Control]]]
-                          ) -> "QuantumState":
+    def apply_permutation(self, run, repeats: Sequence[tuple[range, range]]
+                          = ()) -> "QuantumState":
         """Apply a run of X/CNOT/TOFFOLI/SWAP gates and MOVEs in place
         and return self.
 
-        The run is consumed one gate at a time.  Each distinct gate (its
-        kind's name, targets and controls) is checked once per call, on
-        its first visit, by the same validation as ``apply_gate``; the
-        check leaves a plan of qubit ids that every later visit of that
-        gate applies as it is.  A MOVE, a SWAP, also checks that its
-        destination (second target) is |0>, on every visit.  Every qubit
-        the run touches is held as one bitset over the support entries
-        (bit k belongs to the k-th entry in dict order), so a gate is a
-        few big-int operations whatever the support size.  When the run
-        ends, also on an error, the entries get their new keys in their
-        original order; the amplitude values are not touched.
+        Without ``repeats``, ``run`` yields the gates as ``(kind, targets,
+        controls)`` and is consumed one gate at a time.  Each distinct
+        gate (its kind's name, targets and controls) is checked once per
+        call, on its first visit, by the same validation as
+        ``apply_gate``; the check leaves a plan of qubit ids that every
+        later visit of that gate applies as it is.
+
+        With ``repeats``, pairs ``(first, span)`` of positions in the run
+        (``Circuit.repeats``), ``run`` is a sequence of instructions
+        ``(kind, targets, controls, classical_constant, ...)``, and a 0
+        constant disables every gate but a MOVE.  Before anything is
+        applied, ``span_cuts`` checks the spans, and each first is checked
+        and planned position by position, its disabled gates too, without
+        the control its gates end with.  A span's control, the last
+        control of its first gate that is not a MOVE, must lie in range
+        and off every qubit those plans touch.  A failure raises
+        ``ValueError`` (``SimulationError`` for a gate ``apply_gate``
+        refuses) with the state untouched.  Each span, its first
+        included, then runs from its first's plans, every gate's mask
+        starting from the span's control; the rest of the run runs as
+        without repeats.
+
+        A MOVE, a SWAP, also checks that its destination (second target)
+        is |0>, on every visit.  Every qubit the run touches is held as
+        one bitset over the support entries (bit k belongs to the k-th
+        entry in dict order), so a gate is a few big-int operations
+        whatever the support size.  When the run ends, also on an error,
+        the entries get their new keys in their original order; the
+        amplitude values are not touched.
         """
+        pieces = self._ladder(run, repeats) if repeats else ((run, None),)
         amps = self.amplitudes
         width = self.num_qubits
         stride = width + 1
@@ -235,35 +264,70 @@ class QuantumState:
         cols: dict[int, int] = {}  # qubit -> its bits over the entries
         plans = {}  # (name, targets, controls) -> _permutation_plan's plan
 
+        def load(qubits):
+            """Give each of ``qubits`` its column, if it has none."""
+            nonlocal rows
+            if rows is None:
+                rows = " ".join(map(format, amps,
+                                    repeat(f"0{width}b"))).encode()
+            for q in qubits:
+                if q not in cols:
+                    cols[q] = int(rows[width - 1 - q::stride][::-1], 2)
+
         try:
-            for gate, targets, controls in run:
-                targets = tuple(targets)
-                controls = tuple(controls)
-                key = gate.name, targets, controls
-                plan = plans.get(key)
-                if plan is None:
-                    plan = self._permutation_plan(gate, targets, controls)
-                    if rows is None:
-                        rows = " ".join(map(format, amps,
-                                            repeat(f"0{width}b"))).encode()
-                    for q in (*targets, *(q for q, _pol in controls)):
-                        if q not in cols:
-                            cols[q] = int(rows[width - 1 - q::stride][::-1], 2)
-                    plans[key] = plan
-                move, is_x, a, b, pos, neg = plan
-                if move and cols[b]:
-                    raise SimulationError(f"destination slot {b} is not |0>")
-                mask = full
-                for q in pos:
-                    mask &= cols[q]
-                for q in neg:
-                    mask &= ~cols[q]
-                if is_x:
-                    cols[a] ^= mask
-                else:
-                    diff = (cols[a] ^ cols[b]) & mask
-                    cols[a] ^= diff
-                    cols[b] ^= diff
+            for gates, ladder in pieces:
+                if ladder is not None:
+                    span_plans, touched, k = ladder
+                    load(touched if k is None else (*touched, k))
+                    on = full if k is None else cols[k]
+                    off = full ^ on
+                    for (move, is_x, a, b, pos, neg, pol), inst in zip(
+                            span_plans, gates):
+                        if move:
+                            if cols[b]:
+                                raise SimulationError(
+                                    f"destination slot {b} is not |0>")
+                            mask = full
+                        elif inst[3] == 0:
+                            continue
+                        else:
+                            mask = on if pol else off
+                        for q in pos:
+                            mask &= cols[q]
+                        for q in neg:
+                            mask &= ~cols[q]
+                        if is_x:
+                            cols[a] ^= mask
+                        else:
+                            diff = (cols[a] ^ cols[b]) & mask
+                            cols[a] ^= diff
+                            cols[b] ^= diff
+                    continue
+                for gate, targets, controls in gates:
+                    targets = tuple(targets)
+                    controls = tuple(controls)
+                    key = gate.name, targets, controls
+                    plan = plans.get(key)
+                    if plan is None:
+                        plan = self._permutation_plan(gate, targets,
+                                                      controls)
+                        load((*targets, *(q for q, _pol in controls)))
+                        plans[key] = plan
+                    move, is_x, a, b, pos, neg = plan
+                    if move and cols[b]:
+                        raise SimulationError(
+                            f"destination slot {b} is not |0>")
+                    mask = full
+                    for q in pos:
+                        mask &= cols[q]
+                    for q in neg:
+                        mask &= ~cols[q]
+                    if is_x:
+                        cols[a] ^= mask
+                    else:
+                        diff = (cols[a] ^ cols[b]) & mask
+                        cols[a] ^= diff
+                        cols[b] ^= diff
         finally:
             if cols:
                 buf = bytearray(rows)
@@ -309,6 +373,69 @@ class QuantumState:
         if not 0 <= q < self.num_qubits:
             raise SimulationError(
                 f"qubit {q} out of range for {self.num_qubits}-qubit state")
+
+    def _ladder(self, run, repeats):
+        """The pieces of a run with repeats, each ``(gates, ladder)``:
+        the gates of a stretch outside the spans with ladder None, or a
+        span's instructions with ``(plans, touched, control)``, its
+        first's positional plans, the qubits they touch and the span's
+        control.  Everything is checked before a piece runs."""
+        cuts = span_cuts(repeats, len(run))
+        of = {span.start: first.start for first, span in repeats}
+        firsts = {first.start: self._positional_plans(run[first.start:
+                                                          first.stop])
+                  for first in dict.fromkeys(f for f, _ in repeats)}
+        pieces = []
+        for start, stop in zip(cuts, cuts[1:]):
+            planned = firsts.get(of.get(start, start))
+            if planned is None:
+                pieces.append((enabled_gates(run[start:stop]), None))
+                continue
+            span_plans, touched, lead = planned
+            k = None
+            if lead is not None:
+                controls = run[start + lead][2]
+                k = controls[-1][0] if controls else None
+                if k is None or not 0 <= k < self.num_qubits or k in touched:
+                    raise ValueError(
+                        f"the span at {start} swaps in control {k}, not a "
+                        f"qubit in range and off its first's qubits")
+            pieces.append((run[start:stop], (span_plans, touched, k)))
+        return pieces
+
+    def _positional_plans(self, first):
+        """Check a first's instructions and plan them by position:
+        ``(plans, touched, lead)``.  Each gate but a MOVE must end with
+        the control of the first's first gate, at index ``lead`` (None
+        when the first holds only MOVEs).  A gate's plan is
+        ``_permutation_plan``'s without that control, plus its polarity;
+        equal gates share one plan.  ``touched`` holds every qubit of
+        the plans."""
+        plans, seen, touched, lead, k = [], {}, set(), None, None
+        for p, inst in enumerate(first):
+            gate, targets, controls = inst[0], tuple(inst[1]), tuple(inst[2])
+            if gate.name == "MOVE":
+                key = gate.name, targets, controls
+            else:
+                if lead is None and controls:
+                    lead, k = p, controls[-1][0]
+                if not controls or controls[-1][0] != k:
+                    raise ValueError(
+                        f"gate {p} of a first does not end with its control")
+                key = gate.name, targets, controls[:-1], controls[-1][1]
+            plan = seen.get(key)
+            if plan is None:
+                move, is_x, a, b, pos, neg = self._permutation_plan(
+                    gate, targets, controls)
+                pol = not move and controls[-1][1]
+                if pol:
+                    pos = pos[:-1]
+                elif not move:
+                    neg = neg[:-1]
+                touched.update((a, b), pos, neg)
+                plan = seen[key] = move, is_x, a, b, pos, neg, pol
+            plans.append(plan)
+        return plans, touched, lead
 
     def _permutation_plan(self, gate: GateKind, targets: Sequence[int],
                           controls: Iterable[Control]):

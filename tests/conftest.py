@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import pytest
 
@@ -18,6 +18,31 @@ from distshor.qstate import (Control, QuantumState, RandomSource,
                              SimulationError)
 from distshor.revarith import build_an, gate_count_formula
 from distshor.shor import order_round
+
+
+def from_amplitudes(num_qubits: int,
+                    amplitudes: Mapping[int, complex]) -> QuantumState:
+    """A state with explicit amplitudes (normalized on entry)."""
+    state = QuantumState(num_qubits)
+    norm = sum(abs(a) ** 2 for a in amplitudes.values()) ** 0.5
+    if norm < 1e-12:
+        raise ValueError("cannot normalize an all-zero amplitude map")
+    limit = 1 << num_qubits
+    state.amplitudes = {}
+    for idx, amp in amplitudes.items():
+        if not 0 <= idx < limit:
+            raise ValueError(f"basis index {idx} out of range")
+        value = complex(amp) / norm
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ValueError(f"amplitude at {idx} is not finite")
+        state.amplitudes[idx] = value
+    state.peak_support = len(state.amplitudes)
+    return state
+
+
+def amplitude(state: QuantumState, index: int) -> complex:
+    """The amplitude of basis state ``index``; 0 off the support."""
+    return state.amplitudes.get(index, 0.0 + 0.0j)
 
 
 def set_register(state: QuantumState, qubits, value: int):
@@ -60,6 +85,13 @@ def reference_execute(circ: Circuit, state: QuantumState):
         elif inst.classical_constant != 0:
             state.apply_gate(inst.kind, inst.targets, inst.controls)
 
+
+
+def without_repeats(circ: Circuit) -> Circuit:
+    """``circ`` with no repeats, so the state kernel runs it flat."""
+    bare = Circuit(circ.num_qubits)
+    bare.instructions = circ.instructions
+    return bare
 
 def used_qubits(circ: Circuit) -> set[int]:
     """Every qubit an instruction of ``circ`` targets or is controlled
@@ -379,7 +411,7 @@ def reference_counts_section(config: cli.RunConfig) -> dict:
 
 def amp_distance(a: QuantumState, b: QuantumState) -> float:
     keys = set(a.amplitudes) | set(b.amplitudes)
-    return max(abs(a.amplitude(k) - b.amplitude(k)) for k in keys)
+    return max(abs(amplitude(a, k) - amplitude(b, k)) for k in keys)
 
 
 def random_amplitudes(qubits, num_qubits, py_rng: random.Random):
@@ -412,11 +444,40 @@ def dist_run_15():
     return order_round(7, 15, 8, "distributed")(RandomSource(1))
 
 
+def round_outcome(run) -> tuple:
+    """The first-register distribution, j and what the network left
+    behind, for a distributed order-finding round run up to measurement:
+    (j, distribution, ``observed``)."""
+    dist = run.state.exact_distribution(run.k_qubits)
+    j = run.measure_first_register(run.network.rng)
+    return j, dist, observed(run.network)
+
+
+class ReferenceRound(NamedTuple):
+    """A distributed round whose program went through the reference
+    walk instead of ``execute_distributed``."""
+    records: tuple  # the walk's (sessions, teleports)
+    outcome: tuple  # ``round_outcome`` of the round
+    programs: int   # programs the round walked
+
+
+def reference_round(a: int, N: int, m: int, seed: int) -> ReferenceRound:
+    """Run one distributed order-finding round on ``RandomSource(seed)``
+    with every program it runs walked gate by gate through the physical
+    protocol (``reference_execute_distributed``)."""
+    walks = []
+
+    def walk(network, program, _repeats):
+        walks.append(reference_execute_distributed(network, program))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition, "execute_distributed", walk)
+        run = order_round(a, N, m, "distributed")(RandomSource(seed))
+    return ReferenceRound(walks[0], round_outcome(run), len(walks))
+
+
 @pytest.fixture(scope="session")
-def dist_records_15():
-    """The records of the N=15, a=7, m=8 distributed program run through
-    the reference walk: (sessions, teleports)."""
-    plan = partition.plan_placement(4, 8)
-    program = partition.build_distributed_order_program(7, 15, plan)
-    return reference_execute_distributed(
-        partition.build_network(plan, RandomSource(1)), program)
+def reference_round_15() -> ReferenceRound:
+    """The N=15, a=7, m=8 distributed round on ``RandomSource(1)``
+    through the reference walk, which tier-1 runs only here."""
+    return reference_round(7, 15, 8, 1)

@@ -10,9 +10,10 @@ import time
 
 import pytest
 
-from conftest import (amp_distance, census_from_records,
-                      phase_estimation_state, random_amplitudes,
-                      remote_block, remote_cnot, used_qubits)
+from conftest import (amp_distance, amplitude, census_from_records,
+                      from_amplitudes, phase_estimation_state,
+                      random_amplitudes, remote_block, remote_cnot,
+                      used_qubits)
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
 from distshor.netsim import Network, NodeSpec, Topology
@@ -86,8 +87,8 @@ class TestCriterion2DistributedEquivalence:
 
 
 class TestCriterion3CommunicationFormulas:
-    def test_census_and_rollup(self, dist_records_15):
-        census = census_from_records(*dist_records_15)
+    def test_census_and_rollup(self, reference_round_15):
+        census = census_from_records(*reference_round_15.records)
         report = count_nl_t(census, 4, 8)
         n, m = 4, 8
         assert report["leaves_measured"]["AN"]["NL"] == 8
@@ -313,7 +314,7 @@ class TestCriterion9Properties:
                     if (basis >> i) & 1:
                         st.apply_gate(gates.X, [i])
                 execute(round_trip, st)
-                assert abs(st.amplitude(basis) - 1.0) < 1e-9
+                assert abs(amplitude(st, basis) - 1.0) < 1e-9
 
     def test_cat_round_trip_and_channel_hygiene(self):
         py_rng = random.Random(3)
@@ -322,7 +323,7 @@ class TestCriterion9Properties:
             net = Network(topo, RandomSource(trial))
             qa = net.allocate_data("A", 1)[0]
             amps = random_amplitudes([qa], net.state.num_qubits, py_rng)
-            net.state = QuantumState.from_amplitudes(net.state.num_qubits,
+            net.state = from_amplitudes(net.state.num_qubits,
                                                      amps)
             before = net.state.copy()
             cat = net.cat_entangle(qa, net.establish_epr("A", "B"))

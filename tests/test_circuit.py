@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_controls, read_register, run_on_basis
+from conftest import add_controls, amplitude, read_register, run_on_basis
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, dump, execute, reverse
 from distshor.qstate import QuantumState
@@ -68,7 +68,7 @@ class TestReverse:
                     if (basis >> i) & 1:
                         st.apply_gate(gates.X, [i])
                 execute(both, st)
-                assert abs(st.amplitude(basis) - 1.0) < 1e-9, (num_qubits,
+                assert abs(amplitude(st, basis) - 1.0) < 1e-9, (num_qubits,
                                                                basis)
 
     def test_move_direction_flips(self):

@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 
 from conftest import (amp_distance, observed,
                       reference_execute_distributed, reference_move,
-                      reference_session)
+                      reference_round, reference_session, round_outcome,
+                      without_repeats)
 from distshor import gates, partition, shor
-from distshor.circuit import Circuit, Instruction
+from distshor.circuit import Circuit, Instruction, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec,
                              ResourceLedger, Topology,
                              execute_distributed, session_groups)
-from distshor.qstate import RandomSource, SimulationError
+from distshor.qstate import QuantumState, RandomSource, SimulationError
 
 
 # -- whole order-finding rounds ---------------------------------------------
@@ -36,35 +37,16 @@ from distshor.qstate import RandomSource, SimulationError
 ROUNDS = [(15, 8, 7, 1), (15, 4, 11, 0), (15, 5, 2, 1), (15, 6, 7, 3)]
 
 
-def round_outcome(run: shor.OrderRun):
-    """The first-register distribution, j and what the network left
-    behind, for a distributed order-finding round run up to measurement."""
-    dist = run.state.exact_distribution(run.k_qubits)
-    j = run.measure_first_register(run.network.rng)
-    return j, dist, observed(run.network)
-
-
 @pytest.mark.parametrize("N,m,a,seed", ROUNDS)
-def test_order_round_matches_physical_protocol(request, monkeypatch, N, m,
-                                               a, seed):
-    # a runner simulates on its first call only, so each side builds one
-    def fresh_round():
-        return shor.order_round(a, N, m, shor.DISTRIBUTED)(RandomSource(seed))
-
+def test_order_round_matches_physical_protocol(request, N, m, a, seed):
     if (N, m, a, seed) == (15, 8, 7, 1):
         run = copy.deepcopy(request.getfixturevalue("dist_run_15"))
+        walked = request.getfixturevalue("reference_round_15")
     else:
-        run = fresh_round()
-    closed = round_outcome(run)
-    calls = []
-
-    def counted_reference(network, program, _repeats):
-        calls.append(program)
-        reference_execute_distributed(network, program)
-
-    monkeypatch.setattr(partition, "execute_distributed", counted_reference)
-    reference = round_outcome(fresh_round())
-    assert len(calls) == 1  # one program: ladder and transform
+        run = shor.order_round(a, N, m, shor.DISTRIBUTED)(RandomSource(seed))
+        walked = reference_round(a, N, m, seed)
+    closed, reference = round_outcome(run), walked.outcome
+    assert walked.programs == 1  # one program: ladder and transform
     assert closed[0] == reference[0]
     assert closed[2] == reference[2]
     keys = set(closed[1]) | set(reference[1])
@@ -511,12 +493,12 @@ def test_block_facts_are_taken_on_its_first_gates_node():
 # -- repeats billed from their first -----------------------------------------
 
 @st.composite
-def rounds(draw):
+def rounds(draw, moduli=(15, 21, 33, 35, 39), max_m=12):
     """An order-finding round (N, a, m)."""
-    N = draw(st.sampled_from([15, 21, 33, 35, 39]))
+    N = draw(st.sampled_from(moduli))
     a = draw(st.sampled_from([a for a in range(2, N)
                               if math.gcd(a, N) == 1]))
-    return N, a, draw(st.integers(1, 12))
+    return N, a, draw(st.integers(1, max_m))
 
 
 def order_program(N, a, m):
@@ -552,6 +534,63 @@ def test_ladder_repeats_hold_their_firsts_units(case):
     for first, span in program.repeats:
         assert {first.start, first.stop, span.start, span.stop} <= bounds
         assert facts(span) == facts(first)
+
+
+def mode_programs(N, a, m):
+    """The order-finding program of each mode, with its estimation
+    qubits."""
+    modexp, transform, layout = shor.order_circuit_parts(a, N, m)
+    plan, program = order_program(N, a, m)
+    return {"monolithic": (modexp.extend(transform), layout.k),
+            "distributed": (program, plan.layout.k)}
+
+
+@settings(max_examples=10, deadline=None)
+@given(rounds())
+@example((21, 2, 10))
+@example((33, 5, 12))
+def test_ladder_repeats_swap_only_their_control(case):
+    """The builder's contract the state kernel relies on, in both modes:
+    gate p of a repeat is gate p of its first in kind, targets and every
+    control but the last, which is (k_i, True) for multiplier i; MOVEs
+    are identical but for their labels.  A monolithic ladder pairs each
+    multiplier i >= 1 with multiplier 0."""
+    N, a, m = case
+    for mode, (program, k) in mode_programs(N, a, m).items():
+        insts, prep = program.instructions, 1 + m
+        if mode == "monolithic":
+            assert len(program.repeats) == m - 1
+            assert all(first == range(prep, prep + len(span))
+                       for first, span in program.repeats)
+        for first, span in program.repeats:
+            i, f = ((r.start - prep) // len(r) for r in (span, first))
+            assert insts[span.start].label.startswith(f"cm/M[{i}]/")
+            for g, h in zip(insts[first.start:first.stop],
+                            insts[span.start:span.stop]):
+                if g.kind.name == "MOVE":
+                    assert h._replace(label=g.label) == g
+                    continue
+                assert (h.kind, h.targets, h.controls[:-1]) == \
+                    (g.kind, g.targets, g.controls[:-1])
+                assert (g.controls[-1], h.controls[-1]) == \
+                    ((k[f], True), (k[i], True))
+
+
+@settings(max_examples=8, deadline=None)
+@given(rounds(moduli=(15, 21, 33), max_m=10))
+@example((15, 7, 8))
+@example((21, 2, 10))
+def test_repeats_run_as_the_flat_kernel(case):
+    """A ladder run from its firsts' plans leaves the state of the flat
+    kernel, in both modes: keys, values, entry order and peak support."""
+    for program, _k in mode_programs(*case).values():
+        outcomes = []
+        for circ in (program, without_repeats(program)):
+            state = QuantumState(circ.num_qubits)
+            execute(circ, state)
+            outcomes.append((list(state.amplitudes.items()),
+                             state.peak_support))
+        assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=6, deadline=None)

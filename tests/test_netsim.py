@@ -6,13 +6,13 @@ import random
 import pytest
 
 from conftest import (SessionRecord, TeleportRecord, add_controls,
-                      amp_distance, random_amplitudes, reference_session,
-                      remote_block, remote_cnot)
+                      amp_distance, from_amplitudes, random_amplitudes,
+                      reference_session, remote_block, remote_cnot)
 from distshor import gates
 from distshor.circuit import Circuit, Instruction, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
                              execute_distributed, session_groups)
-from distshor.qstate import QuantumState, RandomSource
+from distshor.qstate import RandomSource
 
 
 def two_nodes(seed=0, capacity=5, channels=2):
@@ -90,7 +90,7 @@ class TestCatProtocol:
             net = two_nodes(seed=trial)
             qa = net.allocate_data("A", 1)[0]
             amps = random_amplitudes([qa], net.state.num_qubits, py_rng)
-            net.state = QuantumState.from_amplitudes(net.state.num_qubits,
+            net.state = from_amplitudes(net.state.num_qubits,
                                                      amps)
             before = net.state.copy()
             cat = net.cat_entangle(qa, net.establish_epr("A", "B"))
@@ -133,7 +133,7 @@ class TestNonlocalCnot:
             qa = net.allocate_data("A", 1)[0]
             qb = net.allocate_data("B", 1)[0]
             amps = random_amplitudes([qa, qb], net.state.num_qubits, py_rng)
-            net.state = QuantumState.from_amplitudes(net.state.num_qubits,
+            net.state = from_amplitudes(net.state.num_qubits,
                                                      amps)
             ref = net.state.copy()
             remote_cnot(net, qa, qb)
@@ -206,7 +206,7 @@ class TestControlledCircuit:
                             num_qubits=net.state.num_qubits)
             amps = random_amplitudes([ctrl, *regs[:3]],
                                      net.state.num_qubits, py_rng)
-            net.state = QuantumState.from_amplitudes(net.state.num_qubits,
+            net.state = from_amplitudes(net.state.num_qubits,
                                                      amps)
             ref = net.state.copy()
             remote_block(net, ctrl, body)
@@ -219,7 +219,7 @@ class TestTeleport:
     def test_amplitudes_preserved(self):
         net = two_nodes(seed=6)
         qa = net.allocate_data("A", 1)[0]
-        net.state = QuantumState.from_amplitudes(
+        net.state = from_amplitudes(
             net.state.num_qubits, {0: 0.6, 1 << qa: 0.8})
         dst = net.teleport(qa, "B")
         dist = net.state.exact_distribution([dst])
@@ -272,7 +272,7 @@ class TestTeleport:
             net = two_nodes(seed=trial)
             qa = net.allocate_data("A", 1)[0]
             amps = random_amplitudes([qa], net.state.num_qubits, py_rng)
-            net.state = QuantumState.from_amplitudes(net.state.num_qubits,
+            net.state = from_amplitudes(net.state.num_qubits,
                                                      amps)
             want = {idx >> qa: amp for idx, amp in
                     net.state.amplitudes.items()}

@@ -210,8 +210,8 @@ class TestDistributeCircuit:
 
 
 class TestFullRunEquivalence:
-    def test_rollup_hits_reference_totals(self, dist_records_15):
-        census = census_from_records(*dist_records_15)
+    def test_rollup_hits_reference_totals(self, reference_round_15):
+        census = census_from_records(*reference_round_15.records)
         report = count_nl_t(census, 4, 8)
         assert report["leaves_measured"]["AN"]["NL"] == 8
         assert report["leaves_measured"]["AN"]["T"] == 6
@@ -224,7 +224,8 @@ class TestFullRunEquivalence:
     def test_static_census_matches_dynamic(self, request, a, N, m):
         plan = plan_placement(N.bit_length(), m)
         program = build_distributed_order_program(a, N, plan)
-        records = (request.getfixturevalue("dist_records_15") if N == 15
+        records = (request.getfixturevalue("reference_round_15").records
+                   if N == 15
                    else reference_execute_distributed(
                        fresh_network(plan), program))
         static = census_from_program(program, plan)

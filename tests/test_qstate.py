@@ -12,7 +12,8 @@ from distshor.circuit import Circuit, Instruction, execute
 from distshor.gates import ARITY
 from distshor.qstate import QuantumState, RandomSource, SimulationError
 
-from conftest import reference_execute
+from conftest import (amplitude, from_amplitudes, reference_execute,
+                      without_repeats)
 
 SQH = 0.5**0.5
 
@@ -32,22 +33,22 @@ class TestGates:
     def test_hadamard_splits(self):
         st = QuantumState(1)
         st.apply_gate(gates.H, [0])
-        assert abs(st.amplitude(0) - SQH) < 1e-15
-        assert abs(st.amplitude(1) - SQH) < 1e-15
+        assert abs(amplitude(st, 0) - SQH) < 1e-15
+        assert abs(amplitude(st, 1) - SQH) < 1e-15
 
     def test_rotation_order_two_gives_quarter_phase(self):
         st = QuantumState(1)
         st.apply_gate(gates.H, [0])
         st.apply_gate(gates.R(2), [0])
-        assert abs(st.amplitude(1) - SQH * 1j) < 1e-15
-        assert abs(st.amplitude(0) - SQH) < 1e-15
+        assert abs(amplitude(st, 1) - SQH * 1j) < 1e-15
+        assert abs(amplitude(st, 0) - SQH) < 1e-15
 
     def test_phase_gate_matches_rational_angle(self):
         st = QuantumState(1)
         st.apply_gate(gates.X, [0])
         st.apply_gate(gates.phase_gate(1, 3), [0])
         want = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
-        assert abs(st.amplitude(1) - want) < 1e-15
+        assert abs(amplitude(st, 1) - want) < 1e-15
 
     def test_toffoli_fires_only_on_both(self):
         for c1, c2 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
@@ -104,7 +105,7 @@ class TestGates:
             applied.append((g, targets))
         for g, targets in reversed(applied):
             st.apply_gate(gates.inverse(g), targets)
-        assert abs(st.amplitude(0) - 1.0) < 1e-12
+        assert abs(amplitude(st, 0) - 1.0) < 1e-12
         for idx, amp in st.amplitudes.items():
             if idx != 0:
                 assert abs(amp) < 1e-12
@@ -171,14 +172,14 @@ class TestMeasure:
         assert st.amplitudes == {1: 1.0 + 0.0j}
 
     def test_born_rule_marginal(self):
-        st = QuantumState.from_amplitudes(1, {0: 0.6, 1: 0.8})
+        st = from_amplitudes(1, {0: 0.6, 1: 0.8})
         assert abs(st.prob_one(0) - 0.64) < 1e-12
         hits = sum(st.copy().measure(0, RandomSource(s)) == 0
                    for s in range(4000))
         assert abs(hits / 4000 - 0.36) < 0.03
 
     def test_measurement_renormalizes(self):
-        st = QuantumState.from_amplitudes(2, {0: 0.6, 3: 0.8})
+        st = from_amplitudes(2, {0: 0.6, 3: 0.8})
         st.measure(0, RandomSource(5))
         assert abs(sum(abs(a) ** 2 for a in st.amplitudes.values())
                    - 1.0) < 1e-12
@@ -218,7 +219,7 @@ class TestExactDistribution:
         rng = random.Random(9)
         amps = {i: complex(rng.gauss(0, 1), rng.gauss(0, 1))
                 for i in range(16)}
-        st = QuantumState.from_amplitudes(4, amps)
+        st = from_amplitudes(4, amps)
         dist = st.exact_distribution([0, 1, 2, 3])
         assert abs(sum(dist.values()) - 1.0) < 1e-10
 
@@ -321,7 +322,7 @@ class TestPermutationRun:
         errors = []
         states = []
         for run in (reference_execute, execute):
-            st = QuantumState.from_amplitudes(circ.num_qubits, amps)
+            st = from_amplitudes(circ.num_qubits, amps)
             try:
                 run(circ, st)
                 errors.append(None)
@@ -339,7 +340,7 @@ class TestPermutationRun:
         amps, circ = case
         outcomes = []
         for run in (reference_execute, execute):
-            st = QuantumState.from_amplitudes(circ.num_qubits, amps)
+            st = from_amplitudes(circ.num_qubits, amps)
             try:
                 run(circ, st)
                 error = None
@@ -390,10 +391,10 @@ class TestPermutationRun:
     def test_errors_match_per_gate(self, bad):
         amps = {0b0011: 1.0, 0b0110: 1.0j, 0b1101: -1.0}
         good = [(gates.CNOT, [0, 2], ()), (gates.SWAP, [1, 3], ())]
-        ref = QuantumState.from_amplitudes(4, amps)
+        ref = from_amplitudes(4, amps)
         with pytest.raises(SimulationError) as ref_err:
             per_gate(ref, good + [bad])
-        st = QuantumState.from_amplitudes(4, amps)
+        st = from_amplitudes(4, amps)
         with pytest.raises(SimulationError) as run_err:
             st.apply_permutation(iter(good + [bad, good[0]]))
         assert str(run_err.value) == str(ref_err.value)
@@ -405,11 +406,11 @@ class TestPermutationRun:
         circ.x(1)
         circ.move(0, 2)
         amps = {0b000: 1.0, 0b001: 1.0j}
-        ref = QuantumState.from_amplitudes(3, amps)
+        ref = from_amplitudes(3, amps)
         with pytest.raises(SimulationError,
                            match=r"^destination slot 2 is not \|0>$"):
             reference_execute(circ, ref)
-        st = QuantumState.from_amplitudes(3, amps)
+        st = from_amplitudes(3, amps)
         with pytest.raises(SimulationError,
                            match=r"^destination slot 2 is not \|0>$"):
             execute(circ, st)
@@ -420,10 +421,119 @@ class TestPermutationRun:
         run = [(gates.CNOT, [0, 1], ()), (gates.X, [0], ()),
                (gates.CNOT, [0, 1], ())]
         amps = {0b00: 1.0, 0b01: 1.0j}
-        ref = per_gate(QuantumState.from_amplitudes(2, amps), run)
-        st = QuantumState.from_amplitudes(2, amps).apply_permutation(run)
+        ref = per_gate(from_amplitudes(2, amps), run)
+        st = from_amplitudes(2, amps).apply_permutation(run)
         assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
         assert list(st.amplitudes) == [0b11, 0b10]
+
+
+def ladder(num_qubits, controls, body):
+    """``body(circ, k, i)`` once for each control k, the i-th in
+    ``controls``, every span after the first a repeat of the first."""
+    circ = Circuit(num_qubits)
+    for i, k in enumerate(controls):
+        start = len(circ)
+        body(circ, k, i)
+        span = range(start, len(circ))
+        if i:
+            circ.repeats.append((first, span))
+        else:
+            first = span
+    return circ
+
+
+class TestRepeats:
+    """Spans that repeat their first run from the first's plans: the
+    same state and refusals as the flat run, and malformed repeats raise
+    before the state changes."""
+
+    # qubits 0 and 1 are the spans' controls, 2 a target, 3 a control, 4
+    # a MOVE's source and 5 its destination
+    AMPS = {0b000000: 1.0, 0b011011: 1.0j, 0b001010: -1.0, 0b001001: 0.5}
+
+    @staticmethod
+    def body(circ, k, i):
+        circ.x(2, controls=[(3, True), (k, True)], classical_constant=1)
+        circ.move(4, 5)
+        circ.swap(2, 3, controls=[(k, False)], classical_constant=i)
+
+    def outcome(self, circ):
+        st = from_amplitudes(6, self.AMPS)
+        try:
+            execute(circ, st)
+            error = None
+        except SimulationError as exc:
+            error = str(exc)
+        return error, list(st.amplitudes.items())
+
+    def test_move_refused_in_a_repeat_as_in_the_flat_run(self):
+        # the first moves 4 into 5, so the repeat's MOVE finds 5 set
+        circ = ladder(6, (0, 1), self.body)
+        ref = from_amplitudes(6, self.AMPS)
+        with pytest.raises(SimulationError):
+            reference_execute(circ, ref)
+        assert self.outcome(circ) == self.outcome(without_repeats(circ)) == (
+            "destination slot 5 is not |0>", list(ref.amplitudes.items()))
+        # the repeat's X ran under control 1 before its MOVE was refused
+        assert 0b101011 in ref.amplitudes and 0b001110 in ref.amplitudes
+
+    def test_repeats_match_per_gate_application(self):
+        def body(circ, k, i):
+            circ.x(2, controls=[(3, True), (k, True)],
+                   classical_constant=i % 2)
+            circ.swap(2, 3, controls=[(4, False), (k, False)])
+            circ.x(4, controls=[(k, True)])
+        circ = ladder(6, (0, 1, 5), body)
+        ref = from_amplitudes(6, self.AMPS)
+        reference_execute(circ, ref)
+        assert self.outcome(circ) == (None, list(ref.amplitudes.items()))
+
+    def refused(self, run, repeats, message):
+        st = from_amplitudes(6, self.AMPS)
+        before = list(st.amplitudes.items())
+        with pytest.raises(ValueError, match=message):
+            st.apply_permutation(run, repeats)
+        assert list(st.amplitudes.items()) == before
+
+    @pytest.mark.parametrize("repeats", [
+        [(range(0, 3), range(3, 5))],                           # lengths
+        [(range(0, 3), range(2, 5))],                           # overlap
+        [(range(0, 3), range(3, 6)), (range(0, 3), range(5, 8))],
+        [(range(0, 3), range(3, 6)), (range(3, 6), range(6, 9))],  # chained
+        [(range(0, 3), range(7, 10))],                          # past the run
+        [(range(0, 3), range(3, 9, 2))],                        # a step
+    ])
+    def test_bad_spans_raise_before_the_state_changes(self, repeats):
+        self.refused(ladder(6, (0, 1, 0), self.body).instructions, repeats,
+                     "does not repeat|overlap or leave")
+
+    @pytest.mark.parametrize("controls", [
+        ((3, True), (6, True)),    # out of range
+        ((3, True), (-1, True)),   # out of range
+        ((3, True), (2, True)),    # a target of the first
+        ((3, True), (4, True)),    # a MOVE's qubit in the first
+        ((2, True), (3, True)),    # a control of the first
+        (),                        # none
+    ])
+    def test_bad_controls_raise_before_the_state_changes(self, controls):
+        run = ladder(6, (0, 1), self.body).instructions
+        run[3] = run[3]._replace(controls=controls)  # the repeat's first
+        self.refused(run, [(range(0, 3), range(3, 6))], "swaps in control")
+
+    def test_first_ending_with_two_controls_raises(self):
+        run = ladder(6, (0, 1), self.body).instructions
+        run[2] = run[2]._replace(controls=((1, False),))
+        self.refused(run, [(range(0, 3), range(3, 6))],
+                     "does not end with its control")
+
+    def test_first_outside_a_run_raises_before_anything_runs(self):
+        circ = Circuit(6).h(0)
+        circ.instructions += ladder(6, (0, 1), self.body).instructions
+        circ.repeats = [(range(0, 4), range(4, 8))]
+        st = from_amplitudes(6, self.AMPS)
+        with pytest.raises(ValueError, match="starts outside a run"):
+            execute(circ, st)
+        assert st.amplitudes == from_amplitudes(6, self.AMPS).amplitudes
 
 
 class TestCheckOnce:
@@ -446,10 +556,10 @@ class TestCheckOnce:
     def test_repeated_gate_checked_once(self, checks):
         amps = {0b0000: 1.0, 0b1011: 1.0j, 0b1111: -1.0}
         run = [(gates.TOFFOLI, [0, 1, 2], [(3, True)]) for _ in range(1000)]
-        st = QuantumState.from_amplitudes(4, amps).apply_permutation(run)
+        st = from_amplitudes(4, amps).apply_permutation(run)
         assert len(checks) == 1
         assert list(st.amplitudes.items()) == \
-            list(per_gate(QuantumState.from_amplitudes(4, amps),
+            list(per_gate(from_amplitudes(4, amps),
                           run).amplitudes.items())
 
     @pytest.mark.parametrize("bad,message", [
@@ -460,7 +570,7 @@ class TestCheckOnce:
     ])
     def test_refused_gate_raises_on_first_visit(self, checks, bad, message):
         good = (gates.CNOT, [0, 2], ())
-        st = QuantumState.from_amplitudes(4, {0b0011: 1.0, 0b0110: 1.0j})
+        st = from_amplitudes(4, {0b0011: 1.0, 0b0110: 1.0j})
         with pytest.raises(SimulationError) as err:
             st.apply_permutation([good] * 11 + [bad, good])
         assert str(err.value) == message
@@ -477,5 +587,5 @@ class TestPeakSupport:
         assert st.copy().peak_support == st.peak_support == 8
 
     def test_from_amplitudes_starts_at_support(self):
-        st = QuantumState.from_amplitudes(3, {0: 1.0, 5: 1.0, 6: 1.0})
+        st = from_amplitudes(3, {0: 1.0, 5: 1.0, 6: 1.0})
         assert st.peak_support == 3

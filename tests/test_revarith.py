@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (amp_distance, assert_ancillas_zero, observed,
-                      random_amplitudes, read_register, reference_adder,
-                      reference_an, reference_cm_m, reference_execute,
+from conftest import (amp_distance, assert_ancillas_zero, from_amplitudes,
+                      observed, random_amplitudes, read_register,
+                      reference_adder, reference_an, reference_cm_m,
+                      reference_execute,
                       reference_execute_distributed, reference_m,
                       reference_mf, reference_xan, run_on_basis)
 from distshor import gates
@@ -25,7 +26,7 @@ from distshor.netsim import execute_distributed
 from distshor.partition import (build_distributed_transform_program,
                                 build_network, plan_placement)
 from distshor.qft import build_inverse_qft
-from distshor.qstate import QuantumState, RandomSource
+from distshor.qstate import RandomSource
 from distshor.revarith import (AdderSlicing, ChainSegment, RegisterLayout,
                                build_adder, build_an,
                                build_bfa, build_bha, build_cm_m, build_fa,
@@ -603,7 +604,7 @@ class TestKernelSweep:
                                 (plan.layout, plan.slicing)):
             circ = build_m(a, N, layout, slicing=slicing)
             spread = rnd.sample(layout.x, 3)
-            fast = QuantumState.from_amplitudes(
+            fast = from_amplitudes(
                 circ.num_qubits,
                 random_amplitudes(spread, circ.num_qubits, rnd))
             slow = fast.copy()
