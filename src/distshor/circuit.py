@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
 from .gates import ARITY, MOVE, GateKind, is_unitary
-from .qstate import Control, QuantumState, enabled_gates
+from .qstate import Control, QuantumState
 
 
 # ``_new(Instruction, fields)``, with a value for each of the six fields,
@@ -58,10 +58,10 @@ class Circuit:
     gate p of its first except for its last control, whose qubit is the
     span's own control (k_i in place of the first's k_0), and its
     ``classical_constant``; its MOVEs equal the first's.  Two readers
-    rely on it: the billing walk (``netsim.execute_distributed``) bills a
-    span as its first's units, and the state kernel
-    (``QuantumState.apply_permutation``, through ``execute``) runs a span
-    from its first's plans.  Neither re-checks the gates of a span.
+    rely on it: the billing walk (``netsim.bill``) bills a span as its
+    first's units, and the state kernel (``QuantumState.apply_permutation``,
+    through ``execute``) runs a span from its first's plans.  Neither
+    re-checks the gates of a span.
     """
 
     def __init__(self, num_qubits: int):
@@ -187,11 +187,13 @@ def execute(circ: Circuit, state: QuantumState):
     Each maximal run of permutation instructions and MOVEs goes to
     ``QuantumState.apply_permutation`` in one call, with the circuit's
     repeats whose first starts in it; that gives the same state, entry
-    order included, as applying its gates one by one, and raises
-    ``SimulationError`` on a MOVE into a slot that is not |0>.  Every
-    other gate goes through ``apply_gate``, unless a 0 constant disables
-    it.  A repeat whose first starts outside every run raises
-    ``ValueError`` before anything runs.
+    order included, as applying its gates one by one.  The run is
+    checked and planned by position before it runs, so a gate that
+    ``apply_gate`` refuses raises ``SimulationError`` with the run's
+    state untouched; a MOVE into a slot that is not |0> raises at its
+    own visit.  Every other gate goes through ``apply_gate``, unless a 0
+    constant disables it.  A repeat whose first starts outside every run
+    raises ``ValueError`` before anything runs.
     """
     if state.num_qubits < circ.num_qubits:
         raise ValueError("state is smaller than the circuit's qubit pool")
@@ -213,10 +215,8 @@ def execute(circ: Circuit, state: QuantumState):
             for inst in insts:
                 if inst.classical_constant != 0:
                     state.apply_gate(inst.kind, inst.targets, inst.controls)
-        elif repeats:
-            state.apply_permutation(insts, repeats)
         else:
-            state.apply_permutation(enabled_gates(insts))
+            state.apply_permutation(insts, repeats)
 
 
 def dump(circ: Circuit) -> str:

@@ -41,11 +41,10 @@ node and the nodes it shares from, in order) makes the protocol's checks
 in the protocol's order; later ones are only tallied, and the tally is
 posted once, its discarded coins in one ``RandomSource.skip``.  A round
 walks one multiplier per estimation node and bills each later one there
-as a repeat of it (``execute_distributed``).  A refusal raises at the
-protocol's share, with the protocol's partial bill.  Then one
-``circuit.execute`` runs the state; its kernel refuses a MOVE into a
-slot that is not |0>.  The state agrees with the reference up to
-floating-point rounding.
+as a repeat of it (``bill``).  A refusal raises at the protocol's share,
+with the protocol's partial bill.  Then one ``circuit.execute`` runs the
+state; its kernel refuses a MOVE into a slot that is not |0>.  The state
+agrees with the reference up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -208,7 +207,7 @@ class Network:
                 self.owner[q] = spec.node_id
         self.state = QuantumState(max(1, len(self.owner)))
         self.max_live: dict[str, int] = {n: 0 for n in self.nodes}
-        # during an ``execute_distributed`` walk: each shape met so far ->
+        # during a ``bill`` walk: each shape met so far ->
         # its units billed but not yet posted
         self._tally: dict[tuple, int] | None = None
 
@@ -261,22 +260,6 @@ class Network:
                               [(pair.qubit_a, True)])
         return pair
 
-    def reset_channels(self, node_id: str):
-        """Return every channel qubit to |0>.
-
-        Errors out if a channel qubit is still correlated with live data,
-        i.e. its marginal is not an exact |0> or |1>.
-        """
-        rt = self._node(node_id)
-        for q in rt.channel_slots:
-            p_one = self.state.prob_one(q)
-            if _PURE_TOL < p_one < 1.0 - _PURE_TOL:
-                raise NetworkError(
-                    f"channel qubit {q} on {node_id} is still entangled")
-            if p_one >= 1.0 - _PURE_TOL:
-                self.state.apply_gate(gates.X, [q])
-            rt.busy_channels.discard(q)
-
     # -- shared-control protocols ----------------------------------------
 
     def cat_entangle(self, control: int, pair: EprPair) -> CatState:
@@ -321,7 +304,7 @@ class Network:
         the k disentangle bits back and their coins.  An enabled gate off
         the session's node raises after the shares, as the protocol
         would; the enabled gates' state changes are left to
-        ``circuit.execute``.  Within an ``execute_distributed`` walk, a
+        ``circuit.execute``.  Within a ``bill`` walk, a
         session of a shape an earlier one passed with is only tallied
         (``_tallied``), unless it holds a stray.
         """
@@ -627,25 +610,21 @@ def session_groups(instructions: Sequence[Instruction],
                False)
 
 
-def execute_distributed(network: Network, circ: Circuit,
-                        repeats: Sequence[tuple[range, range]] = ()):
-    """Run a circuit on the network: bill each unit of ``session_groups``
-    from the facts that pass found, a session (``run_session``) or a MOVE
-    (``move``), then run the state through ``circuit.execute``.
+def bill(network: Network, circ: Circuit):
+    """Bill a circuit on the network, with no state: each unit of
+    ``session_groups``, from the facts that pass found, a session
+    (``run_session``) or a MOVE (``move``).
 
     The walk checks each shape of unit once and tallies the rest
-    (``Network._tallied``).  A repeat ``(first, span)`` says ``span`` holds
-    the units of the earlier ``first`` in order, of shapes checked already
-    whose checks pass again, as no walk changes an occupancy; so ``span``
-    adds ``first``'s units per shape to the tally, walked only if ``first``
-    holds a stray.  Bad spans raise ``ValueError`` (``span_cuts``).  The
-    tally is posted when the walk ends, by a refusal too, so the whole
-    bill is posted before the state runs, from the circuit's own
-    ``repeats``; a refusal of the state (``ValueError``, too few qubits or
-    bad repeats; ``SimulationError``, a MOVE into a slot not |0>) comes
-    after, and the ledger and random stream cover work that did not
-    run."""
-    insts = circ.instructions
+    (``Network._tallied``).  A repeat ``(first, span)`` of
+    ``circ.repeats`` says ``span`` holds the units of the earlier
+    ``first`` in order, of shapes checked already whose checks pass
+    again, as no walk changes an occupancy; so ``span`` adds ``first``'s
+    units per shape to the tally, walked only if ``first`` holds a
+    stray.  Bad spans raise ``ValueError`` (``span_cuts``) before
+    anything is billed.  The tally is posted when the walk ends, by a
+    refusal too."""
+    insts, repeats = circ.instructions, circ.repeats
     cuts = span_cuts(repeats, len(insts))
     owed = {span.start: first.start for first, span in repeats}
     bills: dict[int, dict] = {}  # a clean span's start -> units per shape
@@ -668,4 +647,14 @@ def execute_distributed(network: Network, circ: Circuit,
                                 for shape, count in tally.items()}
     finally:
         network._post_tally()
+
+
+def execute_distributed(network: Network, circ: Circuit):
+    """Run a circuit on the network: post its whole bill (``bill``), then
+    run the state through ``circuit.execute``.  A refusal of the state
+    (``ValueError``, too few qubits or a first outside a run;
+    ``SimulationError``, a gate the kernel refuses or a MOVE into a slot
+    that is not |0>) comes after, and the ledger and random stream
+    cover work that did not run."""
+    bill(network, circ)
     execute(circ, network.state)

@@ -191,7 +191,7 @@ def build_distributed_order_program(a: int, N: int,
     inspectable.  It has ~70 m n^2 gates; the count report builds one
     controlled multiplier instead.  Its ``repeats`` pair each multiplier
     with the first whose control is on its node (``shor.order_prefix``),
-    as ``execute_distributed`` needs to bill a repeat as its first."""
+    as ``netsim.bill`` needs to bill a repeat as its first."""
     return build_distributed_modexp_program(a, N, plan).extend(
         build_distributed_transform_program(plan))
 

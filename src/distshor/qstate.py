@@ -16,20 +16,20 @@ controls, and the circuit IR's MOVE, a SWAP into a slot it checks is
 qubit the run touches is held as one Python int with one bit per support
 entry, so a controlled X is ``col[t] ^= AND(control columns)`` and a
 controlled SWAP a masked exchange, one big-int operation per gate at any
-support size (bitslicing, as in Biham's software DES, 1997).  Each
-distinct gate of a run is checked once, on its first visit, into a plan of
-qubit ids that its later visits apply directly; a MOVE checks its
-destination slot on every visit.  A run may also come with repeats
+support size (bitslicing, as in Biham's software DES, 1997).  Every run
+is checked and planned by position before it runs: each distinct gate
+once, into a plan of qubit ids that its later visits apply directly, so
+a refused gate leaves the state untouched; a MOVE checks its |0>
+destination slot on each visit.  A run may also come with repeats
 (``Circuit.repeats``): spans that repeat an earlier span of the run gate
 by gate, each under its own control in place of its first's, as the
-multipliers of a power ladder do.  The kernel plans each first position
-by position, once, and runs every repeat from those plans with the
-repeat's control swapped in, so the ladder's m multipliers pay for one
-multiplier's checks and keys.  The kernel's results
-are bit-exact with applying the gates one by one through ``apply_gate``:
-a permutation only relabels basis indices, the amplitude values are
-carried over untouched, and both paths keep the dict's entry order, so
-every later floating-point sum (H accumulation, ``measure``,
+multipliers of a power ladder do.  Every repeat runs from its first's
+plans with the repeat's control swapped in, so the ladder's m
+multipliers pay for one multiplier's checks and keys.  The kernel's
+results are bit-exact with applying the gates one by one through
+``apply_gate``: a permutation only relabels basis indices, the amplitude
+values are carried over untouched, and both paths keep the dict's entry
+order, so every later floating-point sum (H accumulation, ``measure``,
 ``prob_one``) adds the same numbers in the same order.
 """
 
@@ -65,16 +65,6 @@ def span_cuts(repeats: Sequence[tuple[range, range]],
             raise ValueError(f"repeat spans overlap or leave at {start}")
         cuts += (start, stop)
     return sorted({*cuts, length})
-
-
-def enabled_gates(insts):
-    """The gates ``(kind, targets, controls)`` of a run of instructions
-    ``(kind, targets, controls, classical_constant, ...)`` that
-    ``apply_permutation`` applies: a 0 constant disables a gate, never a
-    MOVE."""
-    for inst in insts:
-        if inst[0].name == "MOVE" or inst[3] != 0:
-            yield inst[0], inst[1], inst[2]
 
 
 class SimulationError(Exception):
@@ -225,27 +215,22 @@ class QuantumState:
         """Apply a run of X/CNOT/TOFFOLI/SWAP gates and MOVEs in place
         and return self.
 
-        Without ``repeats``, ``run`` yields the gates as ``(kind, targets,
-        controls)`` and is consumed one gate at a time.  Each distinct
-        gate (its kind's name, targets and controls) is checked once per
-        call, on its first visit, by the same validation as
-        ``apply_gate``; the check leaves a plan of qubit ids that every
-        later visit of that gate applies as it is.
-
-        With ``repeats``, pairs ``(first, span)`` of positions in the run
-        (``Circuit.repeats``), ``run`` is a sequence of instructions
-        ``(kind, targets, controls, classical_constant, ...)``, and a 0
-        constant disables every gate but a MOVE.  Before anything is
-        applied, ``span_cuts`` checks the spans, and each first is checked
-        and planned position by position, its disabled gates too, without
-        the control its gates end with.  A span's control, the last
-        control of its first gate that is not a MOVE, must lie in range
-        and off every qubit those plans touch.  A failure raises
-        ``ValueError`` (``SimulationError`` for a gate ``apply_gate``
-        refuses) with the state untouched.  Each span, its first
-        included, then runs from its first's plans, every gate's mask
-        starting from the span's control; the rest of the run runs as
-        without repeats.
+        ``run`` is a sequence of instructions ``(kind, targets, controls,
+        classical_constant, ...)``, and a 0 constant disables every gate
+        but a MOVE.  ``repeats``, pairs ``(first, span)`` of positions in
+        the run (``Circuit.repeats``), cut it into pieces: the spans,
+        their firsts included, and the stretches outside them.  Before
+        anything is applied, ``span_cuts`` checks the spans and every
+        piece is checked and planned position by position, its disabled
+        gates too, by the same validation as ``apply_gate``; equal gates
+        of a piece share one plan of qubit ids.  A first is planned
+        without the control its gates end with, and a span's control, the
+        last control of its first gate that is not a MOVE, must lie in
+        range and off every qubit those plans touch.  A failure raises
+        ``ValueError`` (``SimulationError`` with ``apply_gate``'s message
+        for a gate it refuses) with the state untouched.  Each span then
+        runs from its first's plans, every gate's mask starting from the
+        span's control, and each stretch from its own.
 
         A MOVE, a SWAP, also checks that its destination (second target)
         is |0>, on every visit.  Every qubit the run touches is held as
@@ -255,69 +240,32 @@ class QuantumState:
         the entries get their new keys in their original order; the
         amplitude values are not touched.
         """
-        pieces = self._ladder(run, repeats) if repeats else ((run, None),)
+        pieces = self._pieces(run, repeats)
         amps = self.amplitudes
         width = self.num_qubits
         stride = width + 1
         full = (1 << len(amps)) - 1
-        rows = None  # the keys as fixed-width binary slots, one per entry
+        # the keys as fixed-width binary slots, one per entry
+        rows = " ".join(map(format, amps, repeat(f"0{width}b"))).encode()
         cols: dict[int, int] = {}  # qubit -> its bits over the entries
-        plans = {}  # (name, targets, controls) -> _permutation_plan's plan
-
-        def load(qubits):
-            """Give each of ``qubits`` its column, if it has none."""
-            nonlocal rows
-            if rows is None:
-                rows = " ".join(map(format, amps,
-                                    repeat(f"0{width}b"))).encode()
-            for q in qubits:
-                if q not in cols:
-                    cols[q] = int(rows[width - 1 - q::stride][::-1], 2)
-
         try:
-            for gates, ladder in pieces:
-                if ladder is not None:
-                    span_plans, touched, k = ladder
-                    load(touched if k is None else (*touched, k))
-                    on = full if k is None else cols[k]
-                    off = full ^ on
-                    for (move, is_x, a, b, pos, neg, pol), inst in zip(
-                            span_plans, gates):
-                        if move:
-                            if cols[b]:
-                                raise SimulationError(
-                                    f"destination slot {b} is not |0>")
-                            mask = full
-                        elif inst[3] == 0:
-                            continue
-                        else:
-                            mask = on if pol else off
-                        for q in pos:
-                            mask &= cols[q]
-                        for q in neg:
-                            mask &= ~cols[q]
-                        if is_x:
-                            cols[a] ^= mask
-                        else:
-                            diff = (cols[a] ^ cols[b]) & mask
-                            cols[a] ^= diff
-                            cols[b] ^= diff
-                    continue
-                for gate, targets, controls in gates:
-                    targets = tuple(targets)
-                    controls = tuple(controls)
-                    key = gate.name, targets, controls
-                    plan = plans.get(key)
-                    if plan is None:
-                        plan = self._permutation_plan(gate, targets,
-                                                      controls)
-                        load((*targets, *(q for q, _pol in controls)))
-                        plans[key] = plan
-                    move, is_x, a, b, pos, neg = plan
-                    if move and cols[b]:
-                        raise SimulationError(
-                            f"destination slot {b} is not |0>")
-                    mask = full
+            for insts, plans, touched, k in pieces:
+                for q in touched if k is None else (*touched, k):
+                    if q not in cols:
+                        cols[q] = int(rows[width - 1 - q::stride][::-1], 2)
+                on = full if k is None else cols[k]
+                off = full ^ on
+                for (move, is_x, a, b, pos, neg, pol), inst in zip(plans,
+                                                                   insts):
+                    if move:
+                        if cols[b]:
+                            raise SimulationError(
+                                f"destination slot {b} is not |0>")
+                        mask = full
+                    elif inst[3] == 0:
+                        continue
+                    else:
+                        mask = on if pol else off
                     for q in pos:
                         mask &= cols[q]
                     for q in neg:
@@ -374,12 +322,13 @@ class QuantumState:
             raise SimulationError(
                 f"qubit {q} out of range for {self.num_qubits}-qubit state")
 
-    def _ladder(self, run, repeats):
-        """The pieces of a run with repeats, each ``(gates, ladder)``:
-        the gates of a stretch outside the spans with ladder None, or a
-        span's instructions with ``(plans, touched, control)``, its
+    def _pieces(self, run, repeats):
+        """Split a run at its spans and plan every piece, each ``(insts,
+        plans, touched, control)``: a span's instructions with its
         first's positional plans, the qubits they touch and the span's
-        control.  Everything is checked before a piece runs."""
+        control, or a stretch outside the spans planned as its own first,
+        no control taken off (control None).  Everything is checked
+        before a piece runs."""
         cuts = span_cuts(repeats, len(run))
         of = {span.start: first.start for first, span in repeats}
         firsts = {first.start: self._positional_plans(run[first.start:
@@ -387,51 +336,48 @@ class QuantumState:
                   for first in dict.fromkeys(f for f, _ in repeats)}
         pieces = []
         for start, stop in zip(cuts, cuts[1:]):
-            planned = firsts.get(of.get(start, start))
-            if planned is None:
-                pieces.append((enabled_gates(run[start:stop]), None))
-                continue
-            span_plans, touched, lead = planned
+            insts = run[start:stop]
+            first = of.get(start, start)
+            plans, touched, lead = (firsts[first] if first in firsts else
+                                    self._positional_plans(insts, strip=False))
             k = None
             if lead is not None:
-                controls = run[start + lead][2]
+                controls = insts[lead][2]
                 k = controls[-1][0] if controls else None
                 if k is None or not 0 <= k < self.num_qubits or k in touched:
                     raise ValueError(
                         f"the span at {start} swaps in control {k}, not a "
                         f"qubit in range and off its first's qubits")
-            pieces.append((run[start:stop], (span_plans, touched, k)))
+            pieces.append((insts, plans, touched, k))
         return pieces
 
-    def _positional_plans(self, first):
+    def _positional_plans(self, first, strip: bool = True):
         """Check a first's instructions and plan them by position:
-        ``(plans, touched, lead)``.  Each gate but a MOVE must end with
-        the control of the first's first gate, at index ``lead`` (None
-        when the first holds only MOVEs).  A gate's plan is
-        ``_permutation_plan``'s without that control, plus its polarity;
-        equal gates share one plan.  ``touched`` holds every qubit of
-        the plans."""
+        ``(plans, touched, lead)``.  With ``strip``, each gate but a MOVE
+        must end with the control of the first's first gate, at index
+        ``lead`` (None when the first holds only MOVEs), and a gate's
+        plan is ``_permutation_plan``'s without that control, plus its
+        polarity.  Without, as for a stretch, a plan keeps every control,
+        polarity True, and ``lead`` is None.  Equal gates share one plan.
+        ``touched`` holds every qubit of the plans."""
         plans, seen, touched, lead, k = [], {}, set(), None, None
         for p, inst in enumerate(first):
             gate, targets, controls = inst[0], tuple(inst[1]), tuple(inst[2])
-            if gate.name == "MOVE":
-                key = gate.name, targets, controls
-            else:
-                if lead is None and controls:
-                    lead, k = p, controls[-1][0]
-                if not controls or controls[-1][0] != k:
-                    raise ValueError(
-                        f"gate {p} of a first does not end with its control")
-                key = gate.name, targets, controls[:-1], controls[-1][1]
+            key = gate.name, targets, controls
             plan = seen.get(key)
             if plan is None:
+                cut = strip and gate.name != "MOVE"  # plan it without k
+                if cut:
+                    if lead is None and controls:
+                        lead, k = p, controls[-1][0]
+                    if not controls or controls[-1][0] != k:
+                        raise ValueError(f"gate {p} of a first does not "
+                                         f"end with its control")
                 move, is_x, a, b, pos, neg = self._permutation_plan(
                     gate, targets, controls)
-                pol = not move and controls[-1][1]
-                if pol:
-                    pos = pos[:-1]
-                elif not move:
-                    neg = neg[:-1]
+                pol = not cut or controls[-1][1]
+                if cut:
+                    pos, neg = (pos[:-1], neg) if pol else (pos, neg[:-1])
                 touched.update((a, b), pos, neg)
                 plan = seen[key] = move, is_x, a, b, pos, neg, pol
             plans.append(plan)

@@ -166,7 +166,7 @@ def order_round(a: int, N: int, m: int,
 
         def simulate(rng: RandomSource) -> OrderRun:
             network = partition.build_network(plan, rng)
-            partition.execute_distributed(network, program, program.repeats)
+            partition.execute_distributed(network, program)
             return OrderRun(plan.layout.k, network.state, network)
     else:
         raise ValueError(f"unknown mode {mode!r}")

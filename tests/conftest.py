@@ -11,8 +11,9 @@ import pytest
 from distshor import cli, gates, partition
 from distshor.circuit import (Circuit, Instruction, count_gates, execute,
                               reverse)
-from distshor.netsim import (MAX_REMOTE_CONTROLS, Network, NetworkError,
-                             execute_distributed, session_groups)
+from distshor.netsim import (_PURE_TOL, MAX_REMOTE_CONTROLS, Network,
+                             NetworkError, execute_distributed,
+                             session_groups)
 from distshor.qft import build_inverse_qft
 from distshor.qstate import (Control, QuantumState, RandomSource,
                              SimulationError)
@@ -166,6 +167,23 @@ def remote_block(network: Network, control: int, body: Circuit):
     """``body``, local to one node, under a control on another node: run
     on the network as one session sharing the control once."""
     execute_distributed(network, add_controls(body, [(control, True)]))
+
+
+def reset_channels(network: Network, node_id: str):
+    """Return every channel qubit of a node to |0>.
+
+    Errors out if a channel qubit is still correlated with live data,
+    i.e. its marginal is not an exact |0> or |1>.
+    """
+    rt = network._node(node_id)
+    for q in rt.channel_slots:
+        p_one = network.state.prob_one(q)
+        if _PURE_TOL < p_one < 1.0 - _PURE_TOL:
+            raise NetworkError(
+                f"channel qubit {q} on {node_id} is still entangled")
+        if p_one >= 1.0 - _PURE_TOL:
+            network.state.apply_gate(gates.X, [q])
+        rt.busy_channels.discard(q)
 
 
 class SessionRecord(NamedTuple):
@@ -467,7 +485,7 @@ def reference_round(a: int, N: int, m: int, seed: int) -> ReferenceRound:
     protocol (``reference_execute_distributed``)."""
     walks = []
 
-    def walk(network, program, _repeats):
+    def walk(network, program):
         walks.append(reference_execute_distributed(network, program))
 
     with pytest.MonkeyPatch.context() as patch:

@@ -13,7 +13,7 @@ import pytest
 from conftest import (amp_distance, amplitude, census_from_records,
                       from_amplitudes, phase_estimation_state,
                       random_amplitudes, remote_block, remote_cnot,
-                      used_qubits)
+                      reset_channels, used_qubits)
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, execute, reverse
 from distshor.netsim import Network, NodeSpec, Topology
@@ -329,8 +329,8 @@ class TestCriterion9Properties:
             cat = net.cat_entangle(qa, net.establish_epr("A", "B"))
             net.cat_disentangle(cat)
             assert amp_distance(net.state, before) < 1e-12
-            net.reset_channels("A")
-            net.reset_channels("B")
+            reset_channels(net, "A")
+            reset_channels(net, "B")
             for rt in net.nodes.values():
                 for q in rt.channel_slots:
                     assert net.state.prob_one(q) < 1e-12

@@ -25,7 +25,7 @@ from conftest import (amp_distance, observed,
 from distshor import gates, partition, shor
 from distshor.circuit import Circuit, Instruction, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec,
-                             ResourceLedger, Topology,
+                             ResourceLedger, Topology, bill,
                              execute_distributed, session_groups)
 from distshor.qstate import QuantumState, RandomSource, SimulationError
 
@@ -601,18 +601,27 @@ def test_repeats_bill_as_the_flat_walk(case, seed):
     N, a, m = case
     plan, program = order_program(N, a, m)
     outcomes = []
-    for repeats in (program.repeats, ()):
+    for circ in (program, without_repeats(program)):
         net = partition.build_network(plan, RandomSource(seed))
-        execute_distributed(net, program, repeats)
+        execute_distributed(net, circ)
         outcomes.append((observed(net), list(net.state.amplitudes.items())))
     assert outcomes[0] == outcomes[1]
 
 
-def walk(net, circ, repeats):
-    """Run ``circ`` on ``net``: the refusal's type and message, or None,
-    and what the network left behind, its state included."""
+def billed(net, circ):
+    """Bill ``circ`` on ``net`` from its repeats, then run the state
+    flat: the hand-made spans below meet the bill's contract, not the
+    kernel's."""
+    bill(net, circ)
+    execute(without_repeats(circ), net.state)
+
+
+def walk(net, circ):
+    """Run ``circ`` on ``net`` (``billed``): the refusal's type and
+    message, or None, and what the network left behind, its state
+    included."""
     try:
-        execute_distributed(net, circ, repeats)
+        billed(net, circ)
         error = None
     except (NetworkError, SimulationError) as exc:
         error = (type(exc), str(exc))
@@ -622,8 +631,8 @@ def walk(net, circ, repeats):
 @st.composite
 def repeated_programs(draw):
     """[prefix][S][S'...][tail]: each S' is S with constants drawn again
-    and blocks renamed, as a ladder's multipliers differ; with the
-    repeats that say so."""
+    and blocks renamed, as a ladder's multipliers differ; its repeats
+    say so."""
     prefix, body, tail = (draw(programs(strays=True))[0] for _ in range(3))
     circ = Circuit(prefix.num_qubits)
 
@@ -640,23 +649,23 @@ def repeated_programs(draw):
 
     put(prefix.instructions, "p")
     first = put(body.instructions, "s")
-    repeats = [(first, put(body.instructions, f"s{i}", redraw=True))
-               for i in range(draw(st.integers(1, 3)))]
+    circ.repeats = [(first, put(body.instructions, f"s{i}", redraw=True))
+                    for i in range(draw(st.integers(1, 3)))]
     put(tail.instructions, "t")
-    return circ, repeats
+    return circ
 
 
 @settings(max_examples=100, deadline=None)
 @given(repeated_programs(), strains(), st.integers(0, 2**16))
-def test_random_repeats_bill_as_the_flat_walk(program, strain, seed):
+def test_random_repeats_bill_as_the_flat_walk(circ, strain, seed):
     # refused or not, strays or not, in a first, a repeat or the tail
-    circ, repeats = program
     bounds = {0, *itertools.accumulate(
         len(unit[1]) for unit in session_groups(circ.instructions,
                                                 three_nodes(0)[0].node_of))}
-    assume(all({span.start, span.stop} <= bounds for _, span in repeats))
-    assert (walk(strained(seed, strain), circ, repeats)
-            == walk(strained(seed, strain), circ, ()))
+    assume(all({span.start, span.stop} <= bounds
+               for _, span in circ.repeats))
+    assert (walk(strained(seed, strain), circ)
+            == walk(strained(seed, strain), without_repeats(circ)))
 
 
 def shares_and_round_trips(net, held, constants, tag):
@@ -672,32 +681,31 @@ def shares_and_round_trips(net, held, constants, tag):
 
 
 def stacked(net, held, parts):
-    """One program of ``parts``, and the repeats of each part that
+    """One program of ``parts``, with the repeats of each part that
     repeats an earlier one: (instructions, index of its first or None)."""
-    circ, spans, repeats = Circuit(net.state.num_qubits), [], []
+    circ, spans = Circuit(net.state.num_qubits), []
     for insts, of in parts:
         spans.append(range(len(circ), len(circ) + len(insts)))
         circ.instructions += insts
         if of is not None:
-            repeats.append((spans[of], spans[-1]))
-    return circ, repeats
+            circ.repeats.append((spans[of], spans[-1]))
+    return circ
 
 
 def test_repeats_post_the_protocols_teleports():
     # the tallied relocations of a repeat owe their teleports: a tally
     # that left them out would fall short of the gate-by-gate protocol
     outcomes = []
-    for execute in ("repeats", "flat", "reference"):
+    for how in ("repeats", "flat", "reference"):
         net, held = three_nodes(5)
-        circ, repeats = stacked(net, held, [
+        circ = stacked(net, held, [
             (shares_and_round_trips(net, held, (1, 0, None), "S"), None),
             (shares_and_round_trips(net, held, (0, 1, 1), "S1"), 0),
             (shares_and_round_trips(net, held, (None, None, 0), "S2"), 0)])
-        if execute == "reference":
+        if how == "reference":
             reference_execute_distributed(net, circ)
         else:
-            execute_distributed(net, circ,
-                                repeats if execute == "repeats" else ())
+            billed(net, circ if how == "repeats" else without_repeats(circ))
         outcomes.append(observed(net))
     assert outcomes[0]["ledger"]["teleports"] == 6
     assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -735,9 +743,9 @@ def test_refusal_after_repeats_matches_the_flat_walk(refusal, message,
         if where == "later first":
             parts.append((from_node(net, held, "C", "T1"), 3))
         parts.append((from_node(net, held, "A", "U"), None))
-        circ, repeats = stacked(net, held, parts)
+        circ = stacked(net, held, parts)
         with pytest.raises(NetworkError, match=message):
-            execute_distributed(net, circ, () if flat else repeats)
+            billed(net, without_repeats(circ) if flat else circ)
         outcomes.append(observed(net))
     assert outcomes[0] == outcomes[1]
     # each of the three parts shares two controls and teleports twice
@@ -760,11 +768,11 @@ def test_stray_a_repeat_enables_raises_as_the_flat_walk():
             circ.x(held["C"][0], controls=[(held["B"][1], True)],
                    classical_constant=constant, block=f"{tag}@s")
             parts.append((circ.instructions, 0 if parts else None))
-        circ, repeats = stacked(net, held, parts)
+        circ = stacked(net, held, parts)
         with pytest.raises(NetworkError,
                            match=r"^gate spans nodes: qubit \d+ is on C, "
                                  r"not B$"):
-            execute_distributed(net, circ, () if flat else repeats)
+            billed(net, without_repeats(circ) if flat else circ)
         outcomes.append(observed(net))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0]["ledger"]["ebits"] == 2
@@ -786,7 +794,8 @@ def test_bad_repeats_raise_before_billing(repeats):
     circ = Circuit(net.state.num_qubits)
     for i in range(8):
         circ.instructions += from_node(net, held, "A", f"S{i}")
+    circ.repeats = repeats
     with pytest.raises(ValueError):
-        execute_distributed(net, circ, repeats)
+        bill(net, circ)
     assert net.ledger == ResourceLedger()
     assert observed(net) == observed(three_nodes(0)[0])

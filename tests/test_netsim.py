@@ -7,7 +7,8 @@ import pytest
 
 from conftest import (SessionRecord, TeleportRecord, add_controls,
                       amp_distance, from_amplitudes, random_amplitudes,
-                      reference_session, remote_block, remote_cnot)
+                      reference_session, remote_block, remote_cnot,
+                      reset_channels)
 from distshor import gates
 from distshor.circuit import Circuit, Instruction, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
@@ -50,8 +51,8 @@ class TestEstablish:
             pair = net.establish_epr("A", "B")
             cat = net.cat_entangle(qa, pair)
             net.cat_disentangle(cat)
-            net.reset_channels("A")
-            net.reset_channels("B")
+            reset_channels(net, "A")
+            reset_channels(net, "B")
         assert net.ledger.pairs_established == 3
         assert net.ledger.ebits_consumed == 3
 
@@ -291,20 +292,20 @@ class TestResetChannels:
         qb = net.allocate_data("B", 1)[0]
         net.apply_local("A", gates.H, [qa])
         remote_cnot(net, qa, qb)
-        net.reset_channels("A")
-        net.reset_channels("B")
+        reset_channels(net, "A")
+        reset_channels(net, "B")
         assert channels_clean(net)
 
     def test_mid_protocol_reset_rejected(self):
         net = two_nodes()
         net.establish_epr("A", "B")  # live pair on the channel qubits
         with pytest.raises(NetworkError, match="entangled"):
-            net.reset_channels("A")
+            reset_channels(net, "A")
 
     def test_reset_is_idempotent(self):
         net = two_nodes()
-        net.reset_channels("A")
-        net.reset_channels("A")
+        reset_channels(net, "A")
+        reset_channels(net, "A")
         assert channels_clean(net)
 
 

@@ -306,7 +306,7 @@ def sparse_states_and_repeating_runs(draw):
 
 
 def per_gate(state, run):
-    for gate, targets, controls in run:
+    for gate, targets, controls, *_ in run:
         state.apply_gate(gate, targets, controls)
     return state
 
@@ -379,26 +379,29 @@ class TestPermutationRun:
 
     def test_non_permutation_gate_rejected(self):
         with pytest.raises(SimulationError):
-            QuantumState(2).apply_permutation([(gates.H, [0], ())])
+            QuantumState(2).apply_permutation([Instruction(gates.H, (0,))])
 
     @pytest.mark.parametrize("bad", [
-        (gates.X, [5], ()),                          # qubit out of range
-        (gates.X, [1], [(5, True)]),                 # control out of range
-        (gates.SWAP, [2, 2], ()),                    # duplicate target
-        (gates.TOFFOLI, [0, 1, 1], ()),              # target is a control
-        (gates.X, [3], [(0, True), (3, False)]),     # target is a control
+        Instruction(gates.X, (5,)),                        # out of range
+        Instruction(gates.X, (1,), ((5, True),)),          # control too
+        Instruction(gates.SWAP, (2, 2)),                   # duplicate target
+        Instruction(gates.TOFFOLI, (0, 1, 1)),             # target a control
+        Instruction(gates.X, (3,), ((0, True), (3, False))),  # and again
     ])
     def test_errors_match_per_gate(self, bad):
+        # the refusal's message is ``apply_gate``'s, and it comes before
+        # the gates ahead of it run
         amps = {0b0011: 1.0, 0b0110: 1.0j, 0b1101: -1.0}
-        good = [(gates.CNOT, [0, 2], ()), (gates.SWAP, [1, 3], ())]
-        ref = from_amplitudes(4, amps)
+        good = [Instruction(gates.CNOT, (0, 2)),
+                Instruction(gates.SWAP, (1, 3))]
         with pytest.raises(SimulationError) as ref_err:
-            per_gate(ref, good + [bad])
+            per_gate(from_amplitudes(4, amps), good + [bad])
         st = from_amplitudes(4, amps)
+        before = list(st.amplitudes.items())
         with pytest.raises(SimulationError) as run_err:
-            st.apply_permutation(iter(good + [bad, good[0]]))
+            st.apply_permutation(good + [bad, good[0]])
         assert str(run_err.value) == str(ref_err.value)
-        assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+        assert list(st.amplitudes.items()) == before
 
     def test_repeated_move_into_set_slot_rejected(self):
         circ = Circuit(3)
@@ -418,8 +421,8 @@ class TestPermutationRun:
         assert list(st.amplitudes) == [0b010, 0b110]
 
     def test_repeated_gate_reads_its_changed_control(self):
-        run = [(gates.CNOT, [0, 1], ()), (gates.X, [0], ()),
-               (gates.CNOT, [0, 1], ())]
+        run = [Instruction(gates.CNOT, (0, 1)), Instruction(gates.X, (0,)),
+               Instruction(gates.CNOT, (0, 1))]
         amps = {0b00: 1.0, 0b01: 1.0j}
         ref = per_gate(from_amplitudes(2, amps), run)
         st = from_amplitudes(2, amps).apply_permutation(run)
@@ -536,10 +539,84 @@ class TestRepeats:
         assert st.amplitudes == from_amplitudes(6, self.AMPS).amplitudes
 
 
+def shifted(inst: Instruction, by: int) -> Instruction:
+    """``inst`` with every qubit id raised by ``by``."""
+    return inst._replace(targets=tuple(q + by for q in inst.targets),
+                         controls=tuple((q + by, pol)
+                                        for q, pol in inst.controls))
+
+
+@hst.composite
+def runs_with_a_refused_gate(draw):
+    """A sparse state, a run holding one gate that ``apply_gate``
+    refuses, the run's repeats and the refusal's message.  The run is
+    [stretch][first][repeat...][stretch]: the spans' controls are the
+    first qubits, one per span, and the refused gate sits at one place
+    of a stretch, or at one position of the first and of every repeat.
+    With no spans, the run is one stretch."""
+    spans = draw(hst.integers(0, 3))
+    num_qubits = draw(hst.integers(spans + 3, 10))
+    keys = draw(hst.lists(hst.integers(0, (1 << num_qubits) - 1),
+                          min_size=1, max_size=32, unique=True))
+    amps = {k: complex(i + 1, -i) for i, k in enumerate(keys)}
+    t = draw(hst.integers(spans, num_qubits - 1))
+    bad = draw(hst.sampled_from([
+        Instruction(gates.X, (num_qubits,)),                 # out of range
+        Instruction(gates.X, (t,), ((num_qubits + 2, True),)),  # control
+        Instruction(gates.SWAP, (t, t)),                     # duplicate
+        Instruction(gates.CNOT, (t, t)),                     # target a control
+    ]))
+    parts = [draw(hst.lists(permutation_instructions(num_qubits),
+                            max_size=8)),
+             [shifted(inst, spans) for inst in draw(hst.lists(
+                 permutation_instructions(num_qubits - spans), max_size=8))],
+             draw(hst.lists(permutation_instructions(num_qubits),
+                            max_size=8))]
+    part = draw(hst.integers(0, 2))
+    at = draw(hst.integers(0, len(parts[part])))
+    parts[part].insert(at, bad)
+    head, body, tail = parts
+    run, repeats, planted = list(head), [], bad
+    if spans and body:
+        polarities = [draw(hst.booleans()) for _ in body]
+        first = range(len(run), len(run) + len(body))
+        for k in range(spans):
+            span = range(len(run), len(run) + len(body))
+            run += [inst if inst.kind == gates.MOVE else
+                    inst._replace(controls=(*inst.controls, (k, pol)))
+                    for inst, pol in zip(body, polarities)]
+            if k:
+                repeats.append((first, span))
+        if part == 1:
+            planted = run[first.start + at]
+    else:
+        run += body
+    run += tail
+    with pytest.raises(SimulationError) as refusal:
+        QuantumState(num_qubits).apply_gate(*planted[:3])
+    return amps, num_qubits, run, repeats, str(refusal.value)
+
+
+class TestRefusal:
+    """A gate that ``apply_gate`` refuses, anywhere in a run, raises
+    its message before any gate of the run has changed the state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs_with_a_refused_gate())
+    def test_refused_gate_leaves_the_state_untouched(self, case):
+        amps, num_qubits, run, repeats, message = case
+        st = from_amplitudes(num_qubits, amps)
+        before = list(st.amplitudes.items())
+        with pytest.raises(SimulationError) as err:
+            st.apply_permutation(run, repeats)
+        assert str(err.value) == message
+        assert list(st.amplitudes.items()) == before
+
+
 class TestCheckOnce:
-    """``apply_permutation`` checks each distinct gate on its first visit
-    only; later visits of an equal gate (by value, not identity) reuse
-    the check."""
+    """``apply_permutation`` checks each distinct gate of a run once,
+    before the run; later visits of an equal gate (by value, not
+    identity) reuse the check."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -555,7 +632,8 @@ class TestCheckOnce:
 
     def test_repeated_gate_checked_once(self, checks):
         amps = {0b0000: 1.0, 0b1011: 1.0j, 0b1111: -1.0}
-        run = [(gates.TOFFOLI, [0, 1, 2], [(3, True)]) for _ in range(1000)]
+        run = [Instruction(gates.TOFFOLI, (0, 1, 2), ((3, True),))
+               for _ in range(1000)]
         st = from_amplitudes(4, amps).apply_permutation(run)
         assert len(checks) == 1
         assert list(st.amplitudes.items()) == \
@@ -563,19 +641,20 @@ class TestCheckOnce:
                           run).amplitudes.items())
 
     @pytest.mark.parametrize("bad,message", [
-        ((gates.H, [0], ()), "H is not a permutation gate"),
-        ((gates.X, [5], ()), "qubit 5 out of range for 4-qubit state"),
-        ((gates.TOFFOLI, [0, 1, 1], ()),
+        (Instruction(gates.H, (0,)), "H is not a permutation gate"),
+        (Instruction(gates.X, (5,)), "qubit 5 out of range for 4-qubit state"),
+        (Instruction(gates.TOFFOLI, (0, 1, 1)),
          "qubit 1 used as both target and control"),
     ])
     def test_refused_gate_raises_on_first_visit(self, checks, bad, message):
-        good = (gates.CNOT, [0, 2], ())
+        # planned before the run, so the 11 CNOTs ahead of it never run
+        good = Instruction(gates.CNOT, (0, 2))
         st = from_amplitudes(4, {0b0011: 1.0, 0b0110: 1.0j})
         with pytest.raises(SimulationError) as err:
             st.apply_permutation([good] * 11 + [bad, good])
         assert str(err.value) == message
         assert len(checks) == 2
-        assert list(st.amplitudes) == [0b0111, 0b0110]
+        assert list(st.amplitudes) == [0b0011, 0b0110]
 
 
 class TestPeakSupport:
