@@ -22,11 +22,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
 from .gates import ARITY, MOVE, GateKind, is_unitary
-from .qstate import Control, QuantumState
+from .qstate import Control, QuantumState, span_cuts
 
 
 # ``_new(Instruction, fields)``, with a value for each of the six fields,
@@ -46,28 +47,87 @@ class Instruction(NamedTuple):
         return is_unitary(self.kind)
 
 
+class Repeat(NamedTuple):
+    """A span of a circuit that repeats an earlier span, its first, as
+    ``Circuit.repeat`` appends one: gate p of the span is gate p of the
+    first with ``constants[p]`` as its ``classical_constant`` and, unless
+    ``control`` is None, the qubit of its last control replaced by
+    ``control`` (k_i in place of the first's k_0 in a power ladder).  A
+    MOVE equals the first's.  A label or block that starts with
+    ``rename[0]`` starts with ``rename[1]`` instead (``cm/M[i]`` in place
+    of ``cm/M[0]``)."""
+
+    first: range
+    span: range
+    control: int | None
+    constants: tuple[int | None, ...]
+    rename: tuple[str, str] = ("", "")
+
+    def spell(self, insts: Sequence[Instruction]) -> list[Instruction]:
+        """The span's instructions, from its first's in ``insts``."""
+        old, new = self.rename
+        cut, k = len(old), self.control
+        renamed = {None: None}  # each distinct label or block once
+
+        def name(text):
+            if text not in renamed:
+                renamed[text] = (new + text[cut:] if text.startswith(old)
+                                 else text)
+            return renamed[text]
+
+        out = []
+        for (kind, targets, controls, _, label, block), constant in zip(
+                insts[self.first.start:self.first.stop], self.constants):
+            if k is not None and kind.name != "MOVE":
+                controls = (*controls[:-1], (k, controls[-1][1]))
+            out.append(_new(Instruction, (kind, targets, controls, constant,
+                                          name(label), name(block))))
+        return out
+
+
+def _shifted(rep: Repeat, by: int) -> Repeat:
+    return rep._replace(first=range(rep.first.start + by, rep.first.stop + by),
+                        span=range(rep.span.start + by, rep.span.stop + by))
+
+
 class Circuit:
     """Ordered instruction list over a fixed qubit pool.
 
     Treat circuits as immutable once built: builders append, everything
     downstream only reads, so sharing across execution contexts is safe.
 
-    ``repeats`` lists pairs ``(first, span)`` of instruction positions, as
-    the power ladder's builder sets them (``shor.order_prefix``): ``span``
-    repeats the earlier ``first`` gate by gate.  Gate p of a span equals
-    gate p of its first except for its last control, whose qubit is the
-    span's own control (k_i in place of the first's k_0), and its
-    ``classical_constant``; its MOVEs equal the first's.  Two readers
-    rely on it: the billing walk (``netsim.bill``) bills a span as its
-    first's units, and the state kernel (``QuantumState.apply_permutation``,
-    through ``execute``) runs a span from its first's plans.  Neither
-    re-checks the gates of a span.
+    ``repeats`` lists the circuit's ``Repeat`` spans.  A span is built
+    from its first, its control and its constants, so it holds no
+    instructions of its own until ``instructions`` is first read
+    (``stored`` holds None at its positions until then).  Two readers
+    take a span from its ``Repeat`` and never build it: the billing walk
+    (``netsim.bill``) bills a span as its first's units, and the state
+    kernel (``QuantumState.apply_permutation``, through ``execute``) runs
+    a span from its first's plans.
     """
 
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
-        self.instructions: list[Instruction] = []
-        self.repeats: list[tuple[range, range]] = []
+        self._insts: list[Instruction | None] = []
+        self.repeats: list[Repeat] = []
+        self._packed = False  # some span's instructions are not built yet
+
+    @property
+    def instructions(self) -> list[Instruction]:
+        """Every instruction in order; the first read builds the spans."""
+        if self._packed:
+            insts = self._insts
+            for rep in self.repeats:
+                if insts[rep.span.start] is None:
+                    insts[rep.span.start:rep.span.stop] = rep.spell(insts)
+            self._packed = False
+        return self._insts
+
+    @property
+    def stored(self) -> list[Instruction | None]:
+        """The instructions as stored: None at every position of a span
+        that is not built yet."""
+        return self._insts
 
     # -- append API ------------------------------------------------------
 
@@ -78,7 +138,7 @@ class Circuit:
         for q, _pol in inst.controls:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
-        self.instructions.append(inst)
+        self._insts.append(inst)
         return self
 
     def gate(self, kind: GateKind, targets: Sequence[int],
@@ -103,17 +163,43 @@ class Circuit:
             raise ValueError("MOVE needs distinct qubits")
         return self.append(Instruction(MOVE, (src, dst), label=label))
 
+    def repeat(self, first: range, control: int | None,
+               constants: Iterable[int | None],
+               rename: tuple[str, str] = ("", "")) -> "Circuit":
+        """Append a span that repeats ``first`` (see ``Repeat``), one
+        constant per position, without building its instructions."""
+        constants = tuple(constants)
+        if not (first.step == 1 and 0 <= first.start < first.stop
+                <= len(self._insts) and len(constants) == len(first)):
+            raise ValueError(f"cannot repeat {first} with "
+                             f"{len(constants)} constants")
+        if any(rep.span.start < first.stop and first.start < rep.span.stop
+               for rep in self.repeats):
+            raise ValueError(f"{first} overlaps a repeat")
+        if control is not None and not 0 <= control < self.num_qubits:
+            raise ValueError(f"control qubit {control} out of range")
+        start = len(self._insts)
+        self._insts += [None] * len(first)
+        self.repeats.append(Repeat(first, range(start, len(self._insts)),
+                                   control, constants, rename))
+        self._packed = True
+        return self
+
     def extend(self, other: "Circuit") -> "Circuit":
-        """Append another circuit's instructions as they are."""
+        """Append another circuit's instructions and repeats as they
+        are, its spans built or not."""
         if other.num_qubits > self.num_qubits:
             raise ValueError("sub-circuit uses more qubits than the target")
-        self.instructions.extend(other.instructions)
+        at = len(self._insts)
+        self._insts += other._insts
+        self.repeats += [_shifted(rep, at) for rep in other.repeats]
+        self._packed = self._packed or other._packed
         return self
 
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self._insts)
 
 
 def _nested(prefix: str) -> tuple[str, str]:
@@ -182,41 +268,57 @@ def _in_run(inst: Instruction) -> bool:
 
 
 def execute(circ: Circuit, state: QuantumState):
-    """Run a circuit on a state, in place.
+    """Run a circuit on a state, in place, without building its spans.
 
-    Each maximal run of permutation instructions and MOVEs goes to
+    Each maximal run of permutation instructions, MOVEs and spans goes to
     ``QuantumState.apply_permutation`` in one call, with the circuit's
     repeats whose first starts in it; that gives the same state, entry
     order included, as applying its gates one by one.  The run is
     checked and planned by position before it runs, so a gate that
     ``apply_gate`` refuses raises ``SimulationError`` with the run's
     state untouched; a MOVE into a slot that is not |0> raises at its
-    own visit.  Every other gate goes through ``apply_gate``, unless a 0
-    constant disables it.  A repeat whose first starts outside every run
-    raises ``ValueError`` before anything runs.
+    own visit.  Every other gate goes through ``apply_gate``, or through
+    its checks alone when a 0 constant disables it.  Bad spans
+    (``span_cuts``), or a repeat whose first starts outside every run,
+    raise ``ValueError`` before anything runs.
     """
     if state.num_qubits < circ.num_qubits:
         raise ValueError("state is smaller than the circuit's qubit pool")
-    runs, starts, at = [], [], 0
-    for in_run, insts in groupby(circ.instructions, key=_in_run):
-        insts = list(insts)
-        runs.append((in_run, insts, []))
-        starts.append(at)
-        at += len(insts)
-    for first, span in circ.repeats:
-        i = bisect_right(starts, first.start) - 1
-        if i < 0 or not runs[i][0]:
-            raise ValueError(f"repeat {first} starts outside a run")
-        off = starts[i]
-        runs[i][2].append(tuple(range(r.start - off, r.stop - off, r.step)
-                                for r in (first, span)))
-    for in_run, insts, repeats in runs:
-        if not in_run:
-            for inst in insts:
-                if inst.classical_constant != 0:
-                    state.apply_gate(inst.kind, inst.targets, inst.controls)
+    insts, repeats = circ.stored, circ.repeats
+    span_cuts(repeats, len(insts))
+    runs: list[list] = []  # [in_run, start, stop]; a span lies in a run
+
+    def add(in_run: bool, stop: int):
+        if in_run and runs and runs[-1][0]:
+            runs[-1][2] = stop
         else:
-            state.apply_permutation(insts, repeats)
+            runs.append([in_run, runs[-1][2] if runs else 0, stop])
+
+    at = 0
+    for span in [*sorted((rep.span for rep in repeats),
+                         key=attrgetter("start")), range(len(insts), 0)]:
+        for in_run, group in groupby(insts[at:span.start], key=_in_run):
+            at += len(list(group))
+            add(in_run, at)
+        if span:
+            at = span.stop
+            add(True, at)
+    starts = [start for _, start, _ in runs]
+    held: list[list[Repeat]] = [[] for _ in runs]
+    for rep in repeats:
+        i = bisect_right(starts, rep.first.start) - 1
+        if i < 0 or not runs[i][0]:
+            raise ValueError(f"repeat {rep.first} starts outside a run")
+        held[i].append(_shifted(rep, -starts[i]))
+    for (in_run, start, stop), run_repeats in zip(runs, held):
+        if in_run:
+            state.apply_permutation(insts[start:stop], run_repeats)
+            continue
+        for inst in insts[start:stop]:
+            if inst.classical_constant != 0:
+                state.apply_gate(inst.kind, inst.targets, inst.controls)
+            else:
+                state._normalize(inst.kind, inst.targets, inst.controls)
 
 
 def dump(circ: Circuit) -> str:

@@ -10,6 +10,12 @@ gates a run builds, its report's plus a factoring run's order-finding
 program and a circuit dump's ladder, are over ``GATE_BUDGET``).  The budgets are checked before N is tested for
 primes and prime powers, so an N over a budget exits 3 either way.
 
+A factoring run does not create the whole order-finding program's
+instructions: its ladder holds one controlled multiplier per estimation
+node, and every later multiplier is a repeat of it (``build_cm_m``) that
+the run reads from its control and constants.  The budget still counts
+every gate of the program, as a circuit dump builds every repeat's.
+
 The counts section builds the power ladder's first controlled multiplier
 and the distributed inverse transform, never the whole order-finding
 program: the ladder's m multipliers have one shape, so every count is the
@@ -155,7 +161,9 @@ def gate_budget_error(n: int, m: int, *, factoring: bool = False,
     refused before anything is built, or None.  Every report builds the
     ladder's first controlled multiplier and two inverse transforms; a
     factoring run also builds its whole order-finding program (the
-    ``SHOR`` count), and a circuit dump the whole ladder."""
+    ``SHOR`` count), and a circuit dump the whole ladder.  A program's
+    repeated multipliers count in full, though a run creates their
+    instructions only for a dump."""
     if m > GATE_BUDGET:  # no count: the two transforms alone are m(m + 1)
         return (f"n = {n}, m = {m} builds m(m + 1) gates or more for its "
                 f"report's transforms, over the budget of {GATE_BUDGET}")

@@ -50,10 +50,11 @@ agrees with the reference up to floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
-from .circuit import Circuit, Instruction, execute
+from .circuit import Circuit, Instruction, Repeat, execute
 from .qstate import Control, QuantumState, RandomSource, span_cuts
 
 _PURE_TOL = 1e-9
@@ -616,27 +617,43 @@ def bill(network: Network, circ: Circuit):
     (``run_session``) or a MOVE (``move``).
 
     The walk checks each shape of unit once and tallies the rest
-    (``Network._tallied``).  A repeat ``(first, span)`` of
-    ``circ.repeats`` says ``span`` holds the units of the earlier
-    ``first`` in order, of shapes checked already whose checks pass
-    again, as no walk changes an occupancy; so ``span`` adds ``first``'s
-    units per shape to the tally, walked only if ``first`` holds a
-    stray.  Bad spans raise ``ValueError`` (``span_cuts``) before
-    anything is billed.  The tally is posted when the walk ends, by a
-    refusal too."""
-    insts, repeats = circ.instructions, circ.repeats
+    (``Network._tallied``).  A span of ``circ.repeats`` whose control
+    lies on the node of its first's (or that keeps its first's controls)
+    holds the units of its earlier first in order, of shapes checked
+    already whose checks pass again, as no walk changes an occupancy; so
+    the span adds its first's units per shape to the tally.  Any other
+    span, and a span whose first holds a stray, is built
+    (``Repeat.spell``) and walked.  Bad spans raise ``ValueError``
+    (``span_cuts``) before anything is billed.  The tally is posted when
+    the walk ends, by a refusal too."""
+    insts, repeats, node_of = circ.stored, circ.repeats, network.node_of
     cuts = span_cuts(repeats, len(insts))
-    owed = {span.start: first.start for first, span in repeats}
-    bills: dict[int, dict] = {}  # a clean span's start -> units per shape
+    owed = {rep.span.start: rep for rep in repeats}
+    bills: dict[int, dict] = {}  # a clean first's start -> units per shape
+
+    def tallied(rep: Repeat) -> bool:
+        if rep.first.start not in bills:
+            return False
+        if rep.control is None:
+            return True
+        gate = next((inst for inst in islice(insts, rep.first.start,
+                                             rep.first.stop)
+                     if inst.kind.name != "MOVE"), None)
+        return (gate is None
+                or node_of(gate.controls[-1][0]) == node_of(rep.control))
+
     network._tally = tally = {}
     try:
         for start, stop in zip(cuts, cuts[1:]):
-            if owed.get(start) in bills:  # a repeat of a clean first
-                for shape, count in bills[owed[start]].items():
+            rep = owed.get(start)
+            if rep is not None and tallied(rep):
+                for shape, count in bills[rep.first.start].items():
                     tally[shape] += count
                 continue
             before, clean = dict(tally), True
-            for unit in session_groups(insts[start:stop], network.node_of):
+            for unit in session_groups(
+                    insts[start:stop] if rep is None else rep.spell(insts),
+                    node_of):
                 if unit[-1]:  # a MOVE
                     network.move(unit)
                 else:

@@ -171,8 +171,8 @@ def build_distributed_modexp_program(a: int, N: int,
     lay = plan.layout
     return shor.order_prefix(
         lay, plan.num_qubits,
-        build_cm_m(a, N, lay.m, lay, slicing=plan.slicing),
-        plan.node_of_qubit)
+        build_cm_m(a, N, lay.m, lay, slicing=plan.slicing,
+                   node_of=plan.node_of_qubit))
 
 
 def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
@@ -189,9 +189,10 @@ def build_distributed_order_program(a: int, N: int,
     transform, the one program a distributed round runs.  Measurement is
     left to the driver so the pre-measurement distribution stays
     inspectable.  It has ~70 m n^2 gates; the count report builds one
-    controlled multiplier instead.  Its ``repeats`` pair each multiplier
-    with the first whose control is on its node (``shor.order_prefix``),
-    as ``netsim.bill`` needs to bill a repeat as its first."""
+    controlled multiplier instead.  Only the first multiplier on each
+    estimation node holds instructions; every later one is a repeat of
+    it (``build_cm_m``), which ``netsim.bill`` bills as its first and the
+    state kernel runs from its first's plans."""
     return build_distributed_modexp_program(a, N, plan).extend(
         build_distributed_transform_program(plan))
 

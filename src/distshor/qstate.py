@@ -21,11 +21,14 @@ is checked and planned by position before it runs: each distinct gate
 once, into a plan of qubit ids that its later visits apply directly, so
 a refused gate leaves the state untouched; a MOVE checks its |0>
 destination slot on each visit.  A run may also come with repeats
-(``Circuit.repeats``): spans that repeat an earlier span of the run gate
-by gate, each under its own control in place of its first's, as the
-multipliers of a power ladder do.  Every repeat runs from its first's
-plans with the repeat's control swapped in, so the ladder's m
-multipliers pay for one multiplier's checks and keys.  The kernel's
+(``circuit.Repeat``): spans built from an earlier span of the run, their
+first, a control in place of the first's and one constant per gate, as
+the multipliers of a power ladder are.  The kernel reads a span from its
+repeat alone and never from the run, where a span that is not built
+holds None: every repeat runs from its first's plans with the repeat's
+control swapped in and the repeat's constants read, so the ladder's m
+multipliers pay for one multiplier's checks and keys and create no
+instructions.  The kernel's
 results are bit-exact with applying the gates one by one through
 ``apply_gate``: a permutation only relabels basis indices, the amplitude
 values are carried over untouched, and both paths keep the dict's entry
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import random
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .gates import ARITY, SWAP, GateKind, X, is_unitary, phase_factor
@@ -47,20 +51,22 @@ PRUNE_EPSILON = 1e-12  # H drops amplitudes at or below this magnitude
 Control = tuple[int, bool]
 
 
-def span_cuts(repeats: Sequence[tuple[range, range]],
-              length: int) -> list[int]:
-    """Check the repeats ``(first, span)`` over a sequence of ``length``
-    items and return the ends of its pieces in order, 0 and ``length``
-    included: every first and span a nonempty range of step 1 inside the
-    sequence that overlaps no other, each span as long as its first and
-    after it.  Raises ``ValueError`` otherwise."""
+def span_cuts(repeats: Sequence, length: int) -> list[int]:
+    """Check the repeats (``circuit.Repeat``, read for their ``first``
+    and ``span`` ranges) over a sequence of ``length`` items and return
+    the ends of its pieces in order, 0 and ``length`` included: every
+    first and span a nonempty range of step 1 inside the sequence that
+    overlaps no other, each span as long as its first and after it.
+    Raises ``ValueError`` otherwise."""
     cuts = [0]
-    for first, span in repeats:
+    for rep in repeats:
+        first, span = rep.first, rep.span
         if (len(first) != len(span) or span.start < first.stop
                 or first.step != 1 or span.step != 1):
             raise ValueError(f"{span} does not repeat {first}")
-    for start, stop in sorted([*{(f.start, f.stop) for f, _ in repeats},
-                               *((s.start, s.stop) for _, s in repeats)]):
+    for start, stop in sorted([
+            *{(rep.first.start, rep.first.stop) for rep in repeats},
+            *((rep.span.start, rep.span.stop) for rep in repeats)]):
         if not cuts[-1] <= start < stop <= length:
             raise ValueError(f"repeat spans overlap or leave at {start}")
         cuts += (start, stop)
@@ -210,27 +216,30 @@ class QuantumState:
             self.peak_support = len(self.amplitudes)
         return self
 
-    def apply_permutation(self, run, repeats: Sequence[tuple[range, range]]
-                          = ()) -> "QuantumState":
+    def apply_permutation(self, run, repeats: Sequence = ()
+                          ) -> "QuantumState":
         """Apply a run of X/CNOT/TOFFOLI/SWAP gates and MOVEs in place
         and return self.
 
         ``run`` is a sequence of instructions ``(kind, targets, controls,
         classical_constant, ...)``, and a 0 constant disables every gate
-        but a MOVE.  ``repeats``, pairs ``(first, span)`` of positions in
-        the run (``Circuit.repeats``), cut it into pieces: the spans,
-        their firsts included, and the stretches outside them.  Before
-        anything is applied, ``span_cuts`` checks the spans and every
-        piece is checked and planned position by position, its disabled
+        but a MOVE.  ``repeats``, ``circuit.Repeat`` spans at positions of
+        the run, cut it into pieces: the spans, their firsts included,
+        and the stretches outside them.  A span is read from its repeat
+        alone, its control and its constants, never from the run, whose
+        items at a span's positions may be None.  Before anything is
+        applied, ``span_cuts`` checks the spans and every piece but a
+        span is checked and planned position by position, its disabled
         gates too, by the same validation as ``apply_gate``; equal gates
         of a piece share one plan of qubit ids.  A first is planned
-        without the control its gates end with, and a span's control, the
-        last control of its first gate that is not a MOVE, must lie in
-        range and off every qubit those plans touch.  A failure raises
-        ``ValueError`` (``SimulationError`` with ``apply_gate``'s message
-        for a gate it refuses) with the state untouched.  Each span then
-        runs from its first's plans, every gate's mask starting from the
-        span's control, and each stretch from its own.
+        without the control its gates end with, and that control, or a
+        span's own, must lie in range and off every qubit those plans
+        touch.  A failure raises ``ValueError`` (``SimulationError`` with
+        ``apply_gate``'s message for a gate it refuses) with the state
+        untouched.  Each span then runs from its first's plans, every
+        gate's mask starting from the span's control (the first's when
+        the repeat names none) and every gate read against the repeat's
+        constant, and each stretch from its own plans.
 
         A MOVE, a SWAP, also checks that its destination (second target)
         is |0>, on every visit.  Every qubit the run touches is held as
@@ -249,20 +258,20 @@ class QuantumState:
         rows = " ".join(map(format, amps, repeat(f"0{width}b"))).encode()
         cols: dict[int, int] = {}  # qubit -> its bits over the entries
         try:
-            for insts, plans, touched, k in pieces:
+            for constants, plans, touched, k in pieces:
                 for q in touched if k is None else (*touched, k):
                     if q not in cols:
                         cols[q] = int(rows[width - 1 - q::stride][::-1], 2)
                 on = full if k is None else cols[k]
                 off = full ^ on
-                for (move, is_x, a, b, pos, neg, pol), inst in zip(plans,
-                                                                   insts):
+                for (move, is_x, a, b, pos, neg, pol), constant in zip(
+                        plans, constants):
                     if move:
                         if cols[b]:
                             raise SimulationError(
                                 f"destination slot {b} is not |0>")
                         mask = full
-                    elif inst[3] == 0:
+                    elif constant == 0:
                         continue
                     else:
                         mask = on if pol else off
@@ -323,44 +332,48 @@ class QuantumState:
                 f"qubit {q} out of range for {self.num_qubits}-qubit state")
 
     def _pieces(self, run, repeats):
-        """Split a run at its spans and plan every piece, each ``(insts,
-        plans, touched, control)``: a span's instructions with its
-        first's positional plans, the qubits they touch and the span's
-        control, or a stretch outside the spans planned as its own first,
+        """Split a run at its spans and plan every piece, each
+        ``(constants, plans, touched, control)``: a span's repeat's
+        constants with its first's positional plans, the qubits they
+        touch and the span's control; a first's own constants, plans and
+        control; or a stretch outside the spans planned as its own first,
         no control taken off (control None).  Everything is checked
         before a piece runs."""
         cuts = span_cuts(repeats, len(run))
-        of = {span.start: first.start for first, span in repeats}
+        spans = {rep.span.start: rep for rep in repeats}
         firsts = {first.start: self._positional_plans(run[first.start:
                                                           first.stop])
-                  for first in dict.fromkeys(f for f, _ in repeats)}
+                  for first in dict.fromkeys(rep.first for rep in repeats)}
         pieces = []
         for start, stop in zip(cuts, cuts[1:]):
-            insts = run[start:stop]
-            first = of.get(start, start)
-            plans, touched, lead = (firsts[first] if first in firsts else
-                                    self._positional_plans(insts, strip=False))
-            k = None
-            if lead is not None:
-                controls = insts[lead][2]
-                k = controls[-1][0] if controls else None
+            rep = spans.get(start)
+            first = start if rep is None else rep.first.start
+            if first not in firsts:
+                plans, touched, k = self._positional_plans(run[start:stop],
+                                                           strip=False)
+            else:
+                plans, touched, k = firsts[first]
+                if rep is not None and rep.control is not None:
+                    k = rep.control
                 if k is None or not 0 <= k < self.num_qubits or k in touched:
                     raise ValueError(
                         f"the span at {start} swaps in control {k}, not a "
                         f"qubit in range and off its first's qubits")
-            pieces.append((insts, plans, touched, k))
+            constants = (map(itemgetter(3), run[start:stop]) if rep is None
+                         else rep.constants)
+            pieces.append((constants, plans, touched, k))
         return pieces
 
     def _positional_plans(self, first, strip: bool = True):
         """Check a first's instructions and plan them by position:
-        ``(plans, touched, lead)``.  With ``strip``, each gate but a MOVE
-        must end with the control of the first's first gate, at index
-        ``lead`` (None when the first holds only MOVEs), and a gate's
+        ``(plans, touched, k)``.  With ``strip``, each gate but a MOVE
+        must end with a control on the qubit ``k`` its first gate ends
+        with (k is None when the first holds only MOVEs), and a gate's
         plan is ``_permutation_plan``'s without that control, plus its
         polarity.  Without, as for a stretch, a plan keeps every control,
-        polarity True, and ``lead`` is None.  Equal gates share one plan.
+        polarity True, and ``k`` is None.  Equal gates share one plan.
         ``touched`` holds every qubit of the plans."""
-        plans, seen, touched, lead, k = [], {}, set(), None, None
+        plans, seen, touched, k = [], {}, set(), None
         for p, inst in enumerate(first):
             gate, targets, controls = inst[0], tuple(inst[1]), tuple(inst[2])
             key = gate.name, targets, controls
@@ -368,8 +381,8 @@ class QuantumState:
             if plan is None:
                 cut = strip and gate.name != "MOVE"  # plan it without k
                 if cut:
-                    if lead is None and controls:
-                        lead, k = p, controls[-1][0]
+                    if k is None and controls:
+                        k = controls[-1][0]
                     if not controls or controls[-1][0] != k:
                         raise ValueError(f"gate {p} of a first does not "
                                          f"end with its control")
@@ -381,7 +394,7 @@ class QuantumState:
                 touched.update((a, b), pos, neg)
                 plan = seen[key] = move, is_x, a, b, pos, neg, pol
             plans.append(plan)
-        return plans, touched, lead
+        return plans, touched, k
 
     def _permutation_plan(self, gate: GateKind, targets: Sequence[int],
                           controls: Iterable[Control]):

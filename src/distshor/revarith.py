@@ -34,6 +34,9 @@ down to its children, and a reversed block runs its children last first.
 Building each block forward and uncontrolled, then adding its controls
 to every gate and turning it around with ``circuit.reverse``, gives the
 same circuits; the tests check the builders against that composition.
+The power ladder emits one multiplier per estimation node; every later
+multiplier is a repeat of its node's first (``Circuit.repeat``), whose
+constants the same emitters compute without creating an instruction.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 from . import gates
 from .circuit import Circuit, Instruction, _new
@@ -156,9 +160,13 @@ class AdderSlicing:
 
 def _emit_bfa(out: list, a_bit: int, carry_q: int, b_q: int, fresh_q: int,
               branch: Control | None, label: str, block: str | None,
-              controls: tuple[Control, ...]):
-    """Four gates: fold the constant into (carry, fresh), then the qubit."""
+              controls: tuple[Control, ...], reads: list | None = None,
+              source: tuple[int, int] | None = None):
+    """Four gates: fold the constant into (carry, fresh), then the qubit.
+    ``reads`` gets ``source`` once for each gate ``a_bit`` gates."""
     own = (branch, *controls) if branch else controls
+    if reads is not None:
+        reads += (source, source)
     out += (
         _new(Instruction, (gates.CNOT, (carry_q, fresh_q), own, a_bit, label,
                            block)),
@@ -171,10 +179,13 @@ def _emit_bfa(out: list, a_bit: int, carry_q: int, b_q: int, fresh_q: int,
 
 def _emit_bha(out: list, a_bit: int, carry_q: int, b_q: int,
               branch: Control | None, label: str, block: str | None,
-              controls: tuple[Control, ...]):
+              controls: tuple[Control, ...], reads: list | None = None,
+              source: tuple[int, int] | None = None):
     """The bit adder without carry output: drop the first gate and the
     Toffoli."""
     own = (branch, *controls) if branch else controls
+    if reads is not None:
+        reads.append(source)
     out += (
         _new(Instruction, (gates.X, (carry_q,), own, a_bit, label, block)),
         _new(Instruction, (gates.CNOT, (b_q, carry_q), controls, None, label,
@@ -192,24 +203,30 @@ def _move(src: int, dst: int, label: str, reverse: bool) -> Instruction:
 def _ripple_chain(out: list, controls: tuple[Control, ...], reverse: bool,
                   a: int, addend: Sequence[int],
                   segments: Sequence[ChainSegment], carry_out: int | None,
-                  branch: Control | None, path: str):
+                  branch: Control | None, path: str, constant: int = 0,
+                  reads: list | None = None):
     """Chain bit adders over the segments, bit i of the constant ``a``
     feeding unit i; ``carry_out=None`` makes the final unit a half adder.
     Every gate is a self-inverse permutation, so the reversed chain is the
-    same instructions last first, with each carry MOVE turned around."""
+    same instructions last first, with each carry MOVE turned around.
+    ``reads``, if given, gets ``(constant, i)`` for each gate bit i of
+    ``a`` gates, in the order of the gates, ``constant`` naming ``a``."""
     flat = [q for seg in segments for q in seg.qubits]
     n = len(addend)
     if len(flat) != n:
         raise ValueError("chain does not cover the addend width")
     chain: list[Instruction] = []
+    read = None if reads is None else []
     i = 0
     for si, seg in enumerate(segments):
         for j, chain_q in enumerate(seg.qubits):
             last_global = i == n - 1
             last_in_seg = j == len(seg.qubits) - 1
+            source = None if read is None else (constant, i)
             if last_global and carry_out is None:
                 _emit_bha(chain, a >> i & 1, chain_q, addend[i], branch,
-                          f"{path}/BHA[{i}]", seg.block, controls)
+                          f"{path}/BHA[{i}]", seg.block, controls, read,
+                          source)
             else:
                 if last_global:
                     fresh = carry_out
@@ -218,12 +235,15 @@ def _ripple_chain(out: list, controls: tuple[Control, ...], reverse: bool,
                 else:
                     fresh = flat[i + 1]
                 _emit_bfa(chain, a >> i & 1, chain_q, addend[i], fresh,
-                          branch, f"{path}/BFA[{i}]", seg.block, controls)
+                          branch, f"{path}/BFA[{i}]", seg.block, controls,
+                          read, source)
                 if last_in_seg and not last_global:
                     chain.append(_move(seg.spare, flat[i + 1],
                                        f"{path}/carry-move[{si}]", reverse))
             i += 1
     out += reversed(chain) if reverse else chain
+    if read is not None:
+        reads += reversed(read) if reverse else read
 
 
 def _single_segment(qubits: Sequence[int]) -> list[ChainSegment]:
@@ -297,12 +317,29 @@ def build_ha(a: int, b_qubits: Sequence[int], sum_qubits: Sequence[int], *,
 # -- modular arithmetic ----------------------------------------------------
 #
 # Each block is emitted by ``_xxx(out, controls, ...)``, which appends its
-# gates to ``out``: ``controls`` go after every gate's own, innermost
+# gates to ``out.insts``: ``controls`` go after every gate's own, innermost
 # first, so a ladder gate reads (branch, x_i, k_i).  Every ladder gate is a
 # self-inverse permutation, so a ``reverse``d block only runs its steps
 # last first and turns its MOVEs around.  MF and the ladder check the
 # control they put on each child against the qubits the first child
 # touches (``_admit``); the children all touch the same ones.
+
+
+class _Sink:
+    """Where the emitters from AN up write.  ``insts`` gets the
+    instructions, or is None to walk the blocks for their chain constants
+    alone, creating no instruction; ``chain`` gets the two constants of
+    each AN (its full adder's and its half adder's) in the order the ANs
+    are emitted; ``reads``, unless None, gets for each gate that a
+    constant gates, in the order of the gates, the index in ``chain`` of
+    that constant and the bit of it the gate reads."""
+
+    __slots__ = ("insts", "chain", "reads")
+
+    def __init__(self, insts: list[Instruction] | None,
+                 reads: list[tuple[int, int]] | None = None):
+        self.insts, self.chain, self.reads = insts, [], reads
+
 
 def _pool(layout: RegisterLayout, slicing: AdderSlicing | None) -> int:
     pool = layout.pool_size
@@ -338,7 +375,7 @@ def _admit(controls: Sequence[int], used: set[int], pool: int):
             raise ValueError(f"control qubit {q} out of range")
 
 
-def _around(out: list, controls: tuple[Control, ...], reverse: bool,
+def _around(out: _Sink, controls: tuple[Control, ...], reverse: bool,
             emit, before: tuple, middle: list[Instruction], after: tuple):
     """Compute, act, uncompute: ``emit``'s block for the ``before``
     arguments, the ``middle`` gates, then the reversed block for the
@@ -347,11 +384,12 @@ def _around(out: list, controls: tuple[Control, ...], reverse: bool,
     if reverse:
         before, after, middle = after, before, middle[::-1]
     emit(out, controls, False, *before)
-    out += middle
+    if middle:
+        out.insts += middle
     emit(out, controls, True, *after)
 
 
-def _an(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+def _an(out: _Sink, controls: tuple[Control, ...], reverse: bool, a: int,
         N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
         path: str):
     n = layout.n
@@ -361,20 +399,26 @@ def _an(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
         raise ValueError("modulus does not fit the register width")
     shifted = (a + (1 << n) - N) % (1 << n)
     neg = N % (1 << n)  # two's-complement encoding of -(2^n - N)
+    c = len(out.chain)
+    out.chain += (shifted, neg)
+    if out.insts is None:
+        return
     fa_segs = (slicing.segments(layout.s, 0, path, "fa")
                if slicing else _single_segment(layout.s))
     ha_segs = (slicing.segments(layout.inter, 1, path, "ha")
                if slicing else _single_segment(layout.inter))
-    fa = (shifted, layout.b, fa_segs, layout.carry, None, f"{path}/FA")
-    ha = (neg, layout.s, ha_segs, None, (layout.carry, True), f"{path}/HA")
+    fa = (shifted, layout.b, fa_segs, layout.carry, None, f"{path}/FA", c)
+    ha = (neg, layout.s, ha_segs, None, (layout.carry, True), f"{path}/HA",
+          c + 1)
     if reverse:
         fa, ha = ha, fa
-    _ripple_chain(out, controls, reverse, *fa)
+    _ripple_chain(out.insts, controls, reverse, *fa, out.reads)
     # carry set means a+b >= N (no subtraction); flip it into a
     # "subtraction needed" flag so the half-adder constants fire on 1
-    out.append(_new(Instruction, (gates.X, (layout.carry,), controls, None,
-                                  f"{path}/carry-flip", fa_segs[-1].block)))
-    _ripple_chain(out, controls, reverse, *ha)
+    out.insts.append(_new(Instruction, (gates.X, (layout.carry,), controls,
+                                        None, f"{path}/carry-flip",
+                                        fa_segs[-1].block)))
+    _ripple_chain(out.insts, controls, reverse, *ha, out.reads)
 
 
 def _pairwise(kind: GateKind, first: Sequence[int], second: Sequence[int],
@@ -388,51 +432,50 @@ def _pairwise(kind: GateKind, first: Sequence[int], second: Sequence[int],
             for i, (p, q) in enumerate(zip(first, second))]
 
 
-def _xan(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+def _xan(out: _Sink, controls: tuple[Control, ...], reverse: bool, a: int,
          N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
          path: str):
-    copies = _pairwise(gates.CNOT, layout.inter, layout.out, controls,
-                       slicing, path, "COPY", "cp")
+    copies = [] if out.insts is None else _pairwise(
+        gates.CNOT, layout.inter, layout.out, controls, slicing, path,
+        "COPY", "cp")
     _around(out, controls, reverse, _an,
             (a, N, layout, slicing, f"{path}/AN"), copies,
             (a, N, layout, slicing, f"{path}/ANr"))
 
 
-def _adder(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+def _adder(out: _Sink, controls: tuple[Control, ...], reverse: bool, a: int,
            N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
            path: str):
-    swaps = _pairwise(gates.SWAP, layout.b, layout.out, controls, slicing,
-                      path, "SWAP", "sw")
+    swaps = [] if out.insts is None else _pairwise(
+        gates.SWAP, layout.b, layout.out, controls, slicing, path, "SWAP",
+        "sw")
     _around(out, controls, reverse, _xan,
             (a % N, N, layout, slicing, f"{path}/XAN0"), swaps,
             ((N - a) % N, N, layout, slicing, f"{path}/XAN1r"))
 
 
-def _mf(out: list, controls: tuple[Control, ...], reverse: bool, a: int,
+def _mf(out: _Sink, controls: tuple[Control, ...], reverse: bool, a: int,
         N: int, layout: RegisterLayout, slicing: AdderSlicing | None,
-        path: str) -> set[int]:
-    """Emit MF; returns the qubits it touches, ``controls`` aside."""
+        path: str) -> set[int] | None:
+    """Emit MF; returns the qubits it touches, ``controls`` aside (None
+    with no instructions)."""
     if math.gcd(a, N) != 1:
         raise ValueError(f"{a} is not invertible mod {N}")
-    used: set[int] | None = None
+    insts, used = out.insts, None
     order = range(layout.n)
     for i in (reversed(order) if reverse else order):
-        start = len(out)
+        start = 0 if insts is None else len(insts)
         _adder(out, ((layout.x[i], True),) + controls, reverse, (a << i) % N,
                N, layout, slicing, f"{path}/A[{i}]")
-        if used is None:
-            used = _footprint(out[start:], 1 + len(controls))
+        if used is None and insts is not None:
+            used = _footprint(insts[start:], 1 + len(controls))
             _admit(layout.x, used, _pool(layout, slicing))
-    return used.union(layout.x)
+    return None if used is None else used.union(layout.x)
 
 
-def _m(out: list, controls: tuple[Control, ...], a: int, N: int,
-       layout: RegisterLayout, slicing: AdderSlicing | None,
-       path: str) -> set[int]:
-    """Emit M; returns the qubits it touches, ``controls`` aside."""
-    if math.gcd(a, N) != 1:
-        raise ValueError(f"{a} is not invertible mod {N}")
-    a = a % N
+def _mswaps(controls: tuple[Control, ...], layout: RegisterLayout,
+            slicing: AdderSlicing | None, path: str) -> list[Instruction]:
+    """M's controlled swaps of the multiplier and accumulator registers."""
     swaps: list[Instruction] = []
     for i, (xq, bq) in enumerate(zip(layout.x, layout.b)):
         label = f"{path}/MSWAP[{i}]"
@@ -448,10 +491,26 @@ def _m(out: list, controls: tuple[Control, ...], a: int, N: int,
                       _new(Instruction, (gates.SWAP, (spare, bq), controls,
                                          None, label, f"{path}@msw{j}.{i}")),
                       _move(spare, xq, f"{label}/unpark", False))
+    return swaps
+
+
+def _m(out: _Sink, controls: tuple[Control, ...], a: int, N: int,
+       layout: RegisterLayout, slicing: AdderSlicing | None,
+       path: str) -> set[int] | None:
+    """Emit M; returns the qubits it touches, ``controls`` aside (None
+    with no instructions)."""
+    if math.gcd(a, N) != 1:
+        raise ValueError(f"{a} is not invertible mod {N}")
+    a = a % N
+    swaps = [] if out.insts is None else _mswaps(controls, layout, slicing,
+                                                  path)
     used = _mf(out, controls, False, a, N, layout, slicing, f"{path}/MF0")
-    out += swaps
+    if swaps:
+        out.insts += swaps
     _mf(out, controls, True, pow(a, -1, N), N, layout, slicing,
         f"{path}/MF1r")
+    if used is None:
+        return None
     swapped = _footprint(swaps, len(controls))
     _admit((), swapped, _pool(layout, slicing))
     return used | swapped
@@ -467,7 +526,7 @@ def build_an(a: int, N: int, layout: RegisterLayout, *,
     the carry flip, and the flag-branched half adder.
     """
     insts: list[Instruction] = []
-    _an(insts, (), False, a, N, layout, slicing, path)
+    _an(_Sink(insts), (), False, a, N, layout, slicing, path)
     return _checked(Circuit(_pool(layout, slicing)), insts)
 
 
@@ -480,7 +539,7 @@ def build_xan(a: int, N: int, layout: RegisterLayout, *,
     are returned to |0>.  17n - 2 gates.
     """
     insts: list[Instruction] = []
-    _xan(insts, (), False, a, N, layout, slicing, path)
+    _xan(_Sink(insts), (), False, a, N, layout, slicing, path)
     return _checked(Circuit(_pool(layout, slicing)), insts)
 
 
@@ -494,7 +553,7 @@ def build_adder(a: int, N: int, layout: RegisterLayout, *,
     reverse the copying adder for the negated constant.
     """
     insts: list[Instruction] = []
-    _adder(insts, (), False, a, N, layout, slicing, path)
+    _adder(_Sink(insts), (), False, a, N, layout, slicing, path)
     return _checked(Circuit(_pool(layout, slicing)), insts)
 
 
@@ -507,7 +566,7 @@ def build_mf(a: int, N: int, layout: RegisterLayout, *,
     adding the precomputed constant a*2^i mod N.
     """
     circ = Circuit(_pool(layout, slicing))
-    _mf(circ.instructions, (), False, a, N, layout, slicing, path)
+    _mf(_Sink(circ.instructions), (), False, a, N, layout, slicing, path)
     return circ
 
 
@@ -521,16 +580,23 @@ def build_m(a: int, N: int, layout: RegisterLayout, *,
     input with the reversed multiplier for a^-1 mod N.
     """
     circ = Circuit(_pool(layout, slicing))
-    _m(circ.instructions, (), a, N, layout, slicing, path)
+    _m(_Sink(circ.instructions), (), a, N, layout, slicing, path)
     return circ
 
 
 def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
-               slicing: AdderSlicing | None = None) -> Circuit:
+               slicing: AdderSlicing | None = None,
+               node_of: Mapping[int, str] | None = None) -> Circuit:
     """Controlled power ladder: |k>|x> -> |k> (M_a)^k |x>.
 
     Repeated squaring: block i applies M for the constant a^(2^i) mod N
-    under control k_i, labelled ``cm/M[i]``.
+    under control k_i, labelled ``cm/M[i]``.  Only the first block whose
+    control lies on each node of ``node_of`` (block 0 when there are no
+    nodes) is emitted.  Every later block is a ``Circuit.repeat`` of it
+    with control k_i and its own constants: while the first is emitted,
+    ``_Sink.reads`` records the chain constant and bit each of its gated
+    gates reads, and a later block walks the same emitters for its chain
+    constants alone and reads them there.
     """
     if m < 1:
         raise ValueError("need at least one control qubit")
@@ -538,12 +604,39 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
         raise ValueError(f"{a} is not invertible mod {N}")
     if m > layout.m:
         raise ValueError("layout control register too narrow")
-    circ = Circuit(_pool(layout, slicing))
-    for i in range(m):
-        used = _m(circ.instructions, ((layout.k[i], True),),
-                  pow(a, 1 << i, N), N, layout, slicing, f"cm/M[{i}]")
+    pool, n = _pool(layout, slicing), layout.n
+    circ = Circuit(pool)
+    firsts: dict[str | None, tuple] = {}
+    for i, k in enumerate(layout.k[:m]):
+        power, path = pow(a, 1 << i, N), f"cm/M[{i}]"
+        node = None if node_of is None else node_of[k]
+        if node in firsts:
+            first, first_path, index = firsts[node]
+            chain = _Sink(None)
+            _m(chain, ((k, True),), power, N, layout, slicing, path)
+            # bit b of chain constant c sits at 1 + n c + b, None at 0
+            bits = [None, *(x >> b & 1 for x in chain.chain
+                            for b in range(n))]
+            circ.repeat(first, k, itemgetter(*index)(bits),
+                        (first_path, path))
+            continue
+        block = Circuit(pool)
+        out = _Sink(block.instructions, [] if m > 1 else None)
+        used = _m(out, ((k, True),), power, N, layout, slicing, path)
         if i == 0:
-            _admit(layout.k[:m], used, circ.num_qubits)
+            _admit(layout.k[:m], used, pool)
+        index = []  # per gate: 0, or 1 + the place of the bit it reads
+        if m > 1:
+            reads = iter(out.reads)
+            for inst in out.insts:
+                if inst[3] is None:
+                    index.append(0)
+                else:
+                    c, b = next(reads)
+                    index.append(1 + n * c + b)
+        firsts[node] = (range(len(circ), len(circ) + len(block)), path,
+                        index)
+        circ.extend(block)
     return circ
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import partition
 from .circuit import Circuit, execute
@@ -51,32 +51,15 @@ class FactoringOutcome:
 
 # -- order finding -----------------------------------------------------------
 
-def order_prefix(layout: RegisterLayout, num_qubits: int, ladder: Circuit,
-                 node_of: Mapping[int, str] | None = None) -> Circuit:
+def order_prefix(layout: RegisterLayout, num_qubits: int,
+                 ladder: Circuit) -> Circuit:
     """Order finding's phase estimation up to its inverse transform: |1>
     in the multiplier register, an H on each estimation qubit, then the
-    controlled power ladder.
-
-    The ladder's m controlled multipliers have one shape and length, so
-    the circuit's ``repeats`` pair each with the first one whose control
-    lies on its node of ``node_of``, or with multiplier 0 when there are
-    no nodes."""
+    controlled power ladder, its repeats (``build_cm_m``) kept."""
     circ = Circuit(num_qubits).x(layout.x[0], label="prep/one")
     for i, kq in enumerate(layout.k):
         circ.h(kq, label=f"prep/H[{i}]")
-    insts, firsts = circ.extend(ladder).instructions, {}
-    prep = 1 + len(layout.k)
-    width = len(ladder) // len(layout.k)
-    for i, kq in enumerate(layout.k):
-        span = range(prep + i * width, prep + (i + 1) * width)
-        if not all(insts[j].label.startswith(f"cm/M[{i}]/")
-                   for j in (span.start, span.stop - 1)):
-            raise ValueError(f"multiplier {i} does not fill {span}")
-        node = None if node_of is None else node_of[kq]
-        first = firsts.setdefault(node, span)
-        if first is not span:
-            circ.repeats.append((first, span))
-    return circ
+    return circ.extend(ladder)
 
 
 @dataclass

@@ -89,9 +89,10 @@ def reference_execute(circ: Circuit, state: QuantumState):
 
 
 def without_repeats(circ: Circuit) -> Circuit:
-    """``circ`` with no repeats, so the state kernel runs it flat."""
+    """``circ`` with its spans built and no repeats, so the state kernel
+    runs it flat."""
     bare = Circuit(circ.num_qubits)
-    bare.instructions = circ.instructions
+    bare.instructions.extend(circ.instructions)
     return bare
 
 def used_qubits(circ: Circuit) -> set[int]:

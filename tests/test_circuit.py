@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import add_controls, amplitude, read_register, run_on_basis
 from distshor import gates
 from distshor.circuit import Circuit, count_gates, dump, execute, reverse
-from distshor.qstate import QuantumState
+from distshor.qstate import QuantumState, SimulationError
 from distshor.revarith import RegisterLayout, build_fa, build_m
 
 
@@ -127,6 +127,16 @@ class TestExecute:
         st = QuantumState(1)
         execute(circ, st)
         assert set(st.amplitudes) == {0}
+
+    @pytest.mark.parametrize("kind", [gates.X, gates.H])
+    def test_disabled_gate_checked_as_apply_gate(self, kind):
+        # a 0 constant skips the gate, not its checks, whatever its kind
+        circ = Circuit(2)
+        circ.gate(kind, [0], [(0, True)], classical_constant=0)
+        with pytest.raises(SimulationError,
+                           match=r"^qubit 0 used as both target and "
+                                 r"control$"):
+            execute(circ, QuantumState(2))
 
     def test_move_relocates_state(self):
         circ = Circuit(2)

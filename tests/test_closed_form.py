@@ -23,7 +23,7 @@ from conftest import (amp_distance, observed,
                       reference_round, reference_session, round_outcome,
                       without_repeats)
 from distshor import gates, partition, shor
-from distshor.circuit import Circuit, Instruction, execute
+from distshor.circuit import Circuit, Instruction, Repeat, execute
 from distshor.netsim import (Network, NetworkError, NodeSpec,
                              ResourceLedger, Topology, bill,
                              execute_distributed, session_groups)
@@ -531,7 +531,7 @@ def test_ladder_repeats_hold_their_firsts_units(case):
                 for node, group, _, sources, _, _, is_move
                 in session_groups(insts[span.start:span.stop], node_of)]
 
-    for first, span in program.repeats:
+    for first, span, *_ in program.repeats:
         assert {first.start, first.stop, span.start, span.stop} <= bounds
         assert facts(span) == facts(first)
 
@@ -561,8 +561,8 @@ def test_ladder_repeats_swap_only_their_control(case):
         if mode == "monolithic":
             assert len(program.repeats) == m - 1
             assert all(first == range(prep, prep + len(span))
-                       for first, span in program.repeats)
-        for first, span in program.repeats:
+                       for first, span, *_ in program.repeats)
+        for first, span, *_ in program.repeats:
             i, f = ((r.start - prep) // len(r) for r in (span, first))
             assert insts[span.start].label.startswith(f"cm/M[{i}]/")
             for g, h in zip(insts[first.start:first.stop],
@@ -630,27 +630,26 @@ def walk(net, circ):
 
 @st.composite
 def repeated_programs(draw):
-    """[prefix][S][S'...][tail]: each S' is S with constants drawn again
-    and blocks renamed, as a ladder's multipliers differ; its repeats
-    say so."""
+    """[prefix][S][S'...][tail]: each S' a repeat of S that keeps its
+    controls (``Circuit.repeat``), with constants drawn again and blocks
+    renamed, as a ladder's multipliers differ."""
     prefix, body, tail = (draw(programs(strays=True))[0] for _ in range(3))
     circ = Circuit(prefix.num_qubits)
 
-    def put(insts, tag, redraw=False):
-        start = len(circ.instructions)
+    def put(insts, tag):
+        start = len(circ)
         for inst in insts:
-            constant = (draw(st.sampled_from([None, 0, 1]))
-                        if redraw and inst.kind.name != "MOVE"
-                        else inst.classical_constant)
-            block = inst.block and f"{tag}/{inst.block}"
-            circ.instructions.append(inst._replace(
-                classical_constant=constant, block=block))
-        return range(start, len(circ.instructions))
+            circ.append(inst._replace(block=inst.block
+                                      and f"{tag}/{inst.block}"))
+        return range(start, len(circ))
 
     put(prefix.instructions, "p")
     first = put(body.instructions, "s")
-    circ.repeats = [(first, put(body.instructions, f"s{i}", redraw=True))
-                    for i in range(draw(st.integers(1, 3)))]
+    for i in range(draw(st.integers(1, 3))):
+        circ.repeat(first, None, [
+            draw(st.sampled_from([None, 0, 1])) if inst.kind.name != "MOVE"
+            else inst.classical_constant for inst in body.instructions],
+            ("s/", f"s{i}/"))
     put(tail.instructions, "t")
     return circ
 
@@ -662,8 +661,8 @@ def test_random_repeats_bill_as_the_flat_walk(circ, strain, seed):
     bounds = {0, *itertools.accumulate(
         len(unit[1]) for unit in session_groups(circ.instructions,
                                                 three_nodes(0)[0].node_of))}
-    assume(all({span.start, span.stop} <= bounds
-               for _, span in circ.repeats))
+    assume(all({rep.span.start, rep.span.stop} <= bounds
+               for rep in circ.repeats))
     assert (walk(strained(seed, strain), circ)
             == walk(strained(seed, strain), without_repeats(circ)))
 
@@ -681,14 +680,22 @@ def shares_and_round_trips(net, held, constants, tag):
 
 
 def stacked(net, held, parts):
-    """One program of ``parts``, with the repeats of each part that
-    repeats an earlier one: (instructions, index of its first or None)."""
+    """One program of ``parts``, (instructions, index of its first or
+    None): a part with a first is a repeat of it (``Circuit.repeat``)
+    that keeps its controls, with the part's constants and tag."""
     circ, spans = Circuit(net.state.num_qubits), []
     for insts, of in parts:
-        spans.append(range(len(circ), len(circ) + len(insts)))
-        circ.instructions += insts
-        if of is not None:
-            circ.repeats.append((spans[of], spans[-1]))
+        start = len(circ)
+        if of is None:
+            for inst in insts:
+                circ.append(inst)
+        else:
+            rename = tuple(tagged[0].block.partition("@")[0] for tagged in (
+                circ.stored[spans[of].start:], insts))
+            circ.repeat(spans[of], None,
+                        [inst.classical_constant for inst in insts], rename)
+            assert circ.repeats[-1].spell(circ.stored) == insts
+        spans.append(range(start, len(circ)))
     return circ
 
 
@@ -793,8 +800,9 @@ def test_bad_repeats_raise_before_billing(repeats):
     net, held = three_nodes(0)
     circ = Circuit(net.state.num_qubits)
     for i in range(8):
-        circ.instructions += from_node(net, held, "A", f"S{i}")
-    circ.repeats = repeats
+        circ.instructions.extend(from_node(net, held, "A", f"S{i}"))
+    circ.repeats = [Repeat(first, span, None, (None,) * len(span))
+                    for first, span in repeats]
     with pytest.raises(ValueError):
         bill(net, circ)
     assert net.ledger == ResourceLedger()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from distshor import gates
-from distshor.circuit import Circuit, Instruction, execute
+from distshor.circuit import Circuit, Instruction, Repeat, execute
 from distshor.gates import ARITY
 from distshor.qstate import QuantumState, RandomSource, SimulationError
 
@@ -289,8 +289,8 @@ def sparse_states_and_runs(draw):
                           min_size=1, max_size=64, unique=True))
     amps = {k: complex(i + 1, -i) for i, k in enumerate(keys)}
     circ = Circuit(num_qubits)
-    circ.instructions = draw(hst.lists(permutation_instructions(num_qubits),
-                                       max_size=30))
+    circ.instructions.extend(draw(hst.lists(
+        permutation_instructions(num_qubits), max_size=30)))
     return amps, circ
 
 
@@ -301,7 +301,8 @@ def sparse_states_and_repeating_runs(draw):
     amps, circ = draw(sparse_states_and_runs())
     pool = draw(hst.lists(permutation_instructions(circ.num_qubits),
                           min_size=2, max_size=6, unique_by=lambda i: i[:3]))
-    circ.instructions = draw(hst.lists(hst.sampled_from(pool), max_size=40))
+    circ.instructions[:] = draw(hst.lists(hst.sampled_from(pool),
+                                          max_size=40))
     return amps, circ
 
 
@@ -431,18 +432,26 @@ class TestPermutationRun:
 
 
 def ladder(num_qubits, controls, body):
-    """``body(circ, k, i)`` once for each control k, the i-th in
-    ``controls``, every span after the first a repeat of the first."""
+    """``body(circ, k, i)`` for the first control k in ``controls``, and
+    a repeat of it (``Circuit.repeat``) for each later one, the i-th,
+    with the constants ``body`` gives its gates."""
     circ = Circuit(num_qubits)
     for i, k in enumerate(controls):
-        start = len(circ)
-        body(circ, k, i)
-        span = range(start, len(circ))
-        if i:
-            circ.repeats.append((first, span))
-        else:
-            first = span
+        if not i:
+            body(circ, k, i)
+            first = range(len(circ))
+            continue
+        span = Circuit(num_qubits)
+        body(span, k, i)
+        circ.repeat(first, k, [inst.classical_constant
+                               for inst in span.instructions])
     return circ
+
+
+def as_repeats(pairs, control=1):
+    """A ``Repeat`` for each ``(first, span)``, under ``control``."""
+    return [Repeat(first, span, control, (None,) * len(span))
+            for first, span in pairs]
 
 
 class TestRepeats:
@@ -491,11 +500,11 @@ class TestRepeats:
         reference_execute(circ, ref)
         assert self.outcome(circ) == (None, list(ref.amplitudes.items()))
 
-    def refused(self, run, repeats, message):
+    def refused(self, run, spans, message):
         st = from_amplitudes(6, self.AMPS)
         before = list(st.amplitudes.items())
         with pytest.raises(ValueError, match=message):
-            st.apply_permutation(run, repeats)
+            st.apply_permutation(run, spans)
         assert list(st.amplitudes.items()) == before
 
     @pytest.mark.parametrize("repeats", [
@@ -507,32 +516,32 @@ class TestRepeats:
         [(range(0, 3), range(3, 9, 2))],                        # a step
     ])
     def test_bad_spans_raise_before_the_state_changes(self, repeats):
-        self.refused(ladder(6, (0, 1, 0), self.body).instructions, repeats,
-                     "does not repeat|overlap or leave")
+        self.refused(ladder(6, (0, 1, 0), self.body).instructions,
+                     as_repeats(repeats), "does not repeat|overlap or leave")
 
-    @pytest.mark.parametrize("controls", [
-        ((3, True), (6, True)),    # out of range
-        ((3, True), (-1, True)),   # out of range
-        ((3, True), (2, True)),    # a target of the first
-        ((3, True), (4, True)),    # a MOVE's qubit in the first
-        ((2, True), (3, True)),    # a control of the first
-        (),                        # none
-    ])
-    def test_bad_controls_raise_before_the_state_changes(self, controls):
+    @pytest.mark.parametrize("control", [
+        6,     # out of range
+        -1,    # out of range
+        2,     # a target of the first
+        4,     # a MOVE's source in the first
+        3,     # a control of the first
+        5,     # a MOVE's destination in the first
+    ], ids=[f"controls{i}" for i in range(6)])
+    def test_bad_controls_raise_before_the_state_changes(self, control):
         run = ladder(6, (0, 1), self.body).instructions
-        run[3] = run[3]._replace(controls=controls)  # the repeat's first
-        self.refused(run, [(range(0, 3), range(3, 6))], "swaps in control")
+        self.refused(run, as_repeats([(range(0, 3), range(3, 6))], control),
+                     "swaps in control")
 
     def test_first_ending_with_two_controls_raises(self):
         run = ladder(6, (0, 1), self.body).instructions
         run[2] = run[2]._replace(controls=((1, False),))
-        self.refused(run, [(range(0, 3), range(3, 6))],
+        self.refused(run, as_repeats([(range(0, 3), range(3, 6))]),
                      "does not end with its control")
 
     def test_first_outside_a_run_raises_before_anything_runs(self):
         circ = Circuit(6).h(0)
-        circ.instructions += ladder(6, (0, 1), self.body).instructions
-        circ.repeats = [(range(0, 4), range(4, 8))]
+        circ.instructions.extend(ladder(6, (0, 1), self.body).instructions)
+        circ.repeats = as_repeats([(range(0, 3), range(3, 6))])
         st = from_amplitudes(6, self.AMPS)
         with pytest.raises(ValueError, match="starts outside a run"):
             execute(circ, st)
@@ -586,7 +595,8 @@ def runs_with_a_refused_gate(draw):
                     inst._replace(controls=(*inst.controls, (k, pol)))
                     for inst, pol in zip(body, polarities)]
             if k:
-                repeats.append((first, span))
+                repeats.append(Repeat(first, span, k, tuple(
+                    inst.classical_constant for inst in body)))
         if part == 1:
             planted = run[first.start + at]
     else:

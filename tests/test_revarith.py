@@ -19,7 +19,7 @@ from conftest import (amp_distance, assert_ancillas_zero, from_amplitudes,
                       reference_execute,
                       reference_execute_distributed, reference_m,
                       reference_mf, reference_xan, run_on_basis)
-from distshor import gates
+from distshor import gates, revarith
 from distshor.circuit import (Circuit, Instruction, count_gates, dump,
                               execute, reverse)
 from distshor.netsim import execute_distributed
@@ -338,6 +338,50 @@ class TestControlledPowers:
                 st = run_on_basis(circ, preset)
                 assert read_register(st, lay.x) == (x * pow(a, k, N)) % N
                 assert_ancillas_zero(st, ancillas)
+
+
+class TestPackedLadder:
+    """Every multiplier after its node's first is a repeat built from the
+    first (``Circuit.repeat``); its instructions, built on demand, equal
+    the multiplier emitted on its own under its control."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([(15, 4), (15, 7), (21, 2), (21, 5), (33, 5),
+                            (35, 3), (9, 2)]),
+           st.integers(1, 9))
+    def test_repeats_equal_their_multipliers_emitted_alone(self, base, m):
+        N, a = base
+        n = N.bit_length()
+        plan = plan_placement(n, m)
+        for layout, slicing, node_of in (
+                (RegisterLayout.packed(n, m), None, None),
+                (plan.layout, plan.slicing, plan.node_of_qubit),
+                (plan.layout, plan.slicing, None)):
+            ladder = build_cm_m(a, N, m, layout, slicing=slicing,
+                                node_of=node_of)
+            firsts = {None if node_of is None else node_of[k]
+                      for k in layout.k[:m]}
+            assert len(ladder.repeats) == m - len(firsts)
+            alone = []
+            for i, k in enumerate(layout.k[:m]):
+                out = revarith._Sink([])
+                revarith._m(out, ((k, True),), pow(a, 1 << i, N), N,
+                            layout, slicing, f"cm/M[{i}]")
+                alone += out.insts
+            assert len(ladder) == len(alone)
+            assert ladder.instructions == alone
+
+    def test_a_power_that_reaches_one(self):
+        # 4^2 = 1 mod 15: multipliers 1, 3, ... multiply by 1
+        lay = LAYOUTS[4]
+        ladder = build_cm_m(4, 15, 4, lay)
+        assert [rep.control for rep in ladder.repeats] == list(lay.k[1:4])
+        for x in range(1, 15):
+            for k in range(16):
+                preset = preset_register(lay.k[:4], k)
+                preset.update(preset_register(lay.x, x))
+                st = run_on_basis(ladder, preset)
+                assert read_register(st, lay.x) == x * pow(4, k, 15) % 15
 
 
 class TestCountFormulas:

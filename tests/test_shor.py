@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import phase_estimation_state, reference_execute
-from distshor import cli, gates, partition, shor
-from distshor.circuit import Circuit
+from distshor import cli, gates, partition, revarith, shor
+from distshor.circuit import Circuit, Instruction, Repeat
 from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
                            find_order, is_prime, order_candidates,
@@ -353,6 +353,45 @@ class TestReportBuilds:
         # one base (a = 7): its rounds' program, and none for the report
         assert len(programs) == (mode == "distributed")
         assert [args[2] for args in ladders] == [1]
+
+
+class TestPackedRound:
+    """A round creates the instructions of each node's first multiplier,
+    its preparation and its transform, and never a repeat's: the kernel
+    and the bill read a span from its repeat."""
+
+    @pytest.mark.parametrize("mode", ["monolithic", "distributed"])
+    def test_round_leaves_its_spans_unbuilt(self, monkeypatch, mode):
+        N, a, m = 15, 7, 6
+
+        def built(*_):
+            raise AssertionError("a span was built")
+
+        monkeypatch.setattr(Repeat, "spell", built)
+        made, new = [], revarith._new
+        monkeypatch.setattr(revarith, "_new", lambda cls, fields: (
+            made.append(cls is Instruction), new(cls, fields))[1])
+        where = (shor, "execute") if mode == "monolithic" else (
+            partition, "execute_distributed")
+        runs, run = [], getattr(*where)
+        monkeypatch.setattr(*where, lambda *args: (runs.extend(
+            arg for arg in args if isinstance(arg, Circuit)), run(*args))[1])
+        order_round(a, N, m, mode)(RandomSource(1))
+        program, = runs
+        firsts = {rep.first for rep in program.repeats}
+        assert len(firsts) == (1 if mode == "monolithic" else 2)
+        assert len(program.repeats) == m - len(firsts)
+        spans = sum(len(rep.span) for rep in program.repeats)
+        assert program.stored.count(None) == spans
+        # the ladder builder created its firsts' instructions and no more
+        ladder = sum(len(first) for first in firsts)
+        assert sum(made) == ladder
+        if mode == "monolithic":
+            transform = shor.order_circuit_parts(a, N, m)[1]
+        else:
+            transform = partition.build_distributed_transform_program(
+                partition.plan_placement(N.bit_length(), m))
+        assert len(program) - spans == 1 + m + ladder + len(transform)
 
 
 class TestAdmission:
