@@ -234,7 +234,7 @@ class QuantumState:
         of a piece share one plan of qubit ids.  A first is planned
         without the control its gates end with, and that control, or a
         span's own, must lie in range and off every qubit those plans
-        touch.  A failure raises ``ValueError`` (``SimulationError`` with
+        touch; a first of MOVEs alone has none and needs none.  A failure raises ``ValueError`` (``SimulationError`` with
         ``apply_gate``'s message for a gate it refuses) with the state
         untouched.  Each span then runs from its first's plans, every
         gate's mask starting from the span's control (the first's when
@@ -355,7 +355,9 @@ class QuantumState:
                 plans, touched, k = firsts[first]
                 if rep is not None and rep.control is not None:
                     k = rep.control
-                if k is None or not 0 <= k < self.num_qubits or k in touched:
+                # k is None only for a first of MOVEs, which reads none
+                if k is not None and (not 0 <= k < self.num_qubits
+                                      or k in touched):
                     raise ValueError(
                         f"the span at {start} swaps in control {k}, not a "
                         f"qubit in range and off its first's qubits")

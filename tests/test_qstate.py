@@ -538,6 +538,17 @@ class TestRepeats:
         self.refused(run, as_repeats([(range(0, 3), range(3, 6))]),
                      "does not end with its control")
 
+    def test_first_of_moves_alone_needs_no_control(self):
+        # a first with no controlled gate: the X(6) after it is refused
+        move = Instruction(gates.MOVE, (4, 5))
+        run = [move, move, Instruction(gates.X, (6,))]
+        st = from_amplitudes(6, self.AMPS)
+        with pytest.raises(SimulationError,
+                           match="qubit 6 out of range for 6-qubit state"):
+            st.apply_permutation(run, as_repeats([(range(0, 1),
+                                                   range(1, 2))]))
+        assert st.amplitudes == from_amplitudes(6, self.AMPS).amplitudes
+
     def test_first_outside_a_run_raises_before_anything_runs(self):
         circ = Circuit(6).h(0)
         circ.instructions.extend(ladder(6, (0, 1), self.body).instructions)
