@@ -18,16 +18,15 @@ directive, so gate counting ignores it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gates
 from .gates import ARITY, MOVE, GateKind, is_unitary
-from .qstate import Control, QuantumState, span_cuts
+from .qstate import Control, QuantumState
 
 
 # ``_new(Instruction, fields)``, with a value for each of the six fields,
@@ -48,23 +47,22 @@ class Instruction(NamedTuple):
 
 
 class Repeat(NamedTuple):
-    """A span of a circuit that repeats an earlier span, its first, as
-    ``Circuit.repeat`` appends one: gate p of the span is gate p of the
-    first with ``constants[p]`` as its ``classical_constant`` and, unless
-    ``control`` is None, the qubit of its last control replaced by
+    """A piece of a circuit that repeats an earlier list piece, its first,
+    as ``Circuit.repeat`` appends one: gate p of the repeat is gate p of
+    ``first`` with ``constants[p]`` as its ``classical_constant`` and,
+    unless ``control`` is None, the qubit of its last control replaced by
     ``control`` (k_i in place of the first's k_0 in a power ladder).  A
     MOVE equals the first's.  A label or block that starts with
     ``rename[0]`` starts with ``rename[1]`` instead (``cm/M[i]`` in place
     of ``cm/M[0]``)."""
 
-    first: range
-    span: range
+    first: list[Instruction]
     control: int | None
     constants: tuple[int | None, ...]
     rename: tuple[str, str] = ("", "")
 
-    def spell(self, insts: Sequence[Instruction]) -> list[Instruction]:
-        """The span's instructions, from its first's in ``insts``."""
+    def spell(self) -> list[Instruction]:
+        """The repeat's instructions, from its first's."""
         old, new = self.rename
         cut, k = len(old), self.control
         renamed = {None: None}  # each distinct label or block once
@@ -77,7 +75,7 @@ class Repeat(NamedTuple):
 
         out = []
         for (kind, targets, controls, _, label, block), constant in zip(
-                insts[self.first.start:self.first.stop], self.constants):
+                self.first, self.constants):
             if k is not None and kind.name != "MOVE":
                 controls = (*controls[:-1], (k, controls[-1][1]))
             out.append(_new(Instruction, (kind, targets, controls, constant,
@@ -85,49 +83,45 @@ class Repeat(NamedTuple):
         return out
 
 
-def _shifted(rep: Repeat, by: int) -> Repeat:
-    return rep._replace(first=range(rep.first.start + by, rep.first.stop + by),
-                        span=range(rep.span.start + by, rep.span.stop + by))
-
-
 class Circuit:
-    """Ordered instruction list over a fixed qubit pool.
+    """Ordered instructions over a fixed qubit pool, stored as pieces.
 
     Treat circuits as immutable once built: builders append, everything
     downstream only reads, so sharing across execution contexts is safe.
 
-    ``repeats`` lists the circuit's ``Repeat`` spans.  A span is built
-    from its first, its control and its constants, so it holds no
-    instructions of its own until ``instructions`` is first read
-    (``stored`` holds None at its positions until then).  Two readers
-    take a span from its ``Repeat`` and never build it: the billing walk
-    (``netsim.bill``) bills a span as its first's units, and the state
-    kernel (``QuantumState.apply_permutation``, through ``execute``) runs
-    a span from its first's plans.
+    ``pieces`` is the circuit in order: each piece a list of
+    ``Instruction``s or a ``Repeat`` of an earlier list piece.  A repeat
+    holds no instructions of its own; two readers take it from its first,
+    its control and its constants and never build it: the billing walk
+    (``netsim.bill``) bills it as its first's units, and the state kernel
+    (``QuantumState.apply_permutation``, through ``execute``) runs it from
+    its first's plans.  ``append`` writes into the open list piece, the
+    last one, opening it if need be; ``repeat`` and ``extend`` close it,
+    so a list that a repeat or another circuit holds never changes.
     """
 
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
-        self._insts: list[Instruction | None] = []
-        self.repeats: list[Repeat] = []
-        self._packed = False  # some span's instructions are not built yet
+        self.pieces: list[list[Instruction] | Repeat] = []
+        self._open: list[Instruction] | None = None  # where append writes
+        self._flat: list[Instruction] | None = None  # ``instructions``
 
     @property
     def instructions(self) -> list[Instruction]:
-        """Every instruction in order; the first read builds the spans."""
-        if self._packed:
-            insts = self._insts
-            for rep in self.repeats:
-                if insts[rep.span.start] is None:
-                    insts[rep.span.start:rep.span.stop] = rep.spell(insts)
-            self._packed = False
-        return self._insts
-
-    @property
-    def stored(self) -> list[Instruction | None]:
-        """The instructions as stored: None at every position of a span
-        that is not built yet."""
-        return self._insts
+        """Every instruction in order, each repeat spelled.  A circuit of
+        one list piece returns that list, and an empty one opens it, so a
+        builder may write through it; any other builds the flat list
+        once and keeps it until the next append."""
+        pieces = self.pieces
+        if not pieces:
+            self._open = []
+            pieces.append(self._open)
+        if len(pieces) == 1:
+            return pieces[0]
+        if self._flat is None:
+            self._flat = [inst for piece in pieces for inst in (
+                piece if type(piece) is list else piece.spell())]
+        return self._flat
 
     # -- append API ------------------------------------------------------
 
@@ -138,7 +132,11 @@ class Circuit:
         for q, _pol in inst.controls:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
-        self._insts.append(inst)
+        if self._open is None:
+            self._open = []
+            self.pieces.append(self._open)
+        self._open.append(inst)
+        self._flat = None
         return self
 
     def gate(self, kind: GateKind, targets: Sequence[int],
@@ -163,43 +161,40 @@ class Circuit:
             raise ValueError("MOVE needs distinct qubits")
         return self.append(Instruction(MOVE, (src, dst), label=label))
 
-    def repeat(self, first: range, control: int | None,
+    def repeat(self, first: list[Instruction], control: int | None,
                constants: Iterable[int | None],
                rename: tuple[str, str] = ("", "")) -> "Circuit":
-        """Append a span that repeats ``first`` (see ``Repeat``), one
-        constant per position, without building its instructions."""
+        """Append a repeat of ``first``, a list piece of this circuit
+        (see ``Repeat``), one constant per gate, without building its
+        instructions."""
         constants = tuple(constants)
-        if not (first.step == 1 and 0 <= first.start < first.stop
-                <= len(self._insts) and len(constants) == len(first)):
-            raise ValueError(f"cannot repeat {first} with "
-                             f"{len(constants)} constants")
-        if any(rep.span.start < first.stop and first.start < rep.span.stop
-               for rep in self.repeats):
-            raise ValueError(f"{first} overlaps a repeat")
+        if type(first) is not list or all(piece is not first
+                                           for piece in self.pieces):
+            raise ValueError("a repeat's first must be a list piece of "
+                             "its circuit")
+        if len(constants) != len(first):
+            raise ValueError(f"cannot repeat {len(first)} instructions "
+                             f"with {len(constants)} constants")
         if control is not None and not 0 <= control < self.num_qubits:
             raise ValueError(f"control qubit {control} out of range")
-        start = len(self._insts)
-        self._insts += [None] * len(first)
-        self.repeats.append(Repeat(first, range(start, len(self._insts)),
-                                   control, constants, rename))
-        self._packed = True
+        self.pieces.append(Repeat(first, control, constants, rename))
+        self._open = self._flat = None
         return self
 
     def extend(self, other: "Circuit") -> "Circuit":
-        """Append another circuit's instructions and repeats as they
-        are, its spans built or not."""
+        """Append another circuit's pieces as they are, and close the
+        open piece of both."""
         if other.num_qubits > self.num_qubits:
             raise ValueError("sub-circuit uses more qubits than the target")
-        at = len(self._insts)
-        self._insts += other._insts
-        self.repeats += [_shifted(rep, at) for rep in other.repeats]
-        self._packed = self._packed or other._packed
+        self.pieces += other.pieces
+        self._open = self._flat = other._open = None
         return self
 
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._insts)
+        return sum(len(piece) if type(piece) is list
+                   else len(piece.constants) for piece in self.pieces)
 
 
 def _nested(prefix: str) -> tuple[str, str]:
@@ -268,57 +263,42 @@ def _in_run(inst: Instruction) -> bool:
 
 
 def execute(circ: Circuit, state: QuantumState):
-    """Run a circuit on a state, in place, without building its spans.
+    """Run a circuit on a state, in place, without building its repeats.
 
-    Each maximal run of permutation instructions, MOVEs and spans goes to
-    ``QuantumState.apply_permutation`` in one call, with the circuit's
-    repeats whose first starts in it; that gives the same state, entry
-    order included, as applying its gates one by one.  The run is
-    checked and planned by position before it runs, so a gate that
-    ``apply_gate`` refuses raises ``SimulationError`` with the run's
-    state untouched; a MOVE into a slot that is not |0> raises at its
-    own visit.  Every other gate goes through ``apply_gate``, or through
-    its checks alone when a 0 constant disables it.  Bad spans
-    (``span_cuts``), or a repeat whose first starts outside every run,
-    raise ``ValueError`` before anything runs.
+    Each maximal run of permutation gates, MOVEs and repeats goes to
+    ``QuantumState.apply_permutation`` in one call, as pieces: a list
+    piece that holds only such instructions goes as itself, so the
+    kernel knows it as a repeat's first, and a stretch of any other list
+    piece as a new list.  That gives the same state, entry order
+    included, as applying the gates one by one.  The run is checked and
+    planned by position before it runs, so a gate that ``apply_gate``
+    refuses raises ``SimulationError`` with the run's state untouched; a
+    MOVE into a slot that is not |0> raises at its own visit.  Every
+    other gate goes through ``apply_gate``, or through its checks alone
+    when a 0 constant disables it.  A repeat always runs in the kernel,
+    from its first's plans wherever its first ran.
     """
     if state.num_qubits < circ.num_qubits:
         raise ValueError("state is smaller than the circuit's qubit pool")
-    insts, repeats = circ.stored, circ.repeats
-    span_cuts(repeats, len(insts))
-    runs: list[list] = []  # [in_run, start, stop]; a span lies in a run
-
-    def add(in_run: bool, stop: int):
-        if in_run and runs and runs[-1][0]:
-            runs[-1][2] = stop
-        else:
-            runs.append([in_run, runs[-1][2] if runs else 0, stop])
-
-    at = 0
-    for span in [*sorted((rep.span for rep in repeats),
-                         key=attrgetter("start")), range(len(insts), 0)]:
-        for in_run, group in groupby(insts[at:span.start], key=_in_run):
-            at += len(list(group))
-            add(in_run, at)
-        if span:
-            at = span.stop
-            add(True, at)
-    starts = [start for _, start, _ in runs]
-    held: list[list[Repeat]] = [[] for _ in runs]
-    for rep in repeats:
-        i = bisect_right(starts, rep.first.start) - 1
-        if i < 0 or not runs[i][0]:
-            raise ValueError(f"repeat {rep.first} starts outside a run")
-        held[i].append(_shifted(rep, -starts[i]))
-    for (in_run, start, stop), run_repeats in zip(runs, held):
-        if in_run:
-            state.apply_permutation(insts[start:stop], run_repeats)
+    run: list = []  # the pieces of the open permutation run
+    for piece in circ.pieces:
+        if type(piece) is not list or all(map(_in_run, piece)):
+            run.append(piece)
             continue
-        for inst in insts[start:stop]:
-            if inst.classical_constant != 0:
-                state.apply_gate(inst.kind, inst.targets, inst.controls)
-            else:
-                state._normalize(inst.kind, inst.targets, inst.controls)
+        for in_run, group in groupby(piece, key=_in_run):
+            if in_run:
+                run.append(list(group))
+                continue
+            if run:
+                state.apply_permutation(run)
+                run = []
+            for inst in group:
+                if inst.classical_constant != 0:
+                    state.apply_gate(inst.kind, inst.targets, inst.controls)
+                else:
+                    state._normalize(inst.kind, inst.targets, inst.controls)
+    if run:
+        state.apply_permutation(run)
 
 
 def dump(circ: Circuit) -> str:

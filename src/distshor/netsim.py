@@ -34,15 +34,16 @@ and a teleport into a |0> slot is a SWAP: the program changes the state
 as ``circuit.execute`` does.  The run posts the program's bill first.
 One pass (``session_groups``) splits the program into units, sessions
 and relocations, and finds each unit's facts: its node, its remote
-controls and their nodes, its enabled gates and its stray (its first
-gate off its node).  The bill (``run_session``, ``move``) and the census
-read these facts and walk no gates.  The first unit of each shape (its
-node and the nodes it shares from, in order) makes the protocol's checks
-in the protocol's order; later ones are only tallied, and the tally is
-posted once, its discarded coins in one ``RandomSource.skip``.  A round
-walks one multiplier per estimation node and bills each later one there
-as a repeat of it (``bill``).  A refusal raises at the protocol's share,
-with the protocol's partial bill.  Then one ``circuit.execute`` runs the
+controls and their nodes, and its stray (its first gate off its node).
+The bill (``run_session``, ``move``) and the census read these facts and
+walk no gates.  The first unit of each shape (its node and the nodes it
+shares from, in order) makes the protocol's checks in the protocol's
+order; later ones are only tallied, and the tally is posted once, its
+discarded coins in one ``RandomSource.skip``.  A round walks one
+multiplier per estimation node, a list piece of its program, and bills
+each later one there, a repeat that names that list, as the list's
+units (``bill``).  A refusal raises at the protocol's share, with the
+protocol's partial bill.  Then one ``circuit.execute`` runs the
 state; its kernel refuses a MOVE into a slot that is not |0>.  The state
 agrees with the reference up to floating-point rounding.
 """
@@ -50,12 +51,12 @@ agrees with the reference up to floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
 from .circuit import Circuit, Instruction, Repeat, execute
-from .qstate import Control, QuantumState, RandomSource, span_cuts
+from .qstate import Control, QuantumState, RandomSource
 
 _PURE_TOL = 1e-9
 
@@ -170,11 +171,11 @@ class CatState:
 
 
 # A unit of a program as ``session_groups`` yields it: (node, instructions,
-# remote controls, their source nodes, enabled gates, stray: its first gate
-# off its node, is_move).  A plain tuple: the census walks thousands of
-# units, and a NamedTuple's constructor costs several times what building
-# the tuple does.
-Unit = tuple[str, list[Instruction], tuple[int, ...], tuple[str, ...], int,
+# remote controls, their source nodes, stray: its first gate off its node,
+# is_move).  A plain tuple: the census walks thousands of units, and a
+# NamedTuple's constructor costs several times what building the tuple
+# does.
+Unit = tuple[str, list[Instruction], tuple[int, ...], tuple[str, ...],
              Instruction | None, bool]
 
 
@@ -309,7 +310,7 @@ class Network:
         session of a shape an earlier one passed with is only tallied
         (``_tallied``), unless it holds a stray.
         """
-        node_id, instructions, remote, sources, _, stray, _ = unit
+        node_id, instructions, remote, sources, stray, _ = unit
         if len(remote) > MAX_REMOTE_CONTROLS:
             raise NetworkError(f"session needs {len(remote)} remote "
                                f"controls (max {MAX_REMOTE_CONTROLS})")
@@ -375,7 +376,7 @@ class Network:
         between two nodes an earlier one passed between is only tallied
         (``_tallied``) once its destination slot is checked.
         """
-        dst_node, (inst,), _, sources, _, _, _ = unit
+        dst_node, (inst,), _, sources, _, _ = unit
         if sources:
             self._check_held(dst_node, inst.targets[1])
             if not self._tallied(unit):
@@ -419,7 +420,7 @@ class Network:
         tally = self._tally
         if tally is None:
             return False
-        node_id, _, _, sources, _, _, is_move = unit
+        node_id, _, _, sources, _, is_move = unit
         shape = (sources, node_id, is_move)
         if shape in tally:
             tally[shape] += 1
@@ -560,15 +561,14 @@ def session_groups(instructions: Sequence[Instruction],
         targets = inst.targets
         if inst.kind.name == "MOVE":
             if group:
-                yield (node, group, tuple(remote), tuple(sources), enabled,
-                       stray, False)
+                yield (node, group, tuple(remote), tuple(sources), stray,
+                       False)
                 group = []
             src_node, dst_node = node_of(targets[0]), node_of(targets[1])
             if src_node == dst_node:
-                yield (dst_node, [inst], (), (), 0, None, True)
+                yield (dst_node, [inst], (), (), None, True)
             else:
-                yield (dst_node, [inst], targets[:1], (src_node,), 0, None,
-                       True)
+                yield (dst_node, [inst], targets[:1], (src_node,), None, True)
             continue
         inst_node = node_of(targets[0]) if targets else None
         for q in targets[1:]:
@@ -595,20 +595,16 @@ def session_groups(instructions: Sequence[Instruction],
         if block is None:
             block = ("adhoc", inst_node, frozenset(into))
         if group and block != key:
-            yield (node, group, tuple(remote), tuple(sources), enabled,
-                   stray, False)
+            yield (node, group, tuple(remote), tuple(sources), stray, False)
             group = []
         if not group:
             node, key, remote, sources = inst_node, block, into, into_sources
-            enabled, stray = 0, None
+            stray = None
         group.append(inst)
-        if inst.classical_constant != 0:
-            enabled += 1
         if stray is None and inst_node != node:
             stray = inst
     if group:
-        yield (node, group, tuple(remote), tuple(sources), enabled, stray,
-               False)
+        yield (node, group, tuple(remote), tuple(sources), stray, False)
 
 
 def bill(network: Network, circ: Circuit):
@@ -617,51 +613,58 @@ def bill(network: Network, circ: Circuit):
     (``run_session``) or a MOVE (``move``).
 
     The walk checks each shape of unit once and tallies the rest
-    (``Network._tallied``).  A span of ``circ.repeats`` whose control
-    lies on the node of its first's (or that keeps its first's controls)
-    holds the units of its earlier first in order, of shapes checked
-    already whose checks pass again, as no walk changes an occupancy; so
-    the span adds its first's units per shape to the tally.  Any other
-    span, and a span whose first holds a stray, is built
-    (``Repeat.spell``) and walked.  Bad spans raise ``ValueError``
-    (``span_cuts``) before anything is billed.  The tally is posted when
-    the walk ends, by a refusal too."""
-    insts, repeats, node_of = circ.stored, circ.repeats, network.node_of
-    cuts = span_cuts(repeats, len(insts))
-    owed = {rep.span.start: rep for rep in repeats}
-    bills: dict[int, dict] = {}  # a clean first's start -> units per shape
+    (``Network._tallied``).  It walks the circuit's pieces in order: each
+    repeat's first and each repeat alone, and the list pieces between
+    them as one, as a walk of the flat program groups them.  A repeat
+    whose control lies on the node of its first's (or that keeps its
+    first's controls) holds the units of its first in order, of shapes
+    checked already whose checks pass again, as no walk changes an
+    occupancy; so the repeat adds its first's units per shape to the
+    tally.  Any other repeat, and a repeat whose first holds a stray, is
+    spelled (``Repeat.spell``) and walked.  The tally is posted when the
+    walk ends, by a refusal too."""
+    node_of = network.node_of
+    # id of each repeat's first -> its units per shape, once walked clean
+    firsts: dict[int, dict | None] = {
+        id(piece.first): None for piece in circ.pieces
+        if type(piece) is not list}
 
     def tallied(rep: Repeat) -> bool:
-        if rep.first.start not in bills:
+        if firsts[id(rep.first)] is None:
             return False
         if rep.control is None:
             return True
-        gate = next((inst for inst in islice(insts, rep.first.start,
-                                             rep.first.stop)
+        gate = next((inst for inst in rep.first
                      if inst.kind.name != "MOVE"), None)
         return (gate is None
                 or node_of(gate.controls[-1][0]) == node_of(rep.control))
 
+    def alone(piece) -> bool:
+        return type(piece) is not list or id(piece) in firsts
+
     network._tally = tally = {}
     try:
-        for start, stop in zip(cuts, cuts[1:]):
-            rep = owed.get(start)
-            if rep is not None and tallied(rep):
-                for shape, count in bills[rep.first.start].items():
-                    tally[shape] += count
-                continue
-            before, clean = dict(tally), True
-            for unit in session_groups(
-                    insts[start:stop] if rep is None else rep.spell(insts),
-                    node_of):
-                if unit[-1]:  # a MOVE
-                    network.move(unit)
+        for own, group in groupby(circ.pieces, key=alone):
+            for piece in group if own else [[*chain.from_iterable(group)]]:
+                if type(piece) is list:
+                    insts = piece
+                elif tallied(piece):
+                    for shape, count in firsts[id(piece.first)].items():
+                        tally[shape] += count
+                    continue
                 else:
-                    clean = clean and unit[5] is None
-                    network.run_session(unit)
-            if clean:  # a shape's first unit is tallied as 0, hence the -1
-                bills[start] = {shape: count - before.get(shape, -1)
-                                for shape, count in tally.items()}
+                    insts = piece.spell()
+                before, clean = dict(tally), True
+                for unit in session_groups(insts, node_of):
+                    if unit[-1]:  # a MOVE
+                        network.move(unit)
+                    else:
+                        clean = clean and unit[4] is None
+                        network.run_session(unit)
+                # a shape's first unit is tallied as 0, hence the -1
+                if clean and id(piece) in firsts:
+                    firsts[id(piece)] = {shape: count - before.get(shape, -1)
+                                         for shape, count in tally.items()}
     finally:
         network._post_tally()
 
@@ -669,7 +672,7 @@ def bill(network: Network, circ: Circuit):
 def execute_distributed(network: Network, circ: Circuit):
     """Run a circuit on the network: post its whole bill (``bill``), then
     run the state through ``circuit.execute``.  A refusal of the state
-    (``ValueError``, too few qubits or a first outside a run;
+    (``ValueError``, too few qubits or a repeat the kernel refuses;
     ``SimulationError``, a gate the kernel refuses or a MOVE into a slot
     that is not |0>) comes after, and the ledger and random stream
     cover work that did not run."""

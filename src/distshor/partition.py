@@ -189,10 +189,12 @@ def build_distributed_order_program(a: int, N: int,
     transform, the one program a distributed round runs.  Measurement is
     left to the driver so the pre-measurement distribution stays
     inspectable.  It has ~70 m n^2 gates; the count report builds one
-    controlled multiplier instead.  Only the first multiplier on each
-    estimation node holds instructions; every later one is a repeat of
-    it (``build_cm_m``), which ``netsim.bill`` bills as its first and the
-    state kernel runs from its first's plans."""
+    controlled multiplier instead.  Its pieces are instruction lists for
+    the preparation, the first multiplier on each estimation node and
+    the transform, and a repeat that names its node's first list for
+    every later multiplier (``build_cm_m``): ``netsim.bill`` bills a
+    repeat as its first's units, and the state kernel runs it from its
+    first's plans."""
     return build_distributed_modexp_program(a, N, plan).extend(
         build_distributed_transform_program(plan))
 
@@ -254,7 +256,7 @@ def census_from_program(circ: Circuit, plan: PlacementPlan) -> BlockCensus:
     (``session_groups``), tallying each session with a remote control
     and each MOVE across nodes: each unit with a source node."""
     blocks, labels = [], []
-    for _, insts, _, sources, _, _, is_move in session_groups(
+    for _, insts, _, sources, _, is_move in session_groups(
             circ.instructions, plan.node_of_qubit.__getitem__):
         if sources:
             if is_move:

@@ -20,20 +20,20 @@ support size (bitslicing, as in Biham's software DES, 1997).  Every run
 is checked and planned by position before it runs: each distinct gate
 once, into a plan of qubit ids that its later visits apply directly, so
 a refused gate leaves the state untouched; a MOVE checks its |0>
-destination slot on each visit.  A run may also come with repeats
-(``circuit.Repeat``): spans built from an earlier span of the run, their
-first, a control in place of the first's and one constant per gate, as
-the multipliers of a power ladder are.  The kernel reads a span from its
-repeat alone and never from the run, where a span that is not built
-holds None: every repeat runs from its first's plans with the repeat's
-control swapped in and the repeat's constants read, so the ladder's m
-multipliers pay for one multiplier's checks and keys and create no
-instructions.  The kernel's
-results are bit-exact with applying the gates one by one through
-``apply_gate``: a permutation only relabels basis indices, the amplitude
-values are carried over untouched, and both paths keep the dict's entry
-order, so every later floating-point sum (H accumulation, ``measure``,
-``prob_one``) adds the same numbers in the same order.
+destination slot on each visit.  A run comes as pieces, as a circuit
+stores them (``circuit.Circuit.pieces``): lists of instructions, and
+repeats (``circuit.Repeat``) of an earlier list, their first, with a
+control in place of the first's and one constant per gate, as the
+multipliers of a power ladder are.  The kernel plans each first once,
+without its control, and runs every repeat of it from those plans with
+the repeat's control swapped in and the repeat's constants read, so the
+ladder's m multipliers pay for one multiplier's checks and keys and
+create no instructions.  The kernel's results are bit-exact with
+applying the gates one by one through ``apply_gate``: a permutation
+only relabels basis indices, the amplitude values are carried over
+untouched, and both paths keep the dict's entry order, so every later
+floating-point sum (H accumulation, ``measure``, ``prob_one``) adds the
+same numbers in the same order.
 """
 
 from __future__ import annotations
@@ -49,28 +49,6 @@ _SQRT_HALF = 0.5**0.5
 PRUNE_EPSILON = 1e-12  # H drops amplitudes at or below this magnitude
 
 Control = tuple[int, bool]
-
-
-def span_cuts(repeats: Sequence, length: int) -> list[int]:
-    """Check the repeats (``circuit.Repeat``, read for their ``first``
-    and ``span`` ranges) over a sequence of ``length`` items and return
-    the ends of its pieces in order, 0 and ``length`` included: every
-    first and span a nonempty range of step 1 inside the sequence that
-    overlaps no other, each span as long as its first and after it.
-    Raises ``ValueError`` otherwise."""
-    cuts = [0]
-    for rep in repeats:
-        first, span = rep.first, rep.span
-        if (len(first) != len(span) or span.start < first.stop
-                or first.step != 1 or span.step != 1):
-            raise ValueError(f"{span} does not repeat {first}")
-    for start, stop in sorted([
-            *{(rep.first.start, rep.first.stop) for rep in repeats},
-            *((rep.span.start, rep.span.stop) for rep in repeats)]):
-        if not cuts[-1] <= start < stop <= length:
-            raise ValueError(f"repeat spans overlap or leave at {start}")
-        cuts += (start, stop)
-    return sorted({*cuts, length})
 
 
 class SimulationError(Exception):
@@ -216,30 +194,28 @@ class QuantumState:
             self.peak_support = len(self.amplitudes)
         return self
 
-    def apply_permutation(self, run, repeats: Sequence = ()
-                          ) -> "QuantumState":
+    def apply_permutation(self, run: Sequence) -> "QuantumState":
         """Apply a run of X/CNOT/TOFFOLI/SWAP gates and MOVEs in place
         and return self.
 
-        ``run`` is a sequence of instructions ``(kind, targets, controls,
-        classical_constant, ...)``, and a 0 constant disables every gate
-        but a MOVE.  ``repeats``, ``circuit.Repeat`` spans at positions of
-        the run, cut it into pieces: the spans, their firsts included,
-        and the stretches outside them.  A span is read from its repeat
-        alone, its control and its constants, never from the run, whose
-        items at a span's positions may be None.  Before anything is
-        applied, ``span_cuts`` checks the spans and every piece but a
-        span is checked and planned position by position, its disabled
-        gates too, by the same validation as ``apply_gate``; equal gates
-        of a piece share one plan of qubit ids.  A first is planned
-        without the control its gates end with, and that control, or a
-        span's own, must lie in range and off every qubit those plans
-        touch; a first of MOVEs alone has none and needs none.  A failure raises ``ValueError`` (``SimulationError`` with
-        ``apply_gate``'s message for a gate it refuses) with the state
-        untouched.  Each span then runs from its first's plans, every
-        gate's mask starting from the span's control (the first's when
-        the repeat names none) and every gate read against the repeat's
-        constant, and each stretch from its own plans.
+        ``run`` is a sequence of pieces: lists of instructions ``(kind,
+        targets, controls, classical_constant, ...)``, and repeats
+        (``circuit.Repeat``), each read from its first list, its control
+        and its constants; a 0 constant disables every gate but a MOVE.
+        Before anything is applied, every piece is checked and planned
+        position by position, its disabled gates too, by the same
+        validation as ``apply_gate``; equal gates of a piece share one
+        plan of qubit ids.  A repeat's first, in the run or not, is
+        planned once (told by identity) without the control its gates
+        end with, and that control, or a repeat's own, must lie in range
+        and off every qubit those plans touch; a first of MOVEs alone
+        has none and needs none.  A failure raises ``ValueError``
+        (``SimulationError`` with ``apply_gate``'s message for a gate it
+        refuses) with the state untouched.  Each repeat then runs from
+        its first's plans, every gate's mask starting from the repeat's
+        control (the first's when the repeat names none) and every gate
+        read against the repeat's constant, and each list from its own
+        plans.
 
         A MOVE, a SWAP, also checks that its destination (second target)
         is |0>, on every visit.  Every qubit the run touches is held as
@@ -249,7 +225,7 @@ class QuantumState:
         the entries get their new keys in their original order; the
         amplitude values are not touched.
         """
-        pieces = self._pieces(run, repeats)
+        pieces = self._pieces(run)
         amps = self.amplitudes
         width = self.num_qubits
         stride = width + 1
@@ -331,38 +307,37 @@ class QuantumState:
             raise SimulationError(
                 f"qubit {q} out of range for {self.num_qubits}-qubit state")
 
-    def _pieces(self, run, repeats):
-        """Split a run at its spans and plan every piece, each
-        ``(constants, plans, touched, control)``: a span's repeat's
-        constants with its first's positional plans, the qubits they
-        touch and the span's control; a first's own constants, plans and
-        control; or a stretch outside the spans planned as its own first,
-        no control taken off (control None).  Everything is checked
-        before a piece runs."""
-        cuts = span_cuts(repeats, len(run))
-        spans = {rep.span.start: rep for rep in repeats}
-        firsts = {first.start: self._positional_plans(run[first.start:
-                                                          first.stop])
-                  for first in dict.fromkeys(rep.first for rep in repeats)}
+    def _pieces(self, run):
+        """Plan every piece of a run, each ``(constants, plans, touched,
+        control)``: a repeat's constants with its first's positional
+        plans, the qubits they touch and the repeat's control; a first's
+        own constants, plans and control; or any other list planned as
+        its own first, no control taken off (control None).  Everything
+        is checked before a piece runs."""
+        firsts = {}  # id of a repeat's first -> its plans
+        for piece in run:
+            if type(piece) is not list and id(piece.first) not in firsts:
+                firsts[id(piece.first)] = self._positional_plans(piece.first)
         pieces = []
-        for start, stop in zip(cuts, cuts[1:]):
-            rep = spans.get(start)
-            first = start if rep is None else rep.first.start
-            if first not in firsts:
-                plans, touched, k = self._positional_plans(run[start:stop],
-                                                           strip=False)
+        for piece in run:
+            if type(piece) is list:
+                constants = map(itemgetter(3), piece)
+                if id(piece) not in firsts:
+                    pieces.append((constants, *self._positional_plans(
+                        piece, strip=False)))
+                    continue
+                plans, touched, k = firsts[id(piece)]
             else:
-                plans, touched, k = firsts[first]
-                if rep is not None and rep.control is not None:
-                    k = rep.control
-                # k is None only for a first of MOVEs, which reads none
-                if k is not None and (not 0 <= k < self.num_qubits
-                                      or k in touched):
-                    raise ValueError(
-                        f"the span at {start} swaps in control {k}, not a "
-                        f"qubit in range and off its first's qubits")
-            constants = (map(itemgetter(3), run[start:stop]) if rep is None
-                         else rep.constants)
+                plans, touched, k = firsts[id(piece.first)]
+                constants = piece.constants
+                if piece.control is not None:
+                    k = piece.control
+            # k is None only for a first of MOVEs, which reads none
+            if k is not None and (not 0 <= k < self.num_qubits
+                                  or k in touched):
+                raise ValueError(
+                    f"a repeat swaps in control {k}, not a qubit in range "
+                    f"and off its first's qubits")
             pieces.append((constants, plans, touched, k))
         return pieces
 

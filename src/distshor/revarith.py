@@ -634,8 +634,7 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
                 else:
                     c, b = next(reads)
                     index.append(1 + n * c + b)
-        firsts[node] = (range(len(circ), len(circ) + len(block)), path,
-                        index)
+        firsts[node] = (out.insts, path, index)
         circ.extend(block)
     return circ
 

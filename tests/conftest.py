@@ -9,8 +9,8 @@ from typing import Mapping, NamedTuple, Sequence
 import pytest
 
 from distshor import cli, gates, partition
-from distshor.circuit import (Circuit, Instruction, count_gates, execute,
-                              reverse)
+from distshor.circuit import (Circuit, Instruction, Repeat, count_gates,
+                              execute, reverse)
 from distshor.netsim import (_PURE_TOL, MAX_REMOTE_CONTROLS, Network,
                              NetworkError, execute_distributed,
                              session_groups)
@@ -87,13 +87,18 @@ def reference_execute(circ: Circuit, state: QuantumState):
             state.apply_gate(inst.kind, inst.targets, inst.controls)
 
 
-
 def without_repeats(circ: Circuit) -> Circuit:
-    """``circ`` with its spans built and no repeats, so the state kernel
-    runs it flat."""
+    """``circ`` as one list piece, every repeat spelled, so the state
+    kernel runs it flat."""
     bare = Circuit(circ.num_qubits)
     bare.instructions.extend(circ.instructions)
     return bare
+
+
+def repeats_of(circ: Circuit) -> list[Repeat]:
+    """The circuit's repeats (``circuit.Repeat``), in order."""
+    return [piece for piece in circ.pieces if type(piece) is not list]
+
 
 def used_qubits(circ: Circuit) -> set[int]:
     """Every qubit an instruction of ``circ`` targets or is controlled

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import add_controls, amplitude, read_register, run_on_basis
 from distshor import gates
-from distshor.circuit import Circuit, count_gates, dump, execute, reverse
+from distshor.circuit import (Circuit, Instruction, count_gates, dump,
+                              execute, reverse)
 from distshor.qstate import QuantumState, SimulationError
 from distshor.revarith import RegisterLayout, build_fa, build_m
 
@@ -221,6 +222,51 @@ def test_level_pass_matches_count_under_at_random(labels, prefixes):
              for prefix in prefixes]
     assert report.counts_under(prefixes) == under
     assert [report.count_under(prefix) for prefix in prefixes] == under
+
+
+class TestPieces:
+    """``extend`` shares the other circuit's pieces and closes the open
+    piece of both; a repeat names a list piece of its own circuit."""
+
+    def test_appends_after_extend_change_neither_circuits_pieces(self):
+        a = small_random_circuit(4, 20, 5)
+        b = small_random_circuit(4, 30, 6)
+        before_a, before_b = list(a.instructions), list(b.instructions)
+        a.extend(b)
+        a.x(0, label="a")
+        b.x(1, label="b")
+        assert a.instructions == [*before_a, *before_b,
+                                  Instruction(gates.X, (0,), label="a")]
+        assert b.instructions == [*before_b,
+                                  Instruction(gates.X, (1,), label="b")]
+        assert [len(piece) for piece in a.pieces] == [20, 30, 1]
+        assert [len(piece) for piece in b.pieces] == [30, 1]
+
+    @staticmethod
+    def with_first():
+        circ = Circuit(4)
+        circ.x(0, controls=[(3, True)])
+        circ.swap(1, 2, controls=[(3, False)])
+        return circ, circ.instructions
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda circ, first: (list(first), 0, [1, 1]), "list piece"),
+        (lambda circ, first: (Circuit(4).x(0).instructions, 0, [1]),
+         "list piece"),
+        (lambda circ, first: (circ.repeat(first, 0, [1, 1]).pieces[-1], 0,
+                              [1, 1]), "list piece"),
+        (lambda circ, first: (first, 0, [1]), "with 1 constants"),
+        (lambda circ, first: (first, 0, [1, 1, 1]), "with 3 constants"),
+        (lambda circ, first: (first, 4, [1, 1]), "control qubit 4"),
+    ], ids=["copy", "other circuit", "a repeat", "too few constants",
+            "too many constants", "control out of range"])
+    def test_repeat_refuses(self, make, message):
+        circ, first = self.with_first()
+        args = make(circ, first)
+        pieces = list(circ.pieces)
+        with pytest.raises(ValueError, match=message):
+            circ.repeat(*args)
+        assert circ.pieces == pieces
 
 
 class TestDump:

@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 
 from conftest import (amp_distance, observed,
                       reference_execute_distributed, reference_move,
-                      reference_round, reference_session, round_outcome,
-                      without_repeats)
+                      reference_round, reference_session, repeats_of,
+                      round_outcome, without_repeats)
 from distshor import gates, partition, shor
-from distshor.circuit import Circuit, Instruction, Repeat, execute
-from distshor.netsim import (Network, NetworkError, NodeSpec,
-                             ResourceLedger, Topology, bill,
-                             execute_distributed, session_groups)
+from distshor.circuit import Circuit, Instruction, execute
+from distshor.netsim import (Network, NetworkError, NodeSpec, Topology,
+                             bill, execute_distributed, session_groups)
 from distshor.qstate import QuantumState, RandomSource, SimulationError
 
 
@@ -441,22 +440,21 @@ def test_walks_leave_occupancy_unchanged(program, strain, seed):
 # -- the facts ``session_groups`` finds for each unit ------------------------
 
 def naive_facts(node, insts, is_move, node_of):
-    """A unit's remote controls, their nodes, its enabled gates and its
-    first stray (a gate off its node, enabled or not), derived from its
-    own instructions one at a time."""
+    """A unit's remote controls, their nodes and its first stray (a gate
+    off its node, enabled or not), derived from its own instructions one
+    at a time."""
     if is_move:
         src, dst = insts[0].targets
         remote = [src] if node_of(src) != node_of(dst) else []
-        return tuple(remote), tuple(map(node_of, remote)), 0, None
+        return tuple(remote), tuple(map(node_of, remote)), None
     remote = []
     for inst in insts:
         for q, _pol in inst.controls:
             if node_of(q) != node and q not in remote:
                 remote.append(q)
-    enabled = [inst for inst in insts if inst.classical_constant != 0]
     strays = [inst for inst in insts
               if any(node_of(q) != node for q in inst.targets)]
-    return (tuple(remote), tuple(map(node_of, remote)), len(enabled),
+    return (tuple(remote), tuple(map(node_of, remote)),
             strays[0] if strays else None)
 
 
@@ -485,7 +483,7 @@ def test_block_facts_are_taken_on_its_first_gates_node():
     [(node, insts, *facts, is_move)] = session_groups(circ.instructions,
                                                      net.node_of)
     assert (node, is_move) == ("B", False)
-    assert tuple(facts) == ((held["A"][0], held["C"][1]), ("A", "C"), 2,
+    assert tuple(facts) == ((held["A"][0], held["C"][1]), ("A", "C"),
                             circ.instructions[1])
     assert tuple(facts) == naive_facts(node, insts, is_move, net.node_of)
 
@@ -512,28 +510,33 @@ def order_program(N, a, m):
 @example((33, 5, 12))
 def test_ladder_repeats_hold_their_firsts_units(case):
     """The builder's contract the repeats rely on: each repeat groups
-    into its first's units, on unit boundaries of the whole program, and
-    no gate of the program lies off its unit's node."""
+    into its first's units, every piece ends on a unit boundary of the
+    whole program, and no gate of the program lies off its unit's
+    node."""
     N, a, m = case
     plan, program = order_program(N, a, m)
-    node_of, insts = plan.node_of_qubit.__getitem__, program.instructions
+    node_of = plan.node_of_qubit.__getitem__
     k_nodes = {plan.node_of_qubit[q] for q in plan.layout.k}
-    assert len(program.repeats) == m - len(k_nodes)
-    units = list(session_groups(insts, node_of))
+    repeats = repeats_of(program)
+    assert len(repeats) == m - len(k_nodes)
+    parts = [piece if type(piece) is list else piece.spell()
+             for piece in program.pieces]
+    units = list(session_groups(
+        [inst for part in parts for inst in part], node_of))
     bounds = {0, *itertools.accumulate(len(unit[1]) for unit in units)}
+    assert set(itertools.accumulate(map(len, parts))) <= bounds
     for node, group, *_, is_move in units:
         if not is_move:
             assert {node_of(q) for inst in group for q in inst.targets} \
                 == {node}
 
-    def facts(span):
+    def facts(insts):
         return [(node, sources, is_move, group[0].targets if is_move else 0)
-                for node, group, _, sources, _, _, is_move
-                in session_groups(insts[span.start:span.stop], node_of)]
+                for node, group, _, sources, _, is_move
+                in session_groups(insts, node_of)]
 
-    for first, span, *_ in program.repeats:
-        assert {first.start, first.stop, span.start, span.stop} <= bounds
-        assert facts(span) == facts(first)
+    for rep in repeats:
+        assert facts(rep.spell()) == facts(rep.first)
 
 
 def mode_programs(N, a, m):
@@ -557,16 +560,20 @@ def test_ladder_repeats_swap_only_their_control(case):
     multiplier i >= 1 with multiplier 0."""
     N, a, m = case
     for mode, (program, k) in mode_programs(N, a, m).items():
-        insts, prep = program.instructions, 1 + m
+        # preparation, the m multipliers and the transform, a piece each
+        assert len(program.pieces) == m + 2
+        ladder = program.pieces[1:-1]
         if mode == "monolithic":
-            assert len(program.repeats) == m - 1
-            assert all(first == range(prep, prep + len(span))
-                       for first, span, *_ in program.repeats)
-        for first, span, *_ in program.repeats:
-            i, f = ((r.start - prep) // len(r) for r in (span, first))
-            assert insts[span.start].label.startswith(f"cm/M[{i}]/")
-            for g, h in zip(insts[first.start:first.stop],
-                            insts[span.start:span.stop]):
+            assert len(repeats_of(program)) == m - 1
+            assert all(rep.first is ladder[0] for rep in ladder[1:])
+        for i, rep in enumerate(ladder):
+            if type(rep) is list:
+                continue
+            f = next(f for f, first in enumerate(ladder)
+                     if first is rep.first)
+            spelled = rep.spell()
+            assert spelled[0].label.startswith(f"cm/M[{i}]/")
+            for g, h in zip(rep.first, spelled):
                 if g.kind.name == "MOVE":
                     assert h._replace(label=g.label) == g
                     continue
@@ -610,7 +617,7 @@ def test_repeats_bill_as_the_flat_walk(case, seed):
 
 def billed(net, circ):
     """Bill ``circ`` on ``net`` from its repeats, then run the state
-    flat: the hand-made spans below meet the bill's contract, not the
+    flat: the hand-made repeats below meet the bill's contract, not the
     kernel's."""
     bill(net, circ)
     execute(without_repeats(circ), net.state)
@@ -632,18 +639,23 @@ def walk(net, circ):
 def repeated_programs(draw):
     """[prefix][S][S'...][tail]: each S' a repeat of S that keeps its
     controls (``Circuit.repeat``), with constants drawn again and blocks
-    renamed, as a ladder's multipliers differ."""
+    renamed, as a ladder's multipliers differ.  The prefix is two list
+    pieces, cut at a drawn place, which the flat walk may group across."""
     prefix, body, tail = (draw(programs(strays=True))[0] for _ in range(3))
     circ = Circuit(prefix.num_qubits)
 
     def put(insts, tag):
-        start = len(circ)
+        part = Circuit(circ.num_qubits)
         for inst in insts:
-            circ.append(inst._replace(block=inst.block
+            part.append(inst._replace(block=inst.block
                                       and f"{tag}/{inst.block}"))
-        return range(start, len(circ))
+        piece = part.instructions
+        circ.extend(part)
+        return piece
 
-    put(prefix.instructions, "p")
+    cut = draw(st.integers(0, len(prefix)))
+    put(prefix.instructions[:cut], "p")
+    put(prefix.instructions[cut:], "p")
     first = put(body.instructions, "s")
     for i in range(draw(st.integers(1, 3))):
         circ.repeat(first, None, [
@@ -661,8 +673,12 @@ def test_random_repeats_bill_as_the_flat_walk(circ, strain, seed):
     bounds = {0, *itertools.accumulate(
         len(unit[1]) for unit in session_groups(circ.instructions,
                                                 three_nodes(0)[0].node_of))}
-    assume(all({rep.span.start, rep.span.stop} <= bounds
-               for rep in circ.repeats))
+    ends = [0, *itertools.accumulate(
+        len(piece) if type(piece) is list else len(piece.constants)
+        for piece in circ.pieces)]
+    assume(all({ends[i], ends[i + 1]} <= bounds
+               for i, piece in enumerate(circ.pieces)
+               if type(piece) is not list))
     assert (walk(strained(seed, strain), circ)
             == walk(strained(seed, strain), without_repeats(circ)))
 
@@ -681,21 +697,23 @@ def shares_and_round_trips(net, held, constants, tag):
 
 def stacked(net, held, parts):
     """One program of ``parts``, (instructions, index of its first or
-    None): a part with a first is a repeat of it (``Circuit.repeat``)
-    that keeps its controls, with the part's constants and tag."""
-    circ, spans = Circuit(net.state.num_qubits), []
+    None), one piece each: a part with a first is a repeat of it
+    (``Circuit.repeat``) that keeps its controls, with the part's
+    constants and tag."""
+    circ = Circuit(net.state.num_qubits)
     for insts, of in parts:
-        start = len(circ)
         if of is None:
+            part = Circuit(circ.num_qubits)
             for inst in insts:
-                circ.append(inst)
-        else:
-            rename = tuple(tagged[0].block.partition("@")[0] for tagged in (
-                circ.stored[spans[of].start:], insts))
-            circ.repeat(spans[of], None,
-                        [inst.classical_constant for inst in insts], rename)
-            assert circ.repeats[-1].spell(circ.stored) == insts
-        spans.append(range(start, len(circ)))
+                part.append(inst)
+            circ.extend(part)
+            continue
+        first = circ.pieces[of]
+        rename = tuple(tagged[0].block.partition("@")[0]
+                       for tagged in (first, insts))
+        circ.repeat(first, None, [inst.classical_constant for inst in insts],
+                    rename)
+        assert circ.pieces[-1].spell() == insts
     return circ
 
 
@@ -783,27 +801,3 @@ def test_stray_a_repeat_enables_raises_as_the_flat_walk():
         outcomes.append(observed(net))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0]["ledger"]["ebits"] == 2
-
-
-@pytest.mark.parametrize("repeats", [
-    [(range(0, 2), range(1, 3))],                           # its own first
-    [(range(0, 2), range(2, 4)), (range(0, 2), range(3, 5))],  # each other
-    [(range(2, 4), range(4, 6)), (range(0, 3), range(3, 6))],  # a first
-    [(range(0, 2), range(2, 4)), (range(2, 4), range(4, 6))],  # chained
-    [(range(0, 2), range(7, 9))],                           # past the end
-    [(range(-1, 1), range(2, 4))],                          # before the start
-    [(range(0, 2), range(2, 5))],                           # lengths differ
-    [(range(3, 5), range(0, 2))],                           # before its first
-    [(range(0, 0), range(2, 2))],                           # empty
-])
-def test_bad_repeats_raise_before_billing(repeats):
-    net, held = three_nodes(0)
-    circ = Circuit(net.state.num_qubits)
-    for i in range(8):
-        circ.instructions.extend(from_node(net, held, "A", f"S{i}"))
-    circ.repeats = [Repeat(first, span, None, (None,) * len(span))
-                    for first, span in repeats]
-    with pytest.raises(ValueError):
-        bill(net, circ)
-    assert net.ledger == ResourceLedger()
-    assert observed(net) == observed(three_nodes(0)[0])

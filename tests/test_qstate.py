@@ -380,7 +380,7 @@ class TestPermutationRun:
 
     def test_non_permutation_gate_rejected(self):
         with pytest.raises(SimulationError):
-            QuantumState(2).apply_permutation([Instruction(gates.H, (0,))])
+            QuantumState(2).apply_permutation([[Instruction(gates.H, (0,))]])
 
     @pytest.mark.parametrize("bad", [
         Instruction(gates.X, (5,)),                        # out of range
@@ -400,7 +400,7 @@ class TestPermutationRun:
         st = from_amplitudes(4, amps)
         before = list(st.amplitudes.items())
         with pytest.raises(SimulationError) as run_err:
-            st.apply_permutation(good + [bad, good[0]])
+            st.apply_permutation([good + [bad, good[0]]])
         assert str(run_err.value) == str(ref_err.value)
         assert list(st.amplitudes.items()) == before
 
@@ -426,40 +426,35 @@ class TestPermutationRun:
                Instruction(gates.CNOT, (0, 1))]
         amps = {0b00: 1.0, 0b01: 1.0j}
         ref = per_gate(from_amplitudes(2, amps), run)
-        st = from_amplitudes(2, amps).apply_permutation(run)
+        st = from_amplitudes(2, amps).apply_permutation([run])
         assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
         assert list(st.amplitudes) == [0b11, 0b10]
 
 
 def ladder(num_qubits, controls, body):
-    """``body(circ, k, i)`` for the first control k in ``controls``, and
-    a repeat of it (``Circuit.repeat``) for each later one, the i-th,
-    with the constants ``body`` gives its gates."""
+    """``body(circ, k, i)`` for the first control k in ``controls``, the
+    circuit's first list piece, and a repeat of it (``Circuit.repeat``)
+    for each later one, the i-th, with the constants ``body`` gives its
+    gates."""
     circ = Circuit(num_qubits)
     for i, k in enumerate(controls):
         if not i:
             body(circ, k, i)
-            first = range(len(circ))
+            first = circ.instructions
             continue
-        span = Circuit(num_qubits)
-        body(span, k, i)
+        part = Circuit(num_qubits)
+        body(part, k, i)
         circ.repeat(first, k, [inst.classical_constant
-                               for inst in span.instructions])
+                               for inst in part.instructions])
     return circ
 
 
-def as_repeats(pairs, control=1):
-    """A ``Repeat`` for each ``(first, span)``, under ``control``."""
-    return [Repeat(first, span, control, (None,) * len(span))
-            for first, span in pairs]
-
-
 class TestRepeats:
-    """Spans that repeat their first run from the first's plans: the
-    same state and refusals as the flat run, and malformed repeats raise
-    before the state changes."""
+    """Repeats run from their first's plans: the same state and
+    refusals as the flat run, and malformed repeats raise before the
+    state changes."""
 
-    # qubits 0 and 1 are the spans' controls, 2 a target, 3 a control, 4
+    # qubits 0 and 1 are the repeats' controls, 2 a target, 3 a control, 4
     # a MOVE's source and 5 its destination
     AMPS = {0b000000: 1.0, 0b011011: 1.0j, 0b001010: -1.0, 0b001001: 0.5}
 
@@ -468,6 +463,12 @@ class TestRepeats:
         circ.x(2, controls=[(3, True), (k, True)], classical_constant=1)
         circ.move(4, 5)
         circ.swap(2, 3, controls=[(k, False)], classical_constant=i)
+
+    @staticmethod
+    def moveless(circ, k, i):
+        circ.x(2, controls=[(3, True), (k, True)], classical_constant=i % 2)
+        circ.swap(2, 3, controls=[(4, False), (k, False)])
+        circ.x(4, controls=[(k, True)])
 
     def outcome(self, circ):
         st = from_amplitudes(6, self.AMPS)
@@ -490,34 +491,32 @@ class TestRepeats:
         assert 0b101011 in ref.amplitudes and 0b001110 in ref.amplitudes
 
     def test_repeats_match_per_gate_application(self):
-        def body(circ, k, i):
-            circ.x(2, controls=[(3, True), (k, True)],
-                   classical_constant=i % 2)
-            circ.swap(2, 3, controls=[(4, False), (k, False)])
-            circ.x(4, controls=[(k, True)])
-        circ = ladder(6, (0, 1, 5), body)
+        circ = ladder(6, (0, 1, 5), self.moveless)
         ref = from_amplitudes(6, self.AMPS)
         reference_execute(circ, ref)
         assert self.outcome(circ) == (None, list(ref.amplitudes.items()))
 
-    def refused(self, run, spans, message):
+    def test_first_in_an_earlier_run_runs(self):
+        # an H on the repeat's control ends the first's run, so the
+        # repeat's run plans the first on its own
+        circ = ladder(6, (0, 1), self.moveless)
+        circ.pieces.insert(1, [Instruction(gates.H, (1,))])
+        ref = from_amplitudes(6, self.AMPS)
+        reference_execute(circ, ref)
+        assert self.outcome(circ) == self.outcome(without_repeats(circ)) == (
+            None, list(ref.amplitudes.items()))
+        assert len(ref.amplitudes) > len(self.AMPS)
+
+    def first(self):
+        """The body under control 0, as one list."""
+        return ladder(6, (0,), self.body).instructions
+
+    def refused(self, run, message):
         st = from_amplitudes(6, self.AMPS)
         before = list(st.amplitudes.items())
         with pytest.raises(ValueError, match=message):
-            st.apply_permutation(run, spans)
+            st.apply_permutation(run)
         assert list(st.amplitudes.items()) == before
-
-    @pytest.mark.parametrize("repeats", [
-        [(range(0, 3), range(3, 5))],                           # lengths
-        [(range(0, 3), range(2, 5))],                           # overlap
-        [(range(0, 3), range(3, 6)), (range(0, 3), range(5, 8))],
-        [(range(0, 3), range(3, 6)), (range(3, 6), range(6, 9))],  # chained
-        [(range(0, 3), range(7, 10))],                          # past the run
-        [(range(0, 3), range(3, 9, 2))],                        # a step
-    ])
-    def test_bad_spans_raise_before_the_state_changes(self, repeats):
-        self.refused(ladder(6, (0, 1, 0), self.body).instructions,
-                     as_repeats(repeats), "does not repeat|overlap or leave")
 
     @pytest.mark.parametrize("control", [
         6,     # out of range
@@ -528,34 +527,24 @@ class TestRepeats:
         5,     # a MOVE's destination in the first
     ], ids=[f"controls{i}" for i in range(6)])
     def test_bad_controls_raise_before_the_state_changes(self, control):
-        run = ladder(6, (0, 1), self.body).instructions
-        self.refused(run, as_repeats([(range(0, 3), range(3, 6))], control),
+        first = self.first()
+        self.refused([first, Repeat(first, control, (None,) * 3)],
                      "swaps in control")
 
     def test_first_ending_with_two_controls_raises(self):
-        run = ladder(6, (0, 1), self.body).instructions
-        run[2] = run[2]._replace(controls=((1, False),))
-        self.refused(run, as_repeats([(range(0, 3), range(3, 6))]),
+        first = self.first()
+        first[2] = first[2]._replace(controls=((1, False),))
+        self.refused([first, Repeat(first, 1, (None,) * 3)],
                      "does not end with its control")
 
     def test_first_of_moves_alone_needs_no_control(self):
         # a first with no controlled gate: the X(6) after it is refused
-        move = Instruction(gates.MOVE, (4, 5))
-        run = [move, move, Instruction(gates.X, (6,))]
+        first = [Instruction(gates.MOVE, (4, 5))]
         st = from_amplitudes(6, self.AMPS)
         with pytest.raises(SimulationError,
                            match="qubit 6 out of range for 6-qubit state"):
-            st.apply_permutation(run, as_repeats([(range(0, 1),
-                                                   range(1, 2))]))
-        assert st.amplitudes == from_amplitudes(6, self.AMPS).amplitudes
-
-    def test_first_outside_a_run_raises_before_anything_runs(self):
-        circ = Circuit(6).h(0)
-        circ.instructions.extend(ladder(6, (0, 1), self.body).instructions)
-        circ.repeats = as_repeats([(range(0, 3), range(3, 6))])
-        st = from_amplitudes(6, self.AMPS)
-        with pytest.raises(ValueError, match="starts outside a run"):
-            execute(circ, st)
+            st.apply_permutation([first, Repeat(first, 1, (None,)),
+                                  [Instruction(gates.X, (6,))]])
         assert st.amplitudes == from_amplitudes(6, self.AMPS).amplitudes
 
 
@@ -568,18 +557,18 @@ def shifted(inst: Instruction, by: int) -> Instruction:
 
 @hst.composite
 def runs_with_a_refused_gate(draw):
-    """A sparse state, a run holding one gate that ``apply_gate``
-    refuses, the run's repeats and the refusal's message.  The run is
-    [stretch][first][repeat...][stretch]: the spans' controls are the
-    first qubits, one per span, and the refused gate sits at one place
-    of a stretch, or at one position of the first and of every repeat.
-    With no spans, the run is one stretch."""
-    spans = draw(hst.integers(0, 3))
-    num_qubits = draw(hst.integers(spans + 3, 10))
+    """A sparse state, a run of pieces holding one gate that
+    ``apply_gate`` refuses, and the refusal's message.  The run is
+    [stretch][first][repeat...][stretch]: the first and its repeats are
+    controlled by the first qubits, one each, and the refused gate sits
+    at one place of a stretch, or at one position of the first and so
+    of every repeat.  With no repeats, the run is three stretches."""
+    copies = draw(hst.integers(0, 3))
+    num_qubits = draw(hst.integers(copies + 3, 10))
     keys = draw(hst.lists(hst.integers(0, (1 << num_qubits) - 1),
                           min_size=1, max_size=32, unique=True))
     amps = {k: complex(i + 1, -i) for i, k in enumerate(keys)}
-    t = draw(hst.integers(spans, num_qubits - 1))
+    t = draw(hst.integers(copies, num_qubits - 1))
     bad = draw(hst.sampled_from([
         Instruction(gates.X, (num_qubits,)),                 # out of range
         Instruction(gates.X, (t,), ((num_qubits + 2, True),)),  # control
@@ -588,34 +577,31 @@ def runs_with_a_refused_gate(draw):
     ]))
     parts = [draw(hst.lists(permutation_instructions(num_qubits),
                             max_size=8)),
-             [shifted(inst, spans) for inst in draw(hst.lists(
-                 permutation_instructions(num_qubits - spans), max_size=8))],
+             [shifted(inst, copies) for inst in draw(hst.lists(
+                 permutation_instructions(num_qubits - copies), max_size=8))],
              draw(hst.lists(permutation_instructions(num_qubits),
                             max_size=8))]
     part = draw(hst.integers(0, 2))
     at = draw(hst.integers(0, len(parts[part])))
     parts[part].insert(at, bad)
     head, body, tail = parts
-    run, repeats, planted = list(head), [], bad
-    if spans and body:
+    run, planted = [head], bad
+    if copies and body:
         polarities = [draw(hst.booleans()) for _ in body]
-        first = range(len(run), len(run) + len(body))
-        for k in range(spans):
-            span = range(len(run), len(run) + len(body))
-            run += [inst if inst.kind == gates.MOVE else
-                    inst._replace(controls=(*inst.controls, (k, pol)))
-                    for inst, pol in zip(body, polarities)]
-            if k:
-                repeats.append(Repeat(first, span, k, tuple(
-                    inst.classical_constant for inst in body)))
+        first = [inst if inst.kind == gates.MOVE else
+                 inst._replace(controls=(*inst.controls, (0, pol)))
+                 for inst, pol in zip(body, polarities)]
+        run += [first, *(Repeat(first, k, tuple(
+            inst.classical_constant for inst in body))
+            for k in range(1, copies))]
         if part == 1:
-            planted = run[first.start + at]
+            planted = first[at]
     else:
-        run += body
-    run += tail
+        run.append(body)
+    run.append(tail)
     with pytest.raises(SimulationError) as refusal:
         QuantumState(num_qubits).apply_gate(*planted[:3])
-    return amps, num_qubits, run, repeats, str(refusal.value)
+    return amps, num_qubits, run, str(refusal.value)
 
 
 class TestRefusal:
@@ -625,11 +611,11 @@ class TestRefusal:
     @settings(max_examples=200, deadline=None)
     @given(runs_with_a_refused_gate())
     def test_refused_gate_leaves_the_state_untouched(self, case):
-        amps, num_qubits, run, repeats, message = case
+        amps, num_qubits, run, message = case
         st = from_amplitudes(num_qubits, amps)
         before = list(st.amplitudes.items())
         with pytest.raises(SimulationError) as err:
-            st.apply_permutation(run, repeats)
+            st.apply_permutation(run)
         assert str(err.value) == message
         assert list(st.amplitudes.items()) == before
 
@@ -655,7 +641,7 @@ class TestCheckOnce:
         amps = {0b0000: 1.0, 0b1011: 1.0j, 0b1111: -1.0}
         run = [Instruction(gates.TOFFOLI, (0, 1, 2), ((3, True),))
                for _ in range(1000)]
-        st = from_amplitudes(4, amps).apply_permutation(run)
+        st = from_amplitudes(4, amps).apply_permutation([run])
         assert len(checks) == 1
         assert list(st.amplitudes.items()) == \
             list(per_gate(from_amplitudes(4, amps),
@@ -672,7 +658,7 @@ class TestCheckOnce:
         good = Instruction(gates.CNOT, (0, 2))
         st = from_amplitudes(4, {0b0011: 1.0, 0b0110: 1.0j})
         with pytest.raises(SimulationError) as err:
-            st.apply_permutation([good] * 11 + [bad, good])
+            st.apply_permutation([[good] * 11 + [bad, good]])
         assert str(err.value) == message
         assert len(checks) == 2
         assert list(st.amplitudes) == [0b0011, 0b0110]

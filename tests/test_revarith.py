@@ -18,7 +18,8 @@ from conftest import (amp_distance, assert_ancillas_zero, from_amplitudes,
                       reference_adder, reference_an, reference_cm_m,
                       reference_execute,
                       reference_execute_distributed, reference_m,
-                      reference_mf, reference_xan, run_on_basis)
+                      reference_mf, reference_xan, repeats_of,
+                      run_on_basis)
 from distshor import gates, revarith
 from distshor.circuit import (Circuit, Instruction, count_gates, dump,
                               execute, reverse)
@@ -361,7 +362,7 @@ class TestPackedLadder:
                                 node_of=node_of)
             firsts = {None if node_of is None else node_of[k]
                       for k in layout.k[:m]}
-            assert len(ladder.repeats) == m - len(firsts)
+            assert len(repeats_of(ladder)) == m - len(firsts)
             alone = []
             for i, k in enumerate(layout.k[:m]):
                 out = revarith._Sink([])
@@ -375,7 +376,8 @@ class TestPackedLadder:
         # 4^2 = 1 mod 15: multipliers 1, 3, ... multiply by 1
         lay = LAYOUTS[4]
         ladder = build_cm_m(4, 15, 4, lay)
-        assert [rep.control for rep in ladder.repeats] == list(lay.k[1:4])
+        assert [rep.control for rep in repeats_of(ladder)] == \
+            list(lay.k[1:4])
         for x in range(1, 15):
             for k in range(16):
                 preset = preset_register(lay.k[:4], k)

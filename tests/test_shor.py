@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import phase_estimation_state, reference_execute
+from conftest import phase_estimation_state, reference_execute, repeats_of
 from distshor import cli, gates, partition, revarith, shor
 from distshor.circuit import Circuit, Instruction, Repeat
 from distshor.qstate import QuantumState, RandomSource
@@ -358,14 +358,14 @@ class TestReportBuilds:
 class TestPackedRound:
     """A round creates the instructions of each node's first multiplier,
     its preparation and its transform, and never a repeat's: the kernel
-    and the bill read a span from its repeat."""
+    and the bill read a repeat from its first."""
 
     @pytest.mark.parametrize("mode", ["monolithic", "distributed"])
     def test_round_leaves_its_spans_unbuilt(self, monkeypatch, mode):
         N, a, m = 15, 7, 6
 
         def built(*_):
-            raise AssertionError("a span was built")
+            raise AssertionError("a repeat was built")
 
         monkeypatch.setattr(Repeat, "spell", built)
         made, new = [], revarith._new
@@ -378,20 +378,25 @@ class TestPackedRound:
             arg for arg in args if isinstance(arg, Circuit)), run(*args))[1])
         order_round(a, N, m, mode)(RandomSource(1))
         program, = runs
-        firsts = {rep.first for rep in program.repeats}
+        repeats = repeats_of(program)
+        firsts = list({id(rep.first): rep.first for rep in repeats}.values())
         assert len(firsts) == (1 if mode == "monolithic" else 2)
-        assert len(program.repeats) == m - len(firsts)
-        spans = sum(len(rep.span) for rep in program.repeats)
-        assert program.stored.count(None) == spans
+        assert len(repeats) == m - len(firsts)
         # the ladder builder created its firsts' instructions and no more
-        ladder = sum(len(first) for first in firsts)
+        ladder = sum(map(len, firsts))
         assert sum(made) == ladder
         if mode == "monolithic":
             transform = shor.order_circuit_parts(a, N, m)[1]
         else:
             transform = partition.build_distributed_transform_program(
                 partition.plan_placement(N.bit_length(), m))
-        assert len(program) - spans == 1 + m + ladder + len(transform)
+        # the round's instructions: its preparation, its firsts and its
+        # transform, one list piece each
+        prep, *middle, last = [piece for piece in program.pieces
+                               if type(piece) is list]
+        assert len(prep) == 1 + m
+        assert [id(piece) for piece in middle] == list(map(id, firsts))
+        assert last == transform.instructions
 
 
 class TestAdmission:
