@@ -108,16 +108,17 @@ class Circuit:
 
     @property
     def instructions(self) -> list[Instruction]:
-        """Every instruction in order, each repeat spelled.  A circuit of
-        one list piece returns that list, and an empty one opens it, so a
-        builder may write through it; any other builds the flat list
-        once and keeps it until the next append."""
+        """Every instruction in order, each repeat spelled.  A circuit
+        whose one piece is its open piece returns that list, and an empty
+        one opens it, so a builder may write through it; any other builds
+        the flat list once and keeps it until the next append, so no list
+        that another circuit or a repeat holds is handed out."""
         pieces = self.pieces
         if not pieces:
             self._open = []
             pieces.append(self._open)
-        if len(pieces) == 1:
-            return pieces[0]
+        if len(pieces) == 1 and pieces[0] is self._open:
+            return self._open
         if self._flat is None:
             self._flat = [inst for piece in pieces for inst in (
                 piece if type(piece) is list else piece.spell())]

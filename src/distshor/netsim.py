@@ -39,13 +39,14 @@ The bill (``run_session``, ``move``) and the census read these facts and
 walk no gates.  The first unit of each shape (its node and the nodes it
 shares from, in order) makes the protocol's checks in the protocol's
 order; later ones are only tallied, and the tally is posted once, its
-discarded coins in one ``RandomSource.skip``.  A round walks one
-multiplier per estimation node, a list piece of its program, and bills
-each later one there, a repeat that names that list, as the list's
-units (``bill``).  A refusal raises at the protocol's share, with the
-protocol's partial bill.  Then one ``circuit.execute`` runs the
-state; its kernel refuses a MOVE into a slot that is not |0>.  The state
-agrees with the reference up to floating-point rounding.
+discarded coins in one ``RandomSource.skip``.  A round walks its first
+multiplier, a list piece of its program, and one repeat of it, spelled,
+for each other estimation node; every later multiplier, a repeat that
+names that list, is billed as the units of the multiplier walked for
+its control's node (``bill``).  A refusal raises at the protocol's
+share, with the protocol's partial bill.  Then one ``circuit.execute``
+runs the state; its kernel refuses a MOVE into a slot that is not |0>.
+The state agrees with the reference up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gates
-from .circuit import Circuit, Instruction, Repeat, execute
+from .circuit import Circuit, Instruction, execute
 from .qstate import Control, QuantumState, RandomSource
 
 _PURE_TOL = 1e-9
@@ -615,45 +616,44 @@ def bill(network: Network, circ: Circuit):
     The walk checks each shape of unit once and tallies the rest
     (``Network._tallied``).  It walks the circuit's pieces in order: each
     repeat's first and each repeat alone, and the list pieces between
-    them as one, as a walk of the flat program groups them.  A repeat
-    whose control lies on the node of its first's (or that keeps its
-    first's controls) holds the units of its first in order, of shapes
-    checked already whose checks pass again, as no walk changes an
-    occupancy; so the repeat adds its first's units per shape to the
-    tally.  Any other repeat, and a repeat whose first holds a stray, is
-    spelled (``Repeat.spell``) and walked.  The tally is posted when the
-    walk ends, by a refusal too."""
+    them as one, as a walk of the flat program groups them.  Each of the
+    pieces alone has a key: the first it repeats (a first repeats
+    itself) and the node of the control it reads, a repeat's own
+    ``control`` or else the last control of its first's first gate that
+    has controls (no node if none has).  Pieces of one key hold the same
+    units in order, of shapes checked already whose checks pass again,
+    as no walk changes an occupancy.  So the first piece of a key is
+    walked (a repeat is spelled for this, ``Repeat.spell``), and its
+    units per shape are recorded if none was a stray; every later piece
+    of the key adds the record to the tally.  The tally is posted when the walk
+    ends, by a refusal too."""
     node_of = network.node_of
-    # id of each repeat's first -> its units per shape, once walked clean
-    firsts: dict[int, dict | None] = {
-        id(piece.first): None for piece in circ.pieces
-        if type(piece) is not list}
+    firsts = {id(piece.first) for piece in circ.pieces
+              if type(piece) is not list}
 
-    def tallied(rep: Repeat) -> bool:
-        if firsts[id(rep.first)] is None:
-            return False
-        if rep.control is None:
-            return True
-        gate = next((inst for inst in rep.first
-                     if inst.kind.name != "MOVE"), None)
-        return (gate is None
-                or node_of(gate.controls[-1][0]) == node_of(rep.control))
+    def key(piece) -> tuple[int, str | None]:
+        first, control = ((piece, None) if type(piece) is list
+                          else (piece.first, piece.control))
+        if control is None:
+            control = next((inst.controls[-1][0] for inst in first
+                            if inst.kind.name != "MOVE" and inst.controls),
+                           None)
+        return id(first), None if control is None else node_of(control)
 
     def alone(piece) -> bool:
         return type(piece) is not list or id(piece) in firsts
 
+    records: dict[tuple, dict] = {}  # key -> its units per shape
     network._tally = tally = {}
     try:
         for own, group in groupby(circ.pieces, key=alone):
             for piece in group if own else [[*chain.from_iterable(group)]]:
-                if type(piece) is list:
-                    insts = piece
-                elif tallied(piece):
-                    for shape, count in firsts[id(piece.first)].items():
+                mark = key(piece) if own else None
+                if mark in records:
+                    for shape, count in records[mark].items():
                         tally[shape] += count
                     continue
-                else:
-                    insts = piece.spell()
+                insts = piece if type(piece) is list else piece.spell()
                 before, clean = dict(tally), True
                 for unit in session_groups(insts, node_of):
                     if unit[-1]:  # a MOVE
@@ -662,9 +662,9 @@ def bill(network: Network, circ: Circuit):
                         clean = clean and unit[4] is None
                         network.run_session(unit)
                 # a shape's first unit is tallied as 0, hence the -1
-                if clean and id(piece) in firsts:
-                    firsts[id(piece)] = {shape: count - before.get(shape, -1)
-                                         for shape, count in tally.items()}
+                if clean and own:
+                    records[mark] = {shape: count - before.get(shape, -1)
+                                     for shape, count in tally.items()}
     finally:
         network._post_tally()
 

@@ -171,8 +171,7 @@ def build_distributed_modexp_program(a: int, N: int,
     lay = plan.layout
     return shor.order_prefix(
         lay, plan.num_qubits,
-        build_cm_m(a, N, lay.m, lay, slicing=plan.slicing,
-                   node_of=plan.node_of_qubit))
+        build_cm_m(a, N, lay.m, lay, slicing=plan.slicing))
 
 
 def build_distributed_transform_program(plan: PlacementPlan) -> Circuit:
@@ -190,11 +189,12 @@ def build_distributed_order_program(a: int, N: int,
     left to the driver so the pre-measurement distribution stays
     inspectable.  It has ~70 m n^2 gates; the count report builds one
     controlled multiplier instead.  Its pieces are instruction lists for
-    the preparation, the first multiplier on each estimation node and
-    the transform, and a repeat that names its node's first list for
-    every later multiplier (``build_cm_m``): ``netsim.bill`` bills a
-    repeat as its first's units, and the state kernel runs it from its
-    first's plans."""
+    the preparation, the first multiplier and the transform, and a repeat
+    that names the first multiplier's list for every later multiplier
+    (``build_cm_m``): ``netsim.bill`` bills a repeat as its first's
+    units, and spells one repeat for each estimation node other than the
+    first's, and the state kernel runs every repeat from its first's
+    plans."""
     return build_distributed_modexp_program(a, N, plan).extend(
         build_distributed_transform_program(plan))
 

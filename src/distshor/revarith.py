@@ -34,9 +34,9 @@ down to its children, and a reversed block runs its children last first.
 Building each block forward and uncontrolled, then adding its controls
 to every gate and turning it around with ``circuit.reverse``, gives the
 same circuits; the tests check the builders against that composition.
-The power ladder emits one multiplier per estimation node; every later
-multiplier is a repeat of its node's first (``Circuit.repeat``), whose
-constants the same emitters compute without creating an instruction.
+The power ladder emits its first multiplier alone; every later
+multiplier is a repeat of it (``Circuit.repeat``), whose constants the
+same emitters compute without creating an instruction.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import gates
 from .circuit import Circuit, Instruction, _new
@@ -585,18 +585,16 @@ def build_m(a: int, N: int, layout: RegisterLayout, *,
 
 
 def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
-               slicing: AdderSlicing | None = None,
-               node_of: Mapping[int, str] | None = None) -> Circuit:
+               slicing: AdderSlicing | None = None) -> Circuit:
     """Controlled power ladder: |k>|x> -> |k> (M_a)^k |x>.
 
     Repeated squaring: block i applies M for the constant a^(2^i) mod N
-    under control k_i, labelled ``cm/M[i]``.  Only the first block whose
-    control lies on each node of ``node_of`` (block 0 when there are no
-    nodes) is emitted.  Every later block is a ``Circuit.repeat`` of it
-    with control k_i and its own constants: while the first is emitted,
-    ``_Sink.reads`` records the chain constant and bit each of its gated
-    gates reads, and a later block walks the same emitters for its chain
-    constants alone and reads them there.
+    under control k_i, labelled ``cm/M[i]``.  Only block 0 is emitted,
+    into the ladder's first list piece.  Every later block is a
+    ``Circuit.repeat`` of it with control k_i and its own constants:
+    while block 0 is emitted, ``_Sink.reads`` records the chain constant
+    and bit each of its gated gates reads, and a later block walks the
+    same emitters for its chain constants alone and reads them there.
     """
     if m < 1:
         raise ValueError("need at least one control qubit")
@@ -606,36 +604,26 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
         raise ValueError("layout control register too narrow")
     pool, n = _pool(layout, slicing), layout.n
     circ = Circuit(pool)
-    firsts: dict[str | None, tuple] = {}
-    for i, k in enumerate(layout.k[:m]):
-        power, path = pow(a, 1 << i, N), f"cm/M[{i}]"
-        node = None if node_of is None else node_of[k]
-        if node in firsts:
-            first, first_path, index = firsts[node]
-            chain = _Sink(None)
-            _m(chain, ((k, True),), power, N, layout, slicing, path)
-            # bit b of chain constant c sits at 1 + n c + b, None at 0
-            bits = [None, *(x >> b & 1 for x in chain.chain
-                            for b in range(n))]
-            circ.repeat(first, k, itemgetter(*index)(bits),
-                        (first_path, path))
-            continue
-        block = Circuit(pool)
-        out = _Sink(block.instructions, [] if m > 1 else None)
-        used = _m(out, ((k, True),), power, N, layout, slicing, path)
-        if i == 0:
-            _admit(layout.k[:m], used, pool)
-        index = []  # per gate: 0, or 1 + the place of the bit it reads
-        if m > 1:
-            reads = iter(out.reads)
-            for inst in out.insts:
-                if inst[3] is None:
-                    index.append(0)
-                else:
-                    c, b = next(reads)
-                    index.append(1 + n * c + b)
-        firsts[node] = (out.insts, path, index)
-        circ.extend(block)
+    first = circ.instructions
+    out = _Sink(first, [] if m > 1 else None)
+    _admit(layout.k[:m], _m(out, ((layout.k[0], True),), a, N, layout,
+                            slicing, "cm/M[0]"), pool)
+    index = []  # per gate: 0, or 1 + the place of the bit it reads
+    if m > 1:
+        reads = iter(out.reads)
+        for inst in first:
+            if inst[3] is None:
+                index.append(0)
+            else:
+                c, b = next(reads)
+                index.append(1 + n * c + b)
+    for i in range(1, m):
+        k, path = layout.k[i], f"cm/M[{i}]"
+        chain = _Sink(None)
+        _m(chain, ((k, True),), pow(a, 1 << i, N), N, layout, slicing, path)
+        # bit b of chain constant c sits at 1 + n c + b, None at 0
+        bits = [None, *(x >> b & 1 for x in chain.chain for b in range(n))]
+        circ.repeat(first, k, itemgetter(*index)(bits), ("cm/M[0]", path))
     return circ
 
 

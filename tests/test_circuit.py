@@ -242,6 +242,17 @@ class TestPieces:
         assert [len(piece) for piece in a.pieces] == [20, 30, 1]
         assert [len(piece) for piece in b.pieces] == [30, 1]
 
+    def test_closed_pieces_are_not_handed_out(self):
+        # extend closes ``a``'s one piece and shares it with ``b``: neither
+        # circuit's ``instructions`` is that piece, so writing through it
+        # grows no circuit
+        a = Circuit(3)
+        a.x(0)
+        b = Circuit(3).extend(a)
+        for circ in (a, b):
+            circ.instructions.append(Instruction(gates.X, (1,)))
+        assert (len(a), len(b)) == (1, 1)
+
     @staticmethod
     def with_first():
         circ = Circuit(4)

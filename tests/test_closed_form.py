@@ -297,25 +297,30 @@ NODES = ("A", "B", "C")
 BODY_KINDS = {"X": 1, "CNOT": 2, "TOFFOLI": 3, "SWAP": 2, "H": 1, "R": 1}
 
 
-def three_nodes(seed: int) -> tuple[Network, dict[str, list[int]]]:
-    net = Network(Topology([NodeSpec(n, 6, 3) for n in NODES]),
+def three_nodes(seed: int,
+                kept: int = 0) -> tuple[Network, dict[str, list[int]]]:
+    """Three nodes of three channel qubits and three data slots each,
+    every data slot held, plus ``kept`` more held data slots on each
+    node, last in its list, which ``programs`` never touches."""
+    net = Network(Topology([NodeSpec(n, 6 + kept, 3) for n in NODES]),
                   RandomSource(seed))
-    return net, {n: net.allocate_data(n, 3) for n in NODES}
+    return net, {n: net.allocate_data(n, 3 + kept) for n in NODES}
 
 
 @st.composite
-def programs(draw, strays=False):
+def programs(draw, strays=False, kept=0):
     """A program over three nodes of three data slots each: sessions with
     0-3 remote controls of either polarity, bodies of X, CNOT, TOFFOLI,
     SWAP, H and R gates carrying the constants None, 0 or 1, and MOVEs
     within and across nodes into a |0> slot; plus 1-3 qubits to read out
     after the run.  With ``strays``, a tagged block's gate may run on
     another node instead, under a control on the block's node: the
-    block's stray when no 0 constant disables it."""
-    _, held = three_nodes(0)
-    parked = {held[n][-1] for n in NODES}  # known |0>: where MOVEs land
-    node_of = {q: n for n in NODES for q in held[n]}
-    circ = Circuit(3 * 6)
+    block's stray when no 0 constant disables it.  The program runs on
+    ``three_nodes`` with ``kept`` slots kept on each node."""
+    _, held = three_nodes(0, kept)
+    parked = {held[n][2] for n in NODES}  # known |0>: where MOVEs land
+    node_of = {q: n for n in NODES for q in held[n][:3]}
+    circ = Circuit(3 * (6 + kept))
     for step in range(draw(st.integers(1, 6))):
         live = sorted(set(node_of) - parked)
         if draw(st.integers(0, 3)) == 0:
@@ -389,14 +394,14 @@ def strains(draw):
     return pairs, cuts
 
 
-def strained(seed: int, strain) -> Network:
+def strained(seed: int, strain, kept: int = 0) -> Network:
     """``three_nodes`` holding what ``strains`` drew."""
     pairs, cuts = strain
-    net, _ = three_nodes(seed)
+    net, _ = three_nodes(seed, kept)
     for a, b in pairs:
         net.establish_epr(a, b)
     for node, cut in zip(NODES, cuts):
-        net.nodes[node].spec = NodeSpec(node, 6 - cut, 3)
+        net.nodes[node].spec = NodeSpec(node, 6 + kept - cut, 3)
     return net
 
 
@@ -509,16 +514,15 @@ def order_program(N, a, m):
 @example((21, 2, 10))
 @example((33, 5, 12))
 def test_ladder_repeats_hold_their_firsts_units(case):
-    """The builder's contract the repeats rely on: each repeat groups
-    into its first's units, every piece ends on a unit boundary of the
-    whole program, and no gate of the program lies off its unit's
-    node."""
+    """The builder's contract the bill relies on: each repeat groups
+    into its first's units, but for the node its control shares from,
+    every piece ends on a unit boundary of the whole program, and no
+    gate of the program lies off its unit's node."""
     N, a, m = case
     plan, program = order_program(N, a, m)
     node_of = plan.node_of_qubit.__getitem__
-    k_nodes = {plan.node_of_qubit[q] for q in plan.layout.k}
     repeats = repeats_of(program)
-    assert len(repeats) == m - len(k_nodes)
+    assert len(repeats) == m - 1
     parts = [piece if type(piece) is list else piece.spell()
              for piece in program.pieces]
     units = list(session_groups(
@@ -530,13 +534,17 @@ def test_ladder_repeats_hold_their_firsts_units(case):
             assert {node_of(q) for inst in group for q in inst.targets} \
                 == {node}
 
-    def facts(insts):
-        return [(node, sources, is_move, group[0].targets if is_move else 0)
-                for node, group, _, sources, _, is_move
+    def facts(insts, k):
+        """Each unit's facts, k's source node left out."""
+        return [(node, tuple("k" if q == k else src
+                             for q, src in zip(remote, sources)),
+                 is_move, group[0].targets if is_move else 0)
+                for node, group, remote, sources, _, is_move
                 in session_groups(insts, node_of)]
 
     for rep in repeats:
-        assert facts(rep.spell()) == facts(rep.first)
+        assert facts(rep.spell(), rep.control) == \
+            facts(rep.first, plan.layout.k[0])
 
 
 def mode_programs(N, a, m):
@@ -554,33 +562,28 @@ def mode_programs(N, a, m):
 @example((33, 5, 12))
 def test_ladder_repeats_swap_only_their_control(case):
     """The builder's contract the state kernel relies on, in both modes:
-    gate p of a repeat is gate p of its first in kind, targets and every
-    control but the last, which is (k_i, True) for multiplier i; MOVEs
-    are identical but for their labels.  A monolithic ladder pairs each
-    multiplier i >= 1 with multiplier 0."""
+    multiplier i >= 1 is a repeat of multiplier 0, and gate p of it is
+    gate p of multiplier 0 in kind, targets and every control but the
+    last, which is (k_i, True); MOVEs are identical but for their
+    labels."""
     N, a, m = case
-    for mode, (program, k) in mode_programs(N, a, m).items():
+    for program, k in mode_programs(N, a, m).values():
         # preparation, the m multipliers and the transform, a piece each
         assert len(program.pieces) == m + 2
-        ladder = program.pieces[1:-1]
-        if mode == "monolithic":
-            assert len(repeats_of(program)) == m - 1
-            assert all(rep.first is ladder[0] for rep in ladder[1:])
-        for i, rep in enumerate(ladder):
-            if type(rep) is list:
-                continue
-            f = next(f for f, first in enumerate(ladder)
-                     if first is rep.first)
+        first, *repeats = program.pieces[1:-1]
+        assert repeats == repeats_of(program)
+        for i, rep in enumerate(repeats, 1):
+            assert rep.first is first
             spelled = rep.spell()
             assert spelled[0].label.startswith(f"cm/M[{i}]/")
-            for g, h in zip(rep.first, spelled):
+            for g, h in zip(first, spelled):
                 if g.kind.name == "MOVE":
                     assert h._replace(label=g.label) == g
                     continue
                 assert (h.kind, h.targets, h.controls[:-1]) == \
                     (g.kind, g.targets, g.controls[:-1])
                 assert (g.controls[-1], h.controls[-1]) == \
-                    ((k[f], True), (k[i], True))
+                    ((k[0], True), (k[i], True))
 
 
 @settings(max_examples=8, deadline=None)
@@ -635,13 +638,24 @@ def walk(net, circ):
     return error, observed(net), list(net.state.amplitudes.items())
 
 
+KEPT = 2  # slots kept on each node for the controls of repeated programs
+
+
 @st.composite
 def repeated_programs(draw):
-    """[prefix][S][S'...][tail]: each S' a repeat of S that keeps its
-    controls (``Circuit.repeat``), with constants drawn again and blocks
-    renamed, as a ladder's multipliers differ.  The prefix is two list
-    pieces, cut at a drawn place, which the flat walk may group across."""
-    prefix, body, tail = (draw(programs(strays=True))[0] for _ in range(3))
+    """[prefix][S][S'...][tail] on ``three_nodes`` with ``KEPT`` slots
+    kept: each S' a repeat of S (``Circuit.repeat``), with constants
+    drawn again and blocks renamed, as a ladder's multipliers differ.
+    Every gate of S ends with a control on one kept slot, and each S'
+    keeps it (control None), or reads another kept slot on its node or
+    one on another node, as a ladder's multipliers read k_i on either
+    estimation node.  The prefix is two list pieces, cut at a drawn
+    place, which the flat walk may group across."""
+    prefix, body, tail = (draw(programs(strays=True, kept=KEPT))[0]
+                          for _ in range(3))
+    kept = {n: held[3:] for n, held in three_nodes(0, KEPT)[1].items()}
+    node = draw(st.sampled_from(NODES))
+    control, same = draw(st.permutations(kept[node]))
     circ = Circuit(prefix.num_qubits)
 
     def put(insts, tag):
@@ -656,11 +670,15 @@ def repeated_programs(draw):
     cut = draw(st.integers(0, len(prefix)))
     put(prefix.instructions[:cut], "p")
     put(prefix.instructions[cut:], "p")
-    first = put(body.instructions, "s")
+    first = put([inst if inst.kind.name == "MOVE" else inst._replace(
+        controls=(*inst.controls, (control, draw(st.booleans()))))
+        for inst in body.instructions], "s")
+    elsewhere = [q for n in NODES if n != node for q in kept[n]]
     for i in range(draw(st.integers(1, 3))):
-        circ.repeat(first, None, [
+        circ.repeat(first, draw(st.one_of(
+            st.none(), st.just(same), st.sampled_from(elsewhere))), [
             draw(st.sampled_from([None, 0, 1])) if inst.kind.name != "MOVE"
-            else inst.classical_constant for inst in body.instructions],
+            else inst.classical_constant for inst in first],
             ("s/", f"s{i}/"))
     put(tail.instructions, "t")
     return circ
@@ -669,18 +687,20 @@ def repeated_programs(draw):
 @settings(max_examples=100, deadline=None)
 @given(repeated_programs(), strains(), st.integers(0, 2**16))
 def test_random_repeats_bill_as_the_flat_walk(circ, strain, seed):
-    # refused or not, strays or not, in a first, a repeat or the tail
+    """The bill's record per first and control node against the flat
+    walk: refused or not, strays or not, in a first, a repeat or the
+    tail, with each repeat's control on its first's node or another."""
     bounds = {0, *itertools.accumulate(
-        len(unit[1]) for unit in session_groups(circ.instructions,
-                                                three_nodes(0)[0].node_of))}
-    ends = [0, *itertools.accumulate(
+        len(unit[1]) for unit in session_groups(
+            circ.instructions, three_nodes(0, KEPT)[0].node_of))}
+    ends = list(itertools.accumulate(
         len(piece) if type(piece) is list else len(piece.constants)
-        for piece in circ.pieces)]
-    assume(all({ends[i], ends[i + 1]} <= bounds
-               for i, piece in enumerate(circ.pieces)
-               if type(piece) is not list))
-    assert (walk(strained(seed, strain), circ)
-            == walk(strained(seed, strain), without_repeats(circ)))
+        for piece in circ.pieces))
+    # every piece but the prefix's first ends on a unit boundary, as the
+    # builder's pieces do
+    assume(set(ends[1:]) <= bounds)
+    assert (walk(strained(seed, strain, KEPT), circ)
+            == walk(strained(seed, strain, KEPT), without_repeats(circ)))
 
 
 def shares_and_round_trips(net, held, constants, tag):

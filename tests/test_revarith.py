@@ -342,9 +342,10 @@ class TestControlledPowers:
 
 
 class TestPackedLadder:
-    """Every multiplier after its node's first is a repeat built from the
-    first (``Circuit.repeat``); its instructions, built on demand, equal
-    the multiplier emitted on its own under its control."""
+    """Every multiplier after the first is a repeat built from it
+    (``Circuit.repeat``), whichever node its control sits on; its
+    instructions, built on demand, equal the multiplier emitted on its
+    own under its control."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([(15, 4), (15, 7), (21, 2), (21, 5), (33, 5),
@@ -354,15 +355,13 @@ class TestPackedLadder:
         N, a = base
         n = N.bit_length()
         plan = plan_placement(n, m)
-        for layout, slicing, node_of in (
-                (RegisterLayout.packed(n, m), None, None),
-                (plan.layout, plan.slicing, plan.node_of_qubit),
-                (plan.layout, plan.slicing, None)):
-            ladder = build_cm_m(a, N, m, layout, slicing=slicing,
-                                node_of=node_of)
-            firsts = {None if node_of is None else node_of[k]
-                      for k in layout.k[:m]}
-            assert len(repeats_of(ladder)) == m - len(firsts)
+        for layout, slicing in ((RegisterLayout.packed(n, m), None),
+                                (plan.layout, plan.slicing)):
+            ladder = build_cm_m(a, N, m, layout, slicing=slicing)
+            first, *repeats = ladder.pieces
+            assert repeats == repeats_of(ladder)
+            assert len(repeats) == m - 1
+            assert all(rep.first is first for rep in repeats)
             alone = []
             for i, k in enumerate(layout.k[:m]):
                 out = revarith._Sink([])

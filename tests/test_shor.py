@@ -2,6 +2,7 @@
 statistics, verified orders, end-to-end factorizations."""
 
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import phase_estimation_state, reference_execute, repeats_of
-from distshor import cli, gates, partition, revarith, shor
+from distshor import cli, gates, netsim, partition, revarith, shor
 from distshor.circuit import Circuit, Instruction, Repeat
 from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
@@ -356,18 +357,19 @@ class TestReportBuilds:
 
 
 class TestPackedRound:
-    """A round creates the instructions of each node's first multiplier,
-    its preparation and its transform, and never a repeat's: the kernel
-    and the bill read a repeat from its first."""
+    """A round creates the instructions of its preparation, its first
+    multiplier and its transform, and never a repeat's: the kernel reads
+    every repeat from the first, and so does the bill, which spells one
+    repeat for the estimation node that multiplier 0's control is not
+    on."""
 
+    @pytest.mark.parametrize("m", [1, 6])
     @pytest.mark.parametrize("mode", ["monolithic", "distributed"])
-    def test_round_leaves_its_spans_unbuilt(self, monkeypatch, mode):
-        N, a, m = 15, 7, 6
-
-        def built(*_):
-            raise AssertionError("a repeat was built")
-
-        monkeypatch.setattr(Repeat, "spell", built)
+    def test_round_builds_one_multiplier(self, monkeypatch, mode, m):
+        N, a = 15, 7
+        spelled, spell = [], Repeat.spell
+        monkeypatch.setattr(Repeat, "spell", lambda rep: (
+            spelled.append(sys._getframe(1).f_code), spell(rep))[1])
         made, new = [], revarith._new
         monkeypatch.setattr(revarith, "_new", lambda cls, fields: (
             made.append(cls is Instruction), new(cls, fields))[1])
@@ -378,25 +380,25 @@ class TestPackedRound:
             arg for arg in args if isinstance(arg, Circuit)), run(*args))[1])
         order_round(a, N, m, mode)(RandomSource(1))
         program, = runs
-        repeats = repeats_of(program)
-        firsts = list({id(rep.first): rep.first for rep in repeats}.values())
-        assert len(firsts) == (1 if mode == "monolithic" else 2)
-        assert len(repeats) == m - len(firsts)
-        # the ladder builder created its firsts' instructions and no more
-        ladder = sum(map(len, firsts))
-        assert sum(made) == ladder
+        # the preparation, multiplier 0, a repeat of it for each later
+        # multiplier, and the transform, a piece each
+        prep, first, *repeats, last = program.pieces
+        assert len(prep) == 1 + m
+        assert repeats == repeats_of(program)
+        assert all(rep.first is first for rep in repeats)
+        assert len(repeats) == m - 1
+        # the ladder builder created multiplier 0's instructions and no
+        # more
+        assert sum(made) == len(first)
         if mode == "monolithic":
             transform = shor.order_circuit_parts(a, N, m)[1]
         else:
             transform = partition.build_distributed_transform_program(
                 partition.plan_placement(N.bit_length(), m))
-        # the round's instructions: its preparation, its firsts and its
-        # transform, one list piece each
-        prep, *middle, last = [piece for piece in program.pieces
-                               if type(piece) is list]
-        assert len(prep) == 1 + m
-        assert [id(piece) for piece in middle] == list(map(id, firsts))
         assert last == transform.instructions
+        # K1 holds k_3..k_5 at m = 6, and nothing at m = 1
+        assert spelled == [netsim.bill.__code__] * (
+            mode == "distributed" and m > 1)
 
 
 class TestAdmission:
