@@ -49,22 +49,24 @@ class Instruction(NamedTuple):
 class Repeat(NamedTuple):
     """A piece of a circuit that repeats an earlier list piece, its first,
     as ``Circuit.repeat`` appends one: gate p of the repeat is gate p of
-    ``first`` with ``constants[p]`` as its ``classical_constant`` and,
-    unless ``control`` is None, the qubit of its last control replaced by
-    ``control`` (k_i in place of the first's k_0 in a power ladder).  A
-    MOVE equals the first's.  A label or block that starts with
-    ``rename[0]`` starts with ``rename[1]`` instead (``cm/M[i]`` in place
-    of ``cm/M[0]``)."""
+    ``first`` with ``constants[p]`` as its ``classical_constant``, and
+    every control on qubit ``base`` reads ``control`` instead (k_i in
+    place of the first's k_0 in a power ladder).  ``base`` is never a
+    target of the first, and ``control`` is off the first's qubits unless
+    it is ``base``; the state kernel refuses a repeat that breaks this.
+    A label or block that starts with ``rename[0]`` starts with
+    ``rename[1]`` instead (``cm/M[i]`` in place of ``cm/M[0]``)."""
 
     first: list[Instruction]
-    control: int | None
+    base: int
+    control: int
     constants: tuple[int | None, ...]
     rename: tuple[str, str] = ("", "")
 
     def spell(self) -> list[Instruction]:
         """The repeat's instructions, from its first's."""
         old, new = self.rename
-        cut, k = len(old), self.control
+        cut, base, k = len(old), self.base, self.control
         renamed = {None: None}  # each distinct label or block once
 
         def name(text):
@@ -76,8 +78,9 @@ class Repeat(NamedTuple):
         out = []
         for (kind, targets, controls, _, label, block), constant in zip(
                 self.first, self.constants):
-            if k is not None and kind.name != "MOVE":
-                controls = (*controls[:-1], (k, controls[-1][1]))
+            if k != base:
+                controls = tuple([(k, pol) if q == base else (q, pol)
+                                  for q, pol in controls])
             out.append(_new(Instruction, (kind, targets, controls, constant,
                                           name(label), name(block))))
         return out
@@ -91,38 +94,37 @@ class Circuit:
 
     ``pieces`` is the circuit in order: each piece a list of
     ``Instruction``s or a ``Repeat`` of an earlier list piece.  A repeat
-    holds no instructions of its own; two readers take it from its first,
-    its control and its constants and never build it: the billing walk
-    (``netsim.bill``) bills it as its first's units, and the state kernel
-    (``QuantumState.apply_permutation``, through ``execute``) runs it from
-    its first's plans.  ``append`` writes into the open list piece, the
-    last one, opening it if need be; ``repeat`` and ``extend`` close it,
-    so a list that a repeat or another circuit holds never changes.
+    holds no instructions of its own; two readers take it as its first
+    with qubit ``base`` renamed ``control`` and the repeat's constants,
+    and never build it: the billing walk (``netsim.bill``) walks its
+    first with ``base`` placed on ``control``'s node, and the state
+    kernel (``QuantumState.apply_permutation``, through ``execute``) runs
+    its first's plans with ``base``'s column read as ``control``'s.
+    ``append`` writes into the open list piece, the last one, opening it
+    if need be; ``repeat`` and ``extend`` close it, so a list that a
+    repeat or another circuit holds never changes.
     """
 
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
         self.pieces: list[list[Instruction] | Repeat] = []
         self._open: list[Instruction] | None = None  # where append writes
-        self._flat: list[Instruction] | None = None  # ``instructions``
 
     @property
     def instructions(self) -> list[Instruction]:
         """Every instruction in order, each repeat spelled.  A circuit
         whose one piece is its open piece returns that list, and an empty
         one opens it, so a builder may write through it; any other builds
-        the flat list once and keeps it until the next append, so no list
-        that another circuit or a repeat holds is handed out."""
+        a new flat list on every read, so writing to it changes no
+        circuit."""
         pieces = self.pieces
         if not pieces:
             self._open = []
             pieces.append(self._open)
         if len(pieces) == 1 and pieces[0] is self._open:
             return self._open
-        if self._flat is None:
-            self._flat = [inst for piece in pieces for inst in (
-                piece if type(piece) is list else piece.spell())]
-        return self._flat
+        return [inst for piece in pieces for inst in (
+            piece if type(piece) is list else piece.spell())]
 
     # -- append API ------------------------------------------------------
 
@@ -137,7 +139,6 @@ class Circuit:
             self._open = []
             self.pieces.append(self._open)
         self._open.append(inst)
-        self._flat = None
         return self
 
     def gate(self, kind: GateKind, targets: Sequence[int],
@@ -162,10 +163,11 @@ class Circuit:
             raise ValueError("MOVE needs distinct qubits")
         return self.append(Instruction(MOVE, (src, dst), label=label))
 
-    def repeat(self, first: list[Instruction], control: int | None,
+    def repeat(self, first: list[Instruction], base: int, control: int,
                constants: Iterable[int | None],
                rename: tuple[str, str] = ("", "")) -> "Circuit":
-        """Append a repeat of ``first``, a list piece of this circuit
+        """Append a repeat of ``first``, a list piece of this circuit,
+        reading ``control`` wherever a gate of ``first`` reads ``base``
         (see ``Repeat``), one constant per gate, without building its
         instructions."""
         constants = tuple(constants)
@@ -176,10 +178,11 @@ class Circuit:
         if len(constants) != len(first):
             raise ValueError(f"cannot repeat {len(first)} instructions "
                              f"with {len(constants)} constants")
-        if control is not None and not 0 <= control < self.num_qubits:
-            raise ValueError(f"control qubit {control} out of range")
-        self.pieces.append(Repeat(first, control, constants, rename))
-        self._open = self._flat = None
+        for q in (base, control):
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"control qubit {q} out of range")
+        self.pieces.append(Repeat(first, base, control, constants, rename))
+        self._open = None
         return self
 
     def extend(self, other: "Circuit") -> "Circuit":
@@ -188,7 +191,7 @@ class Circuit:
         if other.num_qubits > self.num_qubits:
             raise ValueError("sub-circuit uses more qubits than the target")
         self.pieces += other.pieces
-        self._open = self._flat = other._open = None
+        self._open = other._open = None
         return self
 
     # -- queries ---------------------------------------------------------

@@ -13,9 +13,10 @@ primes and prime powers, so an N over a budget exits 3 either way.
 A factoring run does not create the whole order-finding program's
 instructions: its ladder's pieces are the first controlled multiplier,
 a list of instructions, and for every later multiplier a repeat that
-names that list (``build_cm_m``), which the run reads from that list,
-its control and its constants.  The budget still counts every gate of
-the program, as a circuit dump spells every repeat.
+names that list (``build_cm_m``), which the run reads from that list
+with k_0 renamed k_i and the repeat's constants.  The budget still
+counts every gate of the program, as a circuit dump spells every
+repeat.
 
 The counts section builds the power ladder's first controlled multiplier
 and the distributed inverse transform, never the whole order-finding

@@ -40,10 +40,11 @@ walk no gates.  The first unit of each shape (its node and the nodes it
 shares from, in order) makes the protocol's checks in the protocol's
 order; later ones are only tallied, and the tally is posted once, its
 discarded coins in one ``RandomSource.skip``.  A round walks its first
-multiplier, a list piece of its program, and one repeat of it, spelled,
-for each other estimation node; every later multiplier, a repeat that
-names that list, is billed as the units of the multiplier walked for
-its control's node (``bill``).  A refusal raises at the protocol's
+multiplier, a list piece of its program, once for each estimation node:
+under the placement, and with k_0 moved to the other node; every later
+multiplier, a repeat that reads k_i where that list reads k_0, is billed
+as the units of the walk for its control's node (``bill``), and none is
+spelled.  A refusal raises at the protocol's
 share, with the protocol's partial bill.  Then one ``circuit.execute``
 runs the state; its kernel refuses a MOVE into a slot that is not |0>.
 The state agrees with the reference up to floating-point rounding.
@@ -616,46 +617,47 @@ def bill(network: Network, circ: Circuit):
     The walk checks each shape of unit once and tallies the rest
     (``Network._tallied``).  It walks the circuit's pieces in order: each
     repeat's first and each repeat alone, and the list pieces between
-    them as one, as a walk of the flat program groups them.  Each of the
-    pieces alone has a key: the first it repeats (a first repeats
-    itself) and the node of the control it reads, a repeat's own
-    ``control`` or else the last control of its first's first gate that
-    has controls (no node if none has).  Pieces of one key hold the same
-    units in order, of shapes checked already whose checks pass again,
-    as no walk changes an occupancy.  So the first piece of a key is
-    walked (a repeat is spelled for this, ``Repeat.spell``), and its
-    units per shape are recorded if none was a stray; every later piece
-    of the key adds the record to the tally.  The tally is posted when the walk
-    ends, by a refusal too."""
-    node_of = network.node_of
+    them as one, as a walk of the flat program groups them.  A repeat
+    groups into its first's units walked with ``base`` moved to
+    ``control``'s node, as ``base`` is no target of its first.  Each
+    piece alone has a key: a first its own list, a repeat its first and
+    the node of its control, or its first alone when that node is
+    ``base``'s.  Pieces of one key hold the same units in order, of
+    shapes checked already whose checks pass again, as no walk changes
+    an occupancy.  So the first piece of a key is walked, and its units
+    per shape are recorded if none was a stray; every later piece of the
+    key adds the record to the tally.  A repeat of a first that strayed
+    is spelled (``Repeat.spell``) and walked, as the stray check reads
+    its own constants.  The tally is posted when the walk ends, by a
+    refusal too."""
+    node_of, owner = network.node_of, network.owner
     firsts = {id(piece.first) for piece in circ.pieces
               if type(piece) is not list}
-
-    def key(piece) -> tuple[int, str | None]:
-        first, control = ((piece, None) if type(piece) is list
-                          else (piece.first, piece.control))
-        if control is None:
-            control = next((inst.controls[-1][0] for inst in first
-                            if inst.kind.name != "MOVE" and inst.controls),
-                           None)
-        return id(first), None if control is None else node_of(control)
 
     def alone(piece) -> bool:
         return type(piece) is not list or id(piece) in firsts
 
-    records: dict[tuple, dict] = {}  # key -> its units per shape
+    records: dict[object, dict] = {}  # key -> its units per shape
     network._tally = tally = {}
     try:
         for own, group in groupby(circ.pieces, key=alone):
             for piece in group if own else [[*chain.from_iterable(group)]]:
-                mark = key(piece) if own else None
+                insts, where, mark = piece, node_of, id(piece) if own else None
+                if type(piece) is not list:
+                    insts, base = piece.first, piece.base
+                    place, mark = node_of(piece.control), id(insts)
+                    if place != owner.get(base):
+                        mark = mark, place
+                        where = {**owner, base: place}.__getitem__
                 if mark in records:
                     for shape, count in records[mark].items():
                         tally[shape] += count
                     continue
-                insts = piece if type(piece) is list else piece.spell()
+                if type(piece) is not list and id(insts) not in records:
+                    # its first strayed: the first walk keeps no record
+                    insts, where = piece.spell(), node_of
                 before, clean = dict(tally), True
-                for unit in session_groups(insts, node_of):
+                for unit in session_groups(insts, where):
                     if unit[-1]:  # a MOVE
                         network.move(unit)
                     else:

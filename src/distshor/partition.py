@@ -190,11 +190,11 @@ def build_distributed_order_program(a: int, N: int,
     inspectable.  It has ~70 m n^2 gates; the count report builds one
     controlled multiplier instead.  Its pieces are instruction lists for
     the preparation, the first multiplier and the transform, and a repeat
-    that names the first multiplier's list for every later multiplier
-    (``build_cm_m``): ``netsim.bill`` bills a repeat as its first's
-    units, and spells one repeat for each estimation node other than the
-    first's, and the state kernel runs every repeat from its first's
-    plans."""
+    that names the first multiplier's list for every later multiplier,
+    reading k_i where it reads k_0 (``build_cm_m``): ``netsim.bill``
+    bills a repeat as its first's units with k_0 on k_i's node, and the
+    state kernel runs every repeat from its first's plans with k_0 read
+    as k_i; neither spells one."""
     return build_distributed_modexp_program(a, N, plan).extend(
         build_distributed_transform_program(plan))
 

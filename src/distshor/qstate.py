@@ -22,11 +22,11 @@ once, into a plan of qubit ids that its later visits apply directly, so
 a refused gate leaves the state untouched; a MOVE checks its |0>
 destination slot on each visit.  A run comes as pieces, as a circuit
 stores them (``circuit.Circuit.pieces``): lists of instructions, and
-repeats (``circuit.Repeat``) of an earlier list, their first, with a
-control in place of the first's and one constant per gate, as the
-multipliers of a power ladder are.  The kernel plans each first once,
-without its control, and runs every repeat of it from those plans with
-the repeat's control swapped in and the repeat's constants read, so the
+repeats (``circuit.Repeat``) of an earlier list, their first, that read
+qubit ``control`` wherever the first reads ``base``, as a power
+ladder's multipliers read k_i in place of k_0.  The kernel plans each
+list once and runs a repeat from its first's plans with ``base``'s
+bitset set to ``control``'s and the repeat's constants read, so the
 ladder's m multipliers pay for one multiplier's checks and keys and
 create no instructions.  The kernel's results are bit-exact with
 applying the gates one by one through ``apply_gate``: a permutation
@@ -200,22 +200,18 @@ class QuantumState:
 
         ``run`` is a sequence of pieces: lists of instructions ``(kind,
         targets, controls, classical_constant, ...)``, and repeats
-        (``circuit.Repeat``), each read from its first list, its control
-        and its constants; a 0 constant disables every gate but a MOVE.
-        Before anything is applied, every piece is checked and planned
-        position by position, its disabled gates too, by the same
-        validation as ``apply_gate``; equal gates of a piece share one
-        plan of qubit ids.  A repeat's first, in the run or not, is
-        planned once (told by identity) without the control its gates
-        end with, and that control, or a repeat's own, must lie in range
-        and off every qubit those plans touch; a first of MOVEs alone
-        has none and needs none.  A failure raises ``ValueError``
-        (``SimulationError`` with ``apply_gate``'s message for a gate it
-        refuses) with the state untouched.  Each repeat then runs from
-        its first's plans, every gate's mask starting from the repeat's
-        control (the first's when the repeat names none) and every gate
-        read against the repeat's constant, and each list from its own
-        plans.
+        (``circuit.Repeat``), each run as its first list with its own
+        constants and ``base`` aliased to ``control``: while it runs,
+        ``base``'s bitset is ``control``'s.  A 0 constant disables every
+        gate but a MOVE.  Before anything is applied, each list, a
+        repeat's first too, is checked and planned position by position
+        once (told by identity), its disabled gates too, by the same
+        validation as ``apply_gate``; equal gates of a list share one
+        plan of qubit ids.  A gate ``apply_gate`` refuses raises
+        ``SimulationError`` with its message, and a repeat whose first
+        writes ``base``, or whose ``control`` is out of range or, unless
+        it is ``base``, a qubit of its first, raises ``ValueError``;
+        either way the state is untouched.
 
         A MOVE, a SWAP, also checks that its destination (second target)
         is |0>, on every visit.  Every qubit the run touches is held as
@@ -233,24 +229,25 @@ class QuantumState:
         # the keys as fixed-width binary slots, one per entry
         rows = " ".join(map(format, amps, repeat(f"0{width}b"))).encode()
         cols: dict[int, int] = {}  # qubit -> its bits over the entries
+        kept = None  # (base, its own bits) while a repeat aliases base
         try:
-            for constants, plans, touched, k in pieces:
-                for q in touched if k is None else (*touched, k):
+            for constants, plans, touched, alias in pieces:
+                for q in touched if alias is None else (*touched, alias[1]):
                     if q not in cols:
                         cols[q] = int(rows[width - 1 - q::stride][::-1], 2)
-                on = full if k is None else cols[k]
-                off = full ^ on
-                for (move, is_x, a, b, pos, neg, pol), constant in zip(
+                if alias is not None:
+                    base, control = alias
+                    kept = base, cols[base]
+                    cols[base] = cols[control]
+                for (move, is_x, a, b, head, pos, neg), constant in zip(
                         plans, constants):
                     if move:
                         if cols[b]:
                             raise SimulationError(
                                 f"destination slot {b} is not |0>")
-                        mask = full
                     elif constant == 0:
                         continue
-                    else:
-                        mask = on if pol else off
+                    mask = full if head is None else cols[head]
                     for q in pos:
                         mask &= cols[q]
                     for q in neg:
@@ -261,7 +258,12 @@ class QuantumState:
                         diff = (cols[a] ^ cols[b]) & mask
                         cols[a] ^= diff
                         cols[b] ^= diff
+                if kept is not None:
+                    cols[kept[0]] = kept[1]
+                    kept = None
         finally:
+            if kept is not None:
+                cols[kept[0]] = kept[1]
             if cols:
                 buf = bytearray(rows)
                 spec = f"0{len(amps)}b"
@@ -309,69 +311,54 @@ class QuantumState:
 
     def _pieces(self, run):
         """Plan every piece of a run, each ``(constants, plans, touched,
-        control)``: a repeat's constants with its first's positional
-        plans, the qubits they touch and the repeat's control; a first's
-        own constants, plans and control; or any other list planned as
-        its own first, no control taken off (control None).  Everything
-        is checked before a piece runs."""
-        firsts = {}  # id of a repeat's first -> its plans
-        for piece in run:
-            if type(piece) is not list and id(piece.first) not in firsts:
-                firsts[id(piece.first)] = self._positional_plans(piece.first)
+        alias)``: a list's own constants, plans and qubits, or a repeat's
+        constants with its first's plans and qubits and ``(base,
+        control)`` when the repeat renames a qubit its first reads (else
+        None).  Everything is checked before a piece runs."""
+        planned = {}  # id of a list -> (plans, touched, written)
         pieces = []
         for piece in run:
-            if type(piece) is list:
-                constants = map(itemgetter(3), piece)
-                if id(piece) not in firsts:
-                    pieces.append((constants, *self._positional_plans(
-                        piece, strip=False)))
-                    continue
-                plans, touched, k = firsts[id(piece)]
-            else:
-                plans, touched, k = firsts[id(piece.first)]
-                constants = piece.constants
-                if piece.control is not None:
-                    k = piece.control
-            # k is None only for a first of MOVEs, which reads none
-            if k is not None and (not 0 <= k < self.num_qubits
-                                  or k in touched):
+            first = piece if type(piece) is list else piece.first
+            if id(first) not in planned:
+                planned[id(first)] = self._positional_plans(first)
+            plans, touched, written = planned[id(first)]
+            if first is piece:
+                pieces.append((map(itemgetter(3), piece), plans, touched,
+                               None))
+                continue
+            base, control = piece.base, piece.control
+            if (base in written or not 0 <= control < self.num_qubits
+                    or control != base and control in touched):
                 raise ValueError(
-                    f"a repeat swaps in control {k}, not a qubit in range "
-                    f"and off its first's qubits")
-            pieces.append((constants, plans, touched, k))
+                    f"a repeat reads control {control} for qubit {base}: "
+                    f"its first must not write {base}, and {control} must "
+                    f"be in range and off its first's qubits")
+            alias = (base, control) if (base != control
+                                        and base in touched) else None
+            pieces.append((piece.constants, plans, touched, alias))
         return pieces
 
-    def _positional_plans(self, first, strip: bool = True):
-        """Check a first's instructions and plan them by position:
-        ``(plans, touched, k)``.  With ``strip``, each gate but a MOVE
-        must end with a control on the qubit ``k`` its first gate ends
-        with (k is None when the first holds only MOVEs), and a gate's
-        plan is ``_permutation_plan``'s without that control, plus its
-        polarity.  Without, as for a stretch, a plan keeps every control,
-        polarity True, and ``k`` is None.  Equal gates share one plan.
-        ``touched`` holds every qubit of the plans."""
-        plans, seen, touched, k = [], {}, set(), None
-        for p, inst in enumerate(first):
+    def _positional_plans(self, first):
+        """Check a list's instructions and plan them by position:
+        ``(plans, touched, written)``.  A gate's plan is
+        ``_permutation_plan``'s with its first positive control split off
+        as ``head`` (None if it has none): ``(move, is_x, a, b, head,
+        pos, neg)``.  Equal gates share one plan.  ``touched`` holds
+        every qubit of the plans, ``written`` their targets."""
+        plans, seen, touched, written = [], {}, set(), set()
+        for inst in first:
             gate, targets, controls = inst[0], tuple(inst[1]), tuple(inst[2])
             key = gate.name, targets, controls
             plan = seen.get(key)
             if plan is None:
-                cut = strip and gate.name != "MOVE"  # plan it without k
-                if cut:
-                    if k is None and controls:
-                        k = controls[-1][0]
-                    if not controls or controls[-1][0] != k:
-                        raise ValueError(f"gate {p} of a first does not "
-                                         f"end with its control")
                 move, is_x, a, b, pos, neg = self._permutation_plan(
                     gate, targets, controls)
-                pol = not cut or controls[-1][1]
-                if cut:
-                    pos, neg = (pos[:-1], neg) if pol else (pos, neg[:-1])
+                written.update((a, b))
                 touched.update((a, b), pos, neg)
-                plan = seen[key] = move, is_x, a, b, pos, neg, pol
+                head, pos = (pos[0], pos[1:]) if pos else (None, pos)
+                plan = seen[key] = move, is_x, a, b, head, pos, neg
             plans.append(plan)
-        return plans, touched, k
+        return plans, touched, written
 
     def _permutation_plan(self, gate: GateKind, targets: Sequence[int],
                           controls: Iterable[Control]):

@@ -591,10 +591,11 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
     Repeated squaring: block i applies M for the constant a^(2^i) mod N
     under control k_i, labelled ``cm/M[i]``.  Only block 0 is emitted,
     into the ladder's first list piece.  Every later block is a
-    ``Circuit.repeat`` of it with control k_i and its own constants:
-    while block 0 is emitted, ``_Sink.reads`` records the chain constant
-    and bit each of its gated gates reads, and a later block walks the
-    same emitters for its chain constants alone and reads them there.
+    ``Circuit.repeat`` of it that reads k_i in place of k_0, with its own
+    constants: while block 0 is emitted, ``_Sink.reads`` records the chain
+    constant and bit each of its gated gates reads, and a later block
+    walks the same emitters for its chain constants alone and reads them
+    there.
     """
     if m < 1:
         raise ValueError("need at least one control qubit")
@@ -623,7 +624,8 @@ def build_cm_m(a: int, N: int, m: int, layout: RegisterLayout, *,
         _m(chain, ((k, True),), pow(a, 1 << i, N), N, layout, slicing, path)
         # bit b of chain constant c sits at 1 + n c + b, None at 0
         bits = [None, *(x >> b & 1 for x in chain.chain for b in range(n))]
-        circ.repeat(first, k, itemgetter(*index)(bits), ("cm/M[0]", path))
+        circ.repeat(first, layout.k[0], k, itemgetter(*index)(bits),
+                    ("cm/M[0]", path))
     return circ
 
 

@@ -245,12 +245,13 @@ class TestPieces:
     def test_closed_pieces_are_not_handed_out(self):
         # extend closes ``a``'s one piece and shares it with ``b``: neither
         # circuit's ``instructions`` is that piece, so writing through it
-        # grows no circuit
+        # grows no circuit and changes what no later read returns
         a = Circuit(3)
         a.x(0)
         b = Circuit(3).extend(a)
         for circ in (a, b):
             circ.instructions.append(Instruction(gates.X, (1,)))
+            assert len(circ.instructions) == len(circ)
         assert (len(a), len(b)) == (1, 1)
 
     @staticmethod
@@ -261,16 +262,18 @@ class TestPieces:
         return circ, circ.instructions
 
     @pytest.mark.parametrize("make,message", [
-        (lambda circ, first: (list(first), 0, [1, 1]), "list piece"),
-        (lambda circ, first: (Circuit(4).x(0).instructions, 0, [1]),
+        (lambda circ, first: (list(first), 3, 0, [1, 1]), "list piece"),
+        (lambda circ, first: (Circuit(4).x(0).instructions, 3, 0, [1]),
          "list piece"),
-        (lambda circ, first: (circ.repeat(first, 0, [1, 1]).pieces[-1], 0,
-                              [1, 1]), "list piece"),
-        (lambda circ, first: (first, 0, [1]), "with 1 constants"),
-        (lambda circ, first: (first, 0, [1, 1, 1]), "with 3 constants"),
-        (lambda circ, first: (first, 4, [1, 1]), "control qubit 4"),
+        (lambda circ, first: (circ.repeat(first, 3, 0, [1, 1]).pieces[-1],
+                              3, 0, [1, 1]), "list piece"),
+        (lambda circ, first: (first, 3, 0, [1]), "with 1 constants"),
+        (lambda circ, first: (first, 3, 0, [1, 1, 1]), "with 3 constants"),
+        (lambda circ, first: (first, 3, 4, [1, 1]), "control qubit 4"),
+        (lambda circ, first: (first, -1, 0, [1, 1]), "control qubit -1"),
     ], ids=["copy", "other circuit", "a repeat", "too few constants",
-            "too many constants", "control out of range"])
+            "too many constants", "control out of range",
+            "base out of range"])
     def test_repeat_refuses(self, make, message):
         circ, first = self.with_first()
         args = make(circ, first)

@@ -547,6 +547,36 @@ def test_ladder_repeats_hold_their_firsts_units(case):
             facts(rep.first, plan.layout.k[0])
 
 
+@settings(max_examples=10, deadline=None)
+@given(rounds())
+@example((15, 7, 2))
+@example((21, 2, 10))
+@example((33, 5, 12))
+@example((77, 2, 14))
+def test_repeats_group_as_their_first_with_base_moved(case):
+    """The rename the bill relies on: walking a repeat's first with
+    ``base`` placed on ``control``'s node yields the spelled repeat's
+    units, node, size, source nodes, stray and MOVE flag alike, with
+    ``base`` in place of ``control`` among the remote controls."""
+    N, a, m = case
+    plan, program = order_program(N, a, m)
+    node_of = plan.node_of_qubit.__getitem__
+
+    def units(insts, where, rename=None):
+        return [(node, len(group),
+                 tuple(rename.get(q, q) for q in remote) if rename
+                 else remote, sources,
+                 None if stray is None else group.index(stray), is_move)
+                for node, group, remote, sources, stray, is_move
+                in session_groups(insts, where)]
+
+    for rep in repeats_of(program):
+        assert rep.base == plan.layout.k[0]
+        moved = {**plan.node_of_qubit, rep.base: node_of(rep.control)}
+        assert units(rep.first, moved.__getitem__) == \
+            units(rep.spell(), node_of, {rep.control: rep.base})
+
+
 def mode_programs(N, a, m):
     """The order-finding program of each mode, with its estimation
     qubits."""
@@ -574,6 +604,7 @@ def test_ladder_repeats_swap_only_their_control(case):
         assert repeats == repeats_of(program)
         for i, rep in enumerate(repeats, 1):
             assert rep.first is first
+            assert (rep.base, rep.control) == (k[0], k[i])
             spelled = rep.spell()
             assert spelled[0].label.startswith(f"cm/M[{i}]/")
             for g, h in zip(first, spelled):
@@ -646,11 +677,12 @@ def repeated_programs(draw):
     """[prefix][S][S'...][tail] on ``three_nodes`` with ``KEPT`` slots
     kept: each S' a repeat of S (``Circuit.repeat``), with constants
     drawn again and blocks renamed, as a ladder's multipliers differ.
-    Every gate of S ends with a control on one kept slot, and each S'
-    keeps it (control None), or reads another kept slot on its node or
-    one on another node, as a ladder's multipliers read k_i on either
-    estimation node.  The prefix is two list pieces, cut at a drawn
-    place, which the flat walk may group across."""
+    Every gate of S ends with a control on one kept slot, its base, and
+    each S' keeps it (control equal to base), or reads another kept slot
+    on its node or one on another node in its place, as a ladder's
+    multipliers read k_i on either estimation node.  The prefix is two
+    list pieces, cut at a drawn place, which the flat walk may group
+    across."""
     prefix, body, tail = (draw(programs(strays=True, kept=KEPT))[0]
                           for _ in range(3))
     kept = {n: held[3:] for n, held in three_nodes(0, KEPT)[1].items()}
@@ -675,8 +707,8 @@ def repeated_programs(draw):
         for inst in body.instructions], "s")
     elsewhere = [q for n in NODES if n != node for q in kept[n]]
     for i in range(draw(st.integers(1, 3))):
-        circ.repeat(first, draw(st.one_of(
-            st.none(), st.just(same), st.sampled_from(elsewhere))), [
+        circ.repeat(first, control, draw(st.one_of(
+            st.just(control), st.just(same), st.sampled_from(elsewhere))), [
             draw(st.sampled_from([None, 0, 1])) if inst.kind.name != "MOVE"
             else inst.classical_constant for inst in first],
             ("s/", f"s{i}/"))
@@ -718,7 +750,8 @@ def shares_and_round_trips(net, held, constants, tag):
 def stacked(net, held, parts):
     """One program of ``parts``, (instructions, index of its first or
     None), one piece each: a part with a first is a repeat of it
-    (``Circuit.repeat``) that keeps its controls, with the part's
+    (``Circuit.repeat``) that keeps its controls (its base, the first
+    control of its first gate, is its control), with the part's
     constants and tag."""
     circ = Circuit(net.state.num_qubits)
     for insts, of in parts:
@@ -731,8 +764,9 @@ def stacked(net, held, parts):
         first = circ.pieces[of]
         rename = tuple(tagged[0].block.partition("@")[0]
                        for tagged in (first, insts))
-        circ.repeat(first, None, [inst.classical_constant for inst in insts],
-                    rename)
+        base = first[0].controls[0][0]
+        circ.repeat(first, base, base,
+                    [inst.classical_constant for inst in insts], rename)
         assert circ.pieces[-1].spell() == insts
     return circ
 

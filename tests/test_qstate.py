@@ -434,8 +434,8 @@ class TestPermutationRun:
 def ladder(num_qubits, controls, body):
     """``body(circ, k, i)`` for the first control k in ``controls``, the
     circuit's first list piece, and a repeat of it (``Circuit.repeat``)
-    for each later one, the i-th, with the constants ``body`` gives its
-    gates."""
+    that reads each later one, the i-th, in place of the first, with the
+    constants ``body`` gives its gates."""
     circ = Circuit(num_qubits)
     for i, k in enumerate(controls):
         if not i:
@@ -444,8 +444,8 @@ def ladder(num_qubits, controls, body):
             continue
         part = Circuit(num_qubits)
         body(part, k, i)
-        circ.repeat(first, k, [inst.classical_constant
-                               for inst in part.instructions])
+        circ.repeat(first, controls[0], k, [inst.classical_constant
+                                            for inst in part.instructions])
     return circ
 
 
@@ -528,14 +528,34 @@ class TestRepeats:
     ], ids=[f"controls{i}" for i in range(6)])
     def test_bad_controls_raise_before_the_state_changes(self, control):
         first = self.first()
-        self.refused([first, Repeat(first, control, (None,) * 3)],
-                     "swaps in control")
+        self.refused([first, Repeat(first, 0, control, (None,) * 3)],
+                     f"reads control {control} for qubit 0")
 
     def test_first_ending_with_two_controls_raises(self):
+        # gate 2 of the first reads qubit 1, so a repeat cannot read 1 in
+        # place of 0
         first = self.first()
         first[2] = first[2]._replace(controls=((1, False),))
-        self.refused([first, Repeat(first, 1, (None,) * 3)],
-                     "does not end with its control")
+        self.refused([first, Repeat(first, 0, 1, (None,) * 3)],
+                     "reads control 1 for qubit 0")
+
+    @pytest.mark.parametrize("base", [2, 4, 5],
+                             ids=["target", "move source", "move dest"])
+    def test_first_writing_its_base_raises(self, base):
+        first = self.first()
+        self.refused([first, Repeat(first, base, 1, (None,) * 3)],
+                     f"must not write {base}")
+
+    def test_repeat_keeping_its_base_runs_as_its_first(self):
+        # base == control: the repeat is its first with its own constants
+        first = ladder(6, (0,), self.moveless).instructions
+        constants = (1, None, 0)  # the first's are (0, None, None)
+        own = [inst for inst, c in zip(first, constants) if c != 0]
+        st = from_amplitudes(6, self.AMPS)
+        st.apply_permutation([Repeat(first, 0, 0, constants)])
+        ref = per_gate(from_amplitudes(6, self.AMPS), own)
+        assert list(st.amplitudes.items()) == list(ref.amplitudes.items())
+        assert st.amplitudes != self.AMPS
 
     def test_first_of_moves_alone_needs_no_control(self):
         # a first with no controlled gate: the X(6) after it is refused
@@ -543,7 +563,7 @@ class TestRepeats:
         st = from_amplitudes(6, self.AMPS)
         with pytest.raises(SimulationError,
                            match="qubit 6 out of range for 6-qubit state"):
-            st.apply_permutation([first, Repeat(first, 1, (None,)),
+            st.apply_permutation([first, Repeat(first, 0, 1, (None,)),
                                   [Instruction(gates.X, (6,))]])
         assert st.amplitudes == from_amplitudes(6, self.AMPS).amplitudes
 
@@ -591,7 +611,7 @@ def runs_with_a_refused_gate(draw):
         first = [inst if inst.kind == gates.MOVE else
                  inst._replace(controls=(*inst.controls, (0, pol)))
                  for inst, pol in zip(body, polarities)]
-        run += [first, *(Repeat(first, k, tuple(
+        run += [first, *(Repeat(first, 0, k, tuple(
             inst.classical_constant for inst in body))
             for k in range(1, copies))]
         if part == 1:

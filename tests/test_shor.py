@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import phase_estimation_state, reference_execute, repeats_of
-from distshor import cli, gates, netsim, partition, revarith, shor
+from distshor import cli, gates, partition, revarith, shor
 from distshor.circuit import Circuit, Instruction, Repeat
 from distshor.qstate import QuantumState, RandomSource
 from distshor.shor import (classical_rejection, continued_fraction, factor,
@@ -358,12 +358,11 @@ class TestReportBuilds:
 
 class TestPackedRound:
     """A round creates the instructions of its preparation, its first
-    multiplier and its transform, and never a repeat's: the kernel reads
-    every repeat from the first, and so does the bill, which spells one
-    repeat for the estimation node that multiplier 0's control is not
-    on."""
+    multiplier and its transform, and never a repeat's: the kernel and
+    the bill read every repeat from the first, with k_0 renamed, and
+    neither spells one."""
 
-    @pytest.mark.parametrize("m", [1, 6])
+    @pytest.mark.parametrize("m", [1, 6, 10])
     @pytest.mark.parametrize("mode", ["monolithic", "distributed"])
     def test_round_builds_one_multiplier(self, monkeypatch, mode, m):
         N, a = 15, 7
@@ -396,9 +395,9 @@ class TestPackedRound:
             transform = partition.build_distributed_transform_program(
                 partition.plan_placement(N.bit_length(), m))
         assert last == transform.instructions
-        # K1 holds k_3..k_5 at m = 6, and nothing at m = 1
-        assert spelled == [netsim.bill.__code__] * (
-            mode == "distributed" and m > 1)
+        # K1 holds k_3..k_5 at m = 6, and its multipliers are billed
+        # from multiplier 0 with k_0 moved to K1
+        assert spelled == []
 
 
 class TestAdmission:
